@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import CapabilityError
-from .numtheory import PrimeContext, legendre_symbol
+from .numtheory import PrimeContext, bitmap_to_set, legendre_symbol
 
 ELEMENT_ENUM_CAP = 30         # 2^d subset sums; keep enumeration honest
 EXHAUSTIVE_P_CAP = 60         # default ceiling for exact searches
@@ -61,8 +61,8 @@ class CubeCensus:
     inside_primroot: CubeSearchResult       # F-bar
 
     def chain_violations(self) -> list[str]:
-        """Check F-bar <= f-bar = f <= F; the middle equality is verified,
-        not assumed (it can fail when every maximal avoiding cube uses 0)."""
+        """Check the weak chain F-bar <= f-bar <= f <= F; f-bar < f is allowed,
+        as at p = 5, where every maximal avoiding cube contains 0."""
         f = self.avoid_nonresidue.dim
         big_f = self.avoid_primroot.dim
         fbar = self.inside_nonresidue.dim
@@ -70,8 +70,8 @@ class CubeCensus:
         out = []
         if not big_fbar <= fbar:
             out.append(f"F_bar={big_fbar} > f_bar={fbar}")
-        if fbar != f:
-            out.append(f"f_bar={fbar} != f={f}")
+        if not fbar <= f:
+            out.append(f"f_bar={fbar} > f={f}")
         if not f <= big_f:
             out.append(f"f={f} > F={big_f}")
         return out
@@ -115,15 +115,6 @@ def small_elements_cube(dim: int) -> HilbertCube:
     return HilbertCube(0, tuple(range(1, dim + 1)))
 
 
-def _mask_bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _max_cube_exhaustive(p: int, allowed_mask: int) -> CubeSearchResult:
     """Deepest cube whose elements stay inside allowed_mask, by pruned DFS.
 
@@ -136,7 +127,7 @@ def _max_cube_exhaustive(p: int, allowed_mask: int) -> CubeSearchResult:
         raise ValueError("empty target set admits no cube")
     full = (1 << p) - 1
     best_dim = 0
-    best = HilbertCube(_mask_bits(allowed_mask)[0], ())
+    best = HilbertCube(bitmap_to_set(allowed_mask)[0], ())
 
     def rot(bm: int, g: int) -> int:
         return ((bm << g) | (bm >> (p - g))) & full
@@ -154,7 +145,7 @@ def _max_cube_exhaustive(p: int, allowed_mask: int) -> CubeSearchResult:
                 best = HilbertCube(base, cand)
             grow(base, cand, new)
 
-    for base in _mask_bits(allowed_mask):
+    for base in bitmap_to_set(allowed_mask):
         grow(base, (), 1 << base)
     return CubeSearchResult(best_dim, best, exact=True)
 
@@ -165,7 +156,7 @@ def _max_cube_heuristic(p: int, allowed_mask: int, seed: int, restarts: int) -> 
         raise ValueError("empty target set admits no cube")
     rng = random.Random(seed)
     full = (1 << p) - 1
-    bases = _mask_bits(allowed_mask)
+    bases = bitmap_to_set(allowed_mask)
     best_dim = 0
     best = HilbertCube(bases[0], ())
     for _ in range(restarts):

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import CapabilityError
-from .numtheory import PrimeContext, is_primitive_root, legendre_symbol
+from .numtheory import PrimeContext, bitmap_to_set, is_primitive_root, legendre_symbol
 
 
 @dataclass(frozen=True)
@@ -159,14 +159,20 @@ def _domain_bitmap(ctx: PrimeContext, variant: RadiusVariant) -> int:
 
 @lru_cache(maxsize=None)
 def _flip_shuffles(length: int) -> tuple[tuple[int, int], ...]:
-    """(shift, mask-of-positions-with-bit-i-clear) pairs for bitmap dilation."""
+    """(shift, mask-of-positions-with-bit-i-clear) pairs for bitmap dilation.
+
+    Masks repeat a little-endian byte pattern, linear in 2^length."""
     size = 1 << length
-    full = (1 << size) - 1
     out = []
     for i in range(length):
         s = 1 << i
-        unit = full // ((1 << (2 * s)) - 1)  # one bit every 2s positions
-        out.append((s, unit * ((1 << s) - 1)))
+        if size < 8:  # narrower than a byte: one bit every 2s, times s ones
+            mask = ((1 << size) - 1) // ((1 << (2 * s)) - 1) * ((1 << s) - 1)
+        else:
+            block = (bytes([(0x55, 0x33, 0x0F)[i]]) if s < 8
+                     else b"\xff" * (s // 8) + b"\0" * (s // 8))
+            mask = int.from_bytes(block * (size // 8 // len(block)), "little")
+        out.append((s, mask))
     return tuple(out)
 
 
@@ -179,12 +185,7 @@ def dilate(bitmap: int, length: int) -> int:
 
 
 def _witness_classes(uncovered: int, p: int) -> tuple[int, ...]:
-    out = []
-    while uncovered:
-        lowbit = uncovered & -uncovered
-        out.append((lowbit.bit_length() - 1) % p)
-        uncovered ^= lowbit
-    return tuple(sorted(out))
+    return tuple(sorted(n % p for n in bitmap_to_set(uncovered)))
 
 
 def covering_radius_dilation(ctx: PrimeContext, variant: RadiusVariant = CANONICAL

@@ -188,10 +188,10 @@ def mobius(n: int) -> int:
 @lru_cache(maxsize=4096)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, ascending."""
+    fs = factorize(n) if n > 1 else []
     divs = [1]
-    for q in sorted(set(factorize(n))) if n > 1 else ():
-        e = factorize(n).count(q)
-        divs = [d * q**i for d in divs for i in range(e + 1)]
+    for q in sorted(set(fs)):
+        divs = [d * q**i for d in divs for i in range(fs.count(q) + 1)]
     return tuple(sorted(divs))
 
 
@@ -309,18 +309,19 @@ def _build_pr_bitmap(ctx: PrimeContext) -> int:
         return 0b10  # the single root {1}
     m = p - 1
     g = least_primitive_root(ctx)
-    # g^t is a generator iff gcd(t, m) == 1; sieve the exponents, then walk
-    # the powers of g incrementally.
+    # g^t is a generator iff gcd(t, m) == 1: sieve the exponents, walk the
+    # powers of g, and set digit m - x of one binary string parsed at the end.
     coprime = bytearray([1]) * m
     for q in ctx.distinct_factors:
         coprime[0::q] = b"\x00" * len(coprime[0::q])
-    bitmap = 0
+    digits = bytearray(b"0") * p
     x = 1
     for t in range(m):
         if coprime[t]:
-            bitmap |= 1 << x
+            digits[m - x] = 49  # ord("1")
         x = x * g % p
-    return bitmap
+    del coprime  # free it before int() allocates the result
+    return int(digits, 2)
 
 
 def primitive_roots(ctx: PrimeContext) -> int:
@@ -332,10 +333,11 @@ def primitive_roots(ctx: PrimeContext) -> int:
 
 
 def bitmap_to_set(bitmap: int) -> list[int]:
-    """Indices of set bits, ascending."""
+    """Indices of set bits of a non-negative int, ascending; linear in its bit length."""
+    digits = bin(bitmap)[:1:-1]
     out = []
-    while bitmap:
-        low = bitmap & -bitmap
-        out.append(low.bit_length() - 1)
-        bitmap ^= low
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
     return out

@@ -3,9 +3,9 @@
 Primes are sharded into fixed-size blocks; workers compute per-prime
 statistics independently and the parent reassembles blocks in order, so the
 final bytes do not depend on the task count. Completed blocks can be
-journaled to a checkpoint file (one JSON line per block, fsynced) and are
-skipped on resume; a fingerprint of the scan parameters guards against
-resuming with a different configuration.
+journaled to a checkpoint file (one JSON line per block, fsynced); resume
+skips them and cuts off a last line torn by a crash. A fingerprint of the
+scan parameters guards against resuming with a different configuration.
 """
 
 from __future__ import annotations
@@ -98,15 +98,20 @@ class _Checkpoint:
         self.fingerprint = fingerprint
         self.done: dict[int, list] = {}
         if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
+            end = 0  # bytes of complete lines
+            with open(path, "rb") as fh:
                 for line in fh:
+                    if not line.endswith(b"\n"):
+                        break  # torn by a crash mid-write; dropped below
                     rec = json.loads(line)
+                    end += len(line)
                     if "meta" in rec:
                         if rec["meta"] != fingerprint:
                             raise ValueError(
                                 "checkpoint was written by a different scan configuration")
                     else:
                         self.done[rec["block"]] = rec["rows"]
+            os.truncate(path, end)
         self._fh = open(path, "a", encoding="utf-8", newline="\n")
         if not self.done and os.path.getsize(path) == 0:
             self._write({"meta": fingerprint})

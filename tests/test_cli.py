@@ -63,7 +63,7 @@ def test_frequencies_command(capsys):
 
 def test_cubes_command_reports_chain(capsys):
     code, out = run(capsys, "cubes", "--range", "3", "13")
-    assert code == 4  # verified containment-equality failures are surfaced
+    assert code == 0  # the weak chain holds; f_bar < f is not a violation
     lines = out.splitlines()
     assert lines[0].startswith("p,f,F,")
     assert any(l.startswith("5,2,2,1,1,(0;1,4)") for l in lines)

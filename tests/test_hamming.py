@@ -2,9 +2,11 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamroots.errors import CapabilityError
 from hamroots.hamming import (BitExpansion, CANONICAL, DOMAIN0, REDUCED,
+                              _flip_shuffles,
                               covering_radius, covering_radius_bfs,
                               covering_radius_dilation, dilate,
                               hamming_distance, hamming_profile,
@@ -235,3 +237,46 @@ def test_profile_bundle():
     assert (prof2.w, prof2.W, prof2.delta) == (None, 1, None)
     partial = hamming_profile(ctx_for(17), compute=frozenset({"W"}))
     assert (partial.w, partial.W, partial.delta) == (None, 2, None)
+
+
+def test_flip_shuffles_match_floor_division_formula():
+    for length in range(1, 17):
+        full = (1 << (1 << length)) - 1
+        expected = []
+        for i in range(length):
+            s = 1 << i
+            unit = full // ((1 << (2 * s)) - 1)  # one bit every 2s positions
+            expected.append((s, unit * ((1 << s) - 1)))
+        assert _flip_shuffles(length) == tuple(expected), length
+
+
+def _bfs_distances(targets, length):
+    """Hop distance from each vertex of the length-cube to the target set."""
+    dist = [None] * (1 << length)
+    frontier = [x for x in range(1 << length) if targets >> x & 1]
+    for x in frontier:
+        dist[x] = 0
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for x in frontier:
+            for i in range(length):
+                y = x ^ (1 << i)
+                if dist[y] is None:
+                    dist[y] = d
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=10).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))))
+def test_dilation_matches_bfs_on_random_targets(case):
+    length, targets = case
+    dist = _bfs_distances(targets, length)
+    ball = targets
+    for k in range(length + 1):
+        assert ball == sum(1 << x for x, d in enumerate(dist) if d is not None and d <= k)
+        ball = dilate(ball, length)

@@ -1,6 +1,8 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hamroots.errors import CapabilityError
 from hamroots.numtheory import (PrimeContext, bitmap_to_set, divisors,
@@ -199,3 +201,26 @@ def test_phi_mobius_divisors():
     assert [mobius(n) for n in (1, 2, 4, 6, 30)] == [1, -1, 0, 1, -1]
     assert divisors(66) == (1, 2, 3, 6, 11, 22, 33, 66)
     assert divisors(1) == (1,)
+
+
+@given(st.integers(min_value=0, max_value=1 << 300))
+def test_bitmap_to_set_matches_per_index_check(x):
+    assert bitmap_to_set(x) == [i for i in range(x.bit_length()) if x >> i & 1]
+
+
+def test_pr_bitmap_matches_brute_force_below_3000():
+    for p in sieve_primes(2999):
+        ctx = PrimeContext.for_prime(p)
+        brute = sum(1 << a for a in range(1, p) if is_primitive_root(a, ctx))
+        assert ctx.pr_bitmap() == brute, p
+
+
+@pytest.mark.parametrize("p", [1000003, 2097169])
+def test_pr_bitmap_large_primes(p):
+    ctx = PrimeContext.for_prime(p)
+    bm = ctx.pr_bitmap()
+    assert bm.bit_count() == euler_phi(p - 1)
+    assert bm.bit_length() <= p  # no bit at p or above
+    rng = random.Random(p)
+    for a in (rng.randrange(p) for _ in range(1000)):
+        assert (bm >> a & 1) == is_primitive_root(a, ctx), a

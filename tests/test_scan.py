@@ -71,6 +71,28 @@ def test_partial_checkpoint_resumes_to_identical_bytes(tmp_path):
     assert resumed == reference
 
 
+def test_torn_journal_tail_resumes_at_every_offset(tmp_path):
+    ckpt = tmp_path / "torn.ckpt"
+    cfg = ScanConfig(lo=2, hi=60, block_size=4, checkpoint=str(ckpt))
+    reference = format_scan_output(cfg, scan_range(cfg))
+    journal = ckpt.read_bytes()
+    assert journal.count(b"\n") == 6  # the header and five blocks
+    for cut in range(len(journal)):
+        ckpt.write_bytes(journal[:cut])
+        assert format_scan_output(cfg, scan_range(cfg)) == reference, cut
+        assert ckpt.read_bytes() == journal, cut
+
+
+def test_malformed_complete_journal_line_rejected(tmp_path):
+    ckpt = tmp_path / "bad.ckpt"
+    cfg = ScanConfig(lo=2, hi=60, block_size=4, checkpoint=str(ckpt))
+    scan_range(cfg)
+    with open(ckpt, "ab") as fh:
+        fh.write(b'{"block":9,"rows":[[2,0,\n')
+    with pytest.raises(ValueError):
+        scan_range(cfg)
+
+
 def test_csv_round_trip(tmp_path):
     cfg = ScanConfig(lo=2, hi=100)
     profiles = scan_range(cfg)
