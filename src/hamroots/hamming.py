@@ -161,18 +161,16 @@ def _domain_bitmap(ctx: PrimeContext, variant: RadiusVariant) -> int:
 def _flip_shuffles(length: int) -> tuple[tuple[int, int], ...]:
     """(shift, mask-of-positions-with-bit-i-clear) pairs for bitmap dilation.
 
-    Masks repeat a little-endian byte pattern, linear in 2^length."""
+    Masks repeat a little-endian byte pattern, cut to 2^length bits; linear
+    in 2^length."""
     size = 1 << length
     out = []
     for i in range(length):
         s = 1 << i
-        if size < 8:  # narrower than a byte: one bit every 2s, times s ones
-            mask = ((1 << size) - 1) // ((1 << (2 * s)) - 1) * ((1 << s) - 1)
-        else:
-            block = (bytes([(0x55, 0x33, 0x0F)[i]]) if s < 8
-                     else b"\xff" * (s // 8) + b"\0" * (s // 8))
-            mask = int.from_bytes(block * (size // 8 // len(block)), "little")
-        out.append((s, mask))
+        block = (bytes([(0x55, 0x33, 0x0F)[i]]) if s < 8
+                 else b"\xff" * (s // 8) + b"\0" * (s // 8))
+        mask = int.from_bytes(block * max(1, size // 8 // len(block)), "little")
+        out.append((s, mask & ((1 << size) - 1)))
     return tuple(out)
 
 
