@@ -16,13 +16,13 @@ from .cyclotomic import RootOfUnitySum, cyclotomic_poly
 from .errors import CapabilityError, InvariantViolation
 from .hamming import (BitExpansion, CANONICAL, DOMAIN0, REDUCED, RadiusVariant,
                       HammingProfile, VARIANTS, covering_radius,
-                      covering_radius_bfs, covering_radius_dilation,
-                      hamming_distance, hamming_profile, hamming_weight,
-                      high_bit_flip_set, low_bit_flip_set, min_flips_to_primroot,
-                      min_nonresidue_weight, min_primroot_weight, recombined_set)
+                      covering_radius_bfs, hamming_distance, hamming_profile,
+                      hamming_weight, high_bit_flip_set, low_bit_flip_set,
+                      min_flips_to_primroot, min_nonresidue_weight,
+                      min_primroot_weight, recombined_set)
 from .numtheory import (PrimeContext, factorize, is_prime, is_primitive_root,
-                        least_primitive_root, legendre_symbol, mod_pow,
-                        multiplicative_order, primitive_roots, sieve_primes)
+                        least_primitive_root, legendre_symbol, multiplicative_order,
+                        primitive_roots, sieve_primes)
 from .scan import CountTable, ScanConfig, format_scan_output, read_scan_output, \
     scan_frequencies, scan_range
 

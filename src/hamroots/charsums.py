@@ -345,14 +345,11 @@ def primroot_indicator(ctx: PrimeContext, a: int, method: str = "orbit") -> Frac
     return value
 
 
-_CHAR_CACHE: dict[tuple[int, int], tuple[Character, ...]] = {}
-
-
 def _characters_of_order(ctx: PrimeContext, d: int) -> tuple[Character, ...]:
-    key = (ctx.p, d)
-    if key not in _CHAR_CACHE:
-        _CHAR_CACHE[key] = tuple(build_characters(ctx, d))
-    return _CHAR_CACHE[key]
+    cache = ctx.characters_by_order
+    if d not in cache:
+        cache[d] = tuple(build_characters(ctx, d))
+    return cache[d]
 
 
 def count_primroots_via_characters(ctx: PrimeContext, values) -> int:

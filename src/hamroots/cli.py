@@ -8,19 +8,20 @@ constants.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import constants as consts
 from . import reference
-from .characters import build_characters
+from .characters import Character, build_characters
 from .charsums import (hoelder_bound_report, legendre_character,
                        poly_char_sum, primroot_indicator, pv_burgess_bound_report,
                        split_char_sum)
-from .cubes import (EXHAUSTIVE_P_CAP, NONRESIDUE, PRIMROOT, cube_census,
-                    max_avoiding_dimension)
+from .cubes import (DEFAULT_SEED, EXHAUSTIVE_P_CAP, NONRESIDUE, PRIMROOT,
+                    cube_census, max_avoiding_dimension)
 from .errors import CapabilityError, InvariantViolation
-from .hamming import VARIANTS, covering_radius_bfs
-from .numtheory import PrimeContext, is_primitive_root, sieve_primes
+from .hamming import DOMAIN0, VARIANTS, covering_radius
+from .numtheory import PrimeContext, factorize, is_primitive_root, sieve_primes
 from .scan import CountTable, ScanConfig, format_scan_output, read_scan_output, \
     scan_frequencies, scan_range
 
@@ -31,51 +32,46 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_scan_flags(sub, compute_default="w,W,delta"):
-    sub.add_argument("--range", nargs=2, type=int, metavar=("LO", "HI"), required=True)
-    sub.add_argument("--tasks", type=int, default=1)
-    sub.add_argument("--variant", choices=sorted(VARIANTS), default="canonical")
-    sub.add_argument("--compute", default=compute_default,
-                     help="comma-joined subset of w,W,delta")
-    sub.add_argument("--checkpoint", metavar="PATH")
-    sub.add_argument("--seed", type=int, default=0)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hamroots")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    scan = subs.add_parser("scan", help="per-prime statistics over a range", parents=[])
-    _add_scan_flags(scan)
+    # Census flags, declared once and shared by the subcommands that read them.
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument("--tasks", type=int, default=1)
+    workers.add_argument("--checkpoint", metavar="PATH")
+    variant = argparse.ArgumentParser(add_help=False)
+    variant.add_argument("--variant", choices=sorted(VARIANTS), default="canonical")
+    compute = argparse.ArgumentParser(add_help=False)
+    compute.add_argument("--compute", default="w,W,delta",
+                         help="comma-joined subset of w,W,delta")
+
+    scan = subs.add_parser("scan", help="per-prime statistics over a range",
+                           parents=[workers, variant, compute])
+    scan.add_argument("--range", nargs=2, type=int, metavar=("LO", "HI"), required=True)
     scan.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     scan.add_argument("--output", metavar="PATH")
     scan.set_defaults(func=cmd_scan)
 
-    table = subs.add_parser("table", help="census table with reference diffs")
+    table = subs.add_parser("table", help="census table with reference diffs",
+                            parents=[workers, variant, compute])
     table.add_argument("--limit", type=int, required=True)
-    table.add_argument("--tasks", type=int, default=1)
-    table.add_argument("--variant", choices=sorted(VARIANTS), default="canonical")
-    table.add_argument("--compute", default="w,W,delta")
-    table.add_argument("--checkpoint", metavar="PATH")
     table.add_argument("--scan-file", metavar="PATH",
                        help="reuse a previous scan instead of recomputing")
     table.add_argument("--paper-diff", action="store_true",
                        help="itemize per-prime differences between radius variants")
     table.set_defaults(func=cmd_table)
 
-    d3 = subs.add_parser("delta3", help="primes of covering radius 3")
+    d3 = subs.add_parser("delta3", help="primes of covering radius 3",
+                         parents=[workers, variant])
     d3.add_argument("--limit", type=int, default=reference.RADIUS3_SEARCH_LIMIT)
-    d3.add_argument("--tasks", type=int, default=1)
-    d3.add_argument("--variant", choices=sorted(VARIANTS), default="canonical")
-    d3.add_argument("--checkpoint", metavar="PATH")
     d3.add_argument("--paper-diff", action="store_true",
                     help="compare witness classes against the reference list")
     d3.set_defaults(func=cmd_delta3)
 
-    freq = subs.add_parser("frequencies", help="observed w=1 / W=1 densities")
+    freq = subs.add_parser("frequencies", help="observed w=1 / W=1 densities",
+                           parents=[workers])
     freq.add_argument("--limit", type=int, required=True)
-    freq.add_argument("--tasks", type=int, default=1)
-    freq.add_argument("--checkpoint", metavar="PATH")
     freq.add_argument("--paper-diff", action="store_true")
     freq.set_defaults(func=cmd_frequencies)
 
@@ -83,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     cubes.add_argument("--range", nargs=2, type=int, metavar=("LO", "HI"), required=True)
     cubes.add_argument("--mode", choices=("exhaustive", "heuristic"), default="exhaustive")
     cubes.add_argument("--max-exhaustive-p", type=int, default=EXHAUSTIVE_P_CAP)
-    cubes.add_argument("--seed", type=int, default=None)
+    cubes.add_argument("--seed", type=int, default=DEFAULT_SEED)
     cubes.set_defaults(func=cmd_cubes)
 
     charsum = subs.add_parser("charsum", help="character-sum checks and reports")
@@ -126,7 +122,7 @@ def _compute_tuple(flag_value: str) -> tuple[str, ...]:
 def cmd_scan(args) -> int:
     config = ScanConfig(lo=args.range[0], hi=args.range[1], tasks=args.tasks,
                         variant=args.variant, compute=_compute_tuple(args.compute),
-                        fmt=args.format, checkpoint=args.checkpoint, seed=args.seed)
+                        fmt=args.format, checkpoint=args.checkpoint)
     text = format_scan_output(config, scan_range(config))
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -136,24 +132,23 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _census_profiles(args, limit: int):
-    if getattr(args, "scan_file", None):
-        _, profiles = read_scan_output(args.scan_file)
-        if not profiles or max(p.p for p in profiles) < limit:
-            raise ValueError("scan file does not cover the requested limit")
-        return [p for p in profiles if p.p <= limit]
-    config = ScanConfig(lo=2, hi=limit, tasks=args.tasks,
-                        variant=getattr(args, "variant", "canonical"),
-                        compute=_compute_tuple(getattr(args, "compute", "w,W,delta")),
-                        checkpoint=getattr(args, "checkpoint", None))
-    return scan_range(config)
-
-
 def cmd_table(args) -> int:
-    profiles = _census_profiles(args, args.limit)
     exponents = [j for j in sorted(reference.COUNT_TABLE) if 10**j <= args.limit]
     if not exponents:
         raise ValueError("limit below the smallest tabulated threshold 10^3")
+    if args.scan_file:
+        meta, profiles = read_scan_output(args.scan_file)
+        if meta.get("variant") != args.variant:
+            raise ValueError(f"scan file variant {meta.get('variant')!r} "
+                             f"does not match --variant {args.variant}")
+        profiles = [pr for pr in profiles if pr.p <= args.limit]
+        if [pr.p for pr in profiles] != sieve_primes(args.limit):
+            raise ValueError(f"scan file does not cover the primes up to {args.limit}")
+    else:
+        profiles = scan_range(ScanConfig(lo=2, hi=args.limit, tasks=args.tasks,
+                                         variant=args.variant,
+                                         compute=_compute_tuple(args.compute),
+                                         checkpoint=args.checkpoint))
     table = CountTable.from_profiles(profiles, [10**j for j in exponents])
     computed = {s for s in ("w", "W", "delta")
                 if any(getattr(pr, s) is not None for pr in profiles)}
@@ -191,14 +186,12 @@ def cmd_table(args) -> int:
 def _itemize_variant_differences(profiles) -> None:
     """List primes whose canonical radius differs from the domain0 one (the
     convention the reference delta columns follow)."""
-    from .hamming import DOMAIN0, covering_radius_dilation
-    from .numtheory import factorize
     print("# canonical vs domain0 radius differences:")
     for prof in profiles:
         if prof.delta is None or prof.p == 2:
             continue
         ctx = PrimeContext(prof.p, factorize(prof.p - 1))
-        alt, alt_wits = covering_radius_dilation(ctx, DOMAIN0)
+        alt, alt_wits = covering_radius(ctx, DOMAIN0)
         if alt != prof.delta:
             print(f"  p={prof.p}: canonical={prof.delta} (classes "
                   f"{';'.join(map(str, prof.witnesses))}) domain0={alt} "
@@ -266,18 +259,13 @@ def cmd_cubes(args) -> int:
         if p < max(lo, 3) or p > hi:
             continue
         ctx = PrimeContext.for_prime(p)
+        if args.mode == "heuristic":
+            f = max_avoiding_dimension(ctx, NONRESIDUE, "heuristic", seed=args.seed)
+            big_f = max_avoiding_dimension(ctx, PRIMROOT, "heuristic", seed=args.seed)
+            print(f"{p},{f.dim},{big_f.dim},,,{f.witness},{big_f.witness},,,lower-bound,")
+            continue
         try:
-            if args.mode == "exhaustive":
-                census = cube_census(ctx, max_exhaustive_p=args.max_exhaustive_p)
-            else:
-                kwargs = {"search": "heuristic"}
-                if args.seed is not None:
-                    kwargs["seed"] = args.seed
-                census = None
-                f = max_avoiding_dimension(ctx, NONRESIDUE, **kwargs)
-                big_f = max_avoiding_dimension(ctx, PRIMROOT, **kwargs)
-                print(f"{p},{f.dim},{big_f.dim},,,{f.witness},{big_f.witness},,,lower-bound,")
-                continue
+            census = cube_census(ctx, max_exhaustive_p=args.max_exhaustive_p)
         except CapabilityError as exc:
             print(f"{p},,,,,,,,,capability:{exc},")
             rc = 3
@@ -352,9 +340,7 @@ def cmd_charsum_double(args) -> int:
         chi = legendre_character(ctx)
     else:
         m = args.p - 1
-        import math as _math
-        order = m // _math.gcd(args.j, m) if args.j else 1
-        from .characters import Character
+        order = m // math.gcd(args.j, m) if args.j else 1
         chi = Character(ctx, args.j % m, order)
     total = split_char_sum(ctx, args.n, args.k, args.l, args.m, chi)
     rational = total.as_rational()

@@ -192,33 +192,31 @@ def _allowed_mask(ctx: PrimeContext, predicate: str, contained: bool) -> int:
     return mask
 
 
+def _max_cube(ctx: PrimeContext, predicate: str, contained: bool, search: str,
+              max_exhaustive_p: int, seed: int, restarts: int) -> CubeSearchResult:
+    mask = _allowed_mask(ctx, predicate, contained)
+    if search == "exhaustive":
+        if ctx.p > max_exhaustive_p:
+            raise CapabilityError(f"exhaustive cube search capped at p <= {max_exhaustive_p}")
+        return _max_cube_exhaustive(ctx.p, mask)
+    if search == "heuristic":
+        return _max_cube_heuristic(ctx.p, mask, seed, restarts)
+    raise ValueError(f"unknown search mode {search!r}")
+
+
 def max_avoiding_dimension(ctx: PrimeContext, predicate: str, search: str = "exhaustive",
                            max_exhaustive_p: int = EXHAUSTIVE_P_CAP,
                            seed: int = DEFAULT_SEED, restarts: int = 40) -> CubeSearchResult:
     """Largest cube dimension avoiding the predicate set (f for non-residues,
     F for primitive roots)."""
-    mask = _allowed_mask(ctx, predicate, contained=False)
-    if search == "exhaustive":
-        if ctx.p > max_exhaustive_p:
-            raise CapabilityError(f"exhaustive cube search capped at p <= {max_exhaustive_p}")
-        return _max_cube_exhaustive(ctx.p, mask)
-    if search == "heuristic":
-        return _max_cube_heuristic(ctx.p, mask, seed, restarts)
-    raise ValueError(f"unknown search mode {search!r}")
+    return _max_cube(ctx, predicate, False, search, max_exhaustive_p, seed, restarts)
 
 
-def max_contained_dimension(ctx: PrimeContext, predicate: str, search: str = "exhaustive",
-                            max_exhaustive_p: int = EXHAUSTIVE_P_CAP,
-                            seed: int = DEFAULT_SEED, restarts: int = 40) -> CubeSearchResult:
-    """Largest cube dimension entirely inside the predicate set (f-bar/F-bar)."""
-    mask = _allowed_mask(ctx, predicate, contained=True)
-    if search == "exhaustive":
-        if ctx.p > max_exhaustive_p:
-            raise CapabilityError(f"exhaustive cube search capped at p <= {max_exhaustive_p}")
-        return _max_cube_exhaustive(ctx.p, mask)
-    if search == "heuristic":
-        return _max_cube_heuristic(ctx.p, mask, seed, restarts)
-    raise ValueError(f"unknown search mode {search!r}")
+def max_contained_dimension(ctx: PrimeContext, predicate: str,
+                            max_exhaustive_p: int = EXHAUSTIVE_P_CAP) -> CubeSearchResult:
+    """Largest cube dimension entirely inside the predicate set (f-bar/F-bar),
+    by exhaustive search."""
+    return _max_cube(ctx, predicate, True, "exhaustive", max_exhaustive_p, DEFAULT_SEED, 0)
 
 
 def cube_census(ctx: PrimeContext, max_exhaustive_p: int = EXHAUSTIVE_P_CAP) -> CubeCensus:

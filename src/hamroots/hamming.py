@@ -3,9 +3,9 @@
 Every integer attached to a prime context is viewed as a bit_len = r+1 bit
 string (2^r < p <= 2^(r+1)), leading zeros included. The headline statistic
 is the covering radius of the primitive-root set: the least s such that every
-n in the scan domain is within s bit flips of a valid target. Two engines
-compute it (bitmap dilation and multi-source BFS over the hypercube) and a
-per-n ball search provides witnesses; all three must agree.
+n in the scan domain is within s bit flips of a valid target. covering_radius
+computes it by bitmap dilation; a multi-source BFS over the hypercube and a
+per-n ball search are kept as its oracles, and all three must agree.
 """
 
 from __future__ import annotations
@@ -186,8 +186,8 @@ def _witness_classes(uncovered: int, p: int) -> tuple[int, ...]:
     return tuple(sorted(n % p for n in bitmap_to_set(uncovered)))
 
 
-def covering_radius_dilation(ctx: PrimeContext, variant: RadiusVariant = CANONICAL
-                             ) -> tuple[int, tuple[int, ...]]:
+def covering_radius(ctx: PrimeContext, variant: RadiusVariant = CANONICAL
+                    ) -> tuple[int, tuple[int, ...]]:
     """Covering radius by iterated bitmap dilation.
 
     Grows the target set by Hamming-ball radius one per round until the scan
@@ -270,16 +270,6 @@ def min_flips_to_primroot(n: int, ctx: PrimeContext, variant: RadiusVariant = CA
     raise RuntimeError(f"no target reachable from n={n} mod p={p}")
 
 
-def covering_radius(ctx: PrimeContext, variant: RadiusVariant = CANONICAL,
-                    engine: str = "dilation") -> tuple[int, tuple[int, ...]]:
-    """Dispatch to the selected engine; both return (radius, witness classes)."""
-    if engine == "dilation":
-        return covering_radius_dilation(ctx, variant)
-    if engine == "bfs":
-        return covering_radius_bfs(ctx, variant)
-    raise ValueError(f"unknown engine {engine!r}")
-
-
 # --- minimal-weight statistics --------------------------------------------
 
 
@@ -327,8 +317,8 @@ def min_primroot_weight(ctx: PrimeContext) -> tuple[int, int]:
 
 
 def hamming_profile(ctx: PrimeContext, variant: RadiusVariant = CANONICAL,
-                    compute: frozenset[str] = frozenset({"w", "W", "delta"}),
-                    engine: str = "dilation") -> HammingProfile:
+                    compute: frozenset[str] = frozenset({"w", "W", "delta"})
+                    ) -> HammingProfile:
     """Bundle the requested statistics for one prime.
 
     For p = 2 only W is defined (W_2 = 1); the other fields stay None.
@@ -341,6 +331,6 @@ def hamming_profile(ctx: PrimeContext, variant: RadiusVariant = CANONICAL,
     if "W" in compute:
         W = min_primroot_weight(ctx)[0]
     if "delta" in compute and p > 2:
-        delta, wits = covering_radius(ctx, variant, engine)
+        delta, wits = covering_radius(ctx, variant)
     return HammingProfile(p=p, r=ctx.r, w=w, W=W, delta=delta,
                           witnesses=wits, variant=variant.name)

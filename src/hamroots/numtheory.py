@@ -122,26 +122,6 @@ def factorize(n: int) -> list[int]:
     return out
 
 
-def mod_pow(a: int, e: int, p: int) -> int:
-    """a**e mod p by binary square-and-multiply.
-
-    Python integers never overflow, so no widening tricks are needed; the
-    explicit loop is kept so tests can cross-check the builtin pow.
-    """
-    if p < 2:
-        raise ValueError(f"modulus must be >= 2, got {p}")
-    if e < 0:
-        raise ValueError("negative exponent")
-    result = 1
-    base = a % p
-    while e:
-        if e & 1:
-            result = result * base % p
-        base = base * base % p
-        e >>= 1
-    return result
-
-
 def legendre_symbol(a: int, p: int) -> int:
     """(a|p) in {-1, 0, +1} by Euler's criterion a^((p-1)/2) mod p."""
     if p < 3 or p % 2 == 0:
@@ -203,25 +183,25 @@ class PrimeContext:
     p itself fits in bit_len bits.
     """
 
-    __slots__ = ("p", "r", "bit_len", "factors_pm1", "index_cap",
+    __slots__ = ("p", "r", "bit_len", "factors_pm1", "characters_by_order",
                  "_pr_bitmap", "_index_table", "_least_g", "_pr_exponents")
 
-    def __init__(self, p: int, factors_pm1: list[int], index_cap: int = INDEX_TABLE_CAP):
+    def __init__(self, p: int, factors_pm1: list[int]):
         self.p = p
         self.r = (p - 1).bit_length() - 1
         self.bit_len = self.r + 1
         self.factors_pm1 = tuple(factors_pm1)
-        self.index_cap = index_cap
+        self.characters_by_order: dict = {}  # order d -> characters, cached by charsums
         self._pr_bitmap = None
         self._index_table = None
         self._least_g = None
         self._pr_exponents = None
 
     @classmethod
-    def for_prime(cls, p: int, index_cap: int = INDEX_TABLE_CAP) -> "PrimeContext":
+    def for_prime(cls, p: int) -> "PrimeContext":
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        return cls(p, factorize(p - 1) if p > 1 else [], index_cap)
+        return cls(p, factorize(p - 1) if p > 1 else [])
 
     def __repr__(self):
         return f"PrimeContext(p={self.p})"
@@ -255,9 +235,9 @@ class PrimeContext:
         bijection onto [0, p-2].
         """
         if self._index_table is None:
-            if self.p > self.index_cap:
+            if self.p > INDEX_TABLE_CAP:
                 raise CapabilityError(
-                    f"index table for p={self.p} exceeds cap {self.index_cap}")
+                    f"index table for p={self.p} exceeds cap {INDEX_TABLE_CAP}")
             g = least_primitive_root(self)
             table = [-1] * self.p
             x = 1
@@ -266,17 +246,6 @@ class PrimeContext:
                 x = x * g % self.p
             self._index_table = table
         return self._index_table
-
-    def build_caches(self) -> "PrimeContext":
-        """Force-build the bitmap (and index table when within cap).
-
-        Contexts are treated as immutable once shared across workers, so
-        callers that fan out should build caches first.
-        """
-        self.pr_bitmap()
-        if self.p <= self.index_cap:
-            self.index_table()
-        return self
 
 
 def is_primitive_root(a: int, ctx: PrimeContext) -> bool:

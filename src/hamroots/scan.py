@@ -35,7 +35,6 @@ class ScanConfig:
     compute: tuple[str, ...] = ("w", "W", "delta")
     fmt: str = "csv"
     checkpoint: str | None = None
-    seed: int = 0
     block_size: int = BLOCK_SIZE
 
     def __post_init__(self):
@@ -130,6 +129,12 @@ class _Checkpoint:
         self._fh.close()
 
 
+def worker_count(tasks: int, blocks_left: int, cpus: int | None) -> int:
+    """Pool size for a scan: the requested tasks, bounded by the blocks left
+    and the CPUs (an unknown CPU count counts as one)."""
+    return min(tasks, blocks_left, cpus or 1)
+
+
 def scan_range(config: ScanConfig) -> list[HammingProfile]:
     """All per-prime profiles for primes in [lo, hi], ascending."""
     primes = [p for p in sieve_primes(config.hi) if p >= config.lo]
@@ -141,8 +146,9 @@ def scan_range(config: ScanConfig) -> list[HammingProfile]:
     todo = [(i, blk, config.variant, tuple(config.compute))
             for i, blk in enumerate(blocks) if i not in results]
     try:
-        if config.tasks > 1 and len(todo) > 1:
-            with multiprocessing.Pool(config.tasks) as pool:
+        workers = worker_count(config.tasks, len(todo), os.cpu_count())
+        if workers > 1:
+            with multiprocessing.Pool(workers) as pool:
                 for block_id, rows in pool.imap_unordered(_scan_block, todo):
                     results[block_id] = rows
                     if checkpoint:
@@ -200,21 +206,26 @@ def format_scan_output(config: ScanConfig, profiles: list[HammingProfile]) -> st
     return "\n".join(lines) + "\n"
 
 
+def _csv_record(line: str) -> dict:
+    """A CSV row as the equivalent JSONL record."""
+    p, r, w, W, delta, wits, checksum = line.rstrip("\n").split(",")
+    rec = dict(zip(("p", "r", "w", "W", "delta"),
+                   (int(c) if c else None for c in (p, r, w, W, delta))))
+    rec["witnesses"] = [int(c) for c in wits.split(";")] if wits else []
+    rec["checksum"] = checksum
+    return rec
+
+
 def read_scan_output(path: str) -> tuple[dict, list[HammingProfile]]:
-    """Parse a scan file (either format); rejects unknown schema ids."""
+    """Parse a scan file (either format); rejects unknown schema ids and any
+    row whose checksum does not match its fields."""
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().strip()
-        profiles = []
         if first.startswith("{"):
             meta = json.loads(first)
             if meta.get("schema") != SCHEMA_ID:
                 raise ValueError(f"unknown scan schema {meta.get('schema')!r}")
-            for line in fh:
-                rec = json.loads(line)
-                profiles.append(HammingProfile(
-                    p=rec["p"], r=rec["r"], w=rec["w"], W=rec["W"],
-                    delta=rec["delta"], witnesses=tuple(rec["witnesses"]),
-                    variant=meta["variant"]))
+            parse, first_row = json.loads, 2
         else:
             if not first.startswith(f"# {SCHEMA_ID} "):
                 raise ValueError(f"unknown scan schema header {first!r}")
@@ -225,14 +236,17 @@ def read_scan_output(path: str) -> tuple[dict, list[HammingProfile]]:
             header = fh.readline().strip()
             if header != CSV_COLUMNS:
                 raise ValueError(f"unexpected CSV columns {header!r}")
-            for line in fh:
-                p, r, w, W, delta, wits, _ = line.rstrip("\n").split(",")
-                profiles.append(HammingProfile(
-                    p=int(p), r=int(r),
-                    w=int(w) if w else None, W=int(W) if W else None,
-                    delta=int(delta) if delta else None,
-                    witnesses=tuple(int(c) for c in wits.split(";")) if wits else (),
-                    variant=meta.get("variant", CANONICAL.name)))
+            parse, first_row = _csv_record, 3
+        variant = meta.get("variant", CANONICAL.name)
+        profiles = []
+        for lineno, line in enumerate(fh, first_row):
+            rec = parse(line)
+            prof = HammingProfile(p=rec["p"], r=rec["r"], w=rec["w"], W=rec["W"],
+                                  delta=rec["delta"], witnesses=tuple(rec["witnesses"]),
+                                  variant=variant)
+            if rec.get("checksum") != _row_checksum(prof):
+                raise ValueError(f"{path}: checksum mismatch on line {lineno} (p={prof.p})")
+            profiles.append(prof)
     return meta, profiles
 
 

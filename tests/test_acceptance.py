@@ -26,8 +26,8 @@ from hamroots.charsums import (interval_char_sum, primroot_indicator,
 from hamroots.constants import (artin_constant, entropy, entropy_half_point,
                                 sparse_weight_constant)
 from hamroots.cubes import (NONRESIDUE, cube_census, max_avoiding_dimension)
-from hamroots.hamming import (CANONICAL, DOMAIN0, covering_radius_bfs,
-                              covering_radius_dilation, min_flips_to_primroot)
+from hamroots.hamming import (CANONICAL, DOMAIN0, covering_radius,
+                              covering_radius_bfs, min_flips_to_primroot)
 from hamroots.numtheory import (PrimeContext, divisors, factorize,
                                 is_primitive_root, legendre_symbol,
                                 sieve_primes)
@@ -88,7 +88,7 @@ def test_criterion_2_radius_census_diff_and_engine_consistency(scan_10k):
         if prof.p == 2:
             continue
         ctx = PrimeContext(prof.p, factorize(prof.p - 1))
-        alt, alt_wits = covering_radius_dilation(ctx, DOMAIN0)
+        alt, alt_wits = covering_radius(ctx, DOMAIN0)
         if alt != prof.delta:
             diffs += 1
             bfs_r, bfs_wits = covering_radius_bfs(ctx, CANONICAL)
@@ -102,7 +102,7 @@ def test_criterion_2_radius_census_diff_and_engine_consistency(scan_10k):
         if p == 2:
             continue
         ctx = PrimeContext(p, factorize(p - 1))
-        d_dil, w_dil = covering_radius_dilation(ctx)
+        d_dil, w_dil = covering_radius(ctx)
         d_bfs, w_bfs = covering_radius_bfs(ctx)
         dists = [min_flips_to_primroot(n, ctx)[0] for n in range(1, p + 1)]
         d_ball = max(dists)

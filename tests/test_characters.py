@@ -78,6 +78,6 @@ def test_bad_order_and_cap():
     ctx = PrimeContext.for_prime(7)
     with pytest.raises(ValueError):
         build_characters(ctx, 4)  # 4 does not divide 6
-    big = PrimeContext.for_prime(101, index_cap=50)
+    big = PrimeContext.for_prime(100003)
     with pytest.raises(CapabilityError):
         build_characters(big, 2)

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from hamroots.characters import build_characters
-from hamroots.charsums import (count_primroots_via_characters,
+from hamroots.charsums import (_characters_of_order,
+                               count_primroots_via_characters,
                                distinct_root_count, hoelder_bound_report,
                                interval_char_sum, is_power_of_rational,
                                legendre_character, legendre_partial_sum_report,
@@ -173,6 +174,17 @@ def test_indicator_matches_order_test_both_methods():
             expected = Fraction(1 if is_primitive_root(a, ctx) else 0)
             assert primroot_indicator(ctx, a, method="orbit") == expected
             assert primroot_indicator(ctx, a, method="cyclotomic") == expected
+
+
+def test_character_cache_belongs_to_its_context():
+    first = ctx_for(19)
+    assert primroot_indicator(first, 2) == 1
+    fresh = ctx_for(19)  # same p, new context: must not reuse first's characters
+    assert primroot_indicator(fresh, 2) == 1
+    for d in (1, 2, 3, 6):  # the square-free divisors of 18
+        chars = _characters_of_order(fresh, d)
+        assert chars and all(chi.ctx is fresh for chi in chars)
+    assert all(chi.ctx is first for chi in _characters_of_order(first, 6))
 
 
 def test_count_primroots_examples():

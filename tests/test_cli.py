@@ -1,6 +1,8 @@
+import argparse
+
 import pytest
 
-from hamroots.cli import main
+from hamroots.cli import build_parser, main
 from hamroots.scan import ScanConfig, format_scan_output, scan_range
 
 
@@ -114,3 +116,95 @@ def test_usage_errors_exit_1(capsys):
 def test_io_error_exit_2(capsys, tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert main(["scan", "--range", "3", "7", "--output", str(missing_dir)]) == 2
+
+
+def _subcommands(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def test_cli_option_surface_is_pinned():
+    common = {"-h", "--help"}
+    expected = {
+        "scan": {"--range", "--tasks", "--checkpoint", "--variant", "--compute",
+                 "--format", "--output"},
+        "table": {"--limit", "--tasks", "--checkpoint", "--variant", "--compute",
+                  "--scan-file", "--paper-diff"},
+        "delta3": {"--limit", "--tasks", "--checkpoint", "--variant", "--paper-diff"},
+        "frequencies": {"--limit", "--tasks", "--checkpoint", "--paper-diff"},
+        "cubes": {"--range", "--mode", "--max-exhaustive-p", "--seed"},
+        "charsum": set(),
+        "charsum indicator": {"--p"},
+        "charsum pv": {"--p", "--nu"},
+        "charsum weil": {"--p", "--coeffs", "--start", "--length"},
+        "charsum hoelder": {"--p", "--n", "--k", "--l", "--m", "--nu"},
+        "charsum double": {"--p", "--n", "--k", "--l", "--m", "--j"},
+        "constants": {"--prime-limit"},
+    }
+    seen = {}
+    pending = [((), build_parser())]
+    while pending:
+        prefix, parser = pending.pop()
+        for name, sub in _subcommands(parser).items():
+            key = prefix + (name,)
+            seen[" ".join(key)] = {o for a in sub._actions for o in a.option_strings}
+            pending.append((key, sub))
+    assert seen == {name: opts | common for name, opts in expected.items()}
+
+
+def test_scan_seed_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--range", "3", "7", "--seed", "1"])
+    assert exc.value.code == 1
+
+
+def run_err(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _scan_file(tmp_path, capsys, name, *argv):
+    path = tmp_path / name
+    assert main(["scan", *argv, "--output", str(path)]) == 0
+    capsys.readouterr()
+    return str(path)
+
+
+def test_table_scan_file_covering_the_limit_is_accepted(tmp_path, capsys):
+    path = _scan_file(tmp_path, capsys, "full.csv", "--range", "2", "1000")
+    code, out = run(capsys, "table", "--limit", "1000", "--scan-file", path)
+    assert code == 0  # the largest prime is 997, below the limit
+    assert out == run(capsys, "table", "--limit", "1000")[1]
+
+
+def test_table_scan_file_missing_primes_is_refused(tmp_path, capsys):
+    for name, lo, hi in (("high.csv", "9000", "10000"), ("no2.csv", "3", "1000")):
+        path = _scan_file(tmp_path, capsys, name, "--range", lo, hi, "--compute", "w,W")
+        code, out, err = run_err(capsys, "table", "--limit", "1000", "--scan-file", path)
+        assert code == 1 and out == ""
+        assert "does not cover" in err
+
+
+def test_table_scan_file_variant_must_match(tmp_path, capsys):
+    path = _scan_file(tmp_path, capsys, "d0.csv", "--range", "2", "1000",
+                      "--variant", "domain0")
+    code, out, err = run_err(capsys, "table", "--limit", "1000", "--scan-file", path)
+    assert code == 1 and out == ""
+    assert "variant 'domain0' does not match" in err
+    code, out = run(capsys, "table", "--limit", "1000", "--variant", "domain0",
+                    "--scan-file", path)
+    assert code == 0
+    assert out == run(capsys, "table", "--limit", "1000", "--variant", "domain0")[1]
+
+
+def test_table_scan_file_bad_checksum_is_refused(tmp_path, capsys):
+    path = _scan_file(tmp_path, capsys, "full.csv", "--range", "2", "1000")
+    lines = open(path).read().splitlines(keepends=True)
+    lines[2:] = [line.rsplit(",", 1)[0] + ",deadbeef\n" for line in lines[2:]]
+    open(path, "w").writelines(lines)
+    code, out, err = run_err(capsys, "table", "--limit", "1000", "--scan-file", path)
+    assert code == 1 and out == ""
+    assert "checksum mismatch on line 3" in err

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hamroots.errors import CapabilityError
 from hamroots.hamming import (BitExpansion, CANONICAL, DOMAIN0, REDUCED,
                               _flip_shuffles,
-                              covering_radius, covering_radius_bfs,
-                              covering_radius_dilation, dilate,
+                              covering_radius, covering_radius_bfs, dilate,
                               hamming_distance, hamming_profile,
                               hamming_weight, high_bit_flip_set,
                               low_bit_flip_set, min_flips_to_primroot,
@@ -149,7 +148,7 @@ def test_covering_radius_small_primes():
                 67: (3, (65,)), 257: (3, (256,))}
     for p, (radius, wits) in expected.items():
         ctx = ctx_for(p)
-        assert covering_radius_dilation(ctx) == (radius, wits)
+        assert covering_radius(ctx) == (radius, wits)
         assert covering_radius_bfs(ctx) == (radius, wits)
 
 
@@ -159,7 +158,7 @@ def test_engines_agree_up_to_300():
             continue
         ctx = ctx_for(p)
         for variant in (CANONICAL, DOMAIN0, REDUCED):
-            assert covering_radius_dilation(ctx, variant) == \
+            assert covering_radius(ctx, variant) == \
                 covering_radius_bfs(ctx, variant)
 
 
@@ -180,7 +179,7 @@ def test_variant_semantics():
 
 def test_covering_radius_rejects_p2():
     with pytest.raises(CapabilityError):
-        covering_radius_dilation(ctx_for(2))
+        covering_radius(ctx_for(2))
 
 
 def test_dilate_is_hamming_ball_step():

@@ -4,8 +4,9 @@ import os
 import pytest
 
 from hamroots.hamming import DOMAIN0
-from hamroots.scan import (CountTable, ScanConfig, format_scan_output,
-                           read_scan_output, scan_frequencies, scan_range)
+from hamroots.scan import (CSV_COLUMNS, CountTable, ScanConfig,
+                           format_scan_output, read_scan_output,
+                           scan_frequencies, scan_range, worker_count)
 
 
 def test_scan_first_rows_frozen():
@@ -112,6 +113,51 @@ def test_jsonl_round_trip(tmp_path):
     meta, parsed = read_scan_output(str(path))
     assert meta["schema"].endswith("v1")
     assert [(a.p, a.delta) for a in parsed] == [(b.p, b.delta) for b in profiles]
+
+
+def _write_with_row_of_11_edited(tmp_path, fmt, field, value) -> tuple[str, int]:
+    """A scan file of [2, 100] with one field of p = 11's row changed; returns
+    the path and that row's line number."""
+    cfg = ScanConfig(lo=2, hi=100, fmt=fmt)
+    lines = format_scan_output(cfg, scan_range(cfg)).splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(("11,", '{"p":11,')))
+    if fmt == "csv":
+        cells = lines[i].split(",")
+        cells[CSV_COLUMNS.split(",").index(field)] = value
+        lines[i] = ",".join(cells)
+    else:
+        rec = json.loads(lines[i])
+        rec[field] = value
+        lines[i] = json.dumps(rec, separators=(",", ":"))
+    path = tmp_path / f"scan.{fmt}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path), i + 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_corrupted_checksum_rejected_with_line(tmp_path, fmt):
+    path, lineno = _write_with_row_of_11_edited(tmp_path, fmt, "checksum", "deadbeef")
+    with pytest.raises(ValueError, match=f"checksum mismatch on line {lineno} \\(p=11\\)"):
+        read_scan_output(path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_corrupted_delta_under_original_checksum_rejected(tmp_path, fmt):
+    # p = 11 has delta 2; its stored checksum is left as written
+    path, lineno = _write_with_row_of_11_edited(tmp_path, fmt, "delta",
+                                                "3" if fmt == "csv" else 3)
+    with pytest.raises(ValueError, match=f"checksum mismatch on line {lineno} "):
+        read_scan_output(path)
+
+
+def test_worker_count_is_bounded():
+    assert worker_count(1, 20, 2) == 1
+    assert worker_count(8, 20, 2) == 2     # CPUs
+    assert worker_count(8, 3, 64) == 3     # blocks left
+    assert worker_count(4, 20, 64) == 4    # the request
+    assert worker_count(8, 20, None) == 1  # unknown CPU count
+    assert worker_count(10**6, 1, 10**6) == 1
+    assert worker_count(4, 0, 8) == 0      # nothing left to do
 
 
 def test_unknown_schema_rejected(tmp_path):
