@@ -144,6 +144,10 @@ def cmd_table(args) -> int:
         profiles = [pr for pr in profiles if pr.p <= args.limit]
         if [pr.p for pr in profiles] != sieve_primes(args.limit):
             raise ValueError(f"scan file does not cover the primes up to {args.limit}")
+        missing = set(_compute_tuple(args.compute)) - set(meta.get("compute", ()))
+        if missing:
+            raise ValueError(f"scan file lacks {','.join(sorted(missing))} "
+                             f"requested by --compute {args.compute}")
     else:
         profiles = scan_range(ScanConfig(lo=2, hi=args.limit, tasks=args.tasks,
                                          variant=args.variant,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import compress
 
 from .errors import CapabilityError
 
@@ -27,8 +28,8 @@ def sieve_primes(limit: int) -> list[int]:
     flags[0] = flags[1] = 0
     for i in range(2, math.isqrt(limit) + 1):
         if flags[i]:
-            flags[i * i :: i] = b"\x00" * len(flags[i * i :: i])
-    return [i for i, f in enumerate(flags) if f]
+            flags[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    return list(compress(range(limit + 1), flags))
 
 
 def is_prime(n: int) -> bool:
@@ -278,18 +279,25 @@ def _build_pr_bitmap(ctx: PrimeContext) -> int:
         return 0b10  # the single root {1}
     m = p - 1
     g = least_primitive_root(ctx)
-    # g^t is a generator iff gcd(t, m) == 1: sieve the exponents, walk the
-    # powers of g, and set digit m - x of one binary string parsed at the end.
+    # g^t is a generator iff gcd(t, m) == 1: sieve the exponents, then walk
+    # only the coprime ones, stepping x = g^t by g^(t - prev) from a table
+    # that reaches across the longest run of sieved-out exponents.
     coprime = bytearray([1]) * m
     for q in ctx.distinct_factors:
-        coprime[0::q] = b"\x00" * len(coprime[0::q])
+        coprime[0::q] = bytes(len(range(0, m, q)))
+    gap = 1
+    while coprime.find(b"\0" * gap) >= 0:
+        gap += 1
+    step = [pow(g, d, p) for d in range(gap + 1)]
+    # Digit x of the string is bit x of the bitmap once the string is reversed.
     digits = bytearray(b"0") * p
-    x = 1
-    for t in range(m):
-        if coprime[t]:
-            digits[m - x] = 49  # ord("1")
-        x = x * g % p
+    x, prev = 1, 0
+    for t in compress(range(m), coprime):
+        x = x * step[t - prev] % p
+        digits[x] = 49  # ord("1")
+        prev = t
     del coprime  # free it before int() allocates the result
+    digits.reverse()
     return int(digits, 2)
 
 

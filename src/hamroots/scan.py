@@ -15,6 +15,7 @@ import json
 import multiprocessing
 import os
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation
@@ -137,7 +138,8 @@ def worker_count(tasks: int, blocks_left: int, cpus: int | None) -> int:
 
 def scan_range(config: ScanConfig) -> list[HammingProfile]:
     """All per-prime profiles for primes in [lo, hi], ascending."""
-    primes = [p for p in sieve_primes(config.hi) if p >= config.lo]
+    primes = sieve_primes(config.hi)
+    primes = primes[bisect_left(primes, config.lo):]
     blocks = [primes[i:i + config.block_size]
               for i in range(0, len(primes), config.block_size)]
     checkpoint = (_Checkpoint(config.checkpoint, config.fingerprint())
@@ -218,7 +220,10 @@ def _csv_record(line: str) -> dict:
 
 def read_scan_output(path: str) -> tuple[dict, list[HammingProfile]]:
     """Parse a scan file (either format); rejects unknown schema ids and any
-    row whose checksum does not match its fields."""
+    row whose checksum does not match its fields.
+
+    The header becomes one dict for both formats, its compute set a list.
+    """
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().strip()
         if first.startswith("{"):
@@ -232,7 +237,7 @@ def read_scan_output(path: str) -> tuple[dict, list[HammingProfile]]:
             meta = {"schema": SCHEMA_ID}
             for part in first[2:].split()[1:]:
                 key, _, val = part.partition("=")
-                meta[key] = val
+                meta[key] = val.split(",") if key == "compute" else val
             header = fh.readline().strip()
             if header != CSV_COLUMNS:
                 raise ValueError(f"unexpected CSV columns {header!r}")

@@ -188,6 +188,20 @@ def test_table_scan_file_missing_primes_is_refused(tmp_path, capsys):
         assert "does not cover" in err
 
 
+def test_table_scan_file_must_hold_the_requested_statistics(tmp_path, capsys):
+    for name, fmt in (("ww.csv", "csv"), ("ww.jsonl", "jsonl")):
+        path = _scan_file(tmp_path, capsys, name, "--range", "2", "1000",
+                          "--compute", "w,W", "--format", fmt)
+        code, out, err = run_err(capsys, "table", "--limit", "1000",
+                                 "--compute", "delta", "--scan-file", path)
+        assert code == 1 and out == ""
+        assert "scan file lacks delta requested by --compute delta" in err
+        code, out = run(capsys, "table", "--limit", "1000", "--compute", "w,W",
+                        "--scan-file", path)
+        assert code == 0
+        assert out == run(capsys, "table", "--limit", "1000", "--compute", "w,W")[1]
+
+
 def test_table_scan_file_variant_must_match(tmp_path, capsys):
     path = _scan_file(tmp_path, capsys, "d0.csv", "--range", "2", "1000",
                       "--variant", "domain0")

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from hamroots.cubes import (CubeCensus, HilbertCube, NONRESIDUE, PRIMROOT,
+from hamroots.cubes import (HilbertCube, NONRESIDUE, PRIMROOT,
                             cube_avoids, cube_census, cube_contained,
                             cube_elements, longest_ap_in_cube,
                             max_avoiding_dimension, max_contained_dimension,

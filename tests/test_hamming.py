@@ -1,5 +1,4 @@
 import math
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -207,3 +207,13 @@ def test_pr_bitmap_large_primes(p):
     rng = random.Random(p)
     for a in (rng.randrange(p) for _ in range(1000)):
         assert (bm >> a & 1) == is_primitive_root(a, ctx), a
+
+
+# 30030 = 2*3*5*7*11*13 divides p - 1 for the last three primes, so the
+# exponents coprime to p - 1 sit up to 22 apart, the longest step of the
+# coprime walk below 10^6; 150151 is 3 mod 4, the others 1 mod 4.
+@pytest.mark.parametrize("p", [3, 5, 7, 120121, 150151, 540541])
+def test_pr_bitmap_matches_per_residue_check_across_long_coprime_gaps(p):
+    ctx = PrimeContext.for_prime(p)
+    roots = [a for a in range(p) if is_primitive_root(a, ctx)]
+    assert bitmap_to_set(ctx.pr_bitmap()) == roots

@@ -1,9 +1,7 @@
 import json
-import os
 
 import pytest
 
-from hamroots.hamming import DOMAIN0
 from hamroots.scan import (CSV_COLUMNS, CountTable, ScanConfig,
                            format_scan_output, read_scan_output,
                            scan_frequencies, scan_range, worker_count)
