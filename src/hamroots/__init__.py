@@ -22,7 +22,7 @@ from .hamming import (BitExpansion, CANONICAL, DOMAIN0, REDUCED, RadiusVariant,
                       min_primroot_weight, recombined_set)
 from .numtheory import (PrimeContext, factorize, is_prime, is_primitive_root,
                         least_primitive_root, legendre_symbol, multiplicative_order,
-                        primitive_roots, sieve_primes)
+                        sieve_primes)
 from .scan import CountTable, ScanConfig, format_scan_output, read_scan_output, \
     scan_frequencies, scan_range
 

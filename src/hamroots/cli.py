@@ -137,6 +137,9 @@ def cmd_table(args) -> int:
     if not exponents:
         raise ValueError("limit below the smallest tabulated threshold 10^3")
     if args.scan_file:
+        if args.tasks != 1 or args.checkpoint:
+            raise ValueError("--tasks and --checkpoint do not apply to a finished "
+                             "scan read with --scan-file")
         meta, profiles = read_scan_output(args.scan_file)
         if meta.get("variant") != args.variant:
             raise ValueError(f"scan file variant {meta.get('variant')!r} "

@@ -2,15 +2,7 @@
 
 
 class CapabilityError(RuntimeError):
-    """Raised when a request exceeds a configured desk-scale limit.
-
-    Carries an optional partial result so callers can salvage whatever
-    was computed before the limit was hit.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Raised when a request exceeds a configured desk-scale limit."""
 
 
 class InvariantViolation(RuntimeError):

@@ -206,8 +206,6 @@ def covering_radius(ctx: PrimeContext, variant: RadiusVariant = CANONICAL
         radius += 1
         if radius > ctx.bit_len:
             raise RuntimeError(f"dilation failed to cover the domain for p={ctx.p}")
-    if radius == 0:
-        return 0, _witness_classes(domain, ctx.p)
     return radius, _witness_classes(domain & ~previous, ctx.p)
 
 

@@ -36,7 +36,7 @@ def is_prime(n: int) -> bool:
     """Miller-Rabin with fixed witnesses, deterministic below 3.3e24."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -211,13 +211,6 @@ class PrimeContext:
     def distinct_factors(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.factors_pm1)))
 
-    @property
-    def phi_pm1(self) -> int:
-        phi = self.p - 1
-        for q in self.distinct_factors:
-            phi -= phi // q
-        return phi
-
     def pr_test_exponents(self) -> tuple[int, ...]:
         if self._pr_exponents is None:
             m = self.p - 1
@@ -225,6 +218,10 @@ class PrimeContext:
         return self._pr_exponents
 
     def pr_bitmap(self) -> int:
+        """Bitmap over [0, 2^bit_len) with bit a set iff a is a primitive root.
+
+        Exactly phi(p-1) bits are set; the result is cached on the context.
+        """
         if self._pr_bitmap is None:
             self._pr_bitmap = _build_pr_bitmap(self)
         return self._pr_bitmap
@@ -299,14 +296,6 @@ def _build_pr_bitmap(ctx: PrimeContext) -> int:
     del coprime  # free it before int() allocates the result
     digits.reverse()
     return int(digits, 2)
-
-
-def primitive_roots(ctx: PrimeContext) -> int:
-    """Bitmap over [0, 2^bit_len) with bit a set iff a is a primitive root.
-
-    Exactly phi(p-1) bits are set; the result is cached on the context.
-    """
-    return ctx.pr_bitmap()
 
 
 def bitmap_to_set(bitmap: int) -> list[int]:

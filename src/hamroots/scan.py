@@ -10,6 +10,7 @@ scan parameters guards against resuming with a different configuration.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import multiprocessing
@@ -94,8 +95,6 @@ class _Checkpoint:
     """Append-only JSONL journal of finished blocks."""
 
     def __init__(self, path: str, fingerprint: str):
-        self.path = path
-        self.fingerprint = fingerprint
         self.done: dict[int, list] = {}
         if os.path.exists(path):
             end = 0  # bytes of complete lines
@@ -114,17 +113,12 @@ class _Checkpoint:
             os.truncate(path, end)
         self._fh = open(path, "a", encoding="utf-8", newline="\n")
         if not self.done and os.path.getsize(path) == 0:
-            self._write({"meta": fingerprint})
+            self.write({"meta": fingerprint})
 
-    def _write(self, obj) -> None:
+    def write(self, obj) -> None:
         self._fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
         self._fh.flush()
         os.fsync(self._fh.fileno())
-
-    def record(self, block_id: int, rows: list) -> None:
-        if block_id not in self.done:
-            self.done[block_id] = rows
-            self._write({"block": block_id, "rows": rows})
 
     def close(self) -> None:
         self._fh.close()
@@ -144,23 +138,18 @@ def scan_range(config: ScanConfig) -> list[HammingProfile]:
               for i in range(0, len(primes), config.block_size)]
     checkpoint = (_Checkpoint(config.checkpoint, config.fingerprint())
                   if config.checkpoint else None)
-    results: dict[int, list] = dict(checkpoint.done) if checkpoint else {}
+    results: dict[int, list] = checkpoint.done if checkpoint else {}
     todo = [(i, blk, config.variant, tuple(config.compute))
             for i, blk in enumerate(blocks) if i not in results]
+    workers = worker_count(config.tasks, len(todo), os.cpu_count())
     try:
-        workers = worker_count(config.tasks, len(todo), os.cpu_count())
-        if workers > 1:
-            with multiprocessing.Pool(workers) as pool:
-                for block_id, rows in pool.imap_unordered(_scan_block, todo):
-                    results[block_id] = rows
-                    if checkpoint:
-                        checkpoint.record(block_id, rows)
-        else:
-            for args in todo:
-                block_id, rows = _scan_block(args)
+        with (multiprocessing.Pool(workers) if workers > 1
+              else contextlib.nullcontext()) as pool:
+            run = pool.imap_unordered if workers > 1 else map
+            for block_id, rows in run(_scan_block, todo):
                 results[block_id] = rows
                 if checkpoint:
-                    checkpoint.record(block_id, rows)
+                    checkpoint.write({"block": block_id, "rows": rows})
     finally:
         if checkpoint:
             checkpoint.close()
@@ -246,9 +235,8 @@ def read_scan_output(path: str) -> tuple[dict, list[HammingProfile]]:
         profiles = []
         for lineno, line in enumerate(fh, first_row):
             rec = parse(line)
-            prof = HammingProfile(p=rec["p"], r=rec["r"], w=rec["w"], W=rec["W"],
-                                  delta=rec["delta"], witnesses=tuple(rec["witnesses"]),
-                                  variant=variant)
+            prof = _row_to_profile(
+                [rec[k] for k in ("p", "r", "w", "W", "delta", "witnesses")], variant)
             if rec.get("checksum") != _row_checksum(prof):
                 raise ValueError(f"{path}: checksum mismatch on line {lineno} (p={prof.p})")
             profiles.append(prof)

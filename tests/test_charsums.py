@@ -14,8 +14,7 @@ from hamroots.charsums import (_characters_of_order,
                                squarefree_multiplicities)
 from hamroots.hamming import high_bit_flip_set, low_bit_flip_set, recombined_set
 from hamroots.numtheory import (PrimeContext, divisors, euler_phi,
-                                is_primitive_root, primitive_roots,
-                                sieve_primes)
+                                is_primitive_root, sieve_primes)
 
 
 def ctx_for(p):
@@ -191,7 +190,7 @@ def test_count_primroots_examples():
     ctx = ctx_for(17)
     assert count_primroots_via_characters(ctx, range(1, 17)) == euler_phi(16)
     q_set = recombined_set(17, ctx, 2, 1, 1)
-    bitmap = primitive_roots(ctx)
+    bitmap = ctx.pr_bitmap()
     direct = sum(1 for q in q_set if bitmap >> (q % 17) & 1)
     assert direct == 2
     assert count_primroots_via_characters(ctx, q_set) == direct
@@ -204,7 +203,7 @@ def test_count_primroots_random_subsets():
         if p == 2:
             continue
         ctx = ctx_for(p)
-        bitmap = primitive_roots(ctx)
+        bitmap = ctx.pr_bitmap()
         for _ in range(100):
             subset = rng.sample(range(1, p), min(p - 1, rng.randint(1, 25)))
             direct = sum(1 for a in subset if bitmap >> a & 1)

@@ -222,3 +222,17 @@ def test_table_scan_file_bad_checksum_is_refused(tmp_path, capsys):
     code, out, err = run_err(capsys, "table", "--limit", "1000", "--scan-file", path)
     assert code == 1 and out == ""
     assert "checksum mismatch on line 3" in err
+
+
+def test_table_scan_file_refuses_worker_flags(tmp_path, capsys):
+    path = _scan_file(tmp_path, capsys, "ww.csv", "--range", "2", "1000", "--compute", "w,W")
+    journal = tmp_path / "unused.ckpt"
+    for flags in (["--tasks", "64"], ["--checkpoint", str(journal)]):
+        code, out, err = run_err(capsys, "table", "--limit", "1000", "--compute", "w,W",
+                                 *flags, "--scan-file", path)
+        assert code == 1 and out == ""
+        assert "do not apply to a finished scan" in err
+    assert not journal.exists()
+    code, out = run(capsys, "table", "--limit", "1000", "--compute", "w,W",
+                    "--tasks", "1", "--scan-file", path)
+    assert code == 0

@@ -8,8 +8,7 @@ from hamroots.cubes import (HilbertCube, NONRESIDUE, PRIMROOT,
                             max_avoiding_dimension, max_contained_dimension,
                             small_elements_cube)
 from hamroots.errors import CapabilityError
-from hamroots.numtheory import (PrimeContext, bitmap_to_set, legendre_symbol,
-                                primitive_roots, sieve_primes)
+from hamroots.numtheory import PrimeContext, bitmap_to_set, legendre_symbol, sieve_primes
 
 
 def ctx_for(p):
@@ -33,7 +32,7 @@ def brute_max_cube(p, allowed, max_dim=6):
 def allowed_sets(p):
     ctx = ctx_for(p)
     nonres = {a for a in range(1, p) if legendre_symbol(a, p) == -1}
-    roots = set(bitmap_to_set(primitive_roots(ctx)))
+    roots = set(bitmap_to_set(ctx.pr_bitmap()))
     return {
         "f": set(range(p)) - nonres,
         "F": set(range(p)) - roots,

@@ -12,8 +12,7 @@ from hamroots.hamming import (BitExpansion, CANONICAL, DOMAIN0, REDUCED,
                               low_bit_flip_set, min_flips_to_primroot,
                               min_nonresidue_weight, min_primroot_weight,
                               recombined_set)
-from hamroots.numtheory import (PrimeContext, bitmap_to_set, legendre_symbol,
-                                primitive_roots, sieve_primes)
+from hamroots.numtheory import PrimeContext, bitmap_to_set, legendre_symbol, sieve_primes
 
 
 def ctx_for(p):
@@ -127,7 +126,7 @@ def test_min_flips_matches_direct_min_over_roots():
         if p == 2:
             continue
         ctx = ctx_for(p)
-        roots = bitmap_to_set(primitive_roots(ctx))
+        roots = bitmap_to_set(ctx.pr_bitmap())
         for n in range(1, p + 1):
             direct = min(bin(n ^ g).count("1") for g in roots)
             assert min_flips_to_primroot(n, ctx)[0] == direct

@@ -23,6 +23,31 @@ def _unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def _dead_definitions(modules: dict[str, str], references: list[str]) -> list[str]:
+    """Functions, methods and classes of `modules` (name -> source) whose name
+    no `Name` or attribute in `modules` or `references` uses. Imports are not
+    uses, so a re-export keeps nothing alive. Dunder methods are exempt, and so
+    are the methods of a class extending one from outside `modules`: that
+    outside code calls them (argparse calls `cli._Parser.error`)."""
+    defined = [(name, node) for name, source in modules.items()
+               for node in ast.walk(ast.parse(source))]
+    referenced = [node for source in references for node in ast.walk(ast.parse(source))]
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for node in [node for _, node in defined] + referenced
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    classes = [node for _, node in defined if isinstance(node, ast.ClassDef)]
+    class_names = {node.name for node in classes}
+    called_from_outside = {id(member) for node in classes
+                           if any(not isinstance(base, ast.Name) or base.id not in class_names
+                                  for base in node.bases)
+                           for member in node.body}
+    dead = sorted((name, node.lineno, node.name) for name, node in defined
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and node.name not in used and id(node) not in called_from_outside
+                  and not (node.name.startswith("__") and node.name.endswith("__")))
+    return [f"{name}:{line}: {what}" for name, line, what in dead]
+
+
 def test_unused_imports_detector():
     source = "from __future__ import annotations\nimport os, re\nimport a.b as c\nre.sub\n"
     assert _unused_imports(source) == ["line 3: c", "line 2: os"]
@@ -35,3 +60,30 @@ def test_no_unused_imports_in_src_and_tests():
              if path not in REEXPORT_MODULES
              and (unused := _unused_imports(path.read_text(encoding="utf-8")))}
     assert found == {}
+
+
+def test_dead_definitions_detector():
+    module = ("import argparse\n"
+              "class Base:\n"
+              "    def used(self): pass\n"
+              "    def unused(self): pass\n"
+              "    def __repr__(self): return ''\n"
+              "class Sub(Base):\n"
+              "    def also_unused(self): pass\n"
+              "class Parser(argparse.ArgumentParser):\n"
+              "    def error(self, message): pass\n"
+              "def dead(): pass\n"
+              "def alive(): pass\n")
+    references = ["from m import dead, Sub\nBase().used(alive)\nParser\n"]
+    assert _dead_definitions({"m.py": module}, references) == [
+        "m.py:4: unused", "m.py:6: Sub", "m.py:7: also_unused", "m.py:10: dead"]
+
+
+def test_no_dead_definitions_in_src():
+    modules = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "hamroots").rglob("*.py"))}
+    references = [path.read_text(encoding="utf-8")
+                  for folder in ("tests", "perfbench")
+                  for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert modules and references
+    assert _dead_definitions(modules, references) == []

@@ -9,8 +9,7 @@ from hamroots.numtheory import (PrimeContext, bitmap_to_set, divisors,
                                 euler_phi, factorize, is_prime,
                                 is_primitive_root, least_primitive_root,
                                 legendre_symbol, mobius,
-                                multiplicative_order, primitive_roots,
-                                sieve_primes)
+                                multiplicative_order, sieve_primes)
 
 
 def trial_division_oracle(n):
@@ -66,10 +65,13 @@ def test_factorize_matches_trial_division():
 
 
 def test_factorize_product_recovery_and_rho_path():
-    n = 10007 * 10009 * 10037  # beyond the pure-small-factor regime
-    fs = factorize(n)
-    assert fs == [10007, 10009, 10037]
-    assert math.prod(fs) == n
+    # Trial division splits the first product; both factors of the second
+    # exceed TRIAL_DIVISION_BOUND, so only the rho fallback can split it.
+    for factors in ([10007, 10009, 10037], [1000003, 1000033]):
+        n = math.prod(factors)
+        fs = factorize(n)
+        assert fs == factors
+        assert math.prod(fs) == n
 
 
 def square_table(p):
@@ -133,11 +135,11 @@ def test_order_divides_and_primroot_agrees_up_to_500():
 
 
 def test_primitive_roots_examples():
-    assert bitmap_to_set(primitive_roots(PrimeContext.for_prime(7))) == [3, 5]
-    assert bitmap_to_set(primitive_roots(PrimeContext.for_prime(17))) == \
+    assert bitmap_to_set(PrimeContext.for_prime(7).pr_bitmap()) == [3, 5]
+    assert bitmap_to_set(PrimeContext.for_prime(17).pr_bitmap()) == \
         [3, 5, 6, 7, 10, 11, 12, 14]
-    assert bitmap_to_set(primitive_roots(PrimeContext.for_prime(3))) == [2]
-    assert bitmap_to_set(primitive_roots(PrimeContext.for_prime(2))) == [1]
+    assert bitmap_to_set(PrimeContext.for_prime(3).pr_bitmap()) == [2]
+    assert bitmap_to_set(PrimeContext.for_prime(2).pr_bitmap()) == [1]
 
 
 def test_primitive_root_count_and_least_root_sweep():
@@ -145,7 +147,7 @@ def test_primitive_root_count_and_least_root_sweep():
     # lowest set bit, which is built by an independent exponent walk.
     for p in sieve_primes(10000):
         ctx = PrimeContext.for_prime(p)
-        bm = primitive_roots(ctx)
+        bm = ctx.pr_bitmap()
         assert bm.bit_count() == euler_phi(p - 1)
         assert least_primitive_root(ctx) == (bm & -bm).bit_length() - 1
 
