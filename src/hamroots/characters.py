@@ -71,4 +71,4 @@ def all_characters(ctx: PrimeContext) -> list[Character]:
     """The full dual group, ordered by exponent j."""
     m = ctx.p - 1
     ctx.index_table()
-    return [Character(ctx, j, m // math.gcd(j, m) if j else 1) for j in range(m)]
+    return [Character(ctx, j, m // math.gcd(j, m)) for j in range(m)]

@@ -18,7 +18,8 @@ from .characters import Character, build_characters
 from .cyclotomic import RootOfUnitySum
 from .errors import InvariantViolation
 from .hamming import high_bit_flip_set, low_bit_flip_set
-from .numtheory import PrimeContext, divisors, euler_phi, legendre_symbol, mobius
+from .numtheory import (PrimeContext, divisors, euler_phi, legendre_symbol, mobius,
+                        poly_divmod, poly_exact_div)
 
 
 @dataclass(frozen=True)
@@ -123,23 +124,10 @@ def _poly_deriv(f: list[int], p: int) -> list[int]:
     return _poly_trim([c * i % p for i, c in enumerate(f)][1:])
 
 
-def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    a = a[:]
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        q = a[-1] * inv_lead % p
-        if q:
-            off = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[off + i] = (a[off + i] - q * c) % p
-        a.pop()
-    return _poly_trim(a)
-
-
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _poly_trim(a[:]), _poly_trim(b[:])
     while b:
-        a, b = b, _poly_mod(a, b, p)
+        a, b = b, _poly_trim(poly_divmod(a, b, p)[1])
     if a:
         inv = pow(a[-1], p - 2, p)
         a = [c * inv % p for c in a]
@@ -170,16 +158,16 @@ def squarefree_multiplicities(f: list[int], p: int) -> dict[int, int]:
     out: dict[int, int] = {}
     df = _poly_deriv(f, p)
     a = _poly_gcd(f, df, p)
-    b = _poly_mod_div(f, a, p)
-    c = _poly_mod_div(df, a, p)
+    b = poly_exact_div(f, a, p)
+    c = poly_exact_div(df, a, p)
     d = _poly_sub(c, _poly_deriv(b, p), p)
     i = 1
     while len(b) > 1:
         g = _poly_gcd(b, d, p)
         if len(g) > 1:
             out[i] = len(g) - 1
-        b = _poly_mod_div(b, g, p)
-        c = _poly_mod_div(d, g, p)
+        b = poly_exact_div(b, g, p)
+        c = poly_exact_div(d, g, p)
         d = _poly_sub(c, _poly_deriv(b, p), p)
         i += 1
     return out
@@ -190,22 +178,6 @@ def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
     a = a + [0] * (n - len(a))
     b = b + [0] * (n - len(b))
     return _poly_trim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _poly_mod_div(a: list[int], b: list[int], p: int) -> list[int]:
-    """Exact quotient a / b over F_p (remainder must be zero)."""
-    a = _poly_trim(a[:])
-    out = [0] * (len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], p - 2, p)
-    for i in range(len(out) - 1, -1, -1):
-        q = a[i + len(b) - 1] * inv_lead % p
-        out[i] = q
-        if q:
-            for k, c in enumerate(b):
-                a[i + k] = (a[i + k] - q * c) % p
-    if any(a[: len(b) - 1]):
-        raise ArithmeticError("nonzero remainder in polynomial division")
-    return out
 
 
 def distinct_root_count(f: list[int], p: int) -> int:
@@ -219,11 +191,11 @@ def is_power_of_rational(f: list[int], p: int, m: int) -> bool:
 
 
 def poly_char_sum(ctx: PrimeContext, chi: Character, coeffs: list[int],
-                  start: int = 0, length: int | None = None,
-                  constant: float = 1.0) -> tuple[RootOfUnitySum, BoundReport]:
+                  start: int = 0, length: int | None = None
+                  ) -> tuple[RootOfUnitySum, BoundReport]:
     """Exact sum of chi(F(u)) for u = start+1 .. start+length, with a Weil report.
 
-    The bound is constant * d * sqrt(p) * log(p) where d counts the distinct
+    The bound is d * sqrt(p) * log(p) where d counts the distinct
     roots of F over the closure; it is flagged inapplicable for principal chi
     and for F that is an ord(chi)-th power of a rational function.
     """
@@ -239,7 +211,7 @@ def poly_char_sum(ctx: PrimeContext, chi: Character, coeffs: list[int],
     for u in range(start + 1, start + length + 1):
         acc.add(chi.root_index(poly_eval(f, u, p)))
     d = distinct_root_count(f, p)
-    bound = constant * d * math.sqrt(p) * math.log(p)
+    bound = d * math.sqrt(p) * math.log(p)
     applicable, note = True, ""
     if chi.is_principal:
         applicable, note = False, "bound inapplicable (principal)"

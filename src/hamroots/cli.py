@@ -21,7 +21,7 @@ from .cubes import (DEFAULT_SEED, EXHAUSTIVE_P_CAP, NONRESIDUE, PRIMROOT,
                     cube_census, max_avoiding_dimension)
 from .errors import CapabilityError, InvariantViolation
 from .hamming import DOMAIN0, VARIANTS, covering_radius
-from .numtheory import PrimeContext, factorize, is_primitive_root, sieve_primes
+from .numtheory import PrimeContext, divisors, factorize, is_primitive_root, sieve_primes
 from .scan import CountTable, ScanConfig, format_scan_output, read_scan_output, \
     scan_frequencies, scan_range
 
@@ -307,7 +307,7 @@ def cmd_charsum_pv(args) -> int:
     ctx = PrimeContext.for_prime(args.p)
     worst = None
     m = args.p - 1
-    for d in sorted(set(d for d in range(2, m + 1) if m % d == 0)):
+    for d in divisors(m)[1:]:
         for chi in build_characters(ctx, d):
             for start in (0, args.p // 3):
                 for length in (args.p // 2, args.p - 1):
@@ -347,8 +347,7 @@ def cmd_charsum_double(args) -> int:
         chi = legendre_character(ctx)
     else:
         m = args.p - 1
-        order = m // math.gcd(args.j, m) if args.j else 1
-        chi = Character(ctx, args.j % m, order)
+        chi = Character(ctx, args.j % m, m // math.gcd(args.j, m))
     total = split_char_sum(ctx, args.n, args.k, args.l, args.m, chi)
     rational = total.as_rational()
     shown = rational if rational is not None else total.value()

@@ -91,8 +91,7 @@ def _target_set(ctx: PrimeContext, predicate: str) -> set[int]:
     if predicate == NONRESIDUE:
         return {a for a in range(1, ctx.p) if legendre_symbol(a, ctx.p) == -1}
     if predicate == PRIMROOT:
-        bm = ctx.pr_bitmap()
-        return {a for a in range(1, ctx.p) if bm >> a & 1}
+        return set(bitmap_to_set(ctx.pr_bitmap()))
     raise ValueError(f"unknown predicate {predicate!r}; expected one of {_PREDICATES}")
 
 
@@ -115,6 +114,11 @@ def small_elements_cube(dim: int) -> HilbertCube:
     return HilbertCube(0, tuple(range(1, dim + 1)))
 
 
+def _translate_union(elems: int, g: int, p: int) -> int:
+    """Element bitmask of a cube with the generator g added: elems | (elems + g)."""
+    return elems | (((elems << g) | (elems >> (p - g))) & ((1 << p) - 1))
+
+
 def _max_cube_exhaustive(p: int, allowed_mask: int) -> CubeSearchResult:
     """Deepest cube whose elements stay inside allowed_mask, by pruned DFS.
 
@@ -125,18 +129,14 @@ def _max_cube_exhaustive(p: int, allowed_mask: int) -> CubeSearchResult:
     """
     if not allowed_mask:
         raise ValueError("empty target set admits no cube")
-    full = (1 << p) - 1
     best_dim = 0
     best = HilbertCube(bitmap_to_set(allowed_mask)[0], ())
-
-    def rot(bm: int, g: int) -> int:
-        return ((bm << g) | (bm >> (p - g))) & full
 
     def grow(base: int, gens: tuple[int, ...], elems: int):
         nonlocal best_dim, best
         start = gens[-1] + 1 if gens else 1
         for g in range(start, p):
-            new = elems | rot(elems, g)
+            new = _translate_union(elems, g, p)
             if new & ~allowed_mask:
                 continue
             cand = gens + (g,)
@@ -155,7 +155,6 @@ def _max_cube_heuristic(p: int, allowed_mask: int, seed: int, restarts: int) -> 
     if not allowed_mask:
         raise ValueError("empty target set admits no cube")
     rng = random.Random(seed)
-    full = (1 << p) - 1
     bases = bitmap_to_set(allowed_mask)
     best_dim = 0
     best = HilbertCube(bases[0], ())
@@ -171,7 +170,7 @@ def _max_cube_heuristic(p: int, allowed_mask: int, seed: int, restarts: int) -> 
             for g in candidates:
                 if g in gens:
                     continue
-                new = elems | (((elems << g) | (elems >> (p - g))) & full)
+                new = _translate_union(elems, g, p)
                 if not new & ~allowed_mask:
                     gens.append(g)
                     elems = new
@@ -186,10 +185,7 @@ def _max_cube_heuristic(p: int, allowed_mask: int, seed: int, restarts: int) -> 
 def _allowed_mask(ctx: PrimeContext, predicate: str, contained: bool) -> int:
     target = _target_set(ctx, predicate)
     allowed = target if contained else set(range(ctx.p)) - target
-    mask = 0
-    for a in allowed:
-        mask |= 1 << a
-    return mask
+    return sum(1 << a for a in allowed)
 
 
 def _max_cube(ctx: PrimeContext, predicate: str, contained: bool, search: str,

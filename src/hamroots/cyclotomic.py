@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .numtheory import divisors
+from .numtheory import divisors, poly_divmod, poly_exact_div
 
 
 @lru_cache(maxsize=None)
@@ -26,43 +26,16 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in divisors(m):
         if d < m:
-            poly = _polydiv_exact(poly, list(cyclotomic_poly(d)))
+            poly = poly_exact_div(poly, cyclotomic_poly(d))
     return tuple(poly)
 
 
-def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact integer polynomial division (remainder must vanish)."""
-    num = num[:]
-    out = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % lead:
-            raise ArithmeticError("non-exact polynomial division")
-        q = c // lead
-        out[i] = q
-        if q:
-            for k, dc in enumerate(den):
-                num[i + k] -= q * dc
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("nonzero remainder in exact division")
-    return out
-
-
 def reduce_mod_cyclotomic(coeffs: list[int], m: int) -> list[int]:
-    """Remainder of sum(coeffs[i] * x^i) modulo the m-th cyclotomic polynomial."""
+    """Remainder of sum(coeffs[i] * x^i) modulo the m-th cyclotomic polynomial,
+    padded to phi(m) coefficients."""
     phi_poly = cyclotomic_poly(m)
-    deg = len(phi_poly) - 1
-    rem = list(coeffs)
-    if len(rem) < deg:
-        rem += [0] * (deg - len(rem))
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i]
-        if c:
-            rem[i] = 0
-            for k in range(deg):
-                rem[i - deg + k] -= c * phi_poly[k]
-    return rem[:deg]
+    rem = poly_divmod(coeffs, phi_poly)[1]
+    return rem + [0] * (len(phi_poly) - 1 - len(rem))
 
 
 def exact_root_sum_value(counts: list[int], m: int) -> Fraction | None:

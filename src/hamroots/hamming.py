@@ -91,6 +91,13 @@ def _check_flip_params(ctx: PrimeContext, n: int, k: int) -> None:
         raise ValueError(f"n must be in [1, p={ctx.p}], got {n}")
 
 
+def _flips(x: int, width: int, count: int):
+    """x with each `count`-subset of its low `width` bits flipped, the subsets
+    in lexicographic order of their positions (ascending)."""
+    for masks in combinations([1 << i for i in range(width)], count):
+        yield x ^ sum(masks)
+
+
 def high_bit_flip_set(n: int, ctx: PrimeContext, k: int, flips: int) -> list[int]:
     """Positive u < 2^k differing from the top k bits of n in exactly `flips` places.
 
@@ -101,15 +108,7 @@ def high_bit_flip_set(n: int, ctx: PrimeContext, k: int, flips: int) -> list[int
     _check_flip_params(ctx, n, k)
     if not 0 <= flips <= k:
         raise ValueError(f"flip count must be in [0, {k}], got {flips}")
-    top = n >> (ctx.bit_len - k)
-    out = []
-    for pos in combinations(range(k), flips):
-        u = top
-        for i in pos:
-            u ^= 1 << i
-        if u:
-            out.append(u)
-    return sorted(out)
+    return sorted(u for u in _flips(n >> (ctx.bit_len - k), k, flips) if u)
 
 
 def low_bit_flip_set(n: int, ctx: PrimeContext, k: int, flips: int) -> list[int]:
@@ -118,15 +117,7 @@ def low_bit_flip_set(n: int, ctx: PrimeContext, k: int, flips: int) -> list[int]
     width = ctx.r - k + 1
     if not 0 <= flips <= ctx.r - k:
         raise ValueError(f"flip count must be in [0, {ctx.r - k}], got {flips}")
-    low = n & ((1 << width) - 1)
-    out = []
-    for pos in combinations(range(width), flips):
-        v = low
-        for i in pos:
-            v ^= 1 << i
-        if v:
-            out.append(v)
-    return sorted(out)
+    return sorted(v for v in _flips(n & ((1 << width) - 1), width, flips) if v)
 
 
 def recombined_set(n: int, ctx: PrimeContext, k: int, hi_flips: int, lo_flips: int) -> list[int]:
@@ -259,10 +250,7 @@ def min_flips_to_primroot(n: int, ctx: PrimeContext, variant: RadiusVariant = CA
         raise ValueError(f"n must be in [1, {p}]")
     targets = _target_bitmap(ctx, variant)
     for s in range(length + 1):
-        for pos in combinations(range(length), s):
-            t = n
-            for i in pos:
-                t ^= 1 << i
+        for t in _flips(n, length, s):
             if targets >> t & 1:
                 return s, t
     raise RuntimeError(f"no target reachable from n={n} mod p={p}")
@@ -286,32 +274,27 @@ def ascending_weight_values(weight: int, below: int):
         v = _next_same_weight(v)
 
 
-def min_nonresidue_weight(ctx: PrimeContext) -> tuple[int, int]:
-    """(weight, witness): sparsest quadratic non-residue in [1, p-1].
+def _sparsest(ctx: PrimeContext, accept, what: str) -> tuple[int, int]:
+    """(weight, witness): the first v in [1, p-1] that `accept`s, enumerating
+    weight classes in increasing weight and values ascending within a class."""
+    for w in range(1, ctx.bit_len + 1):
+        for v in ascending_weight_values(w, ctx.p):
+            if accept(v):
+                return w, v
+    raise RuntimeError(f"no {what} found mod {ctx.p}")
 
-    Weight classes are enumerated in increasing weight, values ascending
-    within a class; the witness is the first hit.
-    """
+
+def min_nonresidue_weight(ctx: PrimeContext) -> tuple[int, int]:
+    """(weight, witness): sparsest quadratic non-residue in [1, p-1]."""
     p = ctx.p
     if p == 2:
         raise CapabilityError("non-residues are undefined mod 2")
-    for w in range(1, ctx.bit_len + 1):
-        for v in ascending_weight_values(w, p):
-            if legendre_symbol(v, p) == -1:
-                return w, v
-    raise RuntimeError(f"no non-residue found mod {p}")
+    return _sparsest(ctx, lambda v: legendre_symbol(v, p) == -1, "non-residue")
 
 
 def min_primroot_weight(ctx: PrimeContext) -> tuple[int, int]:
-    """(weight, witness): sparsest primitive root in [1, p-1]."""
-    p = ctx.p
-    if p == 2:
-        return 1, 1
-    for w in range(1, ctx.bit_len + 1):
-        for v in ascending_weight_values(w, p):
-            if is_primitive_root(v, ctx):
-                return w, v
-    raise RuntimeError(f"no primitive root found mod {p}")
+    """(weight, witness): sparsest primitive root in [1, p-1]; (1, 1) for p = 2."""
+    return _sparsest(ctx, lambda v: is_primitive_root(v, ctx), "primitive root")
 
 
 def hamming_profile(ctx: PrimeContext, variant: RadiusVariant = CANONICAL,

@@ -108,12 +108,11 @@ def factorize(n: int) -> list[int]:
                 out.append(q)
                 n //= q
         d += 6
+    # Every prime below d is divided out, so a cofactor m < d*d is prime.
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
+        if d * d > m or is_prime(m):
             out.append(m)
             continue
         g = _brent_rho(m)
@@ -307,3 +306,40 @@ def bitmap_to_set(bitmap: int) -> list[int]:
         out.append(i)
         i = digits.find("1", i + 1)
     return out
+
+
+def poly_divmod(a: list[int], b: list[int], p: int | None = None
+                ) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b, coefficients lowest degree first.
+
+    Over F_p when p is given, with both results reduced mod p; over Z
+    otherwise, which needs b monic. The remainder has min(len(a), len(b) - 1)
+    coefficients and is not trimmed.
+    """
+    if p is None and b[-1] != 1:
+        raise ValueError("division over Z needs a monic divisor")
+    inv = 1 if p is None else pow(b[-1], -1, p)
+    n = len(b) - 1
+    rem = list(a)
+    quot = []
+    while len(rem) > n:
+        q = rem.pop() * inv
+        if p is not None:
+            q %= p
+        quot.append(q)
+        if q:
+            off = len(rem) - n
+            for k in range(n):
+                rem[off + k] -= q * b[k]
+    quot.reverse()
+    if p is not None:
+        rem = [c % p for c in rem]
+    return quot, rem
+
+
+def poly_exact_div(a: list[int], b: list[int], p: int | None = None) -> list[int]:
+    """The quotient of poly_divmod(a, b, p), whose remainder must be zero."""
+    quot, rem = poly_divmod(a, b, p)
+    if any(rem):
+        raise ArithmeticError("nonzero remainder in polynomial division")
+    return quot

@@ -18,6 +18,7 @@ import os
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import InvariantViolation
 from .hamming import (CANONICAL, VARIANTS, HammingProfile, hamming_profile)
@@ -25,7 +26,12 @@ from .numtheory import PrimeContext, factorize, sieve_primes
 
 SCHEMA_ID = "hamroots.scan.v1"
 BLOCK_SIZE = 4096
-CSV_COLUMNS = "p,r,w,W,delta,witnesses,checksum"
+# The row schema, shared by the journal and both output formats, in
+# HammingProfile's field order: p and r, the other statistics (None = not
+# computed), then the witness list last.
+FIELDS = ("p", "r", "w", "W", "delta", "witnesses")
+COLUMNS = FIELDS + ("checksum",)
+CSV_COLUMNS = ",".join(COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -61,14 +67,26 @@ class ScanConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _profile_to_row(prof: HammingProfile) -> list:
-    return [prof.p, prof.r, prof.w, prof.W, prof.delta, list(prof.witnesses)]
+_profile_to_row = attrgetter(*FIELDS)  # the row of a profile, as a tuple
 
 
-def _row_to_profile(row: list, variant: str) -> HammingProfile:
-    p, r, w, W, delta, wits = row
-    return HammingProfile(p=p, r=r, w=w, W=W, delta=delta,
-                          witnesses=tuple(wits), variant=variant)
+def _row_to_profile(row, variant: str) -> HammingProfile:
+    *stats, wits = row
+    return HammingProfile(*stats, witnesses=tuple(wits), variant=variant)
+
+
+def _check_row(row) -> None:
+    """Raise ValueError unless a decoded row has the FIELDS layout: integers
+    p and r, an integer or None for each other statistic, and a list of
+    integer witnesses."""
+    if type(row) is not list or len(row) != len(FIELDS):
+        raise ValueError(f"expected the {len(FIELDS)} fields {','.join(FIELDS)}")
+    *stats, wits = row
+    for name, v in zip(FIELDS, stats):
+        if type(v) is not int and (v is not None or name in ("p", "r")):
+            raise ValueError(f"{name} is {v!r}, not an integer")
+    if type(wits) is not list or any(type(c) is not int for c in wits):
+        raise ValueError("witnesses is not a list of integers")
 
 
 def _scan_block(args) -> tuple[int, list[list]]:
@@ -99,21 +117,31 @@ class _Checkpoint:
         if os.path.exists(path):
             end = 0  # bytes of complete lines
             with open(path, "rb") as fh:
-                for line in fh:
+                for lineno, line in enumerate(fh, 1):
                     if not line.endswith(b"\n"):
                         break  # torn by a crash mid-write; dropped below
-                    rec = json.loads(line)
+                    try:
+                        self._load(json.loads(line), fingerprint)
+                    except ValueError as exc:
+                        raise ValueError(f"{path}: line {lineno}: {exc}") from None
                     end += len(line)
-                    if "meta" in rec:
-                        if rec["meta"] != fingerprint:
-                            raise ValueError(
-                                "checkpoint was written by a different scan configuration")
-                    else:
-                        self.done[rec["block"]] = rec["rows"]
             os.truncate(path, end)
         self._fh = open(path, "a", encoding="utf-8", newline="\n")
         if not self.done and os.path.getsize(path) == 0:
             self.write({"meta": fingerprint})
+
+    def _load(self, rec, fingerprint: str) -> None:
+        keys = rec.keys() if type(rec) is dict else None
+        if keys == {"meta"}:
+            if rec["meta"] != fingerprint:
+                raise ValueError("checkpoint was written by a different scan configuration")
+        elif (keys == {"block", "rows"} and type(rec["block"]) is int
+              and type(rec["rows"]) is list):
+            for row in rec["rows"]:
+                _check_row(row)
+            self.done[rec["block"]] = rec["rows"]
+        else:
+            raise ValueError("not a meta or block record")
 
     def write(self, obj) -> None:
         self._fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
@@ -163,53 +191,58 @@ def scan_range(config: ScanConfig) -> list[HammingProfile]:
 # --- output formatting -------------------------------------------------------
 
 
-def _row_checksum(prof: HammingProfile) -> str:
-    wits = ";".join(str(c) for c in prof.witnesses)
-    key = f"{prof.p}|{prof.r}|{prof.w}|{prof.W}|{prof.delta}|{wits}"
-    return format(zlib.crc32(key.encode()), "08x")
+def _row_checksum(row) -> str:
+    key = "|".join([*map(str, row[:-1]), ";".join(map(str, row[-1]))])
+    return "%08x" % zlib.crc32(key.encode())
+
+
+def _csv_encode(row) -> str:
+    cells = ["" if v is None else str(v) for v in row[:-1]]
+    cells += (";".join(map(str, row[-1])), _row_checksum(row))
+    return ",".join(cells)
+
+
+def _csv_decode(line: str) -> tuple[list, str]:
+    """The row and stored checksum of one CSV line."""
+    cells = line.rstrip("\n").split(",")
+    if len(cells) != len(COLUMNS):
+        raise ValueError(f"expected {len(COLUMNS)} columns, got {len(cells)}")
+    *stats, wits, checksum = cells
+    row = [int(c) if c else None for c in stats]
+    row.append([int(c) for c in wits.split(";")] if wits else [])
+    return row, checksum
+
+
+def _jsonl_encode(row) -> str:
+    return json.dumps(dict(zip(COLUMNS, [*row, _row_checksum(row)])), separators=(",", ":"))
+
+
+def _jsonl_decode(line: str) -> tuple[list, str]:
+    """The row and stored checksum of one JSONL line."""
+    rec = json.loads(line)
+    if type(rec) is not dict or rec.keys() != set(COLUMNS):
+        raise ValueError(f"expected the keys {','.join(COLUMNS)}")
+    return [rec[name] for name in FIELDS], rec["checksum"]
 
 
 def format_scan_output(config: ScanConfig, profiles: list[HammingProfile]) -> str:
     """Render profiles in the configured format; deterministic bytes."""
-    lines = []
     if config.fmt == "csv":
-        lines.append(f"# {SCHEMA_ID} variant={config.variant} "
-                     f"compute={','.join(config.compute)}")
-        lines.append(CSV_COLUMNS)
-        for prof in profiles:
-            cells = [str(prof.p), str(prof.r),
-                     "" if prof.w is None else str(prof.w),
-                     "" if prof.W is None else str(prof.W),
-                     "" if prof.delta is None else str(prof.delta),
-                     ";".join(str(c) for c in prof.witnesses),
-                     _row_checksum(prof)]
-            lines.append(",".join(cells))
+        lines = [f"# {SCHEMA_ID} variant={config.variant} "
+                 f"compute={','.join(config.compute)}", CSV_COLUMNS]
+        encode = _csv_encode
     else:
-        lines.append(json.dumps({"schema": SCHEMA_ID, "variant": config.variant,
-                                 "compute": list(config.compute)},
-                                separators=(",", ":")))
-        for prof in profiles:
-            lines.append(json.dumps(
-                {"p": prof.p, "r": prof.r, "w": prof.w, "W": prof.W,
-                 "delta": prof.delta, "witnesses": list(prof.witnesses),
-                 "checksum": _row_checksum(prof)},
-                separators=(",", ":")))
+        lines = [json.dumps({"schema": SCHEMA_ID, "variant": config.variant,
+                             "compute": list(config.compute)}, separators=(",", ":"))]
+        encode = _jsonl_encode
+    lines += [encode(_profile_to_row(prof)) for prof in profiles]
     return "\n".join(lines) + "\n"
 
 
-def _csv_record(line: str) -> dict:
-    """A CSV row as the equivalent JSONL record."""
-    p, r, w, W, delta, wits, checksum = line.rstrip("\n").split(",")
-    rec = dict(zip(("p", "r", "w", "W", "delta"),
-                   (int(c) if c else None for c in (p, r, w, W, delta))))
-    rec["witnesses"] = [int(c) for c in wits.split(";")] if wits else []
-    rec["checksum"] = checksum
-    return rec
-
-
 def read_scan_output(path: str) -> tuple[dict, list[HammingProfile]]:
-    """Parse a scan file (either format); rejects unknown schema ids and any
-    row whose checksum does not match its fields.
+    """Parse a scan file (either format); rejects unknown schema ids, any row
+    that does not decode to the FIELDS layout, and any row whose checksum does
+    not match its fields, naming the path and line.
 
     The header becomes one dict for both formats, its compute set a list.
     """
@@ -219,7 +252,7 @@ def read_scan_output(path: str) -> tuple[dict, list[HammingProfile]]:
             meta = json.loads(first)
             if meta.get("schema") != SCHEMA_ID:
                 raise ValueError(f"unknown scan schema {meta.get('schema')!r}")
-            parse, first_row = json.loads, 2
+            decode, first_row = _jsonl_decode, 2
         else:
             if not first.startswith(f"# {SCHEMA_ID} "):
                 raise ValueError(f"unknown scan schema header {first!r}")
@@ -230,16 +263,18 @@ def read_scan_output(path: str) -> tuple[dict, list[HammingProfile]]:
             header = fh.readline().strip()
             if header != CSV_COLUMNS:
                 raise ValueError(f"unexpected CSV columns {header!r}")
-            parse, first_row = _csv_record, 3
+            decode, first_row = _csv_decode, 3
         variant = meta.get("variant", CANONICAL.name)
         profiles = []
         for lineno, line in enumerate(fh, first_row):
-            rec = parse(line)
-            prof = _row_to_profile(
-                [rec[k] for k in ("p", "r", "w", "W", "delta", "witnesses")], variant)
-            if rec.get("checksum") != _row_checksum(prof):
-                raise ValueError(f"{path}: checksum mismatch on line {lineno} (p={prof.p})")
-            profiles.append(prof)
+            try:
+                row, checksum = decode(line)
+                _check_row(row)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            if checksum != _row_checksum(row):
+                raise ValueError(f"{path}: checksum mismatch on line {lineno} (p={row[0]})")
+            profiles.append(_row_to_profile(row, variant))
     return meta, profiles
 
 

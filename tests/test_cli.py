@@ -236,3 +236,26 @@ def test_table_scan_file_refuses_worker_flags(tmp_path, capsys):
     code, out = run(capsys, "table", "--limit", "1000", "--compute", "w,W",
                     "--tasks", "1", "--scan-file", path)
     assert code == 0
+
+
+def test_table_scan_file_malformed_row_is_refused_by_line(tmp_path, capsys):
+    path = _scan_file(tmp_path, capsys, "full.jsonl", "--range", "2", "1000", "--format", "jsonl")
+    lines = open(path).read().splitlines(keepends=True)
+    lines[5] = lines[5].replace('"delta":2,', "")
+    open(path, "w").writelines(lines)
+    code, out, err = run_err(capsys, "table", "--limit", "1000", "--scan-file", path)
+    assert code == 1 and out == ""
+    assert f"{path}: line 6: expected the keys p,r,w,W,delta,witnesses,checksum" in err
+
+
+def test_scan_stray_journal_record_is_refused_by_line(tmp_path, capsys):
+    journal = tmp_path / "scan.ckpt"
+    argv = ["scan", "--range", "2", "1000", "--compute", "w,W", "--checkpoint", str(journal)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    n_lines = len(journal.read_text().splitlines())
+    with open(journal, "a") as fh:
+        fh.write('{"x":1}\n')
+    code, out, err = run_err(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"{journal}: line {n_lines + 1}: not a meta or block record" in err

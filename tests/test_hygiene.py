@@ -48,6 +48,48 @@ def _dead_definitions(modules: dict[str, str], references: list[str]) -> list[st
     return [f"{name}:{line}: {what}" for name, line, what in dead]
 
 
+def _unpassed_defaults(modules: dict[str, str], references: list[str]) -> list[str]:
+    """Defaulted parameters of functions in `modules` that no call in `modules`
+    or `references` passes, by position or keyword. Calls are matched by the
+    name of the callee; one with *args or **kwargs passes everything. A
+    method's positions skip self or cls; dunder methods are exempt."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    calls = [node for tree in [*trees.values(), *map(ast.parse, references)]
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    passed: dict[str, set] = {}
+    for call in calls:
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        got = passed.setdefault(name, set())
+        if (any(isinstance(arg, ast.Starred) for arg in call.args)
+                or any(kw.arg is None for kw in call.keywords)):
+            got.add("*")
+        got.update(range(len(call.args)))
+        got.update(kw.arg for kw in call.keywords)
+    out = []
+    for module, tree in trees.items():
+        methods = {id(member) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for member in node.body
+                   if not any(getattr(dec, "id", None) == "staticmethod"
+                              for dec in getattr(member, "decorator_list", ()))}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or (node.name.startswith("__") and node.name.endswith("__"))):
+                continue
+            got = passed.get(node.name, set())
+            if "*" in got:
+                continue
+            positional = node.args.posonlyargs + node.args.args
+            skip = 1 if id(node) in methods else 0
+            defaulted = [(i - skip, arg.arg) for i, arg in enumerate(positional)
+                         if i >= len(positional) - len(node.args.defaults)]
+            defaulted += [(None, arg.arg) for arg, default
+                          in zip(node.args.kwonlyargs, node.args.kw_defaults) if default]
+            out += [f"{module}:{node.lineno}: {node.name}({param})" for pos, param in defaulted
+                    if pos not in got and param not in got]
+    return out
+
+
 def test_unused_imports_detector():
     source = "from __future__ import annotations\nimport os, re\nimport a.b as c\nre.sub\n"
     assert _unused_imports(source) == ["line 3: c", "line 2: os"]
@@ -87,3 +129,27 @@ def test_no_dead_definitions_in_src():
                   for path in sorted((ROOT / folder).rglob("*.py"))]
     assert modules and references
     assert _dead_definitions(modules, references) == []
+
+
+def test_unpassed_defaults_detector():
+    module = ("class C:\n"
+              "    def m(self, a, b=1, c=2): pass\n"
+              "    @staticmethod\n"
+              "    def s(a=0, b=1): pass\n"
+              "    def __init__(self, x=0): pass\n"
+              "def f(a, b=1, *, c=2, d=3): pass\n"
+              "def g(a=1, b=2): pass\n"
+              "def h(a=1): pass\n")
+    references = ["C().m(1, 2)\nC.s(5)\nf(1, c=2)\ng(*args)\nh(**kw)\n"]
+    assert _unpassed_defaults({"m.py": module}, references) == [
+        "m.py:6: f(b)", "m.py:6: f(d)", "m.py:2: m(c)", "m.py:4: s(b)"]
+
+
+def test_no_unpassed_defaults_in_src():
+    modules = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "hamroots").rglob("*.py"))}
+    references = [path.read_text(encoding="utf-8")
+                  for folder in ("tests", "perfbench")
+                  for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert modules and references
+    assert _unpassed_defaults(modules, references) == []

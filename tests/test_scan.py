@@ -1,10 +1,14 @@
 import json
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
-from hamroots.scan import (CSV_COLUMNS, CountTable, ScanConfig,
-                           format_scan_output, read_scan_output,
-                           scan_frequencies, scan_range, worker_count)
+from hamroots.scan import (CSV_COLUMNS, FIELDS, CountTable, ScanConfig,
+                           _csv_decode, _csv_encode, _jsonl_decode,
+                           _jsonl_encode, _row_checksum, format_scan_output,
+                           read_scan_output, scan_frequencies, scan_range,
+                           worker_count)
 
 
 def test_scan_first_rows_frozen():
@@ -146,6 +150,83 @@ def test_corrupted_delta_under_original_checksum_rejected(tmp_path, fmt):
                                                 "3" if fmt == "csv" else 3)
     with pytest.raises(ValueError, match=f"checksum mismatch on line {lineno} "):
         read_scan_output(path)
+
+
+def _write_with_row_of_11_replaced(tmp_path, fmt, edit) -> tuple[str, int]:
+    """A scan file of [2, 100] whose p = 11 line is replaced by edit(line);
+    returns the path and that line's number."""
+    cfg = ScanConfig(lo=2, hi=100, fmt=fmt)
+    lines = format_scan_output(cfg, scan_range(cfg)).splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(("11,", '{"p":11,')))
+    lines[i] = edit(lines[i])
+    path = tmp_path / f"scan.{fmt}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path), i + 1
+
+
+_DROP = object()
+
+
+def _json_edit(**changes):
+    def edit(line):
+        rec = json.loads(line)
+        for key, value in changes.items():
+            if value is _DROP:
+                del rec[key]
+            else:
+                rec[key] = value
+        return json.dumps(rec, separators=(",", ":"))
+    return edit
+
+
+@pytest.mark.parametrize("fmt,edit", [
+    ("jsonl", _json_edit(delta=_DROP)),
+    ("jsonl", _json_edit(extra=1)),
+    ("jsonl", _json_edit(p="11", delta="2")),  # str() of these matches the checksum
+    ("jsonl", _json_edit(witnesses=["3"])),
+    ("jsonl", _json_edit(r=None)),
+    ("csv", lambda line: ",".join(line.split(",")[:6])),
+    ("csv", lambda line: line + ",0"),
+    ("csv", lambda line: "x" + line),
+    ("csv", lambda line: line.replace("11,3,", "11,,", 1)),
+], ids=["missing-key", "extra-key", "string-p-and-delta", "string-witness", "null-r",
+        "six-cells", "eight-cells", "non-integer-p", "empty-r"])
+def test_malformed_row_rejected_with_path_and_line(tmp_path, fmt, edit):
+    path, lineno = _write_with_row_of_11_replaced(tmp_path, fmt, edit)
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: line {lineno}: "):
+        read_scan_output(path)
+
+
+@pytest.mark.parametrize("record", [
+    b'{"x":1}\n',
+    b'[1,2]\n',
+    b'{"block":0,"rows":[[2,0,null,1,null]]}\n',      # a row without witnesses
+    b'{"block":0,"rows":[[2,0,null,"1",null,[]]]}\n',  # a string statistic
+    b'{"block":"0","rows":[]}\n',
+], ids=["unknown-key", "not-an-object", "short-row", "string-statistic", "string-block"])
+def test_stray_journal_record_rejected_with_path_and_line(tmp_path, record):
+    ckpt = tmp_path / "stray.ckpt"
+    cfg = ScanConfig(lo=2, hi=60, block_size=4, checkpoint=str(ckpt))
+    scan_range(cfg)
+    n_lines = ckpt.read_bytes().count(b"\n")
+    with open(ckpt, "ab") as fh:
+        fh.write(record)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(ckpt))}: line {n_lines + 1}: "):
+        scan_range(cfg)
+
+
+_stat = st.none() | st.integers(min_value=0, max_value=10**6)
+_rows = st.tuples(st.integers(min_value=2, max_value=10**12), st.integers(min_value=0, max_value=40),
+                  _stat, _stat, _stat,
+                  st.lists(st.integers(min_value=0, max_value=10**12), max_size=300)
+                  ).map(list)
+
+
+@given(_rows)
+def test_row_codecs_round_trip(row):
+    assert len(row) == len(FIELDS)
+    for encode, decode in ((_csv_encode, _csv_decode), (_jsonl_encode, _jsonl_decode)):
+        assert decode(encode(row) + "\n") == (row, _row_checksum(row))
 
 
 def test_worker_count_is_bounded():
