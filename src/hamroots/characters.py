@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .numtheory import PrimeContext, euler_phi, least_primitive_root
+from .numtheory import PrimeContext, euler_phi
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,6 @@ class Character:
     @property
     def p(self) -> int:
         return self.ctx.p
-
-    @property
-    def g(self) -> int:
-        return least_primitive_root(self.ctx)
 
     @property
     def is_principal(self) -> bool:

@@ -229,8 +229,6 @@ def legendre_partial_sum_report(ctx: PrimeContext, length: int) -> BoundReport:
     character.
     """
     p = ctx.p
-    if p == 2:
-        raise ValueError("Legendre sums need an odd prime")
     if not 1 <= length <= p:
         raise ValueError(f"length must be in [1, {p}]")
     total = sum(legendre_symbol(z, p) for z in range(1, length + 1))
@@ -255,8 +253,6 @@ def _exact_unit_orbit_sum(exponent_counts: dict[int, int], d: int) -> int:
     Uniformity is verified; a violation means characters were enumerated
     incorrectly.
     """
-    if d == 1:
-        return exponent_counts.get(0, 0)
     by_class: dict[int, set[int]] = {}
     weight: dict[int, int] = {}
     for x, c in exponent_counts.items():

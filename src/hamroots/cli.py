@@ -186,21 +186,21 @@ def cmd_table(args) -> int:
             print(f"!! W counts at 10^{j} do not sum to pi")
             violation = True
     if args.paper_diff and "delta" in computed:
-        _itemize_variant_differences(profiles)
+        _itemize_variant_differences(profiles, args.variant)
     return 4 if violation else 0
 
 
-def _itemize_variant_differences(profiles) -> None:
-    """List primes whose canonical radius differs from the domain0 one (the
-    convention the reference delta columns follow)."""
-    print("# canonical vs domain0 radius differences:")
+def _itemize_variant_differences(profiles, variant: str) -> None:
+    """List primes whose radius under the scanned variant differs from the
+    domain0 one (the convention the reference delta columns follow)."""
+    print(f"# {variant} vs domain0 radius differences:")
     for prof in profiles:
         if prof.delta is None or prof.p == 2:
             continue
         ctx = PrimeContext(prof.p, factorize(prof.p - 1))
         alt, alt_wits = covering_radius(ctx, DOMAIN0)
         if alt != prof.delta:
-            print(f"  p={prof.p}: canonical={prof.delta} (classes "
+            print(f"  p={prof.p}: {variant}={prof.delta} (classes "
                   f"{';'.join(map(str, prof.witnesses))}) domain0={alt} "
                   f"(classes {';'.join(map(str, alt_wits))})")
 
@@ -314,6 +314,9 @@ def cmd_charsum_pv(args) -> int:
                     rep = pv_burgess_bound_report(chi, start, length, args.nu)
                     if worst is None or rep.ratio > worst[0]:
                         worst = (rep.ratio, chi.j, start, length)
+    if worst is None:
+        raise ValueError(f"no non-principal character mod {args.p}: "
+                         f"p - 1 = {m} has no divisor above 1")
     ratio, j, start, length = worst
     print(f"max interval-sum ratio mod {args.p} (nu={args.nu}): {ratio:.6f} "
           f"at chi_{j}, window ({start}, {start + length}]")

@@ -127,8 +127,6 @@ def _max_cube_exhaustive(p: int, allowed_mask: int) -> CubeSearchResult:
     then generators lexicographically) makes the reported witness the least
     one among the maximal cubes.
     """
-    if not allowed_mask:
-        raise ValueError("empty target set admits no cube")
     best_dim = 0
     best = HilbertCube(bitmap_to_set(allowed_mask)[0], ())
 
@@ -152,8 +150,6 @@ def _max_cube_exhaustive(p: int, allowed_mask: int) -> CubeSearchResult:
 
 def _max_cube_heuristic(p: int, allowed_mask: int, seed: int, restarts: int) -> CubeSearchResult:
     """Greedy growth with random restarts; yields a valid lower bound."""
-    if not allowed_mask:
-        raise ValueError("empty target set admits no cube")
     rng = random.Random(seed)
     bases = bitmap_to_set(allowed_mask)
     best_dim = 0
@@ -191,6 +187,8 @@ def _allowed_mask(ctx: PrimeContext, predicate: str, contained: bool) -> int:
 def _max_cube(ctx: PrimeContext, predicate: str, contained: bool, search: str,
               max_exhaustive_p: int, seed: int, restarts: int) -> CubeSearchResult:
     mask = _allowed_mask(ctx, predicate, contained)
+    if not mask:
+        raise ValueError("empty target set admits no cube")
     if search == "exhaustive":
         if ctx.p > max_exhaustive_p:
             raise CapabilityError(f"exhaustive cube search capped at p <= {max_exhaustive_p}")

@@ -4,8 +4,9 @@ RootOfUnitySum holds integer multiplicities per m-th root-of-unity exponent.
 Rationality is decided by reducing the coefficient polynomial modulo the m-th
 cyclotomic polynomial: the powers 1, zeta, ..., zeta^(phi(m)-1) are a Q-basis
 of Q(zeta), so the reduced form is constant exactly when the sum is rational.
-Two structural fast paths (uniform vectors and uniform-on-a-subgroup vectors)
-cover the orthogonality-style sums that appear constantly in tests.
+One structural fast path, for vectors uniform on the subgroup their support
+generates (a uniform vector is the case of the whole group), covers the
+orthogonality-style sums that appear constantly in tests.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from .numtheory import divisors, poly_divmod, poly_exact_div
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, lowest degree first."""
-    if m == 1:
-        return (-1, 1)
     poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in divisors(m):
         if d < m:
@@ -40,19 +39,13 @@ def reduce_mod_cyclotomic(coeffs: list[int], m: int) -> list[int]:
 
 def exact_root_sum_value(counts: list[int], m: int) -> Fraction | None:
     """Value of sum(counts[e] * zeta_m^e) when rational, else None."""
-    if m == 1:
-        return Fraction(counts[0])
     support = [e for e, c in enumerate(counts) if c]
-    if not support:
-        return Fraction(0)
-    # Uniform on the subgroup generated by gcd(support, m): the sum collapses
-    # to count * (sum over a full set of d-th roots) which is 0 unless d = 1.
+    # The support lies in the subgroup of multiples of g = gcd(support, m). If
+    # the counts are uniform there, the sum is a count times the sum of all
+    # (m/g)-th roots of unity: 0, unless g = m and only counts[0] remains.
     g = math.gcd(m, *support)
-    if all(e % g == 0 for e in support):
-        vals = {counts[e] for e in range(0, m, g)}
-        if len(vals) == 1:
-            d = m // g
-            return Fraction(counts[0] if g == m else next(iter(vals)) * (1 if d == 1 else 0))
+    if len({counts[e] for e in range(0, m, g)}) == 1:
+        return Fraction(counts[0] if g == m else 0)
     rem = reduce_mod_cyclotomic(counts, m)
     if any(rem[1:]):
         return None

@@ -58,9 +58,8 @@ def is_prime(n: int) -> bool:
 
 
 def _brent_rho(n: int) -> int:
-    """One nontrivial factor of composite n; deterministic parameter sweep."""
-    if n % 2 == 0:
-        return 2
+    """One nontrivial factor of an odd composite n; deterministic parameter
+    sweep. factorize strips 2 and 3 first, so every n it passes is odd."""
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -123,12 +122,10 @@ def factorize(n: int) -> list[int]:
 
 
 def legendre_symbol(a: int, p: int) -> int:
-    """(a|p) in {-1, 0, +1} by Euler's criterion a^((p-1)/2) mod p."""
+    """(a|p) in {-1, 0, +1} by Euler's criterion a^((p-1)/2) mod p, for any
+    integer a; pow reduces a mod p."""
     if p < 3 or p % 2 == 0:
         raise ValueError(f"Legendre symbol needs an odd prime modulus, got {p}")
-    a %= p
-    if a == 0:
-        return 0
     t = pow(a, (p - 1) // 2, p)
     return -1 if t == p - 1 else t
 
@@ -150,15 +147,13 @@ def multiplicative_order(a: int, p: int, factors_pm1: list[int] | None = None) -
 @lru_cache(maxsize=4096)
 def euler_phi(n: int) -> int:
     phi = n
-    for q in set(factorize(n)) if n > 1 else ():
+    for q in set(factorize(n)):
         phi -= phi // q
     return phi
 
 
 @lru_cache(maxsize=4096)
 def mobius(n: int) -> int:
-    if n == 1:
-        return 1
     fs = factorize(n)
     if len(fs) != len(set(fs)):
         return 0
@@ -168,7 +163,7 @@ def mobius(n: int) -> int:
 @lru_cache(maxsize=4096)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, ascending."""
-    fs = factorize(n) if n > 1 else []
+    fs = factorize(n)
     divs = [1]
     for q in sorted(set(fs)):
         divs = [d * q**i for d in divs for i in range(fs.count(q) + 1)]
@@ -201,7 +196,7 @@ class PrimeContext:
     def for_prime(cls, p: int) -> "PrimeContext":
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        return cls(p, factorize(p - 1) if p > 1 else [])
+        return cls(p, factorize(p - 1))
 
     def __repr__(self):
         return f"PrimeContext(p={self.p})"
@@ -254,25 +249,18 @@ def is_primitive_root(a: int, ctx: PrimeContext) -> bool:
     a %= p
     if a == 0:
         return False
-    if p == 2:
-        return a == 1
     return all(pow(a, e, p) != 1 for e in ctx.pr_test_exponents())
 
 
 def least_primitive_root(ctx: PrimeContext) -> int:
-    """Smallest g >= 1 generating the group mod p."""
+    """Smallest g >= 1 generating the group mod p; 1 only for p = 2."""
     if ctx._least_g is None:
-        if ctx.p == 2:
-            ctx._least_g = 1
-        else:
-            ctx._least_g = next(g for g in range(2, ctx.p) if is_primitive_root(g, ctx))
+        ctx._least_g = next(g for g in range(1, ctx.p) if is_primitive_root(g, ctx))
     return ctx._least_g
 
 
 def _build_pr_bitmap(ctx: PrimeContext) -> int:
     p = ctx.p
-    if p == 2:
-        return 0b10  # the single root {1}
     m = p - 1
     g = least_primitive_root(ctx)
     # g^t is a generator iff gcd(t, m) == 1: sieve the exponents, then walk

@@ -202,14 +202,22 @@ def _csv_encode(row) -> str:
     return ",".join(cells)
 
 
+def _csv_int(cell: str) -> int:
+    """The integer a CSV cell holds, which must be written as str() writes it."""
+    value = int(cell)
+    if str(value) != cell:
+        raise ValueError(f"{cell!r} is not a canonical integer")
+    return value
+
+
 def _csv_decode(line: str) -> tuple[list, str]:
     """The row and stored checksum of one CSV line."""
     cells = line.rstrip("\n").split(",")
     if len(cells) != len(COLUMNS):
         raise ValueError(f"expected {len(COLUMNS)} columns, got {len(cells)}")
     *stats, wits, checksum = cells
-    row = [int(c) if c else None for c in stats]
-    row.append([int(c) for c in wits.split(";")] if wits else [])
+    row = [_csv_int(c) if c else None for c in stats]
+    row.append([_csv_int(c) for c in wits.split(";")] if wits else [])
     return row, checksum
 
 
@@ -240,33 +248,39 @@ def format_scan_output(config: ScanConfig, profiles: list[HammingProfile]) -> st
 
 
 def read_scan_output(path: str) -> tuple[dict, list[HammingProfile]]:
-    """Parse a scan file (either format); rejects unknown schema ids, any row
-    that does not decode to the FIELDS layout, and any row whose checksum does
-    not match its fields, naming the path and line.
+    """Parse a scan file (either format); rejects a header that is not JSON,
+    an unknown schema id, unexpected CSV columns, any row that does not decode
+    to the FIELDS layout, and any row whose checksum does not match its
+    fields, naming the path and line.
 
     The header becomes one dict for both formats, its compute set a list.
     """
     with open(path, encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        if first.startswith("{"):
-            meta = json.loads(first)
-            if meta.get("schema") != SCHEMA_ID:
-                raise ValueError(f"unknown scan schema {meta.get('schema')!r}")
-            decode, first_row = _jsonl_decode, 2
-        else:
-            if not first.startswith(f"# {SCHEMA_ID} "):
-                raise ValueError(f"unknown scan schema header {first!r}")
-            meta = {"schema": SCHEMA_ID}
-            for part in first[2:].split()[1:]:
-                key, _, val = part.partition("=")
-                meta[key] = val.split(",") if key == "compute" else val
-            header = fh.readline().strip()
-            if header != CSV_COLUMNS:
-                raise ValueError(f"unexpected CSV columns {header!r}")
-            decode, first_row = _csv_decode, 3
+        lineno = 1
+        try:
+            first = fh.readline().strip()
+            if first.startswith("{"):
+                meta = json.loads(first)
+                if meta.get("schema") != SCHEMA_ID:
+                    raise ValueError(f"unknown scan schema {meta.get('schema')!r}")
+                decode = _jsonl_decode
+            else:
+                if not first.startswith(f"# {SCHEMA_ID} "):
+                    raise ValueError(f"unknown scan schema header {first!r}")
+                meta = {"schema": SCHEMA_ID}
+                for part in first[2:].split()[1:]:
+                    key, _, val = part.partition("=")
+                    meta[key] = val.split(",") if key == "compute" else val
+                lineno = 2
+                header = fh.readline().strip()
+                if header != CSV_COLUMNS:
+                    raise ValueError(f"unexpected CSV columns {header!r}")
+                decode = _csv_decode
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
         variant = meta.get("variant", CANONICAL.name)
         profiles = []
-        for lineno, line in enumerate(fh, first_row):
+        for lineno, line in enumerate(fh, lineno + 1):
             try:
                 row, checksum = decode(line)
                 _check_row(row)

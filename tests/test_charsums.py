@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hamroots.characters import build_characters
-from hamroots.charsums import (_characters_of_order,
+from hamroots.charsums import (_characters_of_order, _exact_unit_orbit_sum,
                                count_primroots_via_characters,
                                distinct_root_count, hoelder_bound_report,
                                interval_char_sum, is_power_of_rational,
@@ -153,6 +153,20 @@ def test_legendre_partial_sums():
     for p in (31, 101):
         full = legendre_partial_sum_report(ctx_for(p), p)
         assert full.ratio < 1
+
+
+def test_legendre_partial_sum_needs_an_odd_prime():
+    with pytest.raises(ValueError):
+        legendre_partial_sum_report(ctx_for(2), 1)
+
+
+def test_order_one_sums_at_p2():
+    # p - 1 = 1: the only character is principal, of order d = 1.
+    assert _exact_unit_orbit_sum({0: 3}, 1) == 3
+    assert _exact_unit_orbit_sum({}, 1) == 0
+    c2 = ctx_for(2)
+    assert primroot_indicator(c2, 1, method="orbit") == 1
+    assert primroot_indicator(c2, 1, method="cyclotomic") == 1
 
 
 def test_indicator_examples():

@@ -259,3 +259,17 @@ def test_scan_stray_journal_record_is_refused_by_line(tmp_path, capsys):
     code, out, err = run_err(capsys, *argv)
     assert code == 1 and out == ""
     assert f"{journal}: line {n_lines + 1}: not a meta or block record" in err
+
+
+def test_charsum_pv_at_p2_is_an_error(capsys):
+    code, out, err = run_err(capsys, "charsum", "pv", "--p", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: no non-principal character mod 2")
+
+
+@pytest.mark.parametrize("variant", ["canonical", "reduced"])
+def test_table_paper_diff_names_the_scanned_variant(capsys, variant):
+    code, out = run(capsys, "table", "--limit", "1000", "--variant", variant, "--paper-diff")
+    assert code == 0
+    items = out.split(f"# {variant} vs domain0 radius differences:\n")[1].splitlines()
+    assert items and all(f": {variant}=" in line for line in items)

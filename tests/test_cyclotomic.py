@@ -43,6 +43,13 @@ def test_rational_detection():
     assert exact_root_sum_value([0] * 8, 8) == 0
 
 
+def test_root_sum_edge_values():
+    # m = 1: the only root of unity is 1, so the sum is the single count.
+    assert [exact_root_sum_value([c], 1) for c in (-2, 0, 5)] == [-2, 0, 5]
+    for m in (1, 2, 3, 6, 12):
+        assert exact_root_sum_value([0] * m, m) == 0
+
+
 def test_reduce_matches_float():
     import math
     for m in (5, 8, 12, 16):

@@ -24,26 +24,30 @@ def _unused_imports(source: str) -> list[str]:
 
 
 def _dead_definitions(modules: dict[str, str], references: list[str]) -> list[str]:
-    """Functions, methods and classes of `modules` (name -> source) whose name
-    no `Name` or attribute in `modules` or `references` uses. Imports are not
-    uses, so a re-export keeps nothing alive. Dunder methods are exempt, and so
-    are the methods of a class extending one from outside `modules`: that
-    outside code calls them (argparse calls `cli._Parser.error`)."""
+    """Functions, methods and classes of `modules` (name -> source) that
+    nothing in `modules` or `references` uses. A function or class is used
+    through a `Name` or an attribute; a method or property only through an
+    attribute, since a bare name never reaches it. Imports are not uses, so a
+    re-export keeps nothing alive. Dunder methods are exempt, and so are the
+    methods of a class extending one from outside `modules`: that outside code
+    calls them (argparse calls `cli._Parser.error`)."""
     defined = [(name, node) for name, source in modules.items()
                for node in ast.walk(ast.parse(source))]
-    referenced = [node for source in references for node in ast.walk(ast.parse(source))]
-    used = {node.id if isinstance(node, ast.Name) else node.attr
-            for node in [node for _, node in defined] + referenced
-            if isinstance(node, (ast.Name, ast.Attribute))}
+    nodes = [node for _, node in defined]
+    nodes += [node for source in references for node in ast.walk(ast.parse(source))]
+    attrs = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    names = attrs | {node.id for node in nodes if isinstance(node, ast.Name)}
     classes = [node for _, node in defined if isinstance(node, ast.ClassDef)]
     class_names = {node.name for node in classes}
+    methods = {id(member) for node in classes for member in node.body}
     called_from_outside = {id(member) for node in classes
                            if any(not isinstance(base, ast.Name) or base.id not in class_names
                                   for base in node.bases)
                            for member in node.body}
     dead = sorted((name, node.lineno, node.name) for name, node in defined
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                  and node.name not in used and id(node) not in called_from_outside
+                  and node.name not in (attrs if id(node) in methods else names)
+                  and id(node) not in called_from_outside
                   and not (node.name.startswith("__") and node.name.endswith("__")))
     return [f"{name}:{line}: {what}" for name, line, what in dead]
 
@@ -115,10 +119,14 @@ def test_dead_definitions_detector():
               "class Parser(argparse.ArgumentParser):\n"
               "    def error(self, message): pass\n"
               "def dead(): pass\n"
-              "def alive(): pass\n")
-    references = ["from m import dead, Sub\nBase().used(alive)\nParser\n"]
+              "def alive(): pass\n"
+              "class Holder:\n"
+              "    @property\n"
+              "    def g(self): pass\n")
+    references = ["from m import dead, Sub\nBase().used(alive)\nParser\nHolder\ng = 1\n"]
     assert _dead_definitions({"m.py": module}, references) == [
-        "m.py:4: unused", "m.py:6: Sub", "m.py:7: also_unused", "m.py:10: dead"]
+        "m.py:4: unused", "m.py:6: Sub", "m.py:7: also_unused", "m.py:10: dead",
+        "m.py:14: g"]
 
 
 def test_no_dead_definitions_in_src():

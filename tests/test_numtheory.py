@@ -94,6 +94,16 @@ def test_legendre_against_square_tables():
             assert legendre_symbol(a, p) == expected
 
 
+def test_legendre_reduces_any_integer():
+    for p in (3, 7, 17):
+        for a in range(p):
+            for k in (-3, -1, 1, 4):
+                assert legendre_symbol(a + k * p, p) == legendre_symbol(a, p)
+    assert [legendre_symbol(-1, p) for p in (3, 5, 7, 13)] == [-1, 1, -1, 1]
+    assert [legendre_symbol(a, 7) for a in (-14, -7, 7, 21, 10**30 * 7)] == [0] * 5
+    assert legendre_symbol(10**30, 7) == legendre_symbol(10**30 % 7, 7)
+
+
 def test_legendre_rejects_bad_modulus():
     with pytest.raises(ValueError):
         legendre_symbol(3, 4)
@@ -150,6 +160,16 @@ def test_primitive_root_count_and_least_root_sweep():
         bm = ctx.pr_bitmap()
         assert bm.bit_count() == euler_phi(p - 1)
         assert least_primitive_root(ctx) == (bm & -bm).bit_length() - 1
+
+
+def test_p2_takes_the_general_path():
+    # p - 1 = 1 has no prime factor: every unit passes the root test, the
+    # least-root search starts at 1, and the coprime walk sets bit 1 only.
+    ctx = PrimeContext.for_prime(2)
+    assert ctx.factors_pm1 == ()
+    assert least_primitive_root(ctx) == 1
+    assert ctx.pr_bitmap() == 0b10
+    assert [is_primitive_root(a, ctx) for a in (0, 1, 3)] == [False, True, True]
 
 
 def test_least_primitive_root_examples():

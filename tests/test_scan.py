@@ -189,8 +189,14 @@ def _json_edit(**changes):
     ("csv", lambda line: line + ",0"),
     ("csv", lambda line: "x" + line),
     ("csv", lambda line: line.replace("11,3,", "11,,", 1)),
+    # int() reads these back as the row they replace, so the checksum matches.
+    ("csv", lambda line: line.replace("11,", "+1_1,", 1)),
+    ("csv", lambda line: line.replace("11,3,", "11, 3,", 1)),
+    ("csv", lambda line: "0" + line),
+    ("csv", lambda line: line.replace(",0;1,", ",0;01,", 1)),
 ], ids=["missing-key", "extra-key", "string-p-and-delta", "string-witness", "null-r",
-        "six-cells", "eight-cells", "non-integer-p", "empty-r"])
+        "six-cells", "eight-cells", "non-integer-p", "empty-r",
+        "underscore-sign-p", "space-r", "zero-padded-p", "zero-padded-witness"])
 def test_malformed_row_rejected_with_path_and_line(tmp_path, fmt, edit):
     path, lineno = _write_with_row_of_11_replaced(tmp_path, fmt, edit)
     with pytest.raises(ValueError, match=f"^{re.escape(path)}: line {lineno}: "):
@@ -248,6 +254,19 @@ def test_unknown_schema_rejected(tmp_path):
     jpath.write_text(json.dumps({"schema": "other"}) + "\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_scan_output(str(jpath))
+
+
+@pytest.mark.parametrize("text,lineno,message", [
+    ('{"schema":"hamroots.scan.v1" "variant":"canonical"}\n', 1, "Expecting ',' delimiter"),
+    ('{"schema":"other"}\n', 1, "unknown scan schema 'other'"),
+    ("# hamroots.scan.v9 variant=canonical\n", 1, "unknown scan schema header"),
+    ("# hamroots.scan.v1 variant=canonical compute=w\np,r\n", 2, "unexpected CSV columns"),
+], ids=["invalid-json", "unknown-schema", "unknown-csv-schema", "csv-columns"])
+def test_bad_header_rejected_with_path_and_line(tmp_path, text, lineno, message):
+    path = tmp_path / "bad.scan"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {lineno}: {message}"):
+        read_scan_output(str(path))
 
 
 def test_count_table_identities():
