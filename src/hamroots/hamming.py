@@ -276,9 +276,13 @@ def ascending_weight_values(weight: int, below: int):
 
 def _sparsest(ctx: PrimeContext, accept, what: str) -> tuple[int, int]:
     """(weight, witness): the first v in [1, p-1] that `accept`s, enumerating
-    weight classes in increasing weight and values ascending within a class."""
+    weight classes in increasing weight and values ascending within a class.
+    `accept(v)` holds iff v lies outside every subgroup of a fixed family (the
+    squares, or the q-th powers for each prime q | p-1): 2^a lies in <2>, so
+    accept(2^a) implies accept(2), and class 1 is decided by 1 and 2 alone."""
     for w in range(1, ctx.bit_len + 1):
-        for v in ascending_weight_values(w, ctx.p):
+        # Class 1 is the powers of two: only 1 (for p = 2) and 2 can be first.
+        for v in ascending_weight_values(w, min(ctx.p, 3) if w == 1 else ctx.p):
             if accept(v):
                 return w, v
     raise RuntimeError(f"no {what} found mod {ctx.p}")

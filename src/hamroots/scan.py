@@ -98,13 +98,13 @@ def _scan_block(args) -> tuple[int, list[list]]:
         ctx = PrimeContext(p, factorize(p - 1))
         prof = hamming_profile(ctx, variant, compute_set)
         if prof.w is not None and prof.W is not None and prof.w > prof.W:
-            raise InvariantViolation(f"w > W at p={p}")
+            raise InvariantViolation(f"p={p} variant={variant_name}: w={prof.w} > W={prof.W}")
         # W <= delta is a theorem only when 0 is in the scan domain (its
         # distance to the targets is then exactly W); under the [1, p] domain
         # it genuinely fails for some primes, e.g. p = 23 has W=2, delta=1.
         if (variant.n_domain_zero and prof.W is not None
                 and prof.delta is not None and prof.W > prof.delta):
-            raise InvariantViolation(f"W > delta at p={p}")
+            raise InvariantViolation(f"p={p} variant={variant_name}: W={prof.W} > delta={prof.delta}")
         rows.append(_profile_to_row(prof))
     return block_id, rows
 

@@ -47,6 +47,14 @@ def scan_10k_domain0():
     return scan_range(ScanConfig(lo=2, hi=10**4, tasks=4, variant=DOMAIN0.name))
 
 
+@pytest.fixture(scope="module")
+def scan_1e6_ww():
+    """The w,W scan to 10^6 and its wall time in seconds."""
+    start = time.time()
+    profiles = scan_range(ScanConfig(lo=2, hi=10**6, tasks=4, compute=("w", "W")))
+    return profiles, time.time() - start
+
+
 def _report(n, ok, detail):
     print(f"ACCEPTANCE {n}: {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
@@ -140,11 +148,11 @@ def test_criterion_3_radius3_membership(scan_10k, scan_10k_domain0):
     assert ok
 
 
-def test_criterion_4_million_frequencies():
+def test_criterion_4_million_frequencies(scan_1e6_ww):
+    profiles, elapsed = scan_1e6_ww
     start = time.time()
-    profiles = scan_range(ScanConfig(lo=2, hi=10**6, tasks=4, compute=("w", "W")))
     freq = scan_frequencies(profiles, 10**6)
-    elapsed = time.time() - start
+    elapsed += time.time() - start
     exact = (freq["w1"], freq["W1"], freq["pi"]) == (39276, 29342, 78498)
     frac_ok = (abs(freq["w1_fraction"] - 0.500344) < 1e-6
                and abs(freq["W1_fraction"] - 0.373792) < 1e-6)
@@ -152,6 +160,17 @@ def test_criterion_4_million_frequencies():
                  f"w1={freq['w1']} W1={freq['W1']} pi={freq['pi']}, fractions "
                  f"{freq['w1_fraction']:.6f}/{freq['W1_fraction']:.6f}, {elapsed:.0f}s")
     assert ok
+
+
+def test_w_W_columns_at_1e5_and_1e6(scan_1e6_ww):
+    """The full w and W columns at 10^5 and 10^6 match the reference, the 3
+    and 11 primes with W = 3 included; no prime below 10^6 reaches weight 4."""
+    table = CountTable.from_profiles(scan_1e6_ww[0], [10**5, 10**6])
+    for j in (5, 6):
+        row, ref = table.rows[10**j], COUNT_TABLE[j]
+        assert row["pi"] == ref["pi"]
+        for stat in ("w", "W"):
+            assert row[stat] == [*ref[stat], 0], (j, stat)
 
 
 def test_criterion_5_constants():

@@ -1,4 +1,5 @@
 import math
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -225,6 +226,44 @@ def test_weight_one_root_is_power_of_two():
         w, witness = min_primroot_weight(ctx)
         if w == 1:
             assert witness.bit_count() == 1
+
+
+def _prime_factors(n):
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + ([n] if n > 1 else [])
+
+
+def _brute_sparsest(p, pred):
+    return min((v for v in range(1, p) if pred(v)), key=lambda v: (v.bit_count(), v))
+
+
+def test_sparsest_search_matches_brute_force_below_20000():
+    """Both weight searches return the exhaustive minimum over [1, p-1] by
+    (weight, value). The accepted sets come from one walk over the powers of a
+    generator g: non-residues are its odd powers, primitive roots the powers
+    g^k with gcd(k, p-1) = 1."""
+    for p in sieve_primes(20000):
+        qs = _prime_factors(p - 1)
+        g = next(v for v in range(1, p) if all(pow(v, (p - 1) // q, p) != 1 for q in qs))
+        powers = [1]
+        for _ in range(p - 2):
+            powers.append(powers[-1] * g % p)
+        coprime = bytearray([1]) * (p - 1)
+        for q in qs:
+            coprime[::q] = bytes(len(coprime[::q]))
+        roots = set(compress(powers, coprime))
+        ctx = ctx_for(p)
+        witness = _brute_sparsest(p, roots.__contains__)
+        assert min_primroot_weight(ctx) == (witness.bit_count(), witness), p
+        if p > 2:
+            witness = _brute_sparsest(p, set(powers[1::2]).__contains__)
+            assert min_nonresidue_weight(ctx) == (witness.bit_count(), witness), p
 
 
 def test_profile_bundle():

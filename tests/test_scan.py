@@ -4,6 +4,10 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from hamroots import scan
+from hamroots.cli import main
+from hamroots.errors import InvariantViolation
+from hamroots.hamming import HammingProfile
 from hamroots.scan import (CSV_COLUMNS, FIELDS, CountTable, ScanConfig,
                            _csv_decode, _csv_encode, _jsonl_decode,
                            _jsonl_encode, _row_checksum, format_scan_output,
@@ -308,3 +312,18 @@ def test_fingerprint_sensitivity():
     assert base.fingerprint() != ScanConfig(lo=3, hi=101).fingerprint()
     assert base.fingerprint() != ScanConfig(lo=3, hi=100, variant="domain0").fingerprint()
     assert base.fingerprint() != ScanConfig(lo=3, hi=100, compute=("w",)).fingerprint()
+
+
+@pytest.mark.parametrize("variant,stats,message", [
+    ("canonical", {"w": 3, "W": 2}, "p=23 variant=canonical: w=3 > W=2"),
+    ("domain0", {"w": 1, "W": 2, "delta": 1}, "p=23 variant=domain0: W=2 > delta=1"),
+], ids=["w-above-W", "W-above-delta"])
+def test_invariant_violation_names_prime_variant_and_values(monkeypatch, capsys,
+                                                            variant, stats, message):
+    monkeypatch.setattr(scan, "hamming_profile", lambda ctx, var, compute: HammingProfile(
+        p=ctx.p, r=ctx.r, variant=var.name, **stats))
+    with pytest.raises(InvariantViolation) as exc:
+        scan_range(ScanConfig(lo=23, hi=23, variant=variant))
+    assert str(exc.value) == message
+    assert main(["scan", "--range", "23", "23", "--variant", variant]) == 4
+    assert capsys.readouterr().err == f"invariant violation: {message}\n"
