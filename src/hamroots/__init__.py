@@ -23,7 +23,6 @@ from .hamming import (BitExpansion, CANONICAL, DOMAIN0, REDUCED, RadiusVariant,
 from .numtheory import (PrimeContext, factorize, is_prime, is_primitive_root,
                         least_primitive_root, legendre_symbol, multiplicative_order,
                         sieve_primes)
-from .scan import CountTable, ScanConfig, format_scan_output, read_scan_output, \
-    scan_frequencies, scan_range
+from .scan import CountTable, ScanConfig, format_scan_output, read_scan_output, scan_range
 
 __version__ = "0.1.0"

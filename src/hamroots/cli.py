@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import constants as consts
@@ -17,13 +18,12 @@ from .characters import Character, build_characters
 from .charsums import (hoelder_bound_report, legendre_character,
                        poly_char_sum, primroot_indicator, pv_burgess_bound_report,
                        split_char_sum)
-from .cubes import (DEFAULT_SEED, EXHAUSTIVE_P_CAP, NONRESIDUE, PRIMROOT,
-                    cube_census, max_avoiding_dimension)
+from .cubes import (DEFAULT_SEED, NONRESIDUE, PRIMROOT, cube_census,
+                    max_avoiding_dimension)
 from .errors import CapabilityError, InvariantViolation
 from .hamming import DOMAIN0, VARIANTS, covering_radius
 from .numtheory import PrimeContext, divisors, factorize, is_primitive_root, sieve_primes
-from .scan import CountTable, ScanConfig, format_scan_output, read_scan_output, \
-    scan_frequencies, scan_range
+from .scan import CountTable, ScanConfig, format_scan_output, read_scan_output, scan_range
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     cubes = subs.add_parser("cubes", help="cube avoidance/containment census")
     cubes.add_argument("--range", nargs=2, type=int, metavar=("LO", "HI"), required=True)
     cubes.add_argument("--mode", choices=("exhaustive", "heuristic"), default="exhaustive")
-    cubes.add_argument("--max-exhaustive-p", type=int, default=EXHAUSTIVE_P_CAP)
     cubes.add_argument("--seed", type=int, default=DEFAULT_SEED)
     cubes.set_defaults(func=cmd_cubes)
 
@@ -123,12 +122,22 @@ def cmd_scan(args) -> int:
     config = ScanConfig(lo=args.range[0], hi=args.range[1], tasks=args.tasks,
                         variant=args.variant, compute=_compute_tuple(args.compute),
                         fmt=args.format, checkpoint=args.checkpoint)
-    text = format_scan_output(config, scan_range(config))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if not args.output:
+        sys.stdout.write(format_scan_output(config, scan_range(config)))
+        return 0
+    # Opened before the scan, so a bad path fails at once; replaced into
+    # place only after a whole scan, so a failure leaves any old output.
+    tmp = f"{args.output}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(format_scan_output(config, scan_range(config)))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, args.output)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return 0
 
 
@@ -141,13 +150,13 @@ def cmd_table(args) -> int:
             raise ValueError("--tasks and --checkpoint do not apply to a finished "
                              "scan read with --scan-file")
         meta, profiles = read_scan_output(args.scan_file)
-        if meta.get("variant") != args.variant:
-            raise ValueError(f"scan file variant {meta.get('variant')!r} "
+        if meta["variant"] != args.variant:
+            raise ValueError(f"scan file variant {meta['variant']!r} "
                              f"does not match --variant {args.variant}")
         profiles = [pr for pr in profiles if pr.p <= args.limit]
         if [pr.p for pr in profiles] != sieve_primes(args.limit):
             raise ValueError(f"scan file does not cover the primes up to {args.limit}")
-        missing = set(_compute_tuple(args.compute)) - set(meta.get("compute", ()))
+        missing = set(_compute_tuple(args.compute)) - set(meta["compute"])
         if missing:
             raise ValueError(f"scan file lacks {','.join(sorted(missing))} "
                              f"requested by --compute {args.compute}")
@@ -178,13 +187,11 @@ def cmd_table(args) -> int:
                 diff += f" {d:>7}"
         print(line)
         print(diff + "   (reference minus computed)")
-        for stat in ("w", "delta"):
+        for stat in ("w", "delta", "W"):
             if stat in computed and not table.sum_identity_ok(10**j, stat):
-                print(f"!! {stat} counts at 10^{j} do not sum to pi-1")
+                print(f"!! {stat} counts at 10^{j} do not sum to "
+                      f"{'pi' if stat == 'W' else 'pi-1'}")
                 violation = True
-        if "W" in computed and not table.sum_identity_ok(10**j, "W"):
-            print(f"!! W counts at 10^{j} do not sum to pi")
-            violation = True
     if args.paper_diff and "delta" in computed:
         _itemize_variant_differences(profiles, args.variant)
     return 4 if violation else 0
@@ -245,12 +252,12 @@ def cmd_delta3(args) -> int:
 def cmd_frequencies(args) -> int:
     config = ScanConfig(lo=2, hi=args.limit, tasks=args.tasks,
                         compute=("w", "W"), checkpoint=args.checkpoint)
-    freq = scan_frequencies(scan_range(config), args.limit)
+    row = CountTable.from_profiles(scan_range(config), [args.limit]).rows[args.limit]
+    pi, w1, big_w1 = row["pi"], row["w"][0], row["W"][0]
     artin = consts.artin_constant(min(args.limit, 1_000_000))
-    print(f"pi({args.limit}) = {freq['pi']}")
-    print(f"w=1: {freq['w1']}/{freq['pi']} = {freq['w1_fraction']:.6f}   (limit 1/2)")
-    print(f"W=1: {freq['W1']}/{freq['pi']} = {freq['W1_fraction']:.6f}   "
-          f"(Artin constant {artin:.7f})")
+    print(f"pi({args.limit}) = {pi}")
+    print(f"w=1: {w1}/{pi} = {w1 / pi:.6f}   (limit 1/2)")
+    print(f"W=1: {big_w1}/{pi} = {big_w1 / pi:.6f}   (Artin constant {artin:.7f})")
     if args.paper_diff and args.limit == 10**6:
         ref = reference.FREQ_10_6
         print(f"reference: w=1 {ref['w1']}/{ref['pi']} ~ {reference.FREQ_W1_DIGITS}, "
@@ -272,7 +279,7 @@ def cmd_cubes(args) -> int:
             print(f"{p},{f.dim},{big_f.dim},,,{f.witness},{big_f.witness},,,lower-bound,")
             continue
         try:
-            census = cube_census(ctx, max_exhaustive_p=args.max_exhaustive_p)
+            census = cube_census(ctx)
         except CapabilityError as exc:
             print(f"{p},,,,,,,,,capability:{exc},")
             rc = 3

@@ -16,16 +16,15 @@ def entropy(gamma: float) -> float:
     return (-gamma * math.log(gamma) - (1 - gamma) * math.log(1 - gamma)) / math.log(2)
 
 
-def entropy_half_point(tolerance: float = 1e-13) -> float:
+@lru_cache(maxsize=1)
+def entropy_half_point() -> float:
     """The unique root of H(x) = 1/2 on (0, 1/2), by bisection.
 
     H is strictly increasing on (0, 1/2], so the bracket [1e-12, 1/2] pins
-    the root down to the requested interval width. Known digits: 0.11002786...
+    the root down to an interval of width 1e-13. Known digits: 0.11002786...
     """
-    if tolerance < 1e-14:
-        raise ValueError("tolerance below 1e-14 exceeds double precision here")
     lo, hi = 1e-12, 0.5
-    while hi - lo > tolerance:
+    while hi - lo > 1e-13:
         mid = (lo + hi) / 2
         if entropy(mid) < 0.5:
             lo = mid
@@ -52,11 +51,6 @@ def artin_constant(prime_limit: int = 1_000_000) -> float:
     return math.exp(math.fsum(logs))
 
 
-@lru_cache(maxsize=1)
-def _rho0() -> float:
-    return entropy_half_point(1e-13)
-
-
 @dataclass(frozen=True)
 class BoundProfile:
     """The five bound-curve values at one bit length.
@@ -80,7 +74,7 @@ def bound_profile(p: int) -> BoundProfile:
     digits = p.bit_length()
     return BoundProfile(
         digits=digits,
-        entropy_bound=_rho0() * digits,
+        entropy_bound=entropy_half_point() * digits,
         burgess_bound=0.25 * digits,
         cube_bound=0.2 * digits,
         eighth_sqrt_e_bound=digits / (8 * math.sqrt(math.e)),

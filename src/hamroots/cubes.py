@@ -16,7 +16,8 @@ from .errors import CapabilityError
 from .numtheory import PrimeContext, bitmap_to_set, legendre_symbol
 
 ELEMENT_ENUM_CAP = 30         # 2^d subset sums; keep enumeration honest
-EXHAUSTIVE_P_CAP = 60         # default ceiling for exact searches
+EXHAUSTIVE_P_CAP = 60         # ceiling for exact searches
+HEURISTIC_RESTARTS = 40       # greedy restarts per heuristic search
 NONRESIDUE = "non-residue"
 PRIMROOT = "primitive-root"
 DEFAULT_SEED = 0x5EED
@@ -125,8 +126,10 @@ def _max_cube_exhaustive(p: int, allowed_mask: int) -> CubeSearchResult:
     Generators are canonicalised ascending; branches die as soon as a partial
     element set leaves the allowed mask. Iteration order (base ascending,
     then generators lexicographically) makes the reported witness the least
-    one among the maximal cubes.
+    one among the maximal cubes. Capped at p <= EXHAUSTIVE_P_CAP.
     """
+    if p > EXHAUSTIVE_P_CAP:
+        raise CapabilityError(f"exhaustive cube search capped at p <= {EXHAUSTIVE_P_CAP}")
     best_dim = 0
     best = HilbertCube(bitmap_to_set(allowed_mask)[0], ())
 
@@ -148,13 +151,13 @@ def _max_cube_exhaustive(p: int, allowed_mask: int) -> CubeSearchResult:
     return CubeSearchResult(best_dim, best, exact=True)
 
 
-def _max_cube_heuristic(p: int, allowed_mask: int, seed: int, restarts: int) -> CubeSearchResult:
+def _max_cube_heuristic(p: int, allowed_mask: int, seed: int) -> CubeSearchResult:
     """Greedy growth with random restarts; yields a valid lower bound."""
     rng = random.Random(seed)
     bases = bitmap_to_set(allowed_mask)
     best_dim = 0
     best = HilbertCube(bases[0], ())
-    for _ in range(restarts):
+    for _ in range(HEURISTIC_RESTARTS):
         base = rng.choice(bases)
         elems = 1 << base
         gens: list[int] = []
@@ -181,47 +184,38 @@ def _max_cube_heuristic(p: int, allowed_mask: int, seed: int, restarts: int) -> 
 def _allowed_mask(ctx: PrimeContext, predicate: str, contained: bool) -> int:
     target = _target_set(ctx, predicate)
     allowed = target if contained else set(range(ctx.p)) - target
+    if not allowed:
+        raise ValueError("empty target set admits no cube")
     return sum(1 << a for a in allowed)
 
 
-def _max_cube(ctx: PrimeContext, predicate: str, contained: bool, search: str,
-              max_exhaustive_p: int, seed: int, restarts: int) -> CubeSearchResult:
-    mask = _allowed_mask(ctx, predicate, contained)
-    if not mask:
-        raise ValueError("empty target set admits no cube")
+def max_avoiding_dimension(ctx: PrimeContext, predicate: str, search: str = "exhaustive",
+                           seed: int = DEFAULT_SEED) -> CubeSearchResult:
+    """Largest cube dimension avoiding the predicate set (f for non-residues,
+    F for primitive roots)."""
+    mask = _allowed_mask(ctx, predicate, False)
     if search == "exhaustive":
-        if ctx.p > max_exhaustive_p:
-            raise CapabilityError(f"exhaustive cube search capped at p <= {max_exhaustive_p}")
         return _max_cube_exhaustive(ctx.p, mask)
     if search == "heuristic":
-        return _max_cube_heuristic(ctx.p, mask, seed, restarts)
+        return _max_cube_heuristic(ctx.p, mask, seed)
     raise ValueError(f"unknown search mode {search!r}")
 
 
-def max_avoiding_dimension(ctx: PrimeContext, predicate: str, search: str = "exhaustive",
-                           max_exhaustive_p: int = EXHAUSTIVE_P_CAP,
-                           seed: int = DEFAULT_SEED, restarts: int = 40) -> CubeSearchResult:
-    """Largest cube dimension avoiding the predicate set (f for non-residues,
-    F for primitive roots)."""
-    return _max_cube(ctx, predicate, False, search, max_exhaustive_p, seed, restarts)
-
-
-def max_contained_dimension(ctx: PrimeContext, predicate: str,
-                            max_exhaustive_p: int = EXHAUSTIVE_P_CAP) -> CubeSearchResult:
+def max_contained_dimension(ctx: PrimeContext, predicate: str) -> CubeSearchResult:
     """Largest cube dimension entirely inside the predicate set (f-bar/F-bar),
     by exhaustive search."""
-    return _max_cube(ctx, predicate, True, "exhaustive", max_exhaustive_p, DEFAULT_SEED, 0)
+    return _max_cube_exhaustive(ctx.p, _allowed_mask(ctx, predicate, True))
 
 
-def cube_census(ctx: PrimeContext, max_exhaustive_p: int = EXHAUSTIVE_P_CAP) -> CubeCensus:
+def cube_census(ctx: PrimeContext) -> CubeCensus:
     if ctx.p == 2:
         raise CapabilityError("cube census needs an odd prime")
     return CubeCensus(
         p=ctx.p,
-        avoid_nonresidue=max_avoiding_dimension(ctx, NONRESIDUE, max_exhaustive_p=max_exhaustive_p),
-        avoid_primroot=max_avoiding_dimension(ctx, PRIMROOT, max_exhaustive_p=max_exhaustive_p),
-        inside_nonresidue=max_contained_dimension(ctx, NONRESIDUE, max_exhaustive_p=max_exhaustive_p),
-        inside_primroot=max_contained_dimension(ctx, PRIMROOT, max_exhaustive_p=max_exhaustive_p),
+        avoid_nonresidue=max_avoiding_dimension(ctx, NONRESIDUE),
+        avoid_primroot=max_avoiding_dimension(ctx, PRIMROOT),
+        inside_nonresidue=max_contained_dimension(ctx, NONRESIDUE),
+        inside_primroot=max_contained_dimension(ctx, PRIMROOT),
     )
 
 

@@ -130,15 +130,13 @@ def legendre_symbol(a: int, p: int) -> int:
     return -1 if t == p - 1 else t
 
 
-def multiplicative_order(a: int, p: int, factors_pm1: list[int] | None = None) -> int:
+def multiplicative_order(a: int, p: int) -> int:
     """Least t >= 1 with a^t = 1 mod p, via dividing prime factors out of p-1."""
     a %= p
     if a == 0:
         raise ValueError("order of 0 is undefined")
-    if factors_pm1 is None:
-        factors_pm1 = factorize(p - 1)
     t = p - 1
-    for q in set(factors_pm1):
+    for q in set(factorize(p - 1)):
         while t % q == 0 and pow(a, t // q, p) == 1:
             t //= q
     return t

@@ -4,8 +4,9 @@ Primes are sharded into fixed-size blocks; workers compute per-prime
 statistics independently and the parent reassembles blocks in order, so the
 final bytes do not depend on the task count. Completed blocks can be
 journaled to a checkpoint file (one JSON line per block, fsynced); resume
-skips them and cuts off a last line torn by a crash. A fingerprint of the
-scan parameters guards against resuming with a different configuration.
+skips them and cuts off a last line torn by a crash. The journal starts with
+a fingerprint of the scan parameters, and resume refuses a journal without
+it, with a different one, or with a block that is not one of this scan's.
 """
 
 from __future__ import annotations
@@ -43,16 +44,11 @@ class ScanConfig:
     compute: tuple[str, ...] = ("w", "W", "delta")
     fmt: str = "csv"
     checkpoint: str | None = None
-    block_size: int = BLOCK_SIZE
 
     def __post_init__(self):
         if self.lo < 2 or self.hi < self.lo:
             raise ValueError(f"bad scan range [{self.lo}, {self.hi}]")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        unknown = set(self.compute) - {"w", "W", "delta"}
-        if unknown or not self.compute:
-            raise ValueError(f"compute set must be a nonempty subset of w,W,delta, got {self.compute}")
+        _check_variant_and_compute(self.variant, self.compute)
         if self.fmt not in ("csv", "jsonl"):
             raise ValueError(f"unknown output format {self.fmt!r}")
         if self.tasks < 1:
@@ -62,9 +58,19 @@ class ScanConfig:
         payload = json.dumps({
             "schema": SCHEMA_ID, "lo": self.lo, "hi": self.hi,
             "variant": self.variant, "compute": sorted(self.compute),
-            "block_size": self.block_size,
+            "block_size": BLOCK_SIZE,  # kept so that existing journals still resume
         }, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _check_variant_and_compute(variant, compute) -> None:
+    """Raise ValueError unless variant names one of VARIANTS and compute is a
+    nonempty list or tuple of names from w, W, delta."""
+    if type(variant) is not str or variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if (type(compute) not in (list, tuple) or not compute
+            or any(name not in ("w", "W", "delta") for name in compute)):
+        raise ValueError(f"compute set must be a nonempty subset of w,W,delta, got {compute}")
 
 
 _profile_to_row = attrgetter(*FIELDS)  # the row of a profile, as a tuple
@@ -110,9 +116,10 @@ def _scan_block(args) -> tuple[int, list[list]]:
 
 
 class _Checkpoint:
-    """Append-only JSONL journal of finished blocks."""
+    """Append-only JSONL journal of finished blocks: the meta record (the
+    scan's fingerprint) first, then one record per block of `blocks`."""
 
-    def __init__(self, path: str, fingerprint: str):
+    def __init__(self, path: str, fingerprint: str, blocks: list[list[int]]):
         self.done: dict[int, list] = {}
         if os.path.exists(path):
             end = 0  # bytes of complete lines
@@ -121,25 +128,32 @@ class _Checkpoint:
                     if not line.endswith(b"\n"):
                         break  # torn by a crash mid-write; dropped below
                     try:
-                        self._load(json.loads(line), fingerprint)
+                        self._load(json.loads(line), lineno == 1, fingerprint, blocks)
                     except ValueError as exc:
                         raise ValueError(f"{path}: line {lineno}: {exc}") from None
                     end += len(line)
             os.truncate(path, end)
         self._fh = open(path, "a", encoding="utf-8", newline="\n")
-        if not self.done and os.path.getsize(path) == 0:
+        if os.path.getsize(path) == 0:
             self.write({"meta": fingerprint})
 
-    def _load(self, rec, fingerprint: str) -> None:
+    def _load(self, rec, first: bool, fingerprint: str, blocks: list[list[int]]) -> None:
         keys = rec.keys() if type(rec) is dict else None
         if keys == {"meta"}:
             if rec["meta"] != fingerprint:
                 raise ValueError("checkpoint was written by a different scan configuration")
+        elif first:
+            raise ValueError("the first record is not the meta record")
         elif (keys == {"block", "rows"} and type(rec["block"]) is int
               and type(rec["rows"]) is list):
-            for row in rec["rows"]:
+            block, rows = rec["block"], rec["rows"]
+            if not 0 <= block < len(blocks):
+                raise ValueError(f"block {block} is outside the {len(blocks)} blocks of this scan")
+            for row in rows:
                 _check_row(row)
-            self.done[rec["block"]] = rec["rows"]
+            if [row[0] for row in rows] != blocks[block]:
+                raise ValueError(f"block {block} does not list that block's primes")
+            self.done[block] = rows
         else:
             raise ValueError("not a meta or block record")
 
@@ -162,9 +176,8 @@ def scan_range(config: ScanConfig) -> list[HammingProfile]:
     """All per-prime profiles for primes in [lo, hi], ascending."""
     primes = sieve_primes(config.hi)
     primes = primes[bisect_left(primes, config.lo):]
-    blocks = [primes[i:i + config.block_size]
-              for i in range(0, len(primes), config.block_size)]
-    checkpoint = (_Checkpoint(config.checkpoint, config.fingerprint())
+    blocks = [primes[i:i + BLOCK_SIZE] for i in range(0, len(primes), BLOCK_SIZE)]
+    checkpoint = (_Checkpoint(config.checkpoint, config.fingerprint(), blocks)
                   if config.checkpoint else None)
     results: dict[int, list] = checkpoint.done if checkpoint else {}
     todo = [(i, blk, config.variant, tuple(config.compute))
@@ -249,9 +262,10 @@ def format_scan_output(config: ScanConfig, profiles: list[HammingProfile]) -> st
 
 def read_scan_output(path: str) -> tuple[dict, list[HammingProfile]]:
     """Parse a scan file (either format); rejects a header that is not JSON,
-    an unknown schema id, unexpected CSV columns, any row that does not decode
-    to the FIELDS layout, and any row whose checksum does not match its
-    fields, naming the path and line.
+    an unknown schema id, a header without a known variant or without a
+    nonempty compute subset of w,W,delta, unexpected CSV columns, any row that
+    does not decode to the FIELDS layout, and any row whose checksum does not
+    match its fields, naming the path and line.
 
     The header becomes one dict for both formats, its compute set a list.
     """
@@ -259,11 +273,11 @@ def read_scan_output(path: str) -> tuple[dict, list[HammingProfile]]:
         lineno = 1
         try:
             first = fh.readline().strip()
-            if first.startswith("{"):
+            jsonl = first.startswith("{")
+            if jsonl:
                 meta = json.loads(first)
                 if meta.get("schema") != SCHEMA_ID:
                     raise ValueError(f"unknown scan schema {meta.get('schema')!r}")
-                decode = _jsonl_decode
             else:
                 if not first.startswith(f"# {SCHEMA_ID} "):
                     raise ValueError(f"unknown scan schema header {first!r}")
@@ -271,14 +285,16 @@ def read_scan_output(path: str) -> tuple[dict, list[HammingProfile]]:
                 for part in first[2:].split()[1:]:
                     key, _, val = part.partition("=")
                     meta[key] = val.split(",") if key == "compute" else val
+            _check_variant_and_compute(meta.get("variant"), meta.get("compute"))
+            if not jsonl:
                 lineno = 2
                 header = fh.readline().strip()
                 if header != CSV_COLUMNS:
                     raise ValueError(f"unexpected CSV columns {header!r}")
-                decode = _csv_decode
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        variant = meta.get("variant", CANONICAL.name)
+        decode = _jsonl_decode if jsonl else _csv_decode
+        variant = meta["variant"]
         profiles = []
         for lineno, line in enumerate(fh, lineno + 1):
             try:
@@ -324,13 +340,3 @@ class CountTable:
         row = self.rows[threshold]
         expected = row["pi"] - 1 if stat in ("w", "delta") else row["pi"]
         return sum(row[stat]) == expected
-
-
-def scan_frequencies(profiles: list[HammingProfile], limit: int) -> dict:
-    """Observed fractions of w=1 and W=1 primes up to the limit."""
-    pi = sum(1 for prof in profiles if prof.p <= limit)
-    w1 = sum(1 for prof in profiles if prof.p <= limit and prof.w == 1)
-    big_w1 = sum(1 for prof in profiles if prof.p <= limit and prof.W == 1)
-    return {"pi": pi, "w1": w1, "W1": big_w1,
-            "w1_fraction": w1 / pi if pi else 0.0,
-            "W1_fraction": big_w1 / pi if pi else 0.0}

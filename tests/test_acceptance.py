@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from hamroots import scan
 from hamroots.characters import build_characters
 from hamroots.charsums import (interval_char_sum, primroot_indicator,
                                split_char_sum)
@@ -32,8 +33,7 @@ from hamroots.numtheory import (PrimeContext, divisors, factorize,
                                 is_primitive_root, legendre_symbol,
                                 sieve_primes)
 from hamroots.reference import COUNT_TABLE, RADIUS3_CLASSES
-from hamroots.scan import (CountTable, ScanConfig, format_scan_output,
-                           scan_frequencies, scan_range)
+from hamroots.scan import CountTable, ScanConfig, format_scan_output, scan_range
 
 
 @pytest.fixture(scope="module")
@@ -151,14 +151,14 @@ def test_criterion_3_radius3_membership(scan_10k, scan_10k_domain0):
 def test_criterion_4_million_frequencies(scan_1e6_ww):
     profiles, elapsed = scan_1e6_ww
     start = time.time()
-    freq = scan_frequencies(profiles, 10**6)
+    row = CountTable.from_profiles(profiles, [10**6]).rows[10**6]
     elapsed += time.time() - start
-    exact = (freq["w1"], freq["W1"], freq["pi"]) == (39276, 29342, 78498)
-    frac_ok = (abs(freq["w1_fraction"] - 0.500344) < 1e-6
-               and abs(freq["W1_fraction"] - 0.373792) < 1e-6)
+    pi, w1, big_w1 = row["pi"], row["w"][0], row["W"][0]
+    exact = (w1, big_w1, pi) == (39276, 29342, 78498)
+    frac_ok = abs(w1 / pi - 0.500344) < 1e-6 and abs(big_w1 / pi - 0.373792) < 1e-6
     ok = _report(4, exact and frac_ok,
-                 f"w1={freq['w1']} W1={freq['W1']} pi={freq['pi']}, fractions "
-                 f"{freq['w1_fraction']:.6f}/{freq['W1_fraction']:.6f}, {elapsed:.0f}s")
+                 f"w1={w1} W1={big_w1} pi={pi}, fractions "
+                 f"{w1 / pi:.6f}/{big_w1 / pi:.6f}, {elapsed:.0f}s")
     assert ok
 
 
@@ -174,7 +174,7 @@ def test_w_W_columns_at_1e5_and_1e6(scan_1e6_ww):
 
 
 def test_criterion_5_constants():
-    rho = entropy_half_point(1e-13)
+    rho = entropy_half_point()
     theta = sparse_weight_constant()
     artin = artin_constant(10**6)
     checks = {
@@ -302,7 +302,7 @@ def test_criterion_8_cube_suite():
     assert ok
 
 
-def test_criterion_9_property_suite(scan_10k, scan_10k_domain0):
+def test_criterion_9_property_suite(scan_10k, scan_10k_domain0, monkeypatch):
     """Chain w <= W <= radius, weight-1 equivalence, and byte determinism.
     W <= radius is a theorem only when 0 is in the scan domain, since the
     distance from 0 to the primitive roots is exactly W; it is checked on the
@@ -331,8 +331,9 @@ def test_criterion_9_property_suite(scan_10k, scan_10k_domain0):
             zero_bad.append(prof.p)
         print(f"  p={prof.p}: W={prof.W} > canonical radius={prof.delta}; "
               f"domain0 radius={d0.delta} (classes {d0.witnesses})")
-    cfg1 = ScanConfig(lo=2, hi=3000, tasks=1, block_size=128)
-    cfg8 = ScanConfig(lo=2, hi=3000, tasks=8, block_size=128)
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 128)
+    cfg1 = ScanConfig(lo=2, hi=3000, tasks=1)
+    cfg8 = ScanConfig(lo=2, hi=3000, tasks=8)
     deterministic = (format_scan_output(cfg1, scan_range(cfg1))
                      == format_scan_output(cfg8, scan_range(cfg8)))
     ok = _report(

@@ -2,7 +2,9 @@ import argparse
 
 import pytest
 
+from hamroots import cli
 from hamroots.cli import build_parser, main
+from hamroots.errors import InvariantViolation
 from hamroots.scan import ScanConfig, format_scan_output, scan_range
 
 
@@ -73,7 +75,7 @@ def test_cubes_command_reports_chain(capsys):
 
 
 def test_cubes_capability_exit(capsys):
-    code, out = run(capsys, "cubes", "--range", "61", "67", "--max-exhaustive-p", "60")
+    code, out = run(capsys, "cubes", "--range", "61", "67")
     assert code == 3
     assert "capability" in out
 
@@ -118,6 +120,31 @@ def test_io_error_exit_2(capsys, tmp_path):
     assert main(["scan", "--range", "3", "7", "--output", str(missing_dir)]) == 2
 
 
+def test_scan_output_path_is_opened_before_the_scan(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "scan_range", lambda config: calls.append(config) or [])
+    target = tmp_path / "missing" / "out.csv"
+    assert main(["scan", "--range", "3", "7", "--output", str(target)]) == 2
+    assert calls == []
+
+
+def test_failed_scan_leaves_the_old_output(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old bytes\n")
+
+    def violate(config):
+        raise InvariantViolation("p=7 variant=canonical: injected")
+
+    monkeypatch.setattr(cli, "scan_range", violate)
+    assert main(["scan", "--range", "3", "7", "--output", str(target)]) == 4
+    assert target.read_bytes() == b"old bytes\n"
+    assert list(tmp_path.iterdir()) == [target]  # no temporary file left
+    monkeypatch.undo()
+    assert main(["scan", "--range", "3", "7", "--output", str(target)]) == 0
+    assert target.read_text() == run(capsys, "scan", "--range", "3", "7")[1]
+    assert list(tmp_path.iterdir()) == [target]
+
+
 def _subcommands(parser):
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
@@ -134,7 +161,7 @@ def test_cli_option_surface_is_pinned():
                   "--scan-file", "--paper-diff"},
         "delta3": {"--limit", "--tasks", "--checkpoint", "--variant", "--paper-diff"},
         "frequencies": {"--limit", "--tasks", "--checkpoint", "--paper-diff"},
-        "cubes": {"--range", "--mode", "--max-exhaustive-p", "--seed"},
+        "cubes": {"--range", "--mode", "--seed"},
         "charsum": set(),
         "charsum indicator": {"--p"},
         "charsum pv": {"--p", "--nu"},

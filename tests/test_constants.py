@@ -23,21 +23,18 @@ def test_entropy_strictly_increasing_on_left_half():
 
 
 def test_half_point_digits():
-    root = entropy_half_point(1e-10)
+    root = entropy_half_point()
     assert 0.110027 < root < 0.110028
     assert abs(root - 0.11002786) < 1e-8
     assert entropy(root) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_half_point_stability_and_contract():
-    baseline = entropy_half_point(1e-10)
-    for tol in (1e-10, 1e-11, 1e-12, 1e-13):
-        root = entropy_half_point(tol)
-        assert abs(root - baseline) < 1e-10
-        assert abs(entropy(root) - 0.5) < 10 * tol  # slope ~3 near the root
-    assert abs(entropy(entropy_half_point(1e-13)) - 0.5) < 1e-12
-    with pytest.raises(ValueError):
-        entropy_half_point(1e-15)
+    root = entropy_half_point()
+    assert abs(entropy(root) - 0.5) < 1e-12  # bisected to 1e-13; slope ~3 near the root
+    # H crosses 1/2 inside one bisection interval around the root
+    assert entropy(root - 1e-13) < 0.5 < entropy(root + 1e-13)
+    assert entropy_half_point() is root  # computed once, then cached
 
 
 def test_sparse_weight_constant():

@@ -133,17 +133,17 @@ def test_heuristic_is_valid_lower_bound():
     for p in (11, 19, 23, 31):
         ctx = ctx_for(p)
         exact = max_avoiding_dimension(ctx, NONRESIDUE)
-        heur = max_avoiding_dimension(ctx, NONRESIDUE, search="heuristic", restarts=30)
+        heur = max_avoiding_dimension(ctx, NONRESIDUE, search="heuristic")
         assert not heur.exact
         assert heur.dim <= exact.dim
         assert cube_avoids(heur.witness, ctx, NONRESIDUE)
-        again = max_avoiding_dimension(ctx, NONRESIDUE, search="heuristic", restarts=30)
+        again = max_avoiding_dimension(ctx, NONRESIDUE, search="heuristic")
         assert heur == again  # same default seed, same answer
 
 
 def test_exhaustive_cap():
     with pytest.raises(CapabilityError):
-        max_avoiding_dimension(ctx_for(61), NONRESIDUE, max_exhaustive_p=60)
+        max_avoiding_dimension(ctx_for(61), NONRESIDUE)
 
 
 def test_longest_ap_examples():

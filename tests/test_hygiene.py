@@ -161,3 +161,25 @@ def test_no_unpassed_defaults_in_src():
                   for path in sorted((ROOT / folder).rglob("*.py"))]
     assert modules and references
     assert _unpassed_defaults(modules, references) == []
+
+
+# Defaulted parameters that only tests pass, each kept on purpose.
+TEST_ONLY_DEFAULTS = {
+    # criterion 2's oracles, compared against the dilation engine in each variant
+    "covering_radius_bfs(variant)", "min_flips_to_primroot(variant)",
+    # the re-evaluation oracles: the direct split-sum order and the
+    # cyclotomic indicator, compared against the orbit method
+    "split_char_sum(order)", "primroot_indicator(method)",
+    # the CLI entry point, which the tests call with an argument list
+    "main(argv)",
+}
+
+
+def test_defaults_set_only_by_tests_are_the_named_exemptions():
+    modules = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "hamroots").rglob("*.py"))}
+    references = [path.read_text(encoding="utf-8")
+                  for path in sorted((ROOT / "perfbench").rglob("*.py"))]
+    assert modules and references
+    found = {entry.split(": ", 1)[1] for entry in _unpassed_defaults(modules, references)}
+    assert found == TEST_ONLY_DEFAULTS

@@ -11,8 +11,7 @@ from hamroots.hamming import HammingProfile
 from hamroots.scan import (CSV_COLUMNS, FIELDS, CountTable, ScanConfig,
                            _csv_decode, _csv_encode, _jsonl_decode,
                            _jsonl_encode, _row_checksum, format_scan_output,
-                           read_scan_output, scan_frequencies, scan_range,
-                           worker_count)
+                           read_scan_output, scan_range, worker_count)
 
 
 def test_scan_first_rows_frozen():
@@ -31,9 +30,10 @@ def test_scan_includes_p2_with_weight_only():
     assert (first.p, first.r, first.w, first.W, first.delta) == (2, 0, None, 1, None)
 
 
-def test_scan_deterministic_across_task_counts():
-    cfg1 = ScanConfig(lo=2, hi=1500, tasks=1, block_size=32)
-    cfg8 = ScanConfig(lo=2, hi=1500, tasks=8, block_size=32)
+def test_scan_deterministic_across_task_counts(monkeypatch):
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 32)
+    cfg1 = ScanConfig(lo=2, hi=1500, tasks=1)
+    cfg8 = ScanConfig(lo=2, hi=1500, tasks=8)
     assert format_scan_output(cfg1, scan_range(cfg1)) == \
         format_scan_output(cfg8, scan_range(cfg8))
 
@@ -45,9 +45,10 @@ def test_scan_domain0_variant_rows():
     assert all(p.W <= p.delta for p in profiles)
 
 
-def test_checkpoint_resume_and_fingerprint(tmp_path):
+def test_checkpoint_resume_and_fingerprint(tmp_path, monkeypatch):
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 16)
     ckpt = str(tmp_path / "scan.ckpt")
-    cfg = ScanConfig(lo=2, hi=500, block_size=16, checkpoint=ckpt)
+    cfg = ScanConfig(lo=2, hi=500, checkpoint=ckpt)
     first = format_scan_output(cfg, scan_range(cfg))
     # every block is journaled once
     with open(ckpt) as fh:
@@ -60,14 +61,15 @@ def test_checkpoint_resume_and_fingerprint(tmp_path):
     with open(ckpt) as fh:
         assert len(fh.readlines()) == n_blocks + 1  # nothing re-journaled
     # a different configuration must refuse the same journal
-    other = ScanConfig(lo=2, hi=600, block_size=16, checkpoint=ckpt)
+    other = ScanConfig(lo=2, hi=600, checkpoint=ckpt)
     with pytest.raises(ValueError):
         scan_range(other)
 
 
-def test_partial_checkpoint_resumes_to_identical_bytes(tmp_path):
+def test_partial_checkpoint_resumes_to_identical_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 16)
     ckpt = str(tmp_path / "partial.ckpt")
-    cfg = ScanConfig(lo=2, hi=500, block_size=16, checkpoint=ckpt)
+    cfg = ScanConfig(lo=2, hi=500, checkpoint=ckpt)
     reference = format_scan_output(cfg, scan_range(cfg))
     # truncate the journal to simulate an interrupted run
     with open(ckpt) as fh:
@@ -78,9 +80,10 @@ def test_partial_checkpoint_resumes_to_identical_bytes(tmp_path):
     assert resumed == reference
 
 
-def test_torn_journal_tail_resumes_at_every_offset(tmp_path):
+def test_torn_journal_tail_resumes_at_every_offset(tmp_path, monkeypatch):
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 4)
     ckpt = tmp_path / "torn.ckpt"
-    cfg = ScanConfig(lo=2, hi=60, block_size=4, checkpoint=str(ckpt))
+    cfg = ScanConfig(lo=2, hi=60, checkpoint=str(ckpt))
     reference = format_scan_output(cfg, scan_range(cfg))
     journal = ckpt.read_bytes()
     assert journal.count(b"\n") == 6  # the header and five blocks
@@ -90,9 +93,10 @@ def test_torn_journal_tail_resumes_at_every_offset(tmp_path):
         assert ckpt.read_bytes() == journal, cut
 
 
-def test_malformed_complete_journal_line_rejected(tmp_path):
+def test_malformed_complete_journal_line_rejected(tmp_path, monkeypatch):
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 4)
     ckpt = tmp_path / "bad.ckpt"
-    cfg = ScanConfig(lo=2, hi=60, block_size=4, checkpoint=str(ckpt))
+    cfg = ScanConfig(lo=2, hi=60, checkpoint=str(ckpt))
     scan_range(cfg)
     with open(ckpt, "ab") as fh:
         fh.write(b'{"block":9,"rows":[[2,0,\n')
@@ -214,14 +218,32 @@ def test_malformed_row_rejected_with_path_and_line(tmp_path, fmt, edit):
     b'{"block":0,"rows":[[2,0,null,"1",null,[]]]}\n',  # a string statistic
     b'{"block":"0","rows":[]}\n',
 ], ids=["unknown-key", "not-an-object", "short-row", "string-statistic", "string-block"])
-def test_stray_journal_record_rejected_with_path_and_line(tmp_path, record):
+def test_stray_journal_record_rejected_with_path_and_line(tmp_path, monkeypatch, record):
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 4)
     ckpt = tmp_path / "stray.ckpt"
-    cfg = ScanConfig(lo=2, hi=60, block_size=4, checkpoint=str(ckpt))
+    cfg = ScanConfig(lo=2, hi=60, checkpoint=str(ckpt))
     scan_range(cfg)
     n_lines = ckpt.read_bytes().count(b"\n")
     with open(ckpt, "ab") as fh:
         fh.write(record)
     with pytest.raises(ValueError, match=f"^{re.escape(str(ckpt))}: line {n_lines + 1}: "):
+        scan_range(cfg)
+
+
+@pytest.mark.parametrize("records,lineno,message", [
+    (['{"block":0,"rows":[[2,0,null,1,null,[]]]}'], 1,
+     "the first record is not the meta record"),
+    (["META", '{"block":0,"rows":[[7,2,2,2,null,[]]]}'], 2,
+     "block 0 does not list that block's primes"),
+    (["META", '{"block":1,"rows":[]}'], 2, "block 1 is outside the 1 blocks of this scan"),
+], ids=["no-meta", "foreign-primes", "block-out-of-range"])
+def test_journal_not_of_this_scan_rejected(tmp_path, records, lineno, message):
+    ckpt = tmp_path / "foreign.ckpt"
+    cfg = ScanConfig(lo=2, hi=60, compute=("w", "W"), checkpoint=str(ckpt))
+    meta = json.dumps({"meta": cfg.fingerprint()})
+    ckpt.write_text("".join((meta if r == "META" else r) + "\n" for r in records))
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(ckpt))}: line {lineno}: {re.escape(message)}$"):
         scan_range(cfg)
 
 
@@ -265,7 +287,19 @@ def test_unknown_schema_rejected(tmp_path):
     ('{"schema":"other"}\n', 1, "unknown scan schema 'other'"),
     ("# hamroots.scan.v9 variant=canonical\n", 1, "unknown scan schema header"),
     ("# hamroots.scan.v1 variant=canonical compute=w\np,r\n", 2, "unexpected CSV columns"),
-], ids=["invalid-json", "unknown-schema", "unknown-csv-schema", "csv-columns"])
+    (f"# hamroots.scan.v1 compute=w\n{CSV_COLUMNS}\n", 1, "unknown variant None"),
+    (f"# hamroots.scan.v1 variant=odd compute=w\n{CSV_COLUMNS}\n", 1,
+     "unknown variant 'odd'"),
+    (f"# hamroots.scan.v1 variant=canonical\n{CSV_COLUMNS}\n", 1,
+     "compute set must be a nonempty subset of w,W,delta, got None"),
+    ('{"schema":"hamroots.scan.v1","compute":["w"]}\n', 1, "unknown variant None"),
+    ('{"schema":"hamroots.scan.v1","variant":"odd","compute":["w"]}\n', 1,
+     "unknown variant 'odd'"),
+    ('{"schema":"hamroots.scan.v1","variant":"canonical"}\n', 1,
+     "compute set must be a nonempty subset of w,W,delta, got None"),
+], ids=["invalid-json", "unknown-schema", "unknown-csv-schema", "csv-columns",
+        "csv-no-variant", "csv-unknown-variant", "csv-no-compute",
+        "jsonl-no-variant", "jsonl-unknown-variant", "jsonl-no-compute"])
 def test_bad_header_rejected_with_path_and_line(tmp_path, text, lineno, message):
     path = tmp_path / "bad.scan"
     path.write_text(text, encoding="utf-8")
@@ -287,8 +321,8 @@ def test_count_table_identities():
 
 def test_frequencies_at_1000():
     profiles = scan_range(ScanConfig(lo=2, hi=1000, compute=("w", "W")))
-    freq = scan_frequencies(profiles, 1000)
-    assert (freq["w1"], freq["W1"], freq["pi"]) == (87, 68, 168)
+    row = CountTable.from_profiles(profiles, [1000]).rows[1000]
+    assert (row["w"][0], row["W"][0], row["pi"]) == (87, 68, 168)
 
 
 def test_config_validation():
