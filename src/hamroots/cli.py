@@ -269,8 +269,8 @@ def cmd_cubes(args) -> int:
     lo, hi = args.range
     rc = 0
     print("p,f,F,f_bar,F_bar,f_witness,F_witness,f_bar_witness,F_bar_witness,chain,hs_bound")
-    for p in sieve_primes(max(hi, 3)):
-        if p < max(lo, 3) or p > hi:
+    for p in sieve_primes(max(hi, 3), max(lo, 3)):
+        if p > hi:
             continue
         ctx = PrimeContext.for_prime(p)
         if args.mode == "heuristic":

@@ -19,17 +19,23 @@ TRIAL_DIVISION_BOUND = 1_000_000
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# The primitive-root bitmap computes powers of g in blocks of this many
+# exponents, each block scaling one shared table of g^0 .. g^(block - 1).
+_POWER_BLOCK = 4096
 
-def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit, ascending, by a byte sieve of Eratosthenes."""
+
+def sieve_primes(limit: int, lo: int = 2) -> list[int]:
+    """All primes in [lo, limit], ascending, by a segmented byte sieve of
+    Eratosthenes: the primes up to isqrt(limit) strike only the window."""
     if limit < 2:
         raise ValueError(f"prime sieve needs limit >= 2, got {limit}")
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for i in range(2, math.isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
-    return list(compress(range(limit + 1), flags))
+    lo = max(lo, 2)
+    root = math.isqrt(limit)
+    flags = bytearray([1]) * (limit + 1 - lo)
+    for q in sieve_primes(root) if root >= 2 else ():
+        start = max(q * q, -(-lo // q) * q) - lo
+        flags[start::q] = bytes(len(range(start, len(flags), q)))
+    return list(compress(range(lo, limit + 1), flags))
 
 
 def is_prime(n: int) -> bool:
@@ -261,26 +267,33 @@ def _build_pr_bitmap(ctx: PrimeContext) -> int:
     p = ctx.p
     m = p - 1
     g = least_primitive_root(ctx)
-    # g^t is a generator iff gcd(t, m) == 1: sieve the exponents, then walk
-    # only the coprime ones, stepping x = g^t by g^(t - prev) from a table
-    # that reaches across the longest run of sieved-out exponents.
-    coprime = bytearray([1]) * m
+    # g^t is a generator iff gcd(t, m) == 1. For p = 1 mod 4, 4 | m, so every
+    # prime q | m also divides m/2 and gcd(t + m/2, m) == gcd(t, m); since
+    # g^(m/2) = -1, the roots are closed under x -> p - x: the exponents in
+    # [0, m/2) give half the roots and the mirror gives the rest. For
+    # p = 3 mod 4, m/2 is odd and -1 is not a root, so no mirror exists and
+    # all of [0, m) is walked.
+    end = m // 2 if p % 4 == 1 else m
+    coprime = bytearray([1]) * end
     for q in ctx.distinct_factors:
-        coprime[0::q] = bytes(len(range(0, m, q)))
-    gap = 1
-    while coprime.find(b"\0" * gap) >= 0:
-        gap += 1
-    step = [pow(g, d, p) for d in range(gap + 1)]
+        coprime[0::q] = bytes(len(range(0, end, q)))
+    # g^(j + i) = g^i * g^j: the powers g^i of one block are computed once,
+    # and each block of exponents starting at j scales them by c = g^j.
+    base = [1] * min(_POWER_BLOCK, end)
+    for i in range(1, len(base)):
+        base[i] = base[i - 1] * g % p
     # Digit x of the string is bit x of the bitmap once the string is reversed.
     digits = bytearray(b"0") * p
-    x, prev = 1, 0
-    for t in compress(range(m), coprime):
-        x = x * step[t - prev] % p
-        digits[x] = 49  # ord("1")
-        prev = t
-    del coprime  # free it before int() allocates the result
+    for j in range(0, end, _POWER_BLOCK):
+        c = pow(g, j, p)
+        for b in compress(base, coprime[j:j + _POWER_BLOCK]):
+            digits[b * c % p] = 49  # ord("1")
+    del coprime, base  # free them before int() allocates the result
+    # Read unreversed, digit x is bit p - 1 - x; one shift more makes it the
+    # mirror bit p - x.
+    mirror = int(digits, 2) << 1 if end < m else 0
     digits.reverse()
-    return int(digits, 2)
+    return int(digits, 2) | mirror
 
 
 def bitmap_to_set(bitmap: int) -> list[int]:

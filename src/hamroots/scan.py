@@ -17,7 +17,6 @@ import json
 import multiprocessing
 import os
 import zlib
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -174,8 +173,7 @@ def worker_count(tasks: int, blocks_left: int, cpus: int | None) -> int:
 
 def scan_range(config: ScanConfig) -> list[HammingProfile]:
     """All per-prime profiles for primes in [lo, hi], ascending."""
-    primes = sieve_primes(config.hi)
-    primes = primes[bisect_left(primes, config.lo):]
+    primes = sieve_primes(config.hi, config.lo)
     blocks = [primes[i:i + BLOCK_SIZE] for i in range(0, len(primes), BLOCK_SIZE)]
     checkpoint = (_Checkpoint(config.checkpoint, config.fingerprint(), blocks)
                   if config.checkpoint else None)

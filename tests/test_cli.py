@@ -74,6 +74,13 @@ def test_cubes_command_reports_chain(capsys):
     assert any("ok,ok" in l for l in lines)  # p = 11 satisfies the chain
 
 
+def test_cubes_range_without_odd_primes_prints_only_the_header(capsys):
+    code, out = run(capsys, "cubes", "--range", "1", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        "p,f,F,f_bar,F_bar,f_witness,F_witness,f_bar_witness,F_bar_witness,chain,hs_bound"]
+
+
 def test_cubes_capability_exit(capsys):
     code, out = run(capsys, "cubes", "--range", "61", "67")
     assert code == 3

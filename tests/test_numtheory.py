@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import compress
 
 import pytest
 from hypothesis import given, strategies as st
@@ -42,6 +43,23 @@ def test_sieve_pi_million():
 def test_sieve_rejects_empty_range():
     with pytest.raises(ValueError):
         sieve_primes(1)
+    with pytest.raises(ValueError):
+        sieve_primes(1, 0)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0, 100), (1, 100), (2, 100), (3, 100),
+    (97, 97), (49, 49),             # lo = hi, prime and composite
+    (49, 1000), (50, 1000),         # q^2 and q^2 + 1 for q = 7
+    (961, 1000), (962, 1000),       # the same for the largest base prime 31
+    (60, 50),                       # lo above hi
+    (10**6, 10**6 + 40),            # wholly above isqrt(hi)
+    (2999000, 3000000),
+])
+def test_window_sieve_matches_full_sieve_and_miller_rabin(lo, hi):
+    window = sieve_primes(hi, lo)
+    assert window == [p for p in sieve_primes(hi) if p >= lo]
+    assert window == [n for n in range(lo, hi + 1) if is_prime(n)]
 
 
 def test_is_prime_basics():
@@ -153,8 +171,8 @@ def test_primitive_roots_examples():
 
 
 def test_primitive_root_count_and_least_root_sweep():
-    # phi(p-1) roots per prime; least root must agree with the bitmap's
-    # lowest set bit, which is built by an independent exponent walk.
+    # phi(p-1) roots per prime; the least root must be the bitmap's lowest
+    # set bit.
     for p in sieve_primes(10000):
         ctx = PrimeContext.for_prime(p)
         bm = ctx.pr_bitmap()
@@ -164,7 +182,7 @@ def test_primitive_root_count_and_least_root_sweep():
 
 def test_p2_takes_the_general_path():
     # p - 1 = 1 has no prime factor: every unit passes the root test, the
-    # least-root search starts at 1, and the coprime walk sets bit 1 only.
+    # least-root search starts at 1, and the blocked powers set bit 1 only.
     ctx = PrimeContext.for_prime(2)
     assert ctx.factors_pm1 == ()
     assert least_primitive_root(ctx) == 1
@@ -232,10 +250,68 @@ def test_pr_bitmap_large_primes(p):
 
 
 # 30030 = 2*3*5*7*11*13 divides p - 1 for the last three primes, so the
-# exponents coprime to p - 1 sit up to 22 apart, the longest step of the
-# coprime walk below 10^6; 150151 is 3 mod 4, the others 1 mod 4.
+# exponents coprime to p - 1 sit up to 22 apart: the longest runs of
+# sieved-out exponents below 10^6, some of them across the boundary of two
+# blocks of powers. 150151 is 3 mod 4, the others 1 mod 4 (the mirror).
 @pytest.mark.parametrize("p", [3, 5, 7, 120121, 150151, 540541])
 def test_pr_bitmap_matches_per_residue_check_across_long_coprime_gaps(p):
     ctx = PrimeContext.for_prime(p)
     roots = [a for a in range(p) if is_primitive_root(a, ctx)]
     assert bitmap_to_set(ctx.pr_bitmap()) == roots
+
+
+def exponent_walk_bitmap(ctx):
+    """Oracle for pr_bitmap: walk x = g^t over every exponent t in [0, p - 1)
+    coprime to p - 1, stepping across each sieved-out run by a table of small
+    powers of g, and set bit x."""
+    p = ctx.p
+    m = p - 1
+    g = least_primitive_root(ctx)
+    coprime = bytearray([1]) * m
+    for q in ctx.distinct_factors:
+        coprime[0::q] = bytes(len(range(0, m, q)))
+    gap = 1
+    while coprime.find(b"\0" * gap) >= 0:
+        gap += 1
+    step = [pow(g, d, p) for d in range(gap + 1)]
+    digits = bytearray(b"0") * p
+    x, prev = 1, 0
+    for t in compress(range(m), coprime):
+        x = x * step[t - prev] % p
+        digits[x] = 49  # ord("1")
+        prev = t
+    digits.reverse()
+    return int(digits, 2)
+
+
+def test_pr_bitmap_matches_exponent_walk_below_20000():
+    # Below 4096 exponents the only block of powers is partial; above it
+    # the last block is partial unless 4096 divides the walked range.
+    for p in sieve_primes(20000):
+        ctx = PrimeContext.for_prime(p)
+        assert ctx.pr_bitmap() == exponent_walk_bitmap(ctx), p
+
+
+# 65537 walks (p - 1)/2 = 8 * 4096 exponents, whole blocks with none partial;
+# 120121, 150151 and 540541 have the long sieved-out runs noted above; the
+# last four are the primes of the delta_large benchmark workload.
+@pytest.mark.parametrize("p", [65537, 120121, 150151, 540541,
+                               1000003, 1000033, 1000037, 1000039])
+def test_pr_bitmap_matches_exponent_walk_large(p):
+    ctx = PrimeContext.for_prime(p)
+    assert ctx.pr_bitmap() == exponent_walk_bitmap(ctx)
+
+
+def test_pr_bitmap_mirror_under_negation():
+    # p = 1 mod 4: g^((p-1)/2) = -1 and every prime factor of p - 1 divides
+    # (p - 1)/2, so the roots are closed under x -> p - x. p = 3 mod 4:
+    # (p - 1)/2 is odd, so the negative of a root has an even exponent.
+    for p in sieve_primes(20000, 3):
+        # Digit x - 1 of `units` is bit x of the bitmap, for x in [1, p), so
+        # digit x - 1 of its reverse is bit p - x.
+        units = bin(PrimeContext.for_prime(p).pr_bitmap())[:1:-1].ljust(p, "0")[1:]
+        negatives = units[::-1]
+        if p % 4 == 1:
+            assert units == negatives, p
+        else:
+            assert int(units, 2) & int(negatives, 2) == 0, p

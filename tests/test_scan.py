@@ -24,6 +24,10 @@ def test_scan_first_rows_frozen():
     ]
 
 
+def test_scan_of_a_window_without_primes_is_empty():
+    assert scan_range(ScanConfig(lo=24, hi=28)) == []
+
+
 def test_scan_includes_p2_with_weight_only():
     profiles = scan_range(ScanConfig(lo=2, hi=7))
     first = profiles[0]
