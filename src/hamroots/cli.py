@@ -49,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan = subs.add_parser("scan", help="per-prime statistics over a range",
                            parents=[workers, variant, compute])
     scan.add_argument("--range", nargs=2, type=int, metavar=("LO", "HI"), required=True)
-    scan.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     scan.add_argument("--output", metavar="PATH")
     scan.set_defaults(func=cmd_scan)
 
@@ -121,7 +120,7 @@ def _compute_tuple(flag_value: str) -> tuple[str, ...]:
 def cmd_scan(args) -> int:
     config = ScanConfig(lo=args.range[0], hi=args.range[1], tasks=args.tasks,
                         variant=args.variant, compute=_compute_tuple(args.compute),
-                        fmt=args.format, checkpoint=args.checkpoint)
+                        checkpoint=args.checkpoint)
     if not args.output:
         sys.stdout.write(format_scan_output(config, scan_range(config)))
         return 0
@@ -149,14 +148,14 @@ def cmd_table(args) -> int:
         if args.tasks != 1 or args.checkpoint:
             raise ValueError("--tasks and --checkpoint do not apply to a finished "
                              "scan read with --scan-file")
-        meta, profiles = read_scan_output(args.scan_file)
-        if meta["variant"] != args.variant:
-            raise ValueError(f"scan file variant {meta['variant']!r} "
+        scanned, profiles = read_scan_output(args.scan_file)
+        if scanned.variant != args.variant:
+            raise ValueError(f"scan file variant {scanned.variant!r} "
                              f"does not match --variant {args.variant}")
-        profiles = [pr for pr in profiles if pr.p <= args.limit]
-        if [pr.p for pr in profiles] != sieve_primes(args.limit):
+        if scanned.lo > 2 or scanned.hi < args.limit:
             raise ValueError(f"scan file does not cover the primes up to {args.limit}")
-        missing = set(_compute_tuple(args.compute)) - set(meta["compute"])
+        profiles = [pr for pr in profiles if pr.p <= args.limit]
+        missing = set(_compute_tuple(args.compute)) - set(scanned.compute)
         if missing:
             raise ValueError(f"scan file lacks {','.join(sorted(missing))} "
                              f"requested by --compute {args.compute}")

@@ -1,19 +1,23 @@
 """Bulk prime-range scanning with deterministic output and resumable blocks.
 
 Primes are sharded into fixed-size blocks; workers compute per-prime
-statistics independently and the parent reassembles blocks in order, so the
-final bytes do not depend on the task count. Completed blocks can be
-journaled to a checkpoint file (one JSON line per block, fsynced); resume
-skips them and cuts off a last line torn by a crash. The journal starts with
-a fingerprint of the scan parameters, and resume refuses a journal without
-it, with a different one, or with a block that is not one of this scan's.
+statistics independently and the parent takes the blocks back in order, so
+the output bytes do not depend on the task count.
+
+A scan has one row encoding, the `hamroots.scan.v2` CSV file: a line naming
+the schema, the range, the variant and the computed statistics, a line of
+column names, then one line per prime ending in the crc32 of the line's text.
+The two header lines are the scan's fingerprint. The checkpoint journal is
+that same file, appended one block at a time (each fsynced), so a finished
+journal equals the output byte for byte. Resume reads the journal with the
+reader of output files: the header must be this scan's, every checksum must
+hold and the rows must be the scan's primes in order. A line torn by a crash
+and a partial last block are cut off, and the scan goes on from there.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
-import json
 import multiprocessing
 import os
 import zlib
@@ -24,14 +28,9 @@ from .errors import InvariantViolation
 from .hamming import (CANONICAL, VARIANTS, HammingProfile, hamming_profile)
 from .numtheory import PrimeContext, factorize, sieve_primes
 
-SCHEMA_ID = "hamroots.scan.v1"
+SCHEMA_ID = "hamroots.scan.v2"
 BLOCK_SIZE = 4096
-# The row schema, shared by the journal and both output formats, in
-# HammingProfile's field order: p and r, the other statistics (None = not
-# computed), then the witness list last.
-FIELDS = ("p", "r", "w", "W", "delta", "witnesses")
-COLUMNS = FIELDS + ("checksum",)
-CSV_COLUMNS = ",".join(COLUMNS)
+STATS = ("w", "W", "delta")  # the statistics a scan can compute, in column order
 
 
 @dataclass(frozen=True)
@@ -40,26 +39,15 @@ class ScanConfig:
     hi: int
     tasks: int = 1
     variant: str = CANONICAL.name
-    compute: tuple[str, ...] = ("w", "W", "delta")
-    fmt: str = "csv"
+    compute: tuple[str, ...] = STATS
     checkpoint: str | None = None
 
     def __post_init__(self):
         if self.lo < 2 or self.hi < self.lo:
             raise ValueError(f"bad scan range [{self.lo}, {self.hi}]")
         _check_variant_and_compute(self.variant, self.compute)
-        if self.fmt not in ("csv", "jsonl"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
         if self.tasks < 1:
             raise ValueError("tasks must be >= 1")
-
-    def fingerprint(self) -> str:
-        payload = json.dumps({
-            "schema": SCHEMA_ID, "lo": self.lo, "hi": self.hi,
-            "variant": self.variant, "compute": sorted(self.compute),
-            "block_size": BLOCK_SIZE,  # kept so that existing journals still resume
-        }, sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _check_variant_and_compute(variant, compute) -> None:
@@ -68,34 +56,16 @@ def _check_variant_and_compute(variant, compute) -> None:
     if type(variant) is not str or variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if (type(compute) not in (list, tuple) or not compute
-            or any(name not in ("w", "W", "delta") for name in compute)):
+            or any(name not in STATS for name in compute)):
         raise ValueError(f"compute set must be a nonempty subset of w,W,delta, got {compute}")
 
 
-_profile_to_row = attrgetter(*FIELDS)  # the row of a profile, as a tuple
+# A profile crosses from a worker to the parent as a tuple, which pickles faster.
+_profile_to_row = attrgetter("p", "r", "w", "W", "delta", "witnesses")
 
 
-def _row_to_profile(row, variant: str) -> HammingProfile:
-    *stats, wits = row
-    return HammingProfile(*stats, witnesses=tuple(wits), variant=variant)
-
-
-def _check_row(row) -> None:
-    """Raise ValueError unless a decoded row has the FIELDS layout: integers
-    p and r, an integer or None for each other statistic, and a list of
-    integer witnesses."""
-    if type(row) is not list or len(row) != len(FIELDS):
-        raise ValueError(f"expected the {len(FIELDS)} fields {','.join(FIELDS)}")
-    *stats, wits = row
-    for name, v in zip(FIELDS, stats):
-        if type(v) is not int and (v is not None or name in ("p", "r")):
-            raise ValueError(f"{name} is {v!r}, not an integer")
-    if type(wits) is not list or any(type(c) is not int for c in wits):
-        raise ValueError("witnesses is not a list of integers")
-
-
-def _scan_block(args) -> tuple[int, list[list]]:
-    block_id, primes, variant_name, compute = args
+def _scan_block(args) -> list[tuple]:
+    primes, variant_name, compute = args
     variant = VARIANTS[variant_name]
     compute_set = frozenset(compute)
     rows = []
@@ -111,58 +81,160 @@ def _scan_block(args) -> tuple[int, list[list]]:
                 and prof.delta is not None and prof.W > prof.delta):
             raise InvariantViolation(f"p={p} variant={variant_name}: W={prof.W} > delta={prof.delta}")
         rows.append(_profile_to_row(prof))
-    return block_id, rows
+    return rows
 
 
-class _Checkpoint:
-    """Append-only JSONL journal of finished blocks: the meta record (the
-    scan's fingerprint) first, then one record per block of `blocks`."""
+# --- the v2 file: header, rows, reader ----------------------------------------
 
-    def __init__(self, path: str, fingerprint: str, blocks: list[list[int]]):
-        self.done: dict[int, list] = {}
-        if os.path.exists(path):
-            end = 0  # bytes of complete lines
-            with open(path, "rb") as fh:
-                for lineno, line in enumerate(fh, 1):
-                    if not line.endswith(b"\n"):
-                        break  # torn by a crash mid-write; dropped below
-                    try:
-                        self._load(json.loads(line), lineno == 1, fingerprint, blocks)
-                    except ValueError as exc:
-                        raise ValueError(f"{path}: line {lineno}: {exc}") from None
-                    end += len(line)
-            os.truncate(path, end)
-        self._fh = open(path, "a", encoding="utf-8", newline="\n")
-        if os.path.getsize(path) == 0:
-            self.write({"meta": fingerprint})
 
-    def _load(self, rec, first: bool, fingerprint: str, blocks: list[list[int]]) -> None:
-        keys = rec.keys() if type(rec) is dict else None
-        if keys == {"meta"}:
-            if rec["meta"] != fingerprint:
-                raise ValueError("checkpoint was written by a different scan configuration")
-        elif first:
-            raise ValueError("the first record is not the meta record")
-        elif (keys == {"block", "rows"} and type(rec["block"]) is int
-              and type(rec["rows"]) is list):
-            block, rows = rec["block"], rec["rows"]
-            if not 0 <= block < len(blocks):
-                raise ValueError(f"block {block} is outside the {len(blocks)} blocks of this scan")
-            for row in rows:
-                _check_row(row)
-            if [row[0] for row in rows] != blocks[block]:
-                raise ValueError(f"block {block} does not list that block's primes")
-            self.done[block] = rows
-        else:
-            raise ValueError("not a meta or block record")
+def _stats(config: ScanConfig) -> list[str]:
+    """The statistics a scan computes, in column order."""
+    return [name for name in STATS if name in config.compute]
 
-    def write(self, obj) -> None:
-        self._fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
 
-    def close(self) -> None:
-        self._fh.close()
+def _header(config: ScanConfig) -> str:
+    """The two header lines of a scan's file: the scan's fingerprint."""
+    stats = _stats(config)
+    columns = ["p", "r", *stats] + (["witnesses"] if "delta" in stats else []) + ["checksum"]
+    return (f"# {SCHEMA_ID} lo={config.lo} hi={config.hi} variant={config.variant} "
+            f"compute={','.join(stats)}\n{','.join(columns)}\n")
+
+
+def _checksum(text: str) -> str:
+    return "%08x" % zlib.crc32(text.encode())
+
+
+def _line_encoder(config: ScanConfig):
+    """The function from a profile to its line, newline included."""
+    cells_of = attrgetter("p", "r", *_stats(config))
+    listed = "delta" in config.compute
+
+    def encode(prof: HammingProfile) -> str:
+        cells = ["" if v is None else str(v) for v in cells_of(prof)]
+        if listed:
+            cells.append(";".join(map(str, prof.witnesses)))
+        text = ",".join(cells)
+        return f"{text},{_checksum(text)}\n"
+    return encode
+
+
+def _csv_int(cell: str) -> int:
+    """The integer a CSV cell holds, which must be written as str() writes it."""
+    value = int(cell)
+    if str(value) != cell:
+        raise ValueError(f"{cell!r} is not a canonical integer")
+    return value
+
+
+def _line_decoder(config: ScanConfig):
+    """The function from a line (newline stripped) to its profile; it checks
+    the cells, not the checksum."""
+    stats = _stats(config)
+    listed = "delta" in stats
+    n_cells = 3 + len(stats) + listed  # p, r, the statistics, witnesses, checksum
+
+    def decode(line: str) -> HammingProfile:
+        cells = line.split(",")
+        if len(cells) != n_cells:
+            raise ValueError(f"expected {n_cells} columns, got {len(cells)}")
+        values = {name: _csv_int(cell) if cell else None
+                  for name, cell in zip(stats, cells[2:])}
+        wits = cells[-2] if listed else ""
+        return HammingProfile(_csv_int(cells[0]), _csv_int(cells[1]), **values,
+                              witnesses=tuple(_csv_int(c) for c in wits.split(";")) if wits else (),
+                              variant=config.variant)
+    return decode
+
+
+def _config_of_header(line: str) -> ScanConfig:
+    """The scan that a file's first line names."""
+    if not line.startswith(f"# {SCHEMA_ID} "):
+        raise ValueError(f"unknown scan schema header {line.rstrip()!r}")
+    meta = dict(part.partition("=")[::2] for part in line.split()[2:])
+    compute = meta["compute"].split(",") if "compute" in meta else None
+    _check_variant_and_compute(meta.get("variant"), compute)
+    return ScanConfig(lo=_csv_int(meta.get("lo", "")), hi=_csv_int(meta.get("hi", "")),
+                      variant=meta["variant"], compute=tuple(compute))
+
+
+def _read_rows(fh, path: str, config: ScanConfig, primes: list[int]):
+    """Yield (profile, end) for each complete row of the scan file open in
+    binary mode in fh, end being the offset just past the row's line.
+
+    Raises ValueError, naming the path and the line, unless the header lines
+    are config's, each row has canonical integer cells and its checksum, and
+    the rows are the first of `primes` in order. A last line without a
+    newline, torn by a crash mid-write, is not read."""
+    header = _header(config).splitlines()
+    decode = _line_decoder(config)
+    end = 0
+    for lineno, raw in enumerate(fh, 1):
+        if not raw.endswith(b"\n"):
+            return
+        end += len(raw)
+        try:
+            line = raw[:-1].decode()
+            if lineno <= len(header):
+                if line != header[lineno - 1]:
+                    raise ValueError(f"expected {header[lineno - 1]!r}, got {line!r}")
+                continue
+            prof = decode(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        text, _, checksum = line.rpartition(",")
+        if checksum != _checksum(text):
+            raise ValueError(f"{path}: checksum mismatch on line {lineno} (p={prof.p})")
+        i = lineno - len(header) - 1
+        if i >= len(primes) or prof.p != primes[i]:
+            raise ValueError(f"{path}: line {lineno}: p={prof.p} is not the next prime "
+                             f"of [{config.lo}, {config.hi}]")
+        yield prof, end
+
+
+def read_scan_output(path: str) -> tuple[ScanConfig, list[HammingProfile]]:
+    """The scan a file describes and its profiles, read as `_read_rows` reads
+    them; the rows must also cover every prime of the header's range."""
+    with open(path, "rb") as fh:
+        try:
+            config = _config_of_header(fh.readline().decode())
+        except ValueError as exc:
+            raise ValueError(f"{path}: line 1: {exc}") from None
+        fh.seek(0)
+        primes = sieve_primes(config.hi, config.lo)
+        profiles = [prof for prof, _ in _read_rows(fh, path, config, primes)]
+    if len(profiles) < len(primes):  # the missing row's line follows the two header lines
+        raise ValueError(f"{path}: line {len(profiles) + 3}: the file ends before "
+                         f"the row of p={primes[len(profiles)]}")
+    return config, profiles
+
+
+def format_scan_output(config: ScanConfig, profiles: list[HammingProfile]) -> str:
+    """The scan's file: its header, then one line per profile."""
+    return _header(config) + "".join(map(_line_encoder(config), profiles))
+
+
+# --- scanning -----------------------------------------------------------------
+
+
+def _append(fh, text: str) -> None:
+    fh.write(text)
+    fh.flush()
+    os.fsync(fh.fileno())
+
+
+def _resume(path: str, config: ScanConfig, primes: list[int]) -> list[HammingProfile]:
+    """The profiles of the whole blocks in a scan's checkpoint journal, which
+    is cut to those blocks: a torn last line and a partial last block go, and
+    so does the header of a journal without a whole block."""
+    rows = []
+    if os.path.exists(path):
+        with open(path, "rb") as fh:
+            rows = list(_read_rows(fh, path, config, primes))
+    if len(rows) < len(primes):
+        del rows[len(rows) - len(rows) % BLOCK_SIZE:]
+    with open(path, "ab") as fh:
+        fh.truncate(rows[-1][1] if rows else 0)
+    return [prof for prof, _ in rows]
 
 
 def worker_count(tasks: int, blocks_left: int, cpus: int | None) -> int:
@@ -174,136 +246,22 @@ def worker_count(tasks: int, blocks_left: int, cpus: int | None) -> int:
 def scan_range(config: ScanConfig) -> list[HammingProfile]:
     """All per-prime profiles for primes in [lo, hi], ascending."""
     primes = sieve_primes(config.hi, config.lo)
-    blocks = [primes[i:i + BLOCK_SIZE] for i in range(0, len(primes), BLOCK_SIZE)]
-    checkpoint = (_Checkpoint(config.checkpoint, config.fingerprint(), blocks)
-                  if config.checkpoint else None)
-    results: dict[int, list] = checkpoint.done if checkpoint else {}
-    todo = [(i, blk, config.variant, tuple(config.compute))
-            for i, blk in enumerate(blocks) if i not in results]
+    profiles = _resume(config.checkpoint, config, primes) if config.checkpoint else []
+    encode = _line_encoder(config)
+    todo = [(primes[i:i + BLOCK_SIZE], config.variant, tuple(config.compute))
+            for i in range(len(profiles), len(primes), BLOCK_SIZE)]
     workers = worker_count(config.tasks, len(todo), os.cpu_count())
-    try:
-        with (multiprocessing.Pool(workers) if workers > 1
-              else contextlib.nullcontext()) as pool:
-            run = pool.imap_unordered if workers > 1 else map
-            for block_id, rows in run(_scan_block, todo):
-                results[block_id] = rows
-                if checkpoint:
-                    checkpoint.write({"block": block_id, "rows": rows})
-    finally:
-        if checkpoint:
-            checkpoint.close()
-    profiles = []
-    for i in range(len(blocks)):
-        for row in results[i]:
-            profiles.append(_row_to_profile(row, config.variant))
+    with (open(config.checkpoint, "a", encoding="utf-8", newline="\n")
+          if config.checkpoint else contextlib.nullcontext()) as journal, \
+         (multiprocessing.Pool(workers) if workers > 1 else contextlib.nullcontext()) as pool:
+        if journal and not profiles:
+            _append(journal, _header(config))
+        for rows in (pool.imap if workers > 1 else map)(_scan_block, todo):
+            block = [HammingProfile(*row, variant=config.variant) for row in rows]
+            profiles += block
+            if journal:
+                _append(journal, "".join(map(encode, block)))
     return profiles
-
-
-# --- output formatting -------------------------------------------------------
-
-
-def _row_checksum(row) -> str:
-    key = "|".join([*map(str, row[:-1]), ";".join(map(str, row[-1]))])
-    return "%08x" % zlib.crc32(key.encode())
-
-
-def _csv_encode(row) -> str:
-    cells = ["" if v is None else str(v) for v in row[:-1]]
-    cells += (";".join(map(str, row[-1])), _row_checksum(row))
-    return ",".join(cells)
-
-
-def _csv_int(cell: str) -> int:
-    """The integer a CSV cell holds, which must be written as str() writes it."""
-    value = int(cell)
-    if str(value) != cell:
-        raise ValueError(f"{cell!r} is not a canonical integer")
-    return value
-
-
-def _csv_decode(line: str) -> tuple[list, str]:
-    """The row and stored checksum of one CSV line."""
-    cells = line.rstrip("\n").split(",")
-    if len(cells) != len(COLUMNS):
-        raise ValueError(f"expected {len(COLUMNS)} columns, got {len(cells)}")
-    *stats, wits, checksum = cells
-    row = [_csv_int(c) if c else None for c in stats]
-    row.append([_csv_int(c) for c in wits.split(";")] if wits else [])
-    return row, checksum
-
-
-def _jsonl_encode(row) -> str:
-    return json.dumps(dict(zip(COLUMNS, [*row, _row_checksum(row)])), separators=(",", ":"))
-
-
-def _jsonl_decode(line: str) -> tuple[list, str]:
-    """The row and stored checksum of one JSONL line."""
-    rec = json.loads(line)
-    if type(rec) is not dict or rec.keys() != set(COLUMNS):
-        raise ValueError(f"expected the keys {','.join(COLUMNS)}")
-    return [rec[name] for name in FIELDS], rec["checksum"]
-
-
-def format_scan_output(config: ScanConfig, profiles: list[HammingProfile]) -> str:
-    """Render profiles in the configured format; deterministic bytes."""
-    if config.fmt == "csv":
-        lines = [f"# {SCHEMA_ID} variant={config.variant} "
-                 f"compute={','.join(config.compute)}", CSV_COLUMNS]
-        encode = _csv_encode
-    else:
-        lines = [json.dumps({"schema": SCHEMA_ID, "variant": config.variant,
-                             "compute": list(config.compute)}, separators=(",", ":"))]
-        encode = _jsonl_encode
-    lines += [encode(_profile_to_row(prof)) for prof in profiles]
-    return "\n".join(lines) + "\n"
-
-
-def read_scan_output(path: str) -> tuple[dict, list[HammingProfile]]:
-    """Parse a scan file (either format); rejects a header that is not JSON,
-    an unknown schema id, a header without a known variant or without a
-    nonempty compute subset of w,W,delta, unexpected CSV columns, any row that
-    does not decode to the FIELDS layout, and any row whose checksum does not
-    match its fields, naming the path and line.
-
-    The header becomes one dict for both formats, its compute set a list.
-    """
-    with open(path, encoding="utf-8") as fh:
-        lineno = 1
-        try:
-            first = fh.readline().strip()
-            jsonl = first.startswith("{")
-            if jsonl:
-                meta = json.loads(first)
-                if meta.get("schema") != SCHEMA_ID:
-                    raise ValueError(f"unknown scan schema {meta.get('schema')!r}")
-            else:
-                if not first.startswith(f"# {SCHEMA_ID} "):
-                    raise ValueError(f"unknown scan schema header {first!r}")
-                meta = {"schema": SCHEMA_ID}
-                for part in first[2:].split()[1:]:
-                    key, _, val = part.partition("=")
-                    meta[key] = val.split(",") if key == "compute" else val
-            _check_variant_and_compute(meta.get("variant"), meta.get("compute"))
-            if not jsonl:
-                lineno = 2
-                header = fh.readline().strip()
-                if header != CSV_COLUMNS:
-                    raise ValueError(f"unexpected CSV columns {header!r}")
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        decode = _jsonl_decode if jsonl else _csv_decode
-        variant = meta["variant"]
-        profiles = []
-        for lineno, line in enumerate(fh, lineno + 1):
-            try:
-                row, checksum = decode(line)
-                _check_row(row)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if checksum != _row_checksum(row):
-                raise ValueError(f"{path}: checksum mismatch on line {lineno} (p={row[0]})")
-            profiles.append(_row_to_profile(row, variant))
-    return meta, profiles
 
 
 # --- census aggregation ------------------------------------------------------

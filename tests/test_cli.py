@@ -31,12 +31,15 @@ def test_scan_command_matches_library(capsys):
 
 def test_scan_jsonl_and_output_file(tmp_path, capsys):
     target = tmp_path / "rows.jsonl"
-    code, _ = run(capsys, "scan", "--range", "3", "31", "--format", "jsonl",
-                  "--output", str(target))
+    with pytest.raises(SystemExit) as exc:  # CSV is the only encoding
+        main(["scan", "--range", "3", "31", "--format", "jsonl", "--output", str(target)])
+    assert exc.value.code == 1
+    assert not target.exists()
+    code, _ = run(capsys, "scan", "--range", "3", "31", "--output", str(target))
     assert code == 0
     lines = target.read_text().splitlines()
-    assert lines[0].startswith('{"schema"')
-    assert len(lines) == 1 + 10  # meta + pi(31) - 1 primes
+    assert lines[0] == "# hamroots.scan.v2 lo=3 hi=31 variant=canonical compute=w,W,delta"
+    assert len(lines) == 2 + 10  # header, columns, pi(31) - 1 primes
 
 
 def test_table_command_w_columns_clean(capsys):
@@ -163,7 +166,7 @@ def test_cli_option_surface_is_pinned():
     common = {"-h", "--help"}
     expected = {
         "scan": {"--range", "--tasks", "--checkpoint", "--variant", "--compute",
-                 "--format", "--output"},
+                 "--output"},
         "table": {"--limit", "--tasks", "--checkpoint", "--variant", "--compute",
                   "--scan-file", "--paper-diff"},
         "delta3": {"--limit", "--tasks", "--checkpoint", "--variant", "--paper-diff"},
@@ -223,17 +226,15 @@ def test_table_scan_file_missing_primes_is_refused(tmp_path, capsys):
 
 
 def test_table_scan_file_must_hold_the_requested_statistics(tmp_path, capsys):
-    for name, fmt in (("ww.csv", "csv"), ("ww.jsonl", "jsonl")):
-        path = _scan_file(tmp_path, capsys, name, "--range", "2", "1000",
-                          "--compute", "w,W", "--format", fmt)
-        code, out, err = run_err(capsys, "table", "--limit", "1000",
-                                 "--compute", "delta", "--scan-file", path)
-        assert code == 1 and out == ""
-        assert "scan file lacks delta requested by --compute delta" in err
-        code, out = run(capsys, "table", "--limit", "1000", "--compute", "w,W",
-                        "--scan-file", path)
-        assert code == 0
-        assert out == run(capsys, "table", "--limit", "1000", "--compute", "w,W")[1]
+    path = _scan_file(tmp_path, capsys, "ww.csv", "--range", "2", "1000", "--compute", "w,W")
+    code, out, err = run_err(capsys, "table", "--limit", "1000",
+                             "--compute", "delta", "--scan-file", path)
+    assert code == 1 and out == ""
+    assert "scan file lacks delta requested by --compute delta" in err
+    code, out = run(capsys, "table", "--limit", "1000", "--compute", "w,W",
+                    "--scan-file", path)
+    assert code == 0
+    assert out == run(capsys, "table", "--limit", "1000", "--compute", "w,W")[1]
 
 
 def test_table_scan_file_variant_must_match(tmp_path, capsys):
@@ -273,13 +274,14 @@ def test_table_scan_file_refuses_worker_flags(tmp_path, capsys):
 
 
 def test_table_scan_file_malformed_row_is_refused_by_line(tmp_path, capsys):
-    path = _scan_file(tmp_path, capsys, "full.jsonl", "--range", "2", "1000", "--format", "jsonl")
+    path = _scan_file(tmp_path, capsys, "full.csv", "--range", "2", "1000")
     lines = open(path).read().splitlines(keepends=True)
-    lines[5] = lines[5].replace('"delta":2,', "")
+    assert lines[5].startswith("7,2,2,2,")
+    lines[5] = lines[5].replace("7,2,2,2,", "7,2,2,", 1)  # p = 7 loses its delta cell
     open(path, "w").writelines(lines)
     code, out, err = run_err(capsys, "table", "--limit", "1000", "--scan-file", path)
     assert code == 1 and out == ""
-    assert f"{path}: line 6: expected the keys p,r,w,W,delta,witnesses,checksum" in err
+    assert f"{path}: line 6: expected 7 columns, got 6" in err
 
 
 def test_scan_stray_journal_record_is_refused_by_line(tmp_path, capsys):
@@ -292,7 +294,7 @@ def test_scan_stray_journal_record_is_refused_by_line(tmp_path, capsys):
         fh.write('{"x":1}\n')
     code, out, err = run_err(capsys, *argv)
     assert code == 1 and out == ""
-    assert f"{journal}: line {n_lines + 1}: not a meta or block record" in err
+    assert f"{journal}: line {n_lines + 1}: expected 5 columns, got 1" in err
 
 
 def test_charsum_pv_at_p2_is_an_error(capsys):

@@ -1,5 +1,6 @@
 import json
 import re
+import zlib
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,10 +9,9 @@ from hamroots import scan
 from hamroots.cli import main
 from hamroots.errors import InvariantViolation
 from hamroots.hamming import HammingProfile
-from hamroots.scan import (CSV_COLUMNS, FIELDS, CountTable, ScanConfig,
-                           _csv_decode, _csv_encode, _jsonl_decode,
-                           _jsonl_encode, _row_checksum, format_scan_output,
-                           read_scan_output, scan_range, worker_count)
+from hamroots.scan import (STATS, CountTable, ScanConfig, _line_decoder,
+                           _line_encoder, format_scan_output, read_scan_output,
+                           scan_range, worker_count)
 
 
 def test_scan_first_rows_frozen():
@@ -51,23 +51,30 @@ def test_scan_domain0_variant_rows():
 
 def test_checkpoint_resume_and_fingerprint(tmp_path, monkeypatch):
     monkeypatch.setattr(scan, "BLOCK_SIZE", 16)
-    ckpt = str(tmp_path / "scan.ckpt")
-    cfg = ScanConfig(lo=2, hi=500, checkpoint=ckpt)
+    ckpt = tmp_path / "scan.ckpt"
+    cfg = ScanConfig(lo=2, hi=500, checkpoint=str(ckpt))
     first = format_scan_output(cfg, scan_range(cfg))
-    # every block is journaled once
-    with open(ckpt) as fh:
-        recs = [json.loads(line) for line in fh]
-    assert recs[0]["meta"]
-    n_blocks = len([r for r in recs if "block" in r])
-    # resume: all blocks already done, output identical
-    again = format_scan_output(cfg, scan_range(cfg))
-    assert first == again
-    with open(ckpt) as fh:
-        assert len(fh.readlines()) == n_blocks + 1  # nothing re-journaled
+    # the journal is the output, and its first two lines fingerprint the scan
+    journal = ckpt.read_text()
+    assert journal == first
+    assert journal.splitlines()[:2] == [
+        "# hamroots.scan.v2 lo=2 hi=500 variant=canonical compute=w,W,delta",
+        "p,r,w,W,delta,witnesses,checksum"]
+    # resume: all blocks already done, output identical, nothing re-journaled
+    assert format_scan_output(cfg, scan_range(cfg)) == first
+    assert ckpt.read_text() == journal
     # a different configuration must refuse the same journal
-    other = ScanConfig(lo=2, hi=600, checkpoint=ckpt)
+    other = ScanConfig(lo=2, hi=600, checkpoint=str(ckpt))
     with pytest.raises(ValueError):
         scan_range(other)
+
+
+@pytest.mark.parametrize("tasks", [1, 2])
+def test_journal_is_byte_identical_to_the_output(tmp_path, monkeypatch, tasks):
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 4)
+    ckpt = tmp_path / "scan.ckpt"
+    cfg = ScanConfig(lo=2, hi=300, tasks=tasks, checkpoint=str(ckpt))
+    assert format_scan_output(cfg, scan_range(cfg)) == ckpt.read_text()
 
 
 def test_partial_checkpoint_resumes_to_identical_bytes(tmp_path, monkeypatch):
@@ -90,11 +97,27 @@ def test_torn_journal_tail_resumes_at_every_offset(tmp_path, monkeypatch):
     cfg = ScanConfig(lo=2, hi=60, checkpoint=str(ckpt))
     reference = format_scan_output(cfg, scan_range(cfg))
     journal = ckpt.read_bytes()
-    assert journal.count(b"\n") == 6  # the header and five blocks
-    for cut in range(len(journal)):
+    assert journal == reference.encode()
+    assert journal.count(b"\n") == 2 + 17  # the header and the primes up to 59
+    for cut in range(len(journal)):  # the header's bytes included
         ckpt.write_bytes(journal[:cut])
         assert format_scan_output(cfg, scan_range(cfg)) == reference, cut
         assert ckpt.read_bytes() == journal, cut
+
+
+def test_resume_recomputes_only_the_blocks_after_the_last_whole_one(tmp_path, monkeypatch):
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 4)
+    ckpt = tmp_path / "blocks.ckpt"
+    cfg = ScanConfig(lo=2, hi=60, checkpoint=str(ckpt))
+    scan_range(cfg)
+    lines = ckpt.read_text().splitlines(keepends=True)
+    ckpt.write_text("".join(lines[:2 + 4 + 3]))  # one whole block and three rows
+    computed = []
+    block = scan._scan_block
+    monkeypatch.setattr(scan, "_scan_block", lambda args: computed.append(args[0]) or block(args))
+    scan_range(cfg)
+    assert computed == [[11, 13, 17, 19], [23, 29, 31, 37], [41, 43, 47, 53], [59]]
+    assert ckpt.read_text() == "".join(lines)
 
 
 def test_malformed_complete_journal_line_rejected(tmp_path, monkeypatch):
@@ -113,106 +136,121 @@ def test_csv_round_trip(tmp_path):
     profiles = scan_range(cfg)
     path = tmp_path / "scan.csv"
     path.write_text(format_scan_output(cfg, profiles), encoding="utf-8")
-    meta, parsed = read_scan_output(str(path))
-    assert meta["variant"] == "canonical"
-    assert [(a.p, a.w, a.W, a.delta, a.witnesses) for a in parsed] == \
-        [(b.p, b.w, b.W, b.delta, b.witnesses) for b in profiles]
+    scanned, parsed = read_scan_output(str(path))
+    assert scanned == cfg
+    assert parsed == profiles
 
 
-def test_jsonl_round_trip(tmp_path):
-    cfg = ScanConfig(lo=2, hi=100, fmt="jsonl")
-    profiles = scan_range(cfg)
-    path = tmp_path / "scan.jsonl"
-    path.write_text(format_scan_output(cfg, profiles), encoding="utf-8")
-    meta, parsed = read_scan_output(str(path))
-    assert meta["schema"].endswith("v1")
-    assert [(a.p, a.delta) for a in parsed] == [(b.p, b.delta) for b in profiles]
+@pytest.mark.parametrize("compute,columns", [
+    (("w", "W", "delta"), "p,r,w,W,delta,witnesses,checksum"),
+    (("W", "w"), "p,r,w,W,checksum"),
+    (("delta",), "p,r,delta,witnesses,checksum"),
+    (("W",), "p,r,W,checksum"),
+], ids=["all", "w-W", "delta", "W"])
+def test_columns_follow_the_computed_statistics(tmp_path, compute, columns):
+    cfg = ScanConfig(lo=2, hi=30, variant="domain0", compute=compute)
+    text = format_scan_output(cfg, scan_range(cfg))
+    stats = ",".join(name for name in STATS if name in compute)
+    assert text.splitlines()[:2] == [
+        f"# hamroots.scan.v2 lo=2 hi=30 variant=domain0 compute={stats}", columns]
+    n_cells = len(columns.split(","))
+    assert all(len(line.split(",")) == n_cells for line in text.splitlines()[1:])
+    path = tmp_path / "scan.csv"
+    path.write_text(text, encoding="utf-8")
+    scanned, parsed = read_scan_output(str(path))
+    assert scanned.compute == tuple(stats.split(","))
+    assert parsed == scan_range(cfg)
 
 
-def _write_with_row_of_11_edited(tmp_path, fmt, field, value) -> tuple[str, int]:
+def _write_with_row_of_11_edited(tmp_path, field, value) -> tuple[str, int]:
     """A scan file of [2, 100] with one field of p = 11's row changed; returns
     the path and that row's line number."""
-    cfg = ScanConfig(lo=2, hi=100, fmt=fmt)
+    cfg = ScanConfig(lo=2, hi=100)
     lines = format_scan_output(cfg, scan_range(cfg)).splitlines()
-    i = next(i for i, line in enumerate(lines) if line.startswith(("11,", '{"p":11,')))
-    if fmt == "csv":
-        cells = lines[i].split(",")
-        cells[CSV_COLUMNS.split(",").index(field)] = value
-        lines[i] = ",".join(cells)
-    else:
-        rec = json.loads(lines[i])
-        rec[field] = value
-        lines[i] = json.dumps(rec, separators=(",", ":"))
-    path = tmp_path / f"scan.{fmt}"
+    i = next(i for i, line in enumerate(lines) if line.startswith("11,"))
+    cells = lines[i].split(",")
+    cells[lines[1].split(",").index(field)] = value
+    lines[i] = ",".join(cells)
+    path = tmp_path / "scan.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path), i + 1
 
 
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_corrupted_checksum_rejected_with_line(tmp_path, fmt):
-    path, lineno = _write_with_row_of_11_edited(tmp_path, fmt, "checksum", "deadbeef")
+def test_corrupted_checksum_rejected_with_line(tmp_path):
+    path, lineno = _write_with_row_of_11_edited(tmp_path, "checksum", "deadbeef")
     with pytest.raises(ValueError, match=f"checksum mismatch on line {lineno} \\(p=11\\)"):
         read_scan_output(path)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_corrupted_delta_under_original_checksum_rejected(tmp_path, fmt):
+def test_corrupted_delta_under_original_checksum_rejected(tmp_path):
     # p = 11 has delta 2; its stored checksum is left as written
-    path, lineno = _write_with_row_of_11_edited(tmp_path, fmt, "delta",
-                                                "3" if fmt == "csv" else 3)
+    path, lineno = _write_with_row_of_11_edited(tmp_path, "delta", "3")
     with pytest.raises(ValueError, match=f"checksum mismatch on line {lineno} "):
         read_scan_output(path)
 
 
-def _write_with_row_of_11_replaced(tmp_path, fmt, edit) -> tuple[str, int]:
+def test_journal_with_an_edited_row_is_refused_on_resume(tmp_path, capsys):
+    ckpt = tmp_path / "scan.ckpt"
+    argv = ["scan", "--range", "2", "100", "--compute", "w,W", "--checkpoint", str(ckpt)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    lines = ckpt.read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith("11,3,1,"))
+    lines[i] = "11,3,3," + lines[i][len("11,3,1,"):]  # w of p = 11, 1 -> 3
+    ckpt.write_text("".join(lines))
+    message = f"{ckpt}: checksum mismatch on line {i + 1} (p=11)"
+    cfg = ScanConfig(lo=2, hi=100, compute=("w", "W"), checkpoint=str(ckpt))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        scan_range(cfg)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert ckpt.read_text() == "".join(lines)  # a refused journal is left as it was
+
+
+def _write_with_row_of_11_replaced(tmp_path, edit) -> tuple[str, int]:
     """A scan file of [2, 100] whose p = 11 line is replaced by edit(line);
     returns the path and that line's number."""
-    cfg = ScanConfig(lo=2, hi=100, fmt=fmt)
+    cfg = ScanConfig(lo=2, hi=100)
     lines = format_scan_output(cfg, scan_range(cfg)).splitlines()
-    i = next(i for i, line in enumerate(lines) if line.startswith(("11,", '{"p":11,')))
+    i = next(i for i, line in enumerate(lines) if line.startswith("11,"))
     lines[i] = edit(lines[i])
-    path = tmp_path / f"scan.{fmt}"
+    path = tmp_path / "scan.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path), i + 1
 
 
-_DROP = object()
-
-
-def _json_edit(**changes):
-    def edit(line):
-        rec = json.loads(line)
-        for key, value in changes.items():
-            if value is _DROP:
-                del rec[key]
-            else:
-                rec[key] = value
-        return json.dumps(rec, separators=(",", ":"))
-    return edit
-
-
-@pytest.mark.parametrize("fmt,edit", [
-    ("jsonl", _json_edit(delta=_DROP)),
-    ("jsonl", _json_edit(extra=1)),
-    ("jsonl", _json_edit(p="11", delta="2")),  # str() of these matches the checksum
-    ("jsonl", _json_edit(witnesses=["3"])),
-    ("jsonl", _json_edit(r=None)),
-    ("csv", lambda line: ",".join(line.split(",")[:6])),
-    ("csv", lambda line: line + ",0"),
-    ("csv", lambda line: "x" + line),
-    ("csv", lambda line: line.replace("11,3,", "11,,", 1)),
-    # int() reads these back as the row they replace, so the checksum matches.
-    ("csv", lambda line: line.replace("11,", "+1_1,", 1)),
-    ("csv", lambda line: line.replace("11,3,", "11, 3,", 1)),
-    ("csv", lambda line: "0" + line),
-    ("csv", lambda line: line.replace(",0;1,", ",0;01,", 1)),
-], ids=["missing-key", "extra-key", "string-p-and-delta", "string-witness", "null-r",
-        "six-cells", "eight-cells", "non-integer-p", "empty-r",
+@pytest.mark.parametrize("edit", [
+    lambda line: ",".join(line.split(",")[:6]),
+    lambda line: line + ",0",
+    lambda line: "x" + line,
+    lambda line: line.replace("11,3,", "11,,", 1),
+    # int() reads these back as the cell they replace.
+    lambda line: line.replace("11,", "+1_1,", 1),
+    lambda line: line.replace("11,3,", "11, 3,", 1),
+    lambda line: "0" + line,
+    lambda line: line.replace(",0;1,", ",0;01,", 1),
+], ids=["six-cells", "eight-cells", "non-integer-p", "empty-r",
         "underscore-sign-p", "space-r", "zero-padded-p", "zero-padded-witness"])
-def test_malformed_row_rejected_with_path_and_line(tmp_path, fmt, edit):
-    path, lineno = _write_with_row_of_11_replaced(tmp_path, fmt, edit)
+def test_malformed_row_rejected_with_path_and_line(tmp_path, edit):
+    path, lineno = _write_with_row_of_11_replaced(tmp_path, edit)
     with pytest.raises(ValueError, match=f"^{re.escape(path)}: line {lineno}: "):
         read_scan_output(path)
+
+
+@pytest.mark.parametrize("edit,lineno,message", [
+    (lambda lines: lines[:-1], 27, "the file ends before the row of p=97"),
+    (lambda lines: lines[:-1] + [lines[-1][:-1]], 27, "the file ends before the row of p=97"),
+    (lambda lines: lines[:5] + lines[6:], 6, "p=11 is not the next prime of [2, 100]"),
+    (lambda lines: lines + lines[-1:], 28, "p=97 is not the next prime of [2, 100]"),
+], ids=["last-row-missing", "torn-last-row", "row-missing", "row-repeated"])
+def test_rows_must_be_the_primes_of_the_header_range(tmp_path, edit, lineno, message):
+    cfg = ScanConfig(lo=2, hi=100)
+    lines = format_scan_output(cfg, scan_range(cfg)).splitlines(keepends=True)
+    path = tmp_path / "scan.csv"
+    path.write_text("".join(edit(lines)), encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}: line {lineno}: {re.escape(message)}$"):
+        read_scan_output(str(path))
 
 
 @pytest.mark.parametrize("record", [
@@ -234,35 +272,63 @@ def test_stray_journal_record_rejected_with_path_and_line(tmp_path, monkeypatch,
         scan_range(cfg)
 
 
-@pytest.mark.parametrize("records,lineno,message", [
-    (['{"block":0,"rows":[[2,0,null,1,null,[]]]}'], 1,
-     "the first record is not the meta record"),
-    (["META", '{"block":0,"rows":[[7,2,2,2,null,[]]]}'], 2,
-     "block 0 does not list that block's primes"),
-    (["META", '{"block":1,"rows":[]}'], 2, "block 1 is outside the 1 blocks of this scan"),
+def _rows_of(lo, hi) -> list[str]:
+    cfg = ScanConfig(lo=lo, hi=hi, compute=("w", "W"))
+    return format_scan_output(cfg, scan_range(cfg)).splitlines()[2:]
+
+
+@pytest.mark.parametrize("journal,lineno,message", [
+    (lambda header, rows: rows, 1,
+     "expected '# hamroots.scan.v2 lo=2 hi=60 variant=canonical compute=w,W', "
+     "got '2,0,,1,55d2e9b1'"),
+    (lambda header, rows: header + _rows_of(7, 60), 3,
+     "p=7 is not the next prime of [2, 60]"),
+    (lambda header, rows: header + rows + _rows_of(2, 61)[-1:], 20,
+     "p=61 is not the next prime of [2, 60]"),
 ], ids=["no-meta", "foreign-primes", "block-out-of-range"])
-def test_journal_not_of_this_scan_rejected(tmp_path, records, lineno, message):
+def test_journal_not_of_this_scan_rejected(tmp_path, journal, lineno, message):
     ckpt = tmp_path / "foreign.ckpt"
     cfg = ScanConfig(lo=2, hi=60, compute=("w", "W"), checkpoint=str(ckpt))
-    meta = json.dumps({"meta": cfg.fingerprint()})
-    ckpt.write_text("".join((meta if r == "META" else r) + "\n" for r in records))
+    lines = format_scan_output(cfg, scan_range(ScanConfig(lo=2, hi=60, compute=("w", "W"))))
+    header, rows = lines.splitlines()[:2], lines.splitlines()[2:]
+    ckpt.write_text("".join(line + "\n" for line in journal(header, rows)))
     with pytest.raises(ValueError,
                        match=f"^{re.escape(str(ckpt))}: line {lineno}: {re.escape(message)}$"):
         scan_range(cfg)
 
 
+def test_journal_of_another_scan_is_refused(tmp_path):
+    ckpt = tmp_path / "scan.ckpt"
+    base = {"lo": 3, "hi": 100, "checkpoint": str(ckpt)}
+    scan_range(ScanConfig(**base))
+    journal = ckpt.read_bytes()
+    # neither the task count nor the order of the compute names is in the header
+    scan_range(ScanConfig(**base, tasks=2, compute=("delta", "W", "w")))
+    assert ckpt.read_bytes() == journal
+    for change in ({"lo": 2}, {"hi": 101}, {"variant": "domain0"}, {"compute": ("w", "W")}):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(ckpt))}: line 1: expected "):
+            scan_range(ScanConfig(**{**base, **change}))
+        assert ckpt.read_bytes() == journal
+
+
 _stat = st.none() | st.integers(min_value=0, max_value=10**6)
 _rows = st.tuples(st.integers(min_value=2, max_value=10**12), st.integers(min_value=0, max_value=40),
                   _stat, _stat, _stat,
-                  st.lists(st.integers(min_value=0, max_value=10**12), max_size=300)
-                  ).map(list)
+                  st.lists(st.integers(min_value=0, max_value=10**12), max_size=300).map(tuple))
+_computes = st.sets(st.sampled_from(STATS), min_size=1).map(tuple)
 
 
-@given(_rows)
-def test_row_codecs_round_trip(row):
-    assert len(row) == len(FIELDS)
-    for encode, decode in ((_csv_encode, _csv_decode), (_jsonl_encode, _jsonl_decode)):
-        assert decode(encode(row) + "\n") == (row, _row_checksum(row))
+@given(_rows, _computes)
+def test_row_codecs_round_trip(row, compute):
+    cfg = ScanConfig(lo=2, hi=3, compute=compute)
+    p, r, *stats, wits = row
+    stats = [v if name in compute else None for name, v in zip(STATS, stats)]
+    prof = HammingProfile(p, r, *stats, witnesses=wits if "delta" in compute else ())
+    line = _line_encoder(cfg)(prof)
+    assert line.endswith("\n") and "\n" not in line[:-1]
+    assert _line_decoder(cfg)(line[:-1]) == prof
+    text, _, checksum = line[:-1].rpartition(",")
+    assert checksum == "%08x" % zlib.crc32(text.encode())
 
 
 def test_worker_count_is_bounded():
@@ -286,24 +352,34 @@ def test_unknown_schema_rejected(tmp_path):
         read_scan_output(str(jpath))
 
 
+_W_COLUMNS = "p,r,w,checksum"
+
+
 @pytest.mark.parametrize("text,lineno,message", [
-    ('{"schema":"hamroots.scan.v1" "variant":"canonical"}\n', 1, "Expecting ',' delimiter"),
-    ('{"schema":"other"}\n', 1, "unknown scan schema 'other'"),
+    ('{"schema":"hamroots.scan.v1" "variant":"canonical"}\n', 1,
+     "unknown scan schema header '{\"schema\""),
+    ('{"schema":"other"}\n', 1, "unknown scan schema header"),
     ("# hamroots.scan.v9 variant=canonical\n", 1, "unknown scan schema header"),
-    ("# hamroots.scan.v1 variant=canonical compute=w\np,r\n", 2, "unexpected CSV columns"),
-    (f"# hamroots.scan.v1 compute=w\n{CSV_COLUMNS}\n", 1, "unknown variant None"),
-    (f"# hamroots.scan.v1 variant=odd compute=w\n{CSV_COLUMNS}\n", 1,
+    ("# hamroots.scan.v1 variant=canonical compute=w\np,r,w,W,delta,witnesses,checksum\n", 1,
+     "unknown scan schema header '# hamroots.scan.v1 "),
+    ("# hamroots.scan.v2 lo=2 hi=10 variant=canonical compute=w\np,r\n", 2,
+     f"expected '{_W_COLUMNS}', got 'p,r'"),
+    (f"# hamroots.scan.v2 lo=2 hi=10 compute=w\n{_W_COLUMNS}\n", 1, "unknown variant None"),
+    (f"# hamroots.scan.v2 lo=2 hi=10 variant=odd compute=w\n{_W_COLUMNS}\n", 1,
      "unknown variant 'odd'"),
-    (f"# hamroots.scan.v1 variant=canonical\n{CSV_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v2 lo=2 hi=10 variant=canonical\n{_W_COLUMNS}\n", 1,
      "compute set must be a nonempty subset of w,W,delta, got None"),
-    ('{"schema":"hamroots.scan.v1","compute":["w"]}\n', 1, "unknown variant None"),
-    ('{"schema":"hamroots.scan.v1","variant":"odd","compute":["w"]}\n', 1,
-     "unknown variant 'odd'"),
-    ('{"schema":"hamroots.scan.v1","variant":"canonical"}\n', 1,
-     "compute set must be a nonempty subset of w,W,delta, got None"),
-], ids=["invalid-json", "unknown-schema", "unknown-csv-schema", "csv-columns",
-        "csv-no-variant", "csv-unknown-variant", "csv-no-compute",
-        "jsonl-no-variant", "jsonl-unknown-variant", "jsonl-no-compute"])
+    (f"# hamroots.scan.v2 hi=10 variant=canonical compute=w\n{_W_COLUMNS}\n", 1,
+     "invalid literal for int"),
+    (f"# hamroots.scan.v2 lo=02 hi=10 variant=canonical compute=w\n{_W_COLUMNS}\n", 1,
+     "'02' is not a canonical integer"),
+    (f"# hamroots.scan.v2 lo=10 hi=5 variant=canonical compute=w\n{_W_COLUMNS}\n", 1,
+     r"bad scan range \[10, 5\]"),
+    ("# hamroots.scan.v2 lo=2 hi=10 variant=canonical compute=W,w\np,r,w,W,checksum\n", 1,
+     "expected '# hamroots.scan.v2 lo=2 hi=10 variant=canonical compute=w,W', got "),
+], ids=["invalid-json", "unknown-schema", "unknown-csv-schema", "v1-header", "csv-columns",
+        "csv-no-variant", "csv-unknown-variant", "csv-no-compute", "no-lo",
+        "zero-padded-lo", "empty-range", "compute-out-of-order"])
 def test_bad_header_rejected_with_path_and_line(tmp_path, text, lineno, message):
     path = tmp_path / "bad.scan"
     path.write_text(text, encoding="utf-8")
@@ -339,17 +415,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ScanConfig(lo=3, hi=10, compute=("w", "Z"))
     with pytest.raises(ValueError):
-        ScanConfig(lo=3, hi=10, fmt="xml")
-    with pytest.raises(ValueError):
         ScanConfig(lo=3, hi=10, tasks=0)
-
-
-def test_fingerprint_sensitivity():
-    base = ScanConfig(lo=3, hi=100)
-    assert base.fingerprint() == ScanConfig(lo=3, hi=100).fingerprint()
-    assert base.fingerprint() != ScanConfig(lo=3, hi=101).fingerprint()
-    assert base.fingerprint() != ScanConfig(lo=3, hi=100, variant="domain0").fingerprint()
-    assert base.fingerprint() != ScanConfig(lo=3, hi=100, compute=("w",)).fingerprint()
 
 
 @pytest.mark.parametrize("variant,stats,message", [
