@@ -21,7 +21,7 @@ from .charsums import (hoelder_bound_report, legendre_character,
 from .cubes import (DEFAULT_SEED, NONRESIDUE, PRIMROOT, cube_census,
                     max_avoiding_dimension)
 from .errors import CapabilityError, InvariantViolation
-from .hamming import DOMAIN0, VARIANTS, covering_radius
+from .hamming import DOMAIN0, VARIANTS, covering_radius, view, viewed_profile
 from .numtheory import PrimeContext, divisors, factorize, is_primitive_root, sieve_primes
 from .scan import CountTable, ScanConfig, format_scan_output, read_scan_output, scan_range
 
@@ -149,12 +149,14 @@ def cmd_table(args) -> int:
             raise ValueError("--tasks and --checkpoint do not apply to a finished "
                              "scan read with --scan-file")
         scanned, profiles = read_scan_output(args.scan_file)
-        if scanned.variant != args.variant:
-            raise ValueError(f"scan file variant {scanned.variant!r} "
-                             f"does not match --variant {args.variant}")
+        variant, targets = VARIANTS[args.variant], VARIANTS[scanned.variant].targets
+        if "delta" in scanned.compute and targets != variant.targets:
+            raise ValueError(f"scan file radii are for {targets} targets, "
+                             f"--variant {args.variant} needs {variant.targets} targets")
         if scanned.lo > 2 or scanned.hi < args.limit:
             raise ValueError(f"scan file does not cover the primes up to {args.limit}")
-        profiles = [pr for pr in profiles if pr.p <= args.limit]
+        profiles = [viewed_profile(pr.p, pr.r, pr.w, pr.W, pr.radii, variant)
+                    for pr in profiles if pr.p <= args.limit]
         missing = set(_compute_tuple(args.compute)) - set(scanned.compute)
         if missing:
             raise ValueError(f"scan file lacks {','.join(sorted(missing))} "
@@ -198,13 +200,18 @@ def cmd_table(args) -> int:
 
 def _itemize_variant_differences(profiles, variant: str) -> None:
     """List primes whose radius under the scanned variant differs from the
-    domain0 one (the convention the reference delta columns follow)."""
+    domain0 one (the convention the reference delta columns follow). The
+    domain0 radius is a view of each row's radii, except under reduced
+    targets, whose radii do not give it."""
     print(f"# {variant} vs domain0 radius differences:")
+    reduced = VARIANTS[variant].reduced_targets
     for prof in profiles:
         if prof.delta is None or prof.p == 2:
             continue
-        ctx = PrimeContext(prof.p, factorize(prof.p - 1))
-        alt, alt_wits = covering_radius(ctx, DOMAIN0)
+        if reduced:
+            alt, alt_wits = covering_radius(PrimeContext(prof.p, factorize(prof.p - 1)), DOMAIN0)
+        else:
+            alt, alt_wits = view(prof.radii, DOMAIN0)
         if alt != prof.delta:
             print(f"  p={prof.p}: {variant}={prof.delta} (classes "
                   f"{';'.join(map(str, prof.witnesses))}) domain0={alt} "

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import CapabilityError
 from .numtheory import PrimeContext, bitmap_to_set, is_primitive_root, legendre_symbol
@@ -39,9 +40,11 @@ class BitExpansion:
 
 @dataclass(frozen=True)
 class RadiusVariant:
-    """Convention knobs for the covering-radius scan.
+    """Convention knobs for the covering radius.
 
-    n_domain_zero: scan n over [0, p-1] instead of [1, p].
+    n_domain_zero: measure n over [0, p-1] instead of [1, p]. The two domains
+    differ only in the points 0 and p, so this is a view of one dilation (see
+    `view`), not a parameter of it.
     reduced_targets: accept any bit pattern t < 2^bit_len whose residue mod p
     is a primitive root, instead of only literal integers in [1, p-1].
     """
@@ -49,6 +52,11 @@ class RadiusVariant:
     name: str
     n_domain_zero: bool = False
     reduced_targets: bool = False
+
+    @property
+    def targets(self) -> str:
+        """The name of the target set, the one choice a dilation depends on."""
+        return "reduced" if self.reduced_targets else "literal"
 
 
 CANONICAL = RadiusVariant("canonical")
@@ -58,9 +66,28 @@ REDUCED = RadiusVariant("reduced", reduced_targets=True)
 VARIANTS = {v.name: v for v in (CANONICAL, DOMAIN0, REDUCED)}
 
 
-@dataclass(frozen=True)
+class Radii(NamedTuple):
+    """What one dilation of the targets says about the class 0 and the rest.
+
+    core is the covering radius of [1, p-1] and witnesses its witness
+    classes, ascending; dist_0 and dist_p are the distances from the points
+    0 and p to the targets. Both points are the class 0, so every domain
+    convention is a view of these (see `view`).
+    """
+
+    core: int
+    dist_0: int
+    dist_p: int
+    witnesses: tuple[int, ...]
+
+
+@dataclass(frozen=True, slots=True)
 class HammingProfile:
-    """Per-prime record of the three statistics (None = not computed / undefined)."""
+    """Per-prime record of the three statistics (None = not computed / undefined).
+
+    delta and witnesses are the `variant` view of radii; radii is None where
+    delta is (p = 2, or not computed) and in profiles built without it.
+    """
 
     p: int
     r: int
@@ -69,6 +96,7 @@ class HammingProfile:
     delta: int | None = None
     witnesses: tuple[int, ...] = ()
     variant: str = CANONICAL.name
+    radii: Radii | None = None
 
 
 def hamming_weight(n: int) -> int:
@@ -134,18 +162,12 @@ def recombined_set(n: int, ctx: PrimeContext, k: int, hi_flips: int, lo_flips: i
 # --- covering radius engines ---------------------------------------------
 
 
-def _target_bitmap(ctx: PrimeContext, variant: RadiusVariant) -> int:
+def _target_bitmap(ctx: PrimeContext, reduced_targets: bool) -> int:
     bm = ctx.pr_bitmap()
-    if variant.reduced_targets:
+    if reduced_targets:
         width_mask = (1 << (1 << ctx.bit_len)) - 1
         bm |= (bm << ctx.p) & width_mask
     return bm
-
-
-def _domain_bitmap(ctx: PrimeContext, variant: RadiusVariant) -> int:
-    if variant.n_domain_zero:
-        return (1 << ctx.p) - 1  # n in [0, p-1]
-    return ((1 << (ctx.p + 1)) - 1) - 1  # n in [1, p]
 
 
 @lru_cache(maxsize=None)
@@ -173,31 +195,58 @@ def dilate(bitmap: int, length: int) -> int:
     return out
 
 
-def _witness_classes(uncovered: int, p: int) -> tuple[int, ...]:
-    return tuple(sorted(n % p for n in bitmap_to_set(uncovered)))
+def _radii(ctx: PrimeContext, reduced_targets: bool) -> Radii:
+    """Radii by iterated bitmap dilation.
+
+    Grows the target set by Hamming-ball radius one per round until [1, p-1]
+    and the points 0 and p are all covered. The core witnesses are the points
+    of [1, p-1] still uncovered going into the round that covers it.
+    """
+    p = ctx.p
+    if p == 2:
+        raise CapabilityError("p = 2 is excluded from covering-radius scans")
+    core = (1 << p) - 2  # n in [1, p-1]
+    ball = previous = _target_bitmap(ctx, reduced_targets)
+    radius = 0
+    core_radius = dist_0 = dist_p = None
+    while True:
+        if core_radius is None and ball & core == core:
+            core_radius, witnesses = radius, tuple(bitmap_to_set(core & ~previous))
+        if dist_0 is None and ball & 1:
+            dist_0 = radius
+        if dist_p is None and ball >> p & 1:
+            dist_p = radius
+        if None not in (core_radius, dist_0, dist_p):
+            return Radii(core_radius, dist_0, dist_p, witnesses)
+        if radius == ctx.bit_len:
+            raise RuntimeError(f"dilation failed to cover the domain for p={p}")
+        previous = ball
+        ball = dilate(ball, ctx.bit_len)
+        radius += 1
+
+
+def view(radii: Radii, variant: RadiusVariant) -> tuple[int, tuple[int, ...]]:
+    """(delta, witness classes) over the variant's domain, [0, p-1] or [1, p]:
+    its endpoint 0 or p adds the class 0 to the witnesses of [1, p-1]."""
+    end = radii.dist_0 if variant.n_domain_zero else radii.dist_p
+    delta = max(radii.core, end)
+    return delta, (((0,) if end == delta else ())
+                   + (radii.witnesses if radii.core == delta else ()))
+
+
+def viewed_profile(p: int, r: int, w: int | None, W: int | None, radii: Radii | None,
+                   variant: RadiusVariant) -> HammingProfile:
+    """The profile of these statistics whose delta and witnesses are the
+    variant's view of radii; the variant's targets must be those of radii."""
+    delta, wits = view(radii, variant) if radii else (None, ())
+    return HammingProfile(p, r, w, W, delta, wits, variant.name, radii)
 
 
 def covering_radius(ctx: PrimeContext, variant: RadiusVariant = CANONICAL
                     ) -> tuple[int, tuple[int, ...]]:
-    """Covering radius by iterated bitmap dilation.
-
-    Grows the target set by Hamming-ball radius one per round until the scan
-    domain is covered; the witnesses are the domain points still uncovered
-    going into the final round (reported as classes n mod p, ascending).
-    """
-    if ctx.p == 2:
-        raise CapabilityError("p = 2 is excluded from covering-radius scans")
-    domain = _domain_bitmap(ctx, variant)
-    ball = _target_bitmap(ctx, variant)
-    radius = 0
-    previous = ball
-    while ball & domain != domain:
-        previous = ball
-        ball = dilate(ball, ctx.bit_len)
-        radius += 1
-        if radius > ctx.bit_len:
-            raise RuntimeError(f"dilation failed to cover the domain for p={ctx.p}")
-    return radius, _witness_classes(domain & ~previous, ctx.p)
+    """Covering radius and its witness classes (n mod p, ascending) over the
+    variant's domain, by bitmap dilation."""
+    return view(_radii(ctx, variant.reduced_targets), variant)
 
 
 def covering_radius_bfs(ctx: PrimeContext, variant: RadiusVariant = CANONICAL
@@ -206,7 +255,7 @@ def covering_radius_bfs(ctx: PrimeContext, variant: RadiusVariant = CANONICAL
     if ctx.p == 2:
         raise CapabilityError("p = 2 is excluded from covering-radius scans")
     size = 1 << ctx.bit_len
-    targets = _target_bitmap(ctx, variant)
+    targets = _target_bitmap(ctx, variant.reduced_targets)
     dist = [-1] * size
     frontier = []
     t = targets
@@ -248,7 +297,7 @@ def min_flips_to_primroot(n: int, ctx: PrimeContext, variant: RadiusVariant = CA
             raise ValueError(f"n must be in [0, {p - 1}] for this variant")
     elif not 1 <= n <= p:
         raise ValueError(f"n must be in [1, {p}]")
-    targets = _target_bitmap(ctx, variant)
+    targets = _target_bitmap(ctx, variant.reduced_targets)
     for s in range(length + 1):
         for t in _flips(n, length, s):
             if targets >> t & 1:
@@ -309,13 +358,11 @@ def hamming_profile(ctx: PrimeContext, variant: RadiusVariant = CANONICAL,
     For p = 2 only W is defined (W_2 = 1); the other fields stay None.
     """
     p = ctx.p
-    w = W = delta = None
-    wits: tuple[int, ...] = ()
+    w = W = radii = None
     if "w" in compute and p > 2:
         w = min_nonresidue_weight(ctx)[0]
     if "W" in compute:
         W = min_primroot_weight(ctx)[0]
     if "delta" in compute and p > 2:
-        delta, wits = covering_radius(ctx, variant)
-    return HammingProfile(p=p, r=ctx.r, w=w, W=W, delta=delta,
-                          witnesses=wits, variant=variant.name)
+        radii = _radii(ctx, variant.reduced_targets)
+    return viewed_profile(p, ctx.r, w, W, radii, variant)

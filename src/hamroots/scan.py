@@ -4,10 +4,12 @@ Primes are sharded into fixed-size blocks; workers compute per-prime
 statistics independently and the parent takes the blocks back in order, so
 the output bytes do not depend on the task count.
 
-A scan has one row encoding, the `hamroots.scan.v2` CSV file: a line naming
-the schema, the range, the variant and the computed statistics, a line of
-column names, then one line per prime ending in the crc32 of the line's text.
-The two header lines are the scan's fingerprint. The checkpoint journal is
+A scan has one row encoding, the `hamroots.scan.v3` CSV file: a line naming
+the schema, the range, the radius targets (when delta is computed) and the
+computed statistics, a line of column names, then one line per prime ending
+in the crc32 of the line's text. A row holds the radii of one dilation, of
+which each domain convention is a view, so the file does not depend on the
+convention. The two header lines are the scan's fingerprint. The checkpoint journal is
 that same file, appended one block at a time (each fsynced), so a finished
 journal equals the output byte for byte. Resume reads the journal with the
 reader of output files: the header must be this scan's, every checksum must
@@ -25,10 +27,11 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .errors import InvariantViolation
-from .hamming import (CANONICAL, VARIANTS, HammingProfile, hamming_profile)
+from .hamming import (CANONICAL, REDUCED, VARIANTS, HammingProfile, Radii, hamming_profile,
+                      viewed_profile)
 from .numtheory import PrimeContext, factorize, sieve_primes
 
-SCHEMA_ID = "hamroots.scan.v2"
+SCHEMA_ID = "hamroots.scan.v3"
 BLOCK_SIZE = 4096
 STATS = ("w", "W", "delta")  # the statistics a scan can compute, in column order
 
@@ -45,23 +48,19 @@ class ScanConfig:
     def __post_init__(self):
         if self.lo < 2 or self.hi < self.lo:
             raise ValueError(f"bad scan range [{self.lo}, {self.hi}]")
-        _check_variant_and_compute(self.variant, self.compute)
+        if type(self.variant) is not str or self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}")
+        if (type(self.compute) not in (list, tuple) or not self.compute
+                or any(name not in STATS for name in self.compute)):
+            raise ValueError("compute set must be a nonempty subset of w,W,delta, "
+                             f"got {self.compute}")
         if self.tasks < 1:
             raise ValueError("tasks must be >= 1")
 
 
-def _check_variant_and_compute(variant, compute) -> None:
-    """Raise ValueError unless variant names one of VARIANTS and compute is a
-    nonempty list or tuple of names from w, W, delta."""
-    if type(variant) is not str or variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if (type(compute) not in (list, tuple) or not compute
-            or any(name not in STATS for name in compute)):
-        raise ValueError(f"compute set must be a nonempty subset of w,W,delta, got {compute}")
-
-
-# A profile crosses from a worker to the parent as a tuple, which pickles faster.
-_profile_to_row = attrgetter("p", "r", "w", "W", "delta", "witnesses")
+# A profile crosses from a worker to the parent as a tuple, which pickles
+# faster; the parent applies the scan's view to its radii.
+_profile_to_row = attrgetter("p", "r", "w", "W", "radii")
 
 
 def _scan_block(args) -> list[tuple]:
@@ -74,29 +73,35 @@ def _scan_block(args) -> list[tuple]:
         prof = hamming_profile(ctx, variant, compute_set)
         if prof.w is not None and prof.W is not None and prof.w > prof.W:
             raise InvariantViolation(f"p={p} variant={variant_name}: w={prof.w} > W={prof.W}")
-        # W <= delta is a theorem only when 0 is in the scan domain (its
-        # distance to the targets is then exactly W); under the [1, p] domain
-        # it genuinely fails for some primes, e.g. p = 23 has W=2, delta=1.
-        if (variant.n_domain_zero and prof.W is not None
-                and prof.delta is not None and prof.W > prof.delta):
-            raise InvariantViolation(f"p={p} variant={variant_name}: W={prof.W} > delta={prof.delta}")
+        # Under literal targets the distance from 0 to the primitive roots is
+        # the least weight of one, so two independent engines must agree.
+        if (not variant.reduced_targets and prof.W is not None and prof.radii is not None
+                and prof.radii.dist_0 != prof.W):
+            raise InvariantViolation(
+                f"p={p} variant={variant_name}: the sparsest-root search gives W={prof.W}, "
+                f"the dilation puts 0 at distance {prof.radii.dist_0}")
         rows.append(_profile_to_row(prof))
     return rows
 
 
-# --- the v2 file: header, rows, reader ----------------------------------------
+# --- the v3 file: header, rows, reader ----------------------------------------
+
+RADII = ("core", "dist_0", "dist_p", "witnesses")  # the columns of delta, in order
 
 
-def _stats(config: ScanConfig) -> list[str]:
-    """The statistics a scan computes, in column order."""
-    return [name for name in STATS if name in config.compute]
+def _weights(config: ScanConfig) -> list[str]:
+    """The weight statistics a scan computes, in column order."""
+    return [name for name in ("w", "W") if name in config.compute]
 
 
 def _header(config: ScanConfig) -> str:
-    """The two header lines of a scan's file: the scan's fingerprint."""
-    stats = _stats(config)
-    columns = ["p", "r", *stats] + (["witnesses"] if "delta" in stats else []) + ["checksum"]
-    return (f"# {SCHEMA_ID} lo={config.lo} hi={config.hi} variant={config.variant} "
+    """The two header lines of a scan's file: the scan's fingerprint. Only
+    the targets of the radius variant are in it, and only when delta is."""
+    with_radii = "delta" in config.compute
+    stats = [*_weights(config), *(["delta"] if with_radii else [])]
+    columns = ["p", "r", *_weights(config), *(RADII if with_radii else ()), "checksum"]
+    targets = f"targets={VARIANTS[config.variant].targets} " if with_radii else ""
+    return (f"# {SCHEMA_ID} lo={config.lo} hi={config.hi} {targets}"
             f"compute={','.join(stats)}\n{','.join(columns)}\n")
 
 
@@ -106,13 +111,15 @@ def _checksum(text: str) -> str:
 
 def _line_encoder(config: ScanConfig):
     """The function from a profile to its line, newline included."""
-    cells_of = attrgetter("p", "r", *_stats(config))
-    listed = "delta" in config.compute
+    cells_of = attrgetter("p", "r", *_weights(config))
+    with_radii = "delta" in config.compute
 
     def encode(prof: HammingProfile) -> str:
         cells = ["" if v is None else str(v) for v in cells_of(prof)]
-        if listed:
-            cells.append(";".join(map(str, prof.witnesses)))
+        if with_radii:
+            radii = prof.radii
+            cells += (["", "", "", ""] if radii is None else
+                      [*map(str, radii[:3]), ";".join(map(str, radii.witnesses))])
         text = ",".join(cells)
         return f"{text},{_checksum(text)}\n"
     return encode
@@ -127,34 +134,42 @@ def _csv_int(cell: str) -> int:
 
 
 def _line_decoder(config: ScanConfig):
-    """The function from a line (newline stripped) to its profile; it checks
-    the cells, not the checksum."""
-    stats = _stats(config)
-    listed = "delta" in stats
-    n_cells = 3 + len(stats) + listed  # p, r, the statistics, witnesses, checksum
+    """The function from a line (newline stripped) to its profile under the
+    config's variant; it checks the cells, not the checksum."""
+    weights = _weights(config)
+    with_radii = "delta" in config.compute
+    n_cells = 3 + len(weights) + 4 * with_radii  # p, r, w and W, the radii, checksum
+    variant = VARIANTS[config.variant]
 
     def decode(line: str) -> HammingProfile:
         cells = line.split(",")
         if len(cells) != n_cells:
             raise ValueError(f"expected {n_cells} columns, got {len(cells)}")
         values = {name: _csv_int(cell) if cell else None
-                  for name, cell in zip(stats, cells[2:])}
-        wits = cells[-2] if listed else ""
-        return HammingProfile(_csv_int(cells[0]), _csv_int(cells[1]), **values,
-                              witnesses=tuple(_csv_int(c) for c in wits.split(";")) if wits else (),
-                              variant=config.variant)
+                  for name, cell in zip(weights, cells[2:])}
+        radii = None
+        if with_radii and cells[-5:-1] != ["", "", "", ""]:
+            *dists, wits = cells[-5:-1]
+            radii = Radii(*map(_csv_int, dists),
+                          tuple(_csv_int(c) for c in wits.split(";")) if wits else ())
+        return viewed_profile(_csv_int(cells[0]), _csv_int(cells[1]), values.get("w"),
+                              values.get("W"), radii, variant)
     return decode
 
 
 def _config_of_header(line: str) -> ScanConfig:
-    """The scan that a file's first line names."""
+    """The scan that a file's first line names, under the base view of its
+    targets: canonical for literal targets, reduced for reduced ones."""
     if not line.startswith(f"# {SCHEMA_ID} "):
         raise ValueError(f"unknown scan schema header {line.rstrip()!r}")
     meta = dict(part.partition("=")[::2] for part in line.split()[2:])
-    compute = meta["compute"].split(",") if "compute" in meta else None
-    _check_variant_and_compute(meta.get("variant"), compute)
-    return ScanConfig(lo=_csv_int(meta.get("lo", "")), hi=_csv_int(meta.get("hi", "")),
-                      variant=meta["variant"], compute=tuple(compute))
+    targets = meta.get("targets")
+    config = ScanConfig(lo=_csv_int(meta.get("lo", "")), hi=_csv_int(meta.get("hi", "")),
+                        variant=REDUCED.name if targets == "reduced" else CANONICAL.name,
+                        compute=tuple(meta["compute"].split(",")) if "compute" in meta else None)
+    if "delta" in config.compute and targets not in ("literal", "reduced"):
+        raise ValueError(f"unknown radius targets {targets!r}")
+    return config
 
 
 def _read_rows(fh, path: str, config: ScanConfig, primes: list[int]):
@@ -192,8 +207,9 @@ def _read_rows(fh, path: str, config: ScanConfig, primes: list[int]):
 
 
 def read_scan_output(path: str) -> tuple[ScanConfig, list[HammingProfile]]:
-    """The scan a file describes and its profiles, read as `_read_rows` reads
-    them; the rows must also cover every prime of the header's range."""
+    """The scan a file describes and its profiles in the base view of its
+    targets, read as `_read_rows` reads them; the rows must also cover every
+    prime of the header's range."""
     with open(path, "rb") as fh:
         try:
             config = _config_of_header(fh.readline().decode())
@@ -244,10 +260,13 @@ def worker_count(tasks: int, blocks_left: int, cpus: int | None) -> int:
 
 
 def scan_range(config: ScanConfig) -> list[HammingProfile]:
-    """All per-prime profiles for primes in [lo, hi], ascending."""
+    """All per-prime profiles for primes in [lo, hi], ascending, under the
+    config's variant. A journal of the same range, targets and statistics
+    serves every variant."""
     primes = sieve_primes(config.hi, config.lo)
     profiles = _resume(config.checkpoint, config, primes) if config.checkpoint else []
     encode = _line_encoder(config)
+    variant = VARIANTS[config.variant]
     todo = [(primes[i:i + BLOCK_SIZE], config.variant, tuple(config.compute))
             for i in range(len(profiles), len(primes), BLOCK_SIZE)]
     workers = worker_count(config.tasks, len(todo), os.cpu_count())
@@ -257,7 +276,7 @@ def scan_range(config: ScanConfig) -> list[HammingProfile]:
         if journal and not profiles:
             _append(journal, _header(config))
         for rows in (pool.imap if workers > 1 else map)(_scan_block, todo):
-            block = [HammingProfile(*row, variant=config.variant) for row in rows]
+            block = [viewed_profile(*row, variant) for row in rows]
             profiles += block
             if journal:
                 _append(journal, "".join(map(encode, block)))

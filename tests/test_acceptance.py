@@ -11,7 +11,8 @@ reference tables were computed with n in [0, p-1] (`domain0`). Criteria 3
 and 9 check statements that hold under `domain0`: the reference radius-3
 list, and W <= radius (the distance from 0 to the primitive roots is exactly
 W). They also itemize, as documented facts, where the canonical convention
-differs. Criterion 8 checks f_bar against cubes inside the non-zero
+differs. Both conventions are views of one scan's radii, which differ only at
+the points 0 and p (both the class 0). Criterion 8 checks f_bar against cubes inside the non-zero
 quadratic residues, the theorem behind the published f_bar = f, which holds
 only for cubes that avoid 0.
 """
@@ -30,7 +31,8 @@ from hamroots.constants import (artin_constant, entropy, entropy_half_point,
                                 sparse_weight_constant)
 from hamroots.cubes import (NONRESIDUE, cube_census, max_avoiding_dimension)
 from hamroots.hamming import (CANONICAL, DOMAIN0, covering_radius,
-                              covering_radius_bfs, min_flips_to_primroot)
+                              covering_radius_bfs, min_flips_to_primroot,
+                              viewed_profile)
 from hamroots.numtheory import (PrimeContext, divisors, factorize,
                                 is_primitive_root, legendre_symbol,
                                 sieve_primes)
@@ -44,9 +46,9 @@ def scan_10k():
 
 
 @pytest.fixture(scope="module")
-def scan_10k_domain0():
-    """The same range under the reference tables' convention (0 scanned)."""
-    return scan_range(ScanConfig(lo=2, hi=10**4, tasks=4, variant=DOMAIN0.name))
+def scan_10k_domain0(scan_10k):
+    """The same scan under the reference tables' convention (0 scanned)."""
+    return [viewed_profile(pr.p, pr.r, pr.w, pr.W, pr.radii, DOMAIN0) for pr in scan_10k]
 
 
 @pytest.fixture(scope="module")
@@ -316,7 +318,8 @@ def test_criterion_9_property_suite(scan_10k, scan_10k_domain0, monkeypatch):
     """Chain w <= W <= radius, weight-1 equivalence, and byte determinism.
     W <= radius is a theorem only when 0 is in the scan domain, since the
     distance from 0 to the primitive roots is exactly W; it is checked on the
-    `domain0` radii. Under the canonical [1, p] domain it fails for 53 primes
+    `domain0` radii. (Every scan under literal targets also checks, prime by
+    prime, that the dilation puts 0 at distance W.) Under the canonical [1, p] domain it fails for 53 primes
     <= 10^4 (first: p=23 with W=2, radius=1). These are itemized: at each,
     every n in [1, p-1] lies within W - 1 flips of a primitive root, so the
     `domain0` radius is W and its only witness class is 0."""

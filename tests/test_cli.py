@@ -38,7 +38,7 @@ def test_scan_jsonl_and_output_file(tmp_path, capsys):
     code, _ = run(capsys, "scan", "--range", "3", "31", "--output", str(target))
     assert code == 0
     lines = target.read_text().splitlines()
-    assert lines[0] == "# hamroots.scan.v2 lo=3 hi=31 variant=canonical compute=w,W,delta"
+    assert lines[0] == "# hamroots.scan.v3 lo=3 hi=31 targets=literal compute=w,W,delta"
     assert len(lines) == 2 + 10  # header, columns, pi(31) - 1 primes
 
 
@@ -237,16 +237,50 @@ def test_table_scan_file_must_hold_the_requested_statistics(tmp_path, capsys):
     assert out == run(capsys, "table", "--limit", "1000", "--compute", "w,W")[1]
 
 
-def test_table_scan_file_variant_must_match(tmp_path, capsys):
+def test_scan_file_bytes_depend_only_on_the_targets(tmp_path, capsys):
+    def scan_bytes(*argv):
+        return open(_scan_file(tmp_path, capsys, "s.csv", "--range", "2", "300", *argv),
+                    "rb").read()
+    full = {v: scan_bytes("--variant", v) for v in ("canonical", "domain0", "reduced")}
+    assert full["canonical"] == full["domain0"] != full["reduced"]
+    assert len({scan_bytes("--compute", "w,W", "--variant", v)
+                for v in ("canonical", "domain0", "reduced")}) == 1
+
+
+def test_table_scan_file_targets_must_match(tmp_path, capsys):
+    # a literal-target file serves both literal variants, whichever one wrote it
     path = _scan_file(tmp_path, capsys, "d0.csv", "--range", "2", "1000",
                       "--variant", "domain0")
-    code, out, err = run_err(capsys, "table", "--limit", "1000", "--scan-file", path)
+    for variant in ("canonical", "domain0"):
+        for flags in ([], ["--paper-diff"]):
+            code, out = run(capsys, "table", "--limit", "1000", "--variant", variant,
+                            *flags, "--scan-file", path)
+            assert code == 0
+            assert out == run(capsys, "table", "--limit", "1000", "--variant", variant,
+                              *flags)[1]
+    code, out, err = run_err(capsys, "table", "--limit", "1000", "--variant", "reduced",
+                             "--scan-file", path)
     assert code == 1 and out == ""
-    assert "variant 'domain0' does not match" in err
-    code, out = run(capsys, "table", "--limit", "1000", "--variant", "domain0",
-                    "--scan-file", path)
+    assert "scan file radii are for literal targets, --variant reduced needs reduced" in err
+    reduced = _scan_file(tmp_path, capsys, "red.csv", "--range", "2", "1000",
+                         "--variant", "reduced")
+    code, out, err = run_err(capsys, "table", "--limit", "1000", "--scan-file", reduced)
+    assert code == 1 and out == ""
+    assert "scan file radii are for reduced targets, --variant canonical needs literal" in err
+    code, out = run(capsys, "table", "--limit", "1000", "--variant", "reduced",
+                    "--paper-diff", "--scan-file", reduced)
     assert code == 0
-    assert out == run(capsys, "table", "--limit", "1000", "--variant", "domain0")[1]
+    assert out == run(capsys, "table", "--limit", "1000", "--variant", "reduced",
+                      "--paper-diff")[1]
+
+
+def test_table_scan_file_without_radii_serves_every_variant(tmp_path, capsys):
+    path = _scan_file(tmp_path, capsys, "ww.csv", "--range", "2", "1000", "--compute", "w,W")
+    for variant in ("domain0", "reduced"):
+        code, out = run(capsys, "table", "--limit", "1000", "--compute", "w,W",
+                        "--variant", variant, "--scan-file", path)
+        assert code == 0
+        assert out == run(capsys, "table", "--limit", "1000", "--compute", "w,W")[1]
 
 
 def test_table_scan_file_bad_checksum_is_refused(tmp_path, capsys):
@@ -276,12 +310,12 @@ def test_table_scan_file_refuses_worker_flags(tmp_path, capsys):
 def test_table_scan_file_malformed_row_is_refused_by_line(tmp_path, capsys):
     path = _scan_file(tmp_path, capsys, "full.csv", "--range", "2", "1000")
     lines = open(path).read().splitlines(keepends=True)
-    assert lines[5].startswith("7,2,2,2,")
-    lines[5] = lines[5].replace("7,2,2,2,", "7,2,2,", 1)  # p = 7 loses its delta cell
+    assert lines[5].startswith("7,2,2,2,2,")
+    lines[5] = lines[5].replace("7,2,2,2,2,", "7,2,2,2,", 1)  # p = 7 loses its core cell
     open(path, "w").writelines(lines)
     code, out, err = run_err(capsys, "table", "--limit", "1000", "--scan-file", path)
     assert code == 1 and out == ""
-    assert f"{path}: line 6: expected 7 columns, got 6" in err
+    assert f"{path}: line 6: expected 9 columns, got 8" in err
 
 
 def test_scan_stray_journal_record_is_refused_by_line(tmp_path, capsys):

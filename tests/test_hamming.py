@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamroots.errors import CapabilityError
-from hamroots.hamming import (BitExpansion, CANONICAL, DOMAIN0, REDUCED,
-                              _flip_shuffles,
+from hamroots.hamming import (BitExpansion, CANONICAL, DOMAIN0, REDUCED, Radii,
+                              _flip_shuffles, _radii,
                               covering_radius, covering_radius_bfs, dilate,
                               hamming_distance, hamming_profile,
                               hamming_weight, high_bit_flip_set,
@@ -151,6 +151,46 @@ def test_covering_radius_small_primes():
         assert covering_radius_bfs(ctx) == (radius, wits)
 
 
+def domain_dilation(ctx, variant):
+    """Covering radius and witness classes by a dilation of the variant's own
+    domain, [0, p-1] or [1, p]: the engine that one dilation with read-time
+    views replaced, kept as its oracle."""
+    p = ctx.p
+    domain = (1 << p) - 1 if variant.n_domain_zero else (1 << (p + 1)) - 2
+    ball = ctx.pr_bitmap()
+    if variant.reduced_targets:
+        ball |= (ball << p) & ((1 << (1 << ctx.bit_len)) - 1)
+    radius, previous = 0, ball
+    while ball & domain != domain:
+        previous = ball
+        ball = dilate(ball, ctx.bit_len)
+        radius += 1
+    return radius, tuple(sorted(n % p for n in bitmap_to_set(domain & ~previous)))
+
+
+def test_views_match_the_per_domain_dilation_below_20000():
+    """Each variant's view of one dilation is the radius and witness list of
+    a dilation of that variant's domain, for every odd prime below 20000;
+    under literal targets the distance of 0 is W."""
+    for p in sieve_primes(20000)[1:]:
+        ctx = ctx_for(p)
+        for variant in (CANONICAL, DOMAIN0, REDUCED):
+            assert covering_radius(ctx, variant) == domain_dilation(ctx, variant), (p, variant)
+        assert _radii(ctx, False).dist_0 == min_primroot_weight(ctx)[0], p
+
+
+def test_view_of_the_endpoints():
+    # 23: every n in [1, 22] is one flip from a root, 0 is two (W = 2), 23 is one
+    radii = _radii(ctx_for(23), False)
+    core = (1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18, 22)
+    assert radii == Radii(1, 2, 1, core)
+    assert covering_radius(ctx_for(23), CANONICAL) == (1, (0, *core))
+    assert covering_radius(ctx_for(23), DOMAIN0) == (2, (0,))
+    # 17: the core is the farther, so neither endpoint is a witness
+    assert _radii(ctx_for(17), False) == Radii(3, 2, 2, (16,))
+    assert covering_radius(ctx_for(17), DOMAIN0) == (3, (16,))
+
+
 def test_engines_agree_up_to_300():
     for p in sieve_primes(300):
         if p == 2:
@@ -269,6 +309,9 @@ def test_sparsest_search_matches_brute_force_below_20000():
 def test_profile_bundle():
     prof = hamming_profile(ctx_for(7))
     assert (prof.w, prof.W, prof.delta, prof.witnesses) == (2, 2, 2, (6,))
+    assert prof.radii == Radii(2, 2, 1, (6,))
+    prof0 = hamming_profile(ctx_for(7), DOMAIN0)
+    assert (prof0.delta, prof0.witnesses, prof0.radii) == (2, (0, 6), prof.radii)
     prof2 = hamming_profile(ctx_for(2))
     assert (prof2.w, prof2.W, prof2.delta) == (None, 1, None)
     partial = hamming_profile(ctx_for(17), compute=frozenset({"W"}))

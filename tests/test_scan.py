@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from hamroots import scan
 from hamroots.cli import main
 from hamroots.errors import InvariantViolation
-from hamroots.hamming import HammingProfile
+from hamroots.hamming import (CANONICAL, DOMAIN0, HammingProfile, Radii,
+                              viewed_profile)
 from hamroots.scan import (STATS, CountTable, ScanConfig, _line_decoder,
                            _line_encoder, format_scan_output, read_scan_output,
                            scan_range, worker_count)
@@ -58,8 +59,8 @@ def test_checkpoint_resume_and_fingerprint(tmp_path, monkeypatch):
     journal = ckpt.read_text()
     assert journal == first
     assert journal.splitlines()[:2] == [
-        "# hamroots.scan.v2 lo=2 hi=500 variant=canonical compute=w,W,delta",
-        "p,r,w,W,delta,witnesses,checksum"]
+        "# hamroots.scan.v3 lo=2 hi=500 targets=literal compute=w,W,delta",
+        "p,r,w,W,core,dist_0,dist_p,witnesses,checksum"]
     # resume: all blocks already done, output identical, nothing re-journaled
     assert format_scan_output(cfg, scan_range(cfg)) == first
     assert ckpt.read_text() == journal
@@ -75,6 +76,23 @@ def test_journal_is_byte_identical_to_the_output(tmp_path, monkeypatch, tasks):
     ckpt = tmp_path / "scan.ckpt"
     cfg = ScanConfig(lo=2, hi=300, tasks=tasks, checkpoint=str(ckpt))
     assert format_scan_output(cfg, scan_range(cfg)) == ckpt.read_text()
+
+
+@pytest.mark.parametrize("compute", [("w", "W"), ("w", "W", "delta")], ids=["w-W", "delta"])
+def test_journal_resumes_under_another_domain_convention(tmp_path, monkeypatch, compute):
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 16)
+    ckpt = tmp_path / "scan.ckpt"
+    scan_range(ScanConfig(lo=2, hi=300, compute=compute, checkpoint=str(ckpt)))
+    journal = ckpt.read_text()
+    ckpt.write_text("".join(journal.splitlines(keepends=True)[:2 + 16 + 3]))
+    computed = []
+    block = scan._scan_block
+    monkeypatch.setattr(scan, "_scan_block", lambda args: computed.append(args[0]) or block(args))
+    domain0 = ScanConfig(lo=2, hi=300, variant="domain0", compute=compute)
+    resumed = scan_range(ScanConfig(**{**vars(domain0), "checkpoint": str(ckpt)}))
+    assert ckpt.read_text() == journal
+    assert computed[0][0] == 59  # the first prime after the one whole block kept
+    assert resumed == scan_range(domain0)
 
 
 def test_partial_checkpoint_resumes_to_identical_bytes(tmp_path, monkeypatch):
@@ -142,24 +160,28 @@ def test_csv_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("compute,columns", [
-    (("w", "W", "delta"), "p,r,w,W,delta,witnesses,checksum"),
+    (("w", "W", "delta"), "p,r,w,W,core,dist_0,dist_p,witnesses,checksum"),
     (("W", "w"), "p,r,w,W,checksum"),
-    (("delta",), "p,r,delta,witnesses,checksum"),
+    (("delta",), "p,r,core,dist_0,dist_p,witnesses,checksum"),
     (("W",), "p,r,W,checksum"),
 ], ids=["all", "w-W", "delta", "W"])
 def test_columns_follow_the_computed_statistics(tmp_path, compute, columns):
     cfg = ScanConfig(lo=2, hi=30, variant="domain0", compute=compute)
-    text = format_scan_output(cfg, scan_range(cfg))
+    profiles = scan_range(cfg)
+    text = format_scan_output(cfg, profiles)
     stats = ",".join(name for name in STATS if name in compute)
+    targets = "targets=literal " if "delta" in compute else ""
     assert text.splitlines()[:2] == [
-        f"# hamroots.scan.v2 lo=2 hi=30 variant=domain0 compute={stats}", columns]
+        f"# hamroots.scan.v3 lo=2 hi=30 {targets}compute={stats}", columns]
     n_cells = len(columns.split(","))
     assert all(len(line.split(",")) == n_cells for line in text.splitlines()[1:])
     path = tmp_path / "scan.csv"
     path.write_text(text, encoding="utf-8")
     scanned, parsed = read_scan_output(str(path))
     assert scanned.compute == tuple(stats.split(","))
-    assert parsed == scan_range(cfg)
+    assert scanned.variant == "canonical"  # the base view of literal targets
+    assert [viewed_profile(pr.p, pr.r, pr.w, pr.W, pr.radii, DOMAIN0)
+            for pr in parsed] == profiles
 
 
 def _write_with_row_of_11_edited(tmp_path, field, value) -> tuple[str, int]:
@@ -183,8 +205,8 @@ def test_corrupted_checksum_rejected_with_line(tmp_path):
 
 
 def test_corrupted_delta_under_original_checksum_rejected(tmp_path):
-    # p = 11 has delta 2; its stored checksum is left as written
-    path, lineno = _write_with_row_of_11_edited(tmp_path, "delta", "3")
+    # p = 11 has core radius 2; its stored checksum is left as written
+    path, lineno = _write_with_row_of_11_edited(tmp_path, "core", "3")
     with pytest.raises(ValueError, match=f"checksum mismatch on line {lineno} "):
         read_scan_output(path)
 
@@ -228,7 +250,7 @@ def _write_with_row_of_11_replaced(tmp_path, edit) -> tuple[str, int]:
     lambda line: line.replace("11,", "+1_1,", 1),
     lambda line: line.replace("11,3,", "11, 3,", 1),
     lambda line: "0" + line,
-    lambda line: line.replace(",0;1,", ",0;01,", 1),
+    lambda line: re.sub(r",(\d+),(\w+)$", r",0\1,\2", line),  # p = 11's witness 1
 ], ids=["six-cells", "eight-cells", "non-integer-p", "empty-r",
         "underscore-sign-p", "space-r", "zero-padded-p", "zero-padded-witness"])
 def test_malformed_row_rejected_with_path_and_line(tmp_path, edit):
@@ -279,7 +301,7 @@ def _rows_of(lo, hi) -> list[str]:
 
 @pytest.mark.parametrize("journal,lineno,message", [
     (lambda header, rows: rows, 1,
-     "expected '# hamroots.scan.v2 lo=2 hi=60 variant=canonical compute=w,W', "
+     "expected '# hamroots.scan.v3 lo=2 hi=60 compute=w,W', "
      "got '2,0,,1,55d2e9b1'"),
     (lambda header, rows: header + _rows_of(7, 60), 3,
      "p=7 is not the next prime of [2, 60]"),
@@ -305,25 +327,27 @@ def test_journal_of_another_scan_is_refused(tmp_path):
     # neither the task count nor the order of the compute names is in the header
     scan_range(ScanConfig(**base, tasks=2, compute=("delta", "W", "w")))
     assert ckpt.read_bytes() == journal
-    for change in ({"lo": 2}, {"hi": 101}, {"variant": "domain0"}, {"compute": ("w", "W")}):
+    for change in ({"lo": 2}, {"hi": 101}, {"variant": "reduced"}, {"compute": ("w", "W")}):
         with pytest.raises(ValueError, match=f"^{re.escape(str(ckpt))}: line 1: expected "):
             scan_range(ScanConfig(**{**base, **change}))
         assert ckpt.read_bytes() == journal
 
 
 _stat = st.none() | st.integers(min_value=0, max_value=10**6)
+_radii = st.none() | st.builds(
+    Radii, *[st.integers(min_value=0, max_value=40)] * 3,
+    st.lists(st.integers(min_value=0, max_value=10**12), max_size=300).map(tuple))
 _rows = st.tuples(st.integers(min_value=2, max_value=10**12), st.integers(min_value=0, max_value=40),
-                  _stat, _stat, _stat,
-                  st.lists(st.integers(min_value=0, max_value=10**12), max_size=300).map(tuple))
+                  _stat, _stat, _radii)
 _computes = st.sets(st.sampled_from(STATS), min_size=1).map(tuple)
 
 
 @given(_rows, _computes)
 def test_row_codecs_round_trip(row, compute):
     cfg = ScanConfig(lo=2, hi=3, compute=compute)
-    p, r, *stats, wits = row
-    stats = [v if name in compute else None for name, v in zip(STATS, stats)]
-    prof = HammingProfile(p, r, *stats, witnesses=wits if "delta" in compute else ())
+    p, r, w, big_w, radii = row
+    prof = viewed_profile(p, r, w if "w" in compute else None, big_w if "W" in compute else None,
+                          radii if "delta" in compute else None, CANONICAL)
     line = _line_encoder(cfg)(prof)
     assert line.endswith("\n") and "\n" not in line[:-1]
     assert _line_decoder(cfg)(line[:-1]) == prof
@@ -343,7 +367,7 @@ def test_worker_count_is_bounded():
 
 def test_unknown_schema_rejected(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("# hamroots.scan.v9 variant=canonical\np,r\n", encoding="utf-8")
+    path.write_text("# hamroots.scan.v9 targets=literal\np,r\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_scan_output(str(path))
     jpath = tmp_path / "bad.jsonl"
@@ -353,33 +377,43 @@ def test_unknown_schema_rejected(tmp_path):
 
 
 _W_COLUMNS = "p,r,w,checksum"
+_D_COLUMNS = "p,r,core,dist_0,dist_p,witnesses,checksum"
 
 
 @pytest.mark.parametrize("text,lineno,message", [
     ('{"schema":"hamroots.scan.v1" "variant":"canonical"}\n', 1,
      "unknown scan schema header '{\"schema\""),
     ('{"schema":"other"}\n', 1, "unknown scan schema header"),
-    ("# hamroots.scan.v9 variant=canonical\n", 1, "unknown scan schema header"),
+    ("# hamroots.scan.v9 targets=literal\n", 1, "unknown scan schema header"),
     ("# hamroots.scan.v1 variant=canonical compute=w\np,r,w,W,delta,witnesses,checksum\n", 1,
      "unknown scan schema header '# hamroots.scan.v1 "),
-    ("# hamroots.scan.v2 lo=2 hi=10 variant=canonical compute=w\np,r\n", 2,
+    ("# hamroots.scan.v2 lo=2 hi=10 variant=canonical compute=w\np,r,w,checksum\n", 1,
+     "unknown scan schema header '# hamroots.scan.v2 "),
+    ("# hamroots.scan.v3 lo=2 hi=10 compute=w\np,r\n", 2,
      f"expected '{_W_COLUMNS}', got 'p,r'"),
-    (f"# hamroots.scan.v2 lo=2 hi=10 compute=w\n{_W_COLUMNS}\n", 1, "unknown variant None"),
-    (f"# hamroots.scan.v2 lo=2 hi=10 variant=odd compute=w\n{_W_COLUMNS}\n", 1,
-     "unknown variant 'odd'"),
-    (f"# hamroots.scan.v2 lo=2 hi=10 variant=canonical\n{_W_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v3 lo=2 hi=10 compute=delta\n{_D_COLUMNS}\n", 1,
+     "unknown radius targets None"),
+    (f"# hamroots.scan.v3 lo=2 hi=10 targets=odd compute=delta\n{_D_COLUMNS}\n", 1,
+     "unknown radius targets 'odd'"),
+    (f"# hamroots.scan.v3 lo=2 hi=10 targets=literal compute=w\n{_W_COLUMNS}\n", 1,
+     "expected '# hamroots.scan.v3 lo=2 hi=10 compute=w', got "),
+    (f"# hamroots.scan.v3 lo=2 hi=10 variant=domain0 targets=literal compute=delta\n"
+     f"{_D_COLUMNS}\n", 1, "expected '# hamroots.scan.v3 lo=2 hi=10 targets=literal "
+     "compute=delta', got "),
+    (f"# hamroots.scan.v3 lo=2 hi=10\n{_W_COLUMNS}\n", 1,
      "compute set must be a nonempty subset of w,W,delta, got None"),
-    (f"# hamroots.scan.v2 hi=10 variant=canonical compute=w\n{_W_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v3 hi=10 compute=w\n{_W_COLUMNS}\n", 1,
      "invalid literal for int"),
-    (f"# hamroots.scan.v2 lo=02 hi=10 variant=canonical compute=w\n{_W_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v3 lo=02 hi=10 compute=w\n{_W_COLUMNS}\n", 1,
      "'02' is not a canonical integer"),
-    (f"# hamroots.scan.v2 lo=10 hi=5 variant=canonical compute=w\n{_W_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v3 lo=10 hi=5 compute=w\n{_W_COLUMNS}\n", 1,
      r"bad scan range \[10, 5\]"),
-    ("# hamroots.scan.v2 lo=2 hi=10 variant=canonical compute=W,w\np,r,w,W,checksum\n", 1,
-     "expected '# hamroots.scan.v2 lo=2 hi=10 variant=canonical compute=w,W', got "),
-], ids=["invalid-json", "unknown-schema", "unknown-csv-schema", "v1-header", "csv-columns",
-        "csv-no-variant", "csv-unknown-variant", "csv-no-compute", "no-lo",
-        "zero-padded-lo", "empty-range", "compute-out-of-order"])
+    ("# hamroots.scan.v3 lo=2 hi=10 compute=W,w\np,r,w,W,checksum\n", 1,
+     "expected '# hamroots.scan.v3 lo=2 hi=10 compute=w,W', got "),
+], ids=["invalid-json", "unknown-schema", "unknown-csv-schema", "v1-header", "v2-header",
+        "csv-columns", "csv-no-targets", "csv-unknown-targets", "targets-without-delta",
+        "variant-in-header", "csv-no-compute", "no-lo", "zero-padded-lo", "empty-range",
+        "compute-out-of-order"])
 def test_bad_header_rejected_with_path_and_line(tmp_path, text, lineno, message):
     path = tmp_path / "bad.scan"
     path.write_text(text, encoding="utf-8")
@@ -420,7 +454,11 @@ def test_config_validation():
 
 @pytest.mark.parametrize("variant,stats,message", [
     ("canonical", {"w": 3, "W": 2}, "p=23 variant=canonical: w=3 > W=2"),
-    ("domain0", {"w": 1, "W": 2, "delta": 1}, "p=23 variant=domain0: W=2 > delta=1"),
+    # The domain0 delta of these radii is 1, below W; the check compares W
+    # with the distance of 0 under every literal variant.
+    ("domain0", {"w": 1, "W": 2, "delta": 1, "radii": Radii(1, 1, 1, (1,))},
+     "p=23 variant=domain0: the sparsest-root search gives W=2, "
+     "the dilation puts 0 at distance 1"),
 ], ids=["w-above-W", "W-above-delta"])
 def test_invariant_violation_names_prime_variant_and_values(monkeypatch, capsys,
                                                             variant, stats, message):
