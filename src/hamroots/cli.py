@@ -39,40 +39,41 @@ def build_parser() -> argparse.ArgumentParser:
     # Census flags, declared once and shared by the subcommands that read them.
     workers = argparse.ArgumentParser(add_help=False)
     workers.add_argument("--tasks", type=int, default=1)
-    workers.add_argument("--checkpoint", metavar="PATH")
     variant = argparse.ArgumentParser(add_help=False)
     variant.add_argument("--variant", choices=sorted(VARIANTS), default="canonical")
     compute = argparse.ArgumentParser(add_help=False)
     compute.add_argument("--compute", default="w,W,delta",
                          help="comma-joined subset of w,W,delta")
+    scan_file = argparse.ArgumentParser(add_help=False)
+    scan_file.add_argument("--scan-file", metavar="PATH",
+                           help="reuse a previous scan instead of recomputing")
 
     scan = subs.add_parser("scan", help="per-prime statistics over a range",
                            parents=[workers, variant, compute])
     scan.add_argument("--range", nargs=2, type=int, metavar=("LO", "HI"), required=True)
-    scan.add_argument("--output", metavar="PATH")
+    scan.add_argument("--output", metavar="PATH",
+                      help="written as PATH.part, which a rerun resumes, then renamed")
     scan.set_defaults(func=cmd_scan)
 
+    census = [workers, variant, scan_file]
     table = subs.add_parser("table", help="census table with reference diffs",
-                            parents=[workers, variant, compute])
+                            parents=[*census, compute])
     table.add_argument("--limit", type=int, required=True)
-    table.add_argument("--scan-file", metavar="PATH",
-                       help="reuse a previous scan instead of recomputing")
     table.add_argument("--paper-diff", action="store_true",
                        help="itemize per-prime differences between radius variants")
     table.set_defaults(func=cmd_table)
 
-    d3 = subs.add_parser("delta3", help="primes of covering radius 3",
-                         parents=[workers, variant])
+    d3 = subs.add_parser("delta3", help="primes of covering radius 3", parents=census)
     d3.add_argument("--limit", type=int, default=reference.RADIUS3_SEARCH_LIMIT)
     d3.add_argument("--paper-diff", action="store_true",
                     help="compare witness classes against the reference list")
-    d3.set_defaults(func=cmd_delta3)
+    d3.set_defaults(func=cmd_delta3, compute="delta")
 
     freq = subs.add_parser("frequencies", help="observed w=1 / W=1 densities",
-                           parents=[workers])
+                           parents=[workers, scan_file])
     freq.add_argument("--limit", type=int, required=True)
     freq.add_argument("--paper-diff", action="store_true")
-    freq.set_defaults(func=cmd_frequencies)
+    freq.set_defaults(func=cmd_frequencies, compute="w,W", variant="canonical")
 
     cubes = subs.add_parser("cubes", help="cube avoidance/containment census")
     cubes.add_argument("--range", nargs=2, type=int, metavar=("LO", "HI"), required=True)
@@ -118,57 +119,54 @@ def _compute_tuple(flag_value: str) -> tuple[str, ...]:
 
 
 def cmd_scan(args) -> int:
+    # With --output the file is the checkpoint journal: rows are appended to
+    # PATH.part a block at a time, a rerun resumes it, and only a whole scan
+    # is renamed onto PATH, so a failure leaves any old output.
     config = ScanConfig(lo=args.range[0], hi=args.range[1], tasks=args.tasks,
                         variant=args.variant, compute=_compute_tuple(args.compute),
-                        checkpoint=args.checkpoint)
-    if not args.output:
-        sys.stdout.write(format_scan_output(config, scan_range(config)))
-        return 0
-    # Opened before the scan, so a bad path fails at once; replaced into
-    # place only after a whole scan, so a failure leaves any old output.
-    tmp = f"{args.output}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
-    try:
-        with fh:
-            fh.write(format_scan_output(config, scan_range(config)))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, args.output)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+                        checkpoint=f"{args.output}.part" if args.output else None)
+    profiles = scan_range(config)
+    if args.output:
+        os.replace(config.checkpoint, args.output)
+    else:
+        sys.stdout.write(format_scan_output(config, profiles))
     return 0
+
+
+def _census_profiles(args, lo: int) -> list:
+    """The profiles of the primes in [lo, --limit] under --variant, with the
+    statistics of --compute: scanned in memory, or read from --scan-file,
+    which must cover that range, hold those statistics and, for delta, have
+    the radius targets of --variant. delta3 and frequencies, which have no
+    --compute, fix it (and frequencies --variant) as parser defaults."""
+    compute = _compute_tuple(args.compute)
+    if not args.scan_file:
+        return scan_range(ScanConfig(lo=lo, hi=args.limit, tasks=args.tasks,
+                                     variant=args.variant, compute=compute))
+    if args.tasks != 1:
+        raise ValueError("--tasks does not apply to a finished scan read with --scan-file")
+    scanned, profiles = read_scan_output(args.scan_file)
+    if scanned.lo > lo or scanned.hi < args.limit:
+        raise ValueError(f"scan file does not cover the primes up to {args.limit}")
+    missing = set(compute) - set(scanned.compute)
+    if missing:
+        raise ValueError(f"scan file lacks {','.join(sorted(missing))} "
+                         f"requested by --compute {args.compute}")
+    variant, targets = VARIANTS[args.variant], VARIANTS[scanned.variant].targets
+    if "delta" in compute and targets != variant.targets:
+        raise ValueError(f"scan file radii are for {targets} targets, "
+                         f"--variant {args.variant} needs {variant.targets} targets")
+    return [viewed_profile(pr.p, pr.r, pr.w, pr.W, pr.radii, variant)
+            for pr in profiles if lo <= pr.p <= args.limit]
 
 
 def cmd_table(args) -> int:
     exponents = [j for j in sorted(reference.COUNT_TABLE) if 10**j <= args.limit]
     if not exponents:
         raise ValueError("limit below the smallest tabulated threshold 10^3")
-    if args.scan_file:
-        if args.tasks != 1 or args.checkpoint:
-            raise ValueError("--tasks and --checkpoint do not apply to a finished "
-                             "scan read with --scan-file")
-        scanned, profiles = read_scan_output(args.scan_file)
-        variant, targets = VARIANTS[args.variant], VARIANTS[scanned.variant].targets
-        if "delta" in scanned.compute and targets != variant.targets:
-            raise ValueError(f"scan file radii are for {targets} targets, "
-                             f"--variant {args.variant} needs {variant.targets} targets")
-        if scanned.lo > 2 or scanned.hi < args.limit:
-            raise ValueError(f"scan file does not cover the primes up to {args.limit}")
-        profiles = [viewed_profile(pr.p, pr.r, pr.w, pr.W, pr.radii, variant)
-                    for pr in profiles if pr.p <= args.limit]
-        missing = set(_compute_tuple(args.compute)) - set(scanned.compute)
-        if missing:
-            raise ValueError(f"scan file lacks {','.join(sorted(missing))} "
-                             f"requested by --compute {args.compute}")
-    else:
-        profiles = scan_range(ScanConfig(lo=2, hi=args.limit, tasks=args.tasks,
-                                         variant=args.variant,
-                                         compute=_compute_tuple(args.compute),
-                                         checkpoint=args.checkpoint))
+    profiles = _census_profiles(args, 2)
     table = CountTable.from_profiles(profiles, [10**j for j in exponents])
-    computed = {s for s in ("w", "W", "delta")
-                if any(getattr(pr, s) is not None for pr in profiles)}
+    computed = set(_compute_tuple(args.compute))
     header = f"{'j':>2} {'pi':>6}"
     for i in (1, 2, 3):
         for stat in ("w", "W", "delta"):
@@ -222,9 +220,7 @@ def cmd_delta3(args) -> int:
     if args.limit > reference.RADIUS3_SEARCH_LIMIT:
         raise CapabilityError(
             f"radius-3 census capped at {reference.RADIUS3_SEARCH_LIMIT}")
-    config = ScanConfig(lo=3, hi=args.limit, tasks=args.tasks, variant=args.variant,
-                        compute=("delta",), checkpoint=args.checkpoint)
-    profiles = scan_range(config)
+    profiles = _census_profiles(args, 3)
     found = {pr.p: pr for pr in profiles if pr.delta is not None and pr.delta >= 3}
     deep = [pr.p for pr in profiles if pr.delta is not None and pr.delta >= 4]
     print(f"# primes <= {args.limit} with covering radius 3 ({args.variant} variant)")
@@ -256,15 +252,15 @@ def cmd_delta3(args) -> int:
 
 
 def cmd_frequencies(args) -> int:
-    config = ScanConfig(lo=2, hi=args.limit, tasks=args.tasks,
-                        compute=("w", "W"), checkpoint=args.checkpoint)
-    row = CountTable.from_profiles(scan_range(config), [args.limit]).rows[args.limit]
+    if args.paper_diff and args.limit != 10**6:
+        raise ValueError("--paper-diff has reference figures only for --limit 1000000 (10^6)")
+    row = CountTable.from_profiles(_census_profiles(args, 2), [args.limit]).rows[args.limit]
     pi, w1, big_w1 = row["pi"], row["w"][0], row["W"][0]
     artin = consts.artin_constant(min(args.limit, 1_000_000))
     print(f"pi({args.limit}) = {pi}")
     print(f"w=1: {w1}/{pi} = {w1 / pi:.6f}   (limit 1/2)")
     print(f"W=1: {big_w1}/{pi} = {big_w1 / pi:.6f}   (Artin constant {artin:.7f})")
-    if args.paper_diff and args.limit == 10**6:
+    if args.paper_diff:
         ref = reference.FREQ_10_6
         print(f"reference: w=1 {ref['w1']}/{ref['pi']} ~ {reference.FREQ_W1_DIGITS}, "
               f"W=1 {ref['W1']}/{ref['pi']} ~ {reference.FREQ_BIGW1_DIGITS}")

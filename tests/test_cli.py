@@ -2,7 +2,7 @@ import argparse
 
 import pytest
 
-from hamroots import cli
+from hamroots import scan
 from hamroots.cli import build_parser, main
 from hamroots.errors import InvariantViolation
 from hamroots.scan import ScanConfig, format_scan_output, scan_range
@@ -131,28 +131,54 @@ def test_io_error_exit_2(capsys, tmp_path):
 
 
 def test_scan_output_path_is_opened_before_the_scan(tmp_path, monkeypatch):
-    calls = []
-    monkeypatch.setattr(cli, "scan_range", lambda config: calls.append(config) or [])
+    blocks = []
+    monkeypatch.setattr(scan, "_scan_block", lambda args: blocks.append(args) or [])
     target = tmp_path / "missing" / "out.csv"
     assert main(["scan", "--range", "3", "7", "--output", str(target)]) == 2
-    assert calls == []
+    assert blocks == []
+
+
+def _fail_in_block(monkeypatch, n):
+    """Make the n-th block of the next scans raise an InvariantViolation."""
+    real, seen = scan._scan_block, []
+
+    def block(args):
+        seen.append(args)
+        if len(seen) == n:
+            raise InvariantViolation(f"p={args[0][0]} variant=canonical: injected")
+        return real(args)
+    monkeypatch.setattr(scan, "_scan_block", block)
 
 
 def test_failed_scan_leaves_the_old_output(tmp_path, monkeypatch, capsys):
-    target = tmp_path / "out.csv"
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 4)
+    argv = ["scan", "--range", "3", "60", "--compute", "w,W"]
+    fresh = run(capsys, *argv)[1]
+    target, part = tmp_path / "out.csv", tmp_path / "out.csv.part"
     target.write_bytes(b"old bytes\n")
-
-    def violate(config):
-        raise InvariantViolation("p=7 variant=canonical: injected")
-
-    monkeypatch.setattr(cli, "scan_range", violate)
-    assert main(["scan", "--range", "3", "7", "--output", str(target)]) == 4
+    with monkeypatch.context() as patch:
+        _fail_in_block(patch, 2)
+        assert main([*argv, "--output", str(target)]) == 4
     assert target.read_bytes() == b"old bytes\n"
-    assert list(tmp_path.iterdir()) == [target]  # no temporary file left
-    monkeypatch.undo()
-    assert main(["scan", "--range", "3", "7", "--output", str(target)]) == 0
-    assert target.read_text() == run(capsys, "scan", "--range", "3", "7")[1]
-    assert list(tmp_path.iterdir()) == [target]
+    assert part.read_text() == "".join(fresh.splitlines(keepends=True)[:2 + 4])
+    assert main([*argv, "--output", str(target)]) == 0  # resumes after block 1
+    assert target.read_text() == fresh
+    assert list(tmp_path.iterdir()) == [target]  # no .part or temporary file left
+
+
+@pytest.mark.parametrize("other", [["--range", "3", "100"], ["--compute", "w"]],
+                         ids=["range", "compute"])
+def test_part_file_of_another_scan_is_refused(tmp_path, capsys, other):
+    target, part = tmp_path / "out.csv", tmp_path / "out.csv.part"
+    argv = ["scan", "--range", "3", "60", "--compute", "w,W", "--output"]
+    assert main([*argv, str(part)]) == 0  # a finished scan of [3, 60], named as the .part
+    target.write_bytes(b"old bytes\n")
+    journal = part.read_bytes()
+    code, out, err = run_err(capsys, "scan", "--range", "3", "60", "--compute", "w,W",
+                             *other, "--output", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {part}: line 1: expected ")
+    assert part.read_bytes() == journal and target.read_bytes() == b"old bytes\n"
 
 
 def _subcommands(parser):
@@ -165,12 +191,11 @@ def _subcommands(parser):
 def test_cli_option_surface_is_pinned():
     common = {"-h", "--help"}
     expected = {
-        "scan": {"--range", "--tasks", "--checkpoint", "--variant", "--compute",
-                 "--output"},
-        "table": {"--limit", "--tasks", "--checkpoint", "--variant", "--compute",
-                  "--scan-file", "--paper-diff"},
-        "delta3": {"--limit", "--tasks", "--checkpoint", "--variant", "--paper-diff"},
-        "frequencies": {"--limit", "--tasks", "--checkpoint", "--paper-diff"},
+        "scan": {"--range", "--tasks", "--variant", "--compute", "--output"},
+        "table": {"--limit", "--tasks", "--variant", "--compute", "--scan-file",
+                  "--paper-diff"},
+        "delta3": {"--limit", "--tasks", "--variant", "--scan-file", "--paper-diff"},
+        "frequencies": {"--limit", "--tasks", "--scan-file", "--paper-diff"},
         "cubes": {"--range", "--mode", "--seed"},
         "charsum": set(),
         "charsum indicator": {"--p"},
@@ -295,16 +320,60 @@ def test_table_scan_file_bad_checksum_is_refused(tmp_path, capsys):
 
 def test_table_scan_file_refuses_worker_flags(tmp_path, capsys):
     path = _scan_file(tmp_path, capsys, "ww.csv", "--range", "2", "1000", "--compute", "w,W")
-    journal = tmp_path / "unused.ckpt"
-    for flags in (["--tasks", "64"], ["--checkpoint", str(journal)]):
-        code, out, err = run_err(capsys, "table", "--limit", "1000", "--compute", "w,W",
-                                 *flags, "--scan-file", path)
-        assert code == 1 and out == ""
-        assert "do not apply to a finished scan" in err
-    assert not journal.exists()
+    code, out, err = run_err(capsys, "table", "--limit", "1000", "--compute", "w,W",
+                             "--tasks", "64", "--scan-file", path)
+    assert code == 1 and out == ""
+    assert "--tasks does not apply to a finished scan" in err
     code, out = run(capsys, "table", "--limit", "1000", "--compute", "w,W",
                     "--tasks", "1", "--scan-file", path)
     assert code == 0
+
+
+def test_table_scan_file_columns_follow_compute(tmp_path, capsys):
+    path = _scan_file(tmp_path, capsys, "full.csv", "--range", "2", "1000")
+    for compute in ("w", "W,delta"):
+        code, out = run(capsys, "table", "--limit", "1000", "--compute", compute,
+                        "--scan-file", path)
+        assert code == 0
+        assert out == run(capsys, "table", "--limit", "1000", "--compute", compute)[1]
+
+
+@pytest.mark.parametrize("variant", ["canonical", "domain0"])
+def test_delta3_scan_file_matches_the_scan(tmp_path, capsys, variant):
+    path = _scan_file(tmp_path, capsys, "d.csv", "--range", "3", "10000", "--compute", "delta")
+    argv = ["delta3", "--limit", "10000", "--variant", variant, "--paper-diff"]
+    code, out = run(capsys, *argv, "--scan-file", path)
+    assert code == 0 and "17: classes" in out
+    assert out == run(capsys, *argv)[1]
+
+
+def test_delta3_scan_file_refusals(tmp_path, capsys):
+    ww = _scan_file(tmp_path, capsys, "ww.csv", "--range", "2", "300", "--compute", "w,W")
+    literal = _scan_file(tmp_path, capsys, "d.csv", "--range", "2", "300", "--compute", "delta")
+    short = _scan_file(tmp_path, capsys, "s.csv", "--range", "5", "300", "--compute", "delta")
+    for path, flags, message in (
+            (ww, [], "scan file lacks delta"),
+            (literal, ["--variant", "reduced"],
+             "scan file radii are for literal targets, --variant reduced needs reduced"),
+            (literal, ["--limit", "400"], "does not cover the primes up to 400"),
+            (short, [], "does not cover the primes up to 300")):
+        code, out, err = run_err(capsys, "delta3", "--limit", "300", *flags,
+                                 "--scan-file", path)
+        assert code == 1 and out == ""
+        assert message in err
+
+
+def test_frequencies_scan_file_matches_the_scan(tmp_path, capsys):
+    path = _scan_file(tmp_path, capsys, "ww.csv", "--range", "2", "1000", "--compute", "w,W")
+    code, out = run(capsys, "frequencies", "--limit", "1000", "--scan-file", path)
+    assert code == 0 and "87/168" in out
+    assert out == run(capsys, "frequencies", "--limit", "1000")[1]
+
+
+def test_frequencies_paper_diff_needs_the_reference_limit(capsys):
+    code, out, err = run_err(capsys, "frequencies", "--limit", "1000", "--paper-diff")
+    assert code == 1 and out == ""
+    assert "--limit 1000000" in err
 
 
 def test_table_scan_file_malformed_row_is_refused_by_line(tmp_path, capsys):
@@ -319,16 +388,18 @@ def test_table_scan_file_malformed_row_is_refused_by_line(tmp_path, capsys):
 
 
 def test_scan_stray_journal_record_is_refused_by_line(tmp_path, capsys):
-    journal = tmp_path / "scan.ckpt"
-    argv = ["scan", "--range", "2", "1000", "--compute", "w,W", "--checkpoint", str(journal)]
+    target, part = tmp_path / "scan.csv", tmp_path / "scan.csv.part"
+    argv = ["scan", "--range", "2", "1000", "--compute", "w,W", "--output", str(target)]
     assert main(argv) == 0
     capsys.readouterr()
-    n_lines = len(journal.read_text().splitlines())
-    with open(journal, "a") as fh:
+    target.replace(part)  # the journal of a scan killed before its rename
+    n_lines = len(part.read_text().splitlines())
+    with open(part, "a") as fh:
         fh.write('{"x":1}\n')
     code, out, err = run_err(capsys, *argv)
     assert code == 1 and out == ""
-    assert f"{journal}: line {n_lines + 1}: expected 5 columns, got 1" in err
+    assert f"{part}: line {n_lines + 1}: expected 5 columns, got 1" in err
+    assert not target.exists()
 
 
 def test_charsum_pv_at_p2_is_an_error(capsys):

@@ -212,10 +212,11 @@ def test_corrupted_delta_under_original_checksum_rejected(tmp_path):
 
 
 def test_journal_with_an_edited_row_is_refused_on_resume(tmp_path, capsys):
-    ckpt = tmp_path / "scan.ckpt"
-    argv = ["scan", "--range", "2", "100", "--compute", "w,W", "--checkpoint", str(ckpt)]
+    out, ckpt = tmp_path / "scan.csv", tmp_path / "scan.csv.part"
+    argv = ["scan", "--range", "2", "100", "--compute", "w,W", "--output", str(out)]
     assert main(argv) == 0
     capsys.readouterr()
+    out.replace(ckpt)  # the journal of a scan killed before its rename
     lines = ckpt.read_text().splitlines(keepends=True)
     i = next(i for i, line in enumerate(lines) if line.startswith("11,3,1,"))
     lines[i] = "11,3,3," + lines[i][len("11,3,1,"):]  # w of p = 11, 1 -> 3
@@ -227,6 +228,7 @@ def test_journal_with_an_edited_row_is_refused_on_resume(tmp_path, capsys):
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert ckpt.read_text() == "".join(lines)  # a refused journal is left as it was
+    assert not out.exists()
 
 
 def _write_with_row_of_11_replaced(tmp_path, edit) -> tuple[str, int]:
