@@ -18,10 +18,9 @@ from .characters import Character, build_characters
 from .charsums import (hoelder_bound_report, legendre_character,
                        poly_char_sum, primroot_indicator, pv_burgess_bound_report,
                        split_char_sum)
-from .cubes import (DEFAULT_SEED, NONRESIDUE, PRIMROOT, cube_census,
-                    max_avoiding_dimension)
+from .cubes import EXHAUSTIVE_P_CAP, NONRESIDUE, PRIMROOT, cube_census, max_avoiding_dimension
 from .errors import CapabilityError, InvariantViolation
-from .hamming import DOMAIN0, VARIANTS, covering_radius, view, viewed_profile
+from .hamming import CANONICAL, DOMAIN0, REDUCED, VARIANTS, covering_radius, view, viewed_profile
 from .numtheory import PrimeContext, divisors, factorize, is_primitive_root, sieve_primes
 from .scan import CountTable, ScanConfig, format_scan_output, read_scan_output, scan_range
 
@@ -49,8 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="reuse a previous scan instead of recomputing")
 
     scan = subs.add_parser("scan", help="per-prime statistics over a range",
-                           parents=[workers, variant, compute])
+                           parents=[workers, compute])
     scan.add_argument("--range", nargs=2, type=int, metavar=("LO", "HI"), required=True)
+    scan.add_argument("--targets", choices=("literal", "reduced"), default="literal")
     scan.add_argument("--output", metavar="PATH",
                       help="written as PATH.part, which a rerun resumes, then renamed")
     scan.set_defaults(func=cmd_scan)
@@ -67,18 +67,15 @@ def build_parser() -> argparse.ArgumentParser:
     d3.add_argument("--limit", type=int, default=reference.RADIUS3_SEARCH_LIMIT)
     d3.add_argument("--paper-diff", action="store_true",
                     help="compare witness classes against the reference list")
-    d3.set_defaults(func=cmd_delta3, compute="delta")
+    d3.set_defaults(func=cmd_delta3)
 
     freq = subs.add_parser("frequencies", help="observed w=1 / W=1 densities",
                            parents=[workers, scan_file])
     freq.add_argument("--limit", type=int, required=True)
-    freq.add_argument("--paper-diff", action="store_true")
-    freq.set_defaults(func=cmd_frequencies, compute="w,W", variant="canonical")
+    freq.set_defaults(func=cmd_frequencies)
 
     cubes = subs.add_parser("cubes", help="cube avoidance/containment census")
     cubes.add_argument("--range", nargs=2, type=int, metavar=("LO", "HI"), required=True)
-    cubes.add_argument("--mode", choices=("exhaustive", "heuristic"), default="exhaustive")
-    cubes.add_argument("--seed", type=int, default=DEFAULT_SEED)
     cubes.set_defaults(func=cmd_cubes)
 
     charsum = subs.add_parser("charsum", help="character-sum checks and reports")
@@ -108,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     dbl.set_defaults(func=cmd_charsum_double)
 
     cst = subs.add_parser("constants", help="named constants with reference digits")
-    cst.add_argument("--prime-limit", type=int, default=1_000_000)
     cst.set_defaults(func=cmd_constants)
 
     return parser
@@ -123,7 +119,8 @@ def cmd_scan(args) -> int:
     # PATH.part a block at a time, a rerun resumes it, and only a whole scan
     # is renamed onto PATH, so a failure leaves any old output.
     config = ScanConfig(lo=args.range[0], hi=args.range[1], tasks=args.tasks,
-                        variant=args.variant, compute=_compute_tuple(args.compute),
+                        variant=(REDUCED if args.targets == "reduced" else CANONICAL).name,
+                        compute=_compute_tuple(args.compute),
                         checkpoint=f"{args.output}.part" if args.output else None)
     profiles = scan_range(config)
     if args.output:
@@ -133,16 +130,14 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _census_profiles(args, lo: int) -> list:
-    """The profiles of the primes in [lo, --limit] under --variant, with the
-    statistics of --compute: scanned in memory, or read from --scan-file,
-    which must cover that range, hold those statistics and, for delta, have
-    the radius targets of --variant. delta3 and frequencies, which have no
-    --compute, fix it (and frequencies --variant) as parser defaults."""
-    compute = _compute_tuple(args.compute)
+def _census_profiles(args, lo: int, compute: tuple[str, ...], variant_name: str) -> list:
+    """The profiles of the primes in [lo, --limit] under the variant, with the
+    statistics of compute: scanned in memory, or read from --scan-file, which
+    must cover that range, hold those statistics and, for delta, have the
+    radius targets of the variant."""
     if not args.scan_file:
         return scan_range(ScanConfig(lo=lo, hi=args.limit, tasks=args.tasks,
-                                     variant=args.variant, compute=compute))
+                                     variant=variant_name, compute=compute))
     if args.tasks != 1:
         raise ValueError("--tasks does not apply to a finished scan read with --scan-file")
     scanned, profiles = read_scan_output(args.scan_file)
@@ -150,12 +145,12 @@ def _census_profiles(args, lo: int) -> list:
         raise ValueError(f"scan file does not cover the primes up to {args.limit}")
     missing = set(compute) - set(scanned.compute)
     if missing:
-        raise ValueError(f"scan file lacks {','.join(sorted(missing))} "
-                         f"requested by --compute {args.compute}")
-    variant, targets = VARIANTS[args.variant], VARIANTS[scanned.variant].targets
+        raise ValueError(f"scan file lacks {','.join(sorted(missing))}, "
+                         f"which {args.command} needs")
+    variant, targets = VARIANTS[variant_name], VARIANTS[scanned.variant].targets
     if "delta" in compute and targets != variant.targets:
         raise ValueError(f"scan file radii are for {targets} targets, "
-                         f"--variant {args.variant} needs {variant.targets} targets")
+                         f"--variant {variant_name} needs {variant.targets} targets")
     return [viewed_profile(pr.p, pr.r, pr.w, pr.W, pr.radii, variant)
             for pr in profiles if lo <= pr.p <= args.limit]
 
@@ -164,9 +159,9 @@ def cmd_table(args) -> int:
     exponents = [j for j in sorted(reference.COUNT_TABLE) if 10**j <= args.limit]
     if not exponents:
         raise ValueError("limit below the smallest tabulated threshold 10^3")
-    profiles = _census_profiles(args, 2)
+    compute = _compute_tuple(args.compute)
+    profiles = _census_profiles(args, 2, compute, args.variant)
     table = CountTable.from_profiles(profiles, [10**j for j in exponents])
-    computed = set(_compute_tuple(args.compute))
     header = f"{'j':>2} {'pi':>6}"
     for i in (1, 2, 3):
         for stat in ("w", "W", "delta"):
@@ -180,18 +175,18 @@ def cmd_table(args) -> int:
         diff = f"{'diff':>2} {ref['pi'] - row['pi']:>+6}"
         for i in (1, 2, 3):
             for stat in ("w", "W", "delta"):
-                have = row[stat][i - 1] if stat in computed else None
+                have = row[stat][i - 1] if stat in compute else None
                 line += f" {have if have is not None else '-':>7}"
                 d = "" if have is None else format(ref[stat][i - 1] - have, "+d")
                 diff += f" {d:>7}"
         print(line)
         print(diff + "   (reference minus computed)")
         for stat in ("w", "delta", "W"):
-            if stat in computed and not table.sum_identity_ok(10**j, stat):
+            if stat in compute and not table.sum_identity_ok(10**j, stat):
                 print(f"!! {stat} counts at 10^{j} do not sum to "
                       f"{'pi' if stat == 'W' else 'pi-1'}")
                 violation = True
-    if args.paper_diff and "delta" in computed:
+    if args.paper_diff and "delta" in compute:
         _itemize_variant_differences(profiles, args.variant)
     return 4 if violation else 0
 
@@ -220,13 +215,14 @@ def cmd_delta3(args) -> int:
     if args.limit > reference.RADIUS3_SEARCH_LIMIT:
         raise CapabilityError(
             f"radius-3 census capped at {reference.RADIUS3_SEARCH_LIMIT}")
-    profiles = _census_profiles(args, 3)
-    found = {pr.p: pr for pr in profiles if pr.delta is not None and pr.delta >= 3}
-    deep = [pr.p for pr in profiles if pr.delta is not None and pr.delta >= 4]
+    radius3, deep = {}, []
+    for pr in _census_profiles(args, 3, ("delta",), args.variant):
+        if pr.delta == 3:
+            radius3[pr.p] = pr
+        elif pr.delta > 3:
+            deep.append(pr.p)
     print(f"# primes <= {args.limit} with covering radius 3 ({args.variant} variant)")
-    for p, pr in sorted(found.items()):
-        if pr.delta != 3:
-            continue
+    for p, pr in radius3.items():
         line = f"{p}: classes {';'.join(map(str, pr.witnesses))}"
         if args.paper_diff:
             ref = reference.RADIUS3_CLASSES.get(p)
@@ -241,8 +237,7 @@ def cmd_delta3(args) -> int:
                     line += f" extra: {';'.join(map(str, extra))}"
         print(line)
     if args.paper_diff:
-        missing = [p for p in reference.RADIUS3_CLASSES
-                   if p <= args.limit and (p not in found or found[p].delta != 3)]
+        missing = [p for p in reference.RADIUS3_CLASSES if p <= args.limit and p not in radius3]
         if missing:
             print(f"# reference primes not at radius 3 under {args.variant}: "
                   f"{', '.join(map(str, missing))}")
@@ -252,15 +247,14 @@ def cmd_delta3(args) -> int:
 
 
 def cmd_frequencies(args) -> int:
-    if args.paper_diff and args.limit != 10**6:
-        raise ValueError("--paper-diff has reference figures only for --limit 1000000 (10^6)")
-    row = CountTable.from_profiles(_census_profiles(args, 2), [args.limit]).rows[args.limit]
+    profiles = _census_profiles(args, 2, ("w", "W"), CANONICAL.name)
+    row = CountTable.from_profiles(profiles, [args.limit]).rows[args.limit]
     pi, w1, big_w1 = row["pi"], row["w"][0], row["W"][0]
     artin = consts.artin_constant(min(args.limit, 1_000_000))
     print(f"pi({args.limit}) = {pi}")
     print(f"w=1: {w1}/{pi} = {w1 / pi:.6f}   (limit 1/2)")
     print(f"W=1: {big_w1}/{pi} = {big_w1 / pi:.6f}   (Artin constant {artin:.7f})")
-    if args.paper_diff:
+    if args.limit == 10**6:  # the one limit with reference figures
         ref = reference.FREQ_10_6
         print(f"reference: w=1 {ref['w1']}/{ref['pi']} ~ {reference.FREQ_W1_DIGITS}, "
               f"W=1 {ref['W1']}/{ref['pi']} ~ {reference.FREQ_BIGW1_DIGITS}")
@@ -275,17 +269,12 @@ def cmd_cubes(args) -> int:
         if p > hi:
             continue
         ctx = PrimeContext.for_prime(p)
-        if args.mode == "heuristic":
-            f = max_avoiding_dimension(ctx, NONRESIDUE, "heuristic", seed=args.seed)
-            big_f = max_avoiding_dimension(ctx, PRIMROOT, "heuristic", seed=args.seed)
+        if p > EXHAUSTIVE_P_CAP:  # heuristic lower bounds for f and F only
+            f = max_avoiding_dimension(ctx, NONRESIDUE)
+            big_f = max_avoiding_dimension(ctx, PRIMROOT)
             print(f"{p},{f.dim},{big_f.dim},,,{f.witness},{big_f.witness},,,lower-bound,")
             continue
-        try:
-            census = cube_census(ctx)
-        except CapabilityError as exc:
-            print(f"{p},,,,,,,,,capability:{exc},")
-            rc = 3
-            continue
+        census = cube_census(ctx)
         violations = census.chain_violations()
         chain = "ok" if not violations else "|".join(violations)
         hs_ok = census.avoid_nonresidue.dim < 12 * p**0.25
@@ -297,7 +286,7 @@ def cmd_cubes(args) -> int:
             str(census.inside_nonresidue.witness), str(census.inside_primroot.witness),
             chain, "ok" if hs_ok else "violated",
         ]))
-        if violations and rc == 0:
+        if violations:
             rc = 4
     return rc
 
@@ -370,12 +359,12 @@ def cmd_charsum_double(args) -> int:
 def cmd_constants(args) -> int:
     rho = consts.entropy_half_point()
     theta = consts.sparse_weight_constant()
-    artin = consts.artin_constant(args.prime_limit)
+    artin = consts.artin_constant(10**6)  # the limit of the reference digits
     print(f"entropy half-point rho0 = {rho:.10f}   "
           f"(reference digits {reference.ENTROPY_HALF_POINT_DIGITS})")
     print(f"1/(8 sqrt e)    theta0 = {theta:.10f}   "
           f"(reference digits {reference.SPARSE_WEIGHT_DIGITS})")
-    print(f"Artin constant A({args.prime_limit}) = {artin:.10f}   "
+    print(f"Artin constant A({10**6}) = {artin:.10f}   "
           f"(reference digits {reference.ARTIN_DIGITS})")
     return 0
 

@@ -20,7 +20,7 @@ EXHAUSTIVE_P_CAP = 60         # ceiling for exact searches
 HEURISTIC_RESTARTS = 40       # greedy restarts per heuristic search
 NONRESIDUE = "non-residue"
 PRIMROOT = "primitive-root"
-DEFAULT_SEED = 0x5EED
+DEFAULT_SEED = 0x5EED         # the heuristic's random seed
 
 _PREDICATES = (NONRESIDUE, PRIMROOT)
 
@@ -151,9 +151,9 @@ def _max_cube_exhaustive(p: int, allowed_mask: int) -> CubeSearchResult:
     return CubeSearchResult(best_dim, best, exact=True)
 
 
-def _max_cube_heuristic(p: int, allowed_mask: int, seed: int) -> CubeSearchResult:
+def _max_cube_heuristic(p: int, allowed_mask: int) -> CubeSearchResult:
     """Greedy growth with random restarts; yields a valid lower bound."""
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     bases = bitmap_to_set(allowed_mask)
     best_dim = 0
     best = HilbertCube(bases[0], ())
@@ -189,16 +189,14 @@ def _allowed_mask(ctx: PrimeContext, predicate: str, contained: bool) -> int:
     return sum(1 << a for a in allowed)
 
 
-def max_avoiding_dimension(ctx: PrimeContext, predicate: str, search: str = "exhaustive",
-                           seed: int = DEFAULT_SEED) -> CubeSearchResult:
+def max_avoiding_dimension(ctx: PrimeContext, predicate: str) -> CubeSearchResult:
     """Largest cube dimension avoiding the predicate set (f for non-residues,
-    F for primitive roots)."""
+    F for primitive roots): exact up to EXHAUSTIVE_P_CAP, a heuristic lower
+    bound (exact=False) above it."""
     mask = _allowed_mask(ctx, predicate, False)
-    if search == "exhaustive":
+    if ctx.p <= EXHAUSTIVE_P_CAP:
         return _max_cube_exhaustive(ctx.p, mask)
-    if search == "heuristic":
-        return _max_cube_heuristic(ctx.p, mask, seed)
-    raise ValueError(f"unknown search mode {search!r}")
+    return _max_cube_heuristic(ctx.p, mask)
 
 
 def max_contained_dimension(ctx: PrimeContext, predicate: str) -> CubeSearchResult:
@@ -208,8 +206,8 @@ def max_contained_dimension(ctx: PrimeContext, predicate: str) -> CubeSearchResu
 
 
 def cube_census(ctx: PrimeContext) -> CubeCensus:
-    if ctx.p == 2:
-        raise CapabilityError("cube census needs an odd prime")
+    if not 2 < ctx.p <= EXHAUSTIVE_P_CAP:
+        raise CapabilityError(f"cube census needs an odd prime p <= {EXHAUSTIVE_P_CAP}")
     return CubeCensus(
         p=ctx.p,
         avoid_nonresidue=max_avoiding_dimension(ctx, NONRESIDUE),

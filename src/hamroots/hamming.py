@@ -70,9 +70,9 @@ class Radii(NamedTuple):
     """What one dilation of the targets says about the class 0 and the rest.
 
     core is the covering radius of [1, p-1] and witnesses its witness
-    classes, ascending; dist_0 and dist_p are the distances from the points
-    0 and p to the targets. Both points are the class 0, so every domain
-    convention is a view of these (see `view`).
+    classes, ascending, or () where no view reads them; dist_0 and dist_p are
+    the distances from the points 0 and p to the targets. Both points are
+    the class 0, so every domain convention is a view of these (see `view`).
     """
 
     core: int
@@ -195,12 +195,18 @@ def dilate(bitmap: int, length: int) -> int:
     return out
 
 
+def lists_core_witnesses(core: int, dist_0: int, dist_p: int, reduced_targets: bool) -> bool:
+    """Whether a view of these targets reads the core witnesses: one whose
+    endpoint (p, or 0 too under literal targets) is no farther than the core."""
+    return (dist_p if reduced_targets else min(dist_0, dist_p)) <= core
+
+
 def _radii(ctx: PrimeContext, reduced_targets: bool) -> Radii:
     """Radii by iterated bitmap dilation.
 
     Grows the target set by Hamming-ball radius one per round until [1, p-1]
     and the points 0 and p are all covered. The core witnesses are the points
-    of [1, p-1] still uncovered going into the round that covers it.
+    of [1, p-1] still uncovered going into the round that covers it, if read.
     """
     p = ctx.p
     if p == 2:
@@ -211,13 +217,15 @@ def _radii(ctx: PrimeContext, reduced_targets: bool) -> Radii:
     core_radius = dist_0 = dist_p = None
     while True:
         if core_radius is None and ball & core == core:
-            core_radius, witnesses = radius, tuple(bitmap_to_set(core & ~previous))
+            core_radius, uncovered = radius, core & ~previous
         if dist_0 is None and ball & 1:
             dist_0 = radius
         if dist_p is None and ball >> p & 1:
             dist_p = radius
         if None not in (core_radius, dist_0, dist_p):
-            return Radii(core_radius, dist_0, dist_p, witnesses)
+            if not lists_core_witnesses(core_radius, dist_0, dist_p, reduced_targets):
+                uncovered = 0  # no view reads the core witnesses
+            return Radii(core_radius, dist_0, dist_p, tuple(bitmap_to_set(uncovered)))
         if radius == ctx.bit_len:
             raise RuntimeError(f"dilation failed to cover the domain for p={p}")
         previous = ball

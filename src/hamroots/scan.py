@@ -4,14 +4,15 @@ Primes are sharded into fixed-size blocks; workers compute per-prime
 statistics independently and the parent takes the blocks back in order, so
 the output bytes do not depend on the task count.
 
-A scan has one row encoding, the `hamroots.scan.v3` CSV file: a line naming
+A scan has one row encoding, the `hamroots.scan.v4` CSV file: a line naming
 the schema, the range, the radius targets (when delta is computed) and the
 computed statistics, a line of column names, then one line per prime ending
 in the crc32 of the line's text. A row holds the radii of one dilation, of
 which each domain convention is a view, so the file does not depend on the
-convention. The two header lines are the scan's fingerprint. The checkpoint journal is
-that same file, appended one block at a time (each fsynced), so a finished
-journal equals the output byte for byte. Resume reads the journal with the
+convention; core witnesses are listed only where a view reads them. The two
+header lines are the scan's fingerprint. The checkpoint journal is that same
+file, appended one block at a time (each fsynced), so a finished journal
+equals the output byte for byte. Resume reads the journal with the
 reader of output files: the header must be this scan's, every checksum must
 hold and the rows must be the scan's primes in order. A line torn by a crash
 and a partial last block are cut off, and the scan goes on from there.
@@ -28,10 +29,10 @@ from operator import attrgetter
 
 from .errors import InvariantViolation
 from .hamming import (CANONICAL, REDUCED, VARIANTS, HammingProfile, Radii, hamming_profile,
-                      viewed_profile)
+                      lists_core_witnesses, viewed_profile)
 from .numtheory import PrimeContext, factorize, sieve_primes
 
-SCHEMA_ID = "hamroots.scan.v3"
+SCHEMA_ID = "hamroots.scan.v4"
 BLOCK_SIZE = 4096
 STATS = ("w", "W", "delta")  # the statistics a scan can compute, in column order
 
@@ -84,7 +85,7 @@ def _scan_block(args) -> list[tuple]:
     return rows
 
 
-# --- the v3 file: header, rows, reader ----------------------------------------
+# --- the v4 file: header, rows, reader ----------------------------------------
 
 RADII = ("core", "dist_0", "dist_p", "witnesses")  # the columns of delta, in order
 
@@ -135,7 +136,7 @@ def _csv_int(cell: str) -> int:
 
 def _line_decoder(config: ScanConfig):
     """The function from a line (newline stripped) to its profile under the
-    config's variant; it checks the cells, not the checksum."""
+    config's variant; it checks the cells and the witness rule, not the checksum."""
     weights = _weights(config)
     with_radii = "delta" in config.compute
     n_cells = 3 + len(weights) + 4 * with_radii  # p, r, w and W, the radii, checksum
@@ -152,6 +153,9 @@ def _line_decoder(config: ScanConfig):
             *dists, wits = cells[-5:-1]
             radii = Radii(*map(_csv_int, dists),
                           tuple(_csv_int(c) for c in wits.split(";")) if wits else ())
+            if bool(wits) != lists_core_witnesses(*radii[:3], variant.reduced_targets):
+                raise ValueError(f"witnesses {'listed where no' if wits else 'missing where a'} "
+                                 f"view of {variant.targets} targets reads them")
         return viewed_profile(_csv_int(cells[0]), _csv_int(cells[1]), values.get("w"),
                               values.get("W"), radii, variant)
     return decode

@@ -1,8 +1,10 @@
 import argparse
+import re
+from pathlib import Path
 
 import pytest
 
-from hamroots import scan
+from hamroots import cli, scan
 from hamroots.cli import build_parser, main
 from hamroots.errors import InvariantViolation
 from hamroots.scan import ScanConfig, format_scan_output, scan_range
@@ -15,11 +17,12 @@ def run(capsys, *argv):
 
 
 def test_constants_command(capsys):
-    code, out = run(capsys, "constants", "--prime-limit", "10000")
+    code, out = run(capsys, "constants")
     assert code == 0
     assert "0.11002786" in out
     assert "0.07581633" in out
     assert "0.3739558" in out  # reference digits shown alongside
+    assert "Artin constant A(1000000) = 0.37395" in out  # at the reference digits' limit
 
 
 def test_scan_command_matches_library(capsys):
@@ -38,7 +41,7 @@ def test_scan_jsonl_and_output_file(tmp_path, capsys):
     code, _ = run(capsys, "scan", "--range", "3", "31", "--output", str(target))
     assert code == 0
     lines = target.read_text().splitlines()
-    assert lines[0] == "# hamroots.scan.v3 lo=3 hi=31 targets=literal compute=w,W,delta"
+    assert lines[0] == "# hamroots.scan.v4 lo=3 hi=31 targets=literal compute=w,W,delta"
     assert len(lines) == 2 + 10  # header, columns, pi(31) - 1 primes
 
 
@@ -84,10 +87,15 @@ def test_cubes_range_without_odd_primes_prints_only_the_header(capsys):
         "p,f,F,f_bar,F_bar,f_witness,F_witness,f_bar_witness,F_bar_witness,chain,hs_bound"]
 
 
-def test_cubes_capability_exit(capsys):
-    code, out = run(capsys, "cubes", "--range", "61", "67")
-    assert code == 3
-    assert "capability" in out
+def test_cubes_above_the_exhaustive_cap_prints_lower_bounds(capsys):
+    code, out = run(capsys, "cubes", "--range", "59", "67")
+    assert code == 0
+    lines = out.splitlines()
+    assert [l.split(",")[0] for l in lines[1:]] == ["59", "61", "67"]
+    assert lines[1].endswith(",ok,ok")  # p = 59 is exact: all four dimensions
+    for line in lines[2:]:  # f and F only, from the heuristic
+        assert re.fullmatch(r"6[17],[1-9]\d*,[1-9]\d*,,,\(.*\),\(.*\),,,lower-bound,", line)
+    assert out == run(capsys, "cubes", "--range", "59", "67")[1]  # fixed seed
 
 
 def test_charsum_indicator(capsys):
@@ -191,19 +199,19 @@ def _subcommands(parser):
 def test_cli_option_surface_is_pinned():
     common = {"-h", "--help"}
     expected = {
-        "scan": {"--range", "--tasks", "--variant", "--compute", "--output"},
+        "scan": {"--range", "--tasks", "--targets", "--compute", "--output"},
         "table": {"--limit", "--tasks", "--variant", "--compute", "--scan-file",
                   "--paper-diff"},
         "delta3": {"--limit", "--tasks", "--variant", "--scan-file", "--paper-diff"},
-        "frequencies": {"--limit", "--tasks", "--scan-file", "--paper-diff"},
-        "cubes": {"--range", "--mode", "--seed"},
+        "frequencies": {"--limit", "--tasks", "--scan-file"},
+        "cubes": {"--range"},
         "charsum": set(),
         "charsum indicator": {"--p"},
         "charsum pv": {"--p", "--nu"},
         "charsum weil": {"--p", "--coeffs", "--start", "--length"},
         "charsum hoelder": {"--p", "--n", "--k", "--l", "--m", "--nu"},
         "charsum double": {"--p", "--n", "--k", "--l", "--m", "--j"},
-        "constants": {"--prime-limit"},
+        "constants": set(),
     }
     seen = {}
     pending = [((), build_parser())]
@@ -214,6 +222,41 @@ def test_cli_option_surface_is_pinned():
             seen[" ".join(key)] = {o for a in sub._actions for o in a.option_strings}
             pending.append((key, sub))
     assert seen == {name: opts | common for name, opts in expected.items()}
+
+
+def _readme_synopsis():
+    """The entries of the README's command-line block, one string each; an
+    entry's continuation lines are indented."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command-line interface\n\n```\n", 1)[1].split("\n```", 1)[0]
+    entries = []
+    for line in block.splitlines():
+        if line.startswith("hamroots "):
+            entries.append(line)
+        else:
+            entries[-1] += " " + line.strip()
+    return entries
+
+
+def test_readme_synopsis_matches_the_parser():
+    """Each subcommand appears in the synopsis with exactly the parser's
+    options; charsum shows its kinds and the options they share, then [...]."""
+    commands = _subcommands(build_parser())
+    shown = {}
+    for entry in _readme_synopsis():
+        words = entry.split()
+        shown[words[1]] = (entry, set(re.findall(r"--[a-z][-a-z]*", entry)))
+    assert set(shown) == set(commands)
+
+    def options(parser):
+        return {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+    for name, (entry, opts) in shown.items():
+        if name == "charsum":
+            kinds = _subcommands(commands[name])
+            assert entry.split()[2] == "{" + "|".join(kinds) + "}" and entry.endswith("[...]")
+            assert opts and all(opts <= options(kind) for kind in kinds.values())
+        else:
+            assert opts == options(commands[name]), name
 
 
 def test_scan_seed_flag_is_gone(capsys):
@@ -255,7 +298,7 @@ def test_table_scan_file_must_hold_the_requested_statistics(tmp_path, capsys):
     code, out, err = run_err(capsys, "table", "--limit", "1000",
                              "--compute", "delta", "--scan-file", path)
     assert code == 1 and out == ""
-    assert "scan file lacks delta requested by --compute delta" in err
+    assert "scan file lacks delta, which table needs" in err
     code, out = run(capsys, "table", "--limit", "1000", "--compute", "w,W",
                     "--scan-file", path)
     assert code == 0
@@ -266,16 +309,17 @@ def test_scan_file_bytes_depend_only_on_the_targets(tmp_path, capsys):
     def scan_bytes(*argv):
         return open(_scan_file(tmp_path, capsys, "s.csv", "--range", "2", "300", *argv),
                     "rb").read()
-    full = {v: scan_bytes("--variant", v) for v in ("canonical", "domain0", "reduced")}
-    assert full["canonical"] == full["domain0"] != full["reduced"]
-    assert len({scan_bytes("--compute", "w,W", "--variant", v)
-                for v in ("canonical", "domain0", "reduced")}) == 1
+    assert scan_bytes() == scan_bytes("--targets", "literal") != scan_bytes("--targets", "reduced")
+    assert scan_bytes("--compute", "w,W") == scan_bytes("--compute", "w,W", "--targets", "reduced")
+    with pytest.raises(SystemExit) as exc:  # the domain is a view, not a scan option
+        main(["scan", "--range", "2", "300", "--variant", "domain0"])
+    assert exc.value.code == 1
 
 
 def test_table_scan_file_targets_must_match(tmp_path, capsys):
-    # a literal-target file serves both literal variants, whichever one wrote it
-    path = _scan_file(tmp_path, capsys, "d0.csv", "--range", "2", "1000",
-                      "--variant", "domain0")
+    # a literal-target file serves both literal variants
+    path = _scan_file(tmp_path, capsys, "lit.csv", "--range", "2", "1000",
+                      "--targets", "literal")
     for variant in ("canonical", "domain0"):
         for flags in ([], ["--paper-diff"]):
             code, out = run(capsys, "table", "--limit", "1000", "--variant", variant,
@@ -288,7 +332,7 @@ def test_table_scan_file_targets_must_match(tmp_path, capsys):
     assert code == 1 and out == ""
     assert "scan file radii are for literal targets, --variant reduced needs reduced" in err
     reduced = _scan_file(tmp_path, capsys, "red.csv", "--range", "2", "1000",
-                         "--variant", "reduced")
+                         "--targets", "reduced")
     code, out, err = run_err(capsys, "table", "--limit", "1000", "--scan-file", reduced)
     assert code == 1 and out == ""
     assert "scan file radii are for reduced targets, --variant canonical needs literal" in err
@@ -352,7 +396,7 @@ def test_delta3_scan_file_refusals(tmp_path, capsys):
     literal = _scan_file(tmp_path, capsys, "d.csv", "--range", "2", "300", "--compute", "delta")
     short = _scan_file(tmp_path, capsys, "s.csv", "--range", "5", "300", "--compute", "delta")
     for path, flags, message in (
-            (ww, [], "scan file lacks delta"),
+            (ww, [], "scan file lacks delta, which delta3 needs"),
             (literal, ["--variant", "reduced"],
              "scan file radii are for literal targets, --variant reduced needs reduced"),
             (literal, ["--limit", "400"], "does not cover the primes up to 400"),
@@ -360,7 +404,7 @@ def test_delta3_scan_file_refusals(tmp_path, capsys):
         code, out, err = run_err(capsys, "delta3", "--limit", "300", *flags,
                                  "--scan-file", path)
         assert code == 1 and out == ""
-        assert message in err
+        assert message in err and "--compute" not in err
 
 
 def test_frequencies_scan_file_matches_the_scan(tmp_path, capsys):
@@ -370,10 +414,20 @@ def test_frequencies_scan_file_matches_the_scan(tmp_path, capsys):
     assert out == run(capsys, "frequencies", "--limit", "1000")[1]
 
 
-def test_frequencies_paper_diff_needs_the_reference_limit(capsys):
-    code, out, err = run_err(capsys, "frequencies", "--limit", "1000", "--paper-diff")
-    assert code == 1 and out == ""
-    assert "--limit 1000000" in err
+def test_frequencies_paper_diff_needs_the_reference_limit(monkeypatch, capsys):
+    # the reference line comes with --limit 1000000 alone; there is no flag for it
+    with pytest.raises(SystemExit) as exc:
+        main(["frequencies", "--limit", "1000", "--paper-diff"])
+    assert exc.value.code == 1
+    code, out = run(capsys, "frequencies", "--limit", "1000")
+    assert code == 0 and "reference" not in out
+    # a short scan stands in for the census to 10^6: only the limit decides
+    monkeypatch.setattr(cli, "scan_range", lambda config: scan_range(
+        ScanConfig(lo=2, hi=1000, compute=config.compute)))
+    code, out = run(capsys, "frequencies", "--limit", "1000000")
+    assert code == 0
+    assert out.splitlines()[-1] == ("reference: w=1 39276/78498 ~ 0.500344, "
+                                    "W=1 29342/78498 ~ 0.373792")
 
 
 def test_table_scan_file_malformed_row_is_refused_by_line(tmp_path, capsys):

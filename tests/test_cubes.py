@@ -2,7 +2,9 @@ from itertools import combinations
 
 import pytest
 
-from hamroots.cubes import (HilbertCube, NONRESIDUE, PRIMROOT,
+from hamroots import cubes
+from hamroots.cubes import (EXHAUSTIVE_P_CAP, HilbertCube, NONRESIDUE, PRIMROOT,
+                            _allowed_mask, _max_cube_heuristic,
                             cube_avoids, cube_census, cube_contained,
                             cube_elements, longest_ap_in_cube,
                             max_avoiding_dimension, max_contained_dimension,
@@ -130,20 +132,34 @@ def test_hs_bound_for_solved_primes():
 
 
 def test_heuristic_is_valid_lower_bound():
+    # below the cap the heuristic runs only here, against the exact search
     for p in (11, 19, 23, 31):
         ctx = ctx_for(p)
         exact = max_avoiding_dimension(ctx, NONRESIDUE)
-        heur = max_avoiding_dimension(ctx, NONRESIDUE, search="heuristic")
-        assert not heur.exact
+        heur = _max_cube_heuristic(p, _allowed_mask(ctx, NONRESIDUE, False))
+        assert exact.exact and not heur.exact
         assert heur.dim <= exact.dim
         assert cube_avoids(heur.witness, ctx, NONRESIDUE)
-        again = max_avoiding_dimension(ctx, NONRESIDUE, search="heuristic")
-        assert heur == again  # same default seed, same answer
+    # above it, max_avoiding_dimension is the heuristic, with its fixed seed
+    for p in (61, 67):
+        ctx = ctx_for(p)
+        for predicate in (NONRESIDUE, PRIMROOT):
+            heur = max_avoiding_dimension(ctx, predicate)
+            assert not heur.exact and heur.dim >= 1
+            assert cube_avoids(heur.witness, ctx, predicate)
+            assert heur == max_avoiding_dimension(ctx, predicate)
 
 
-def test_exhaustive_cap():
+def test_exhaustive_cap(monkeypatch):
+    assert max_avoiding_dimension(ctx_for(EXHAUSTIVE_P_CAP - 1), NONRESIDUE).exact  # 59
     with pytest.raises(CapabilityError):
-        max_avoiding_dimension(ctx_for(61), NONRESIDUE)
+        max_contained_dimension(ctx_for(61), NONRESIDUE)
+    searched = []
+    monkeypatch.setattr(cubes, "_allowed_mask", lambda *args: searched.append(args))
+    for p in (2, 61):  # the census refuses before any search
+        with pytest.raises(CapabilityError, match="cube census needs an odd prime p <= 60"):
+            cube_census(ctx_for(p))
+    assert searched == []
 
 
 def test_longest_ap_examples():

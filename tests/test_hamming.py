@@ -189,6 +189,13 @@ def test_view_of_the_endpoints():
     # 17: the core is the farther, so neither endpoint is a witness
     assert _radii(ctx_for(17), False) == Radii(3, 2, 2, (16,))
     assert covering_radius(ctx_for(17), DOMAIN0) == (3, (16,))
+    # 31: both endpoints are farther than the core, so no view reads the core
+    # witnesses and none are listed; reduced targets bring p = 17 to that case
+    assert _radii(ctx_for(31), False) == Radii(1, 2, 2, ())
+    assert covering_radius(ctx_for(31), CANONICAL) == covering_radius(ctx_for(31), DOMAIN0) \
+        == (2, (0,))
+    assert _radii(ctx_for(17), True) == Radii(1, 2, 2, ())
+    assert covering_radius(ctx_for(17), REDUCED) == (2, (0,))
 
 
 def test_engines_agree_up_to_300():

@@ -9,7 +9,7 @@ from hamroots import scan
 from hamroots.cli import main
 from hamroots.errors import InvariantViolation
 from hamroots.hamming import (CANONICAL, DOMAIN0, HammingProfile, Radii,
-                              viewed_profile)
+                              lists_core_witnesses, viewed_profile)
 from hamroots.scan import (STATS, CountTable, ScanConfig, _line_decoder,
                            _line_encoder, format_scan_output, read_scan_output,
                            scan_range, worker_count)
@@ -59,7 +59,7 @@ def test_checkpoint_resume_and_fingerprint(tmp_path, monkeypatch):
     journal = ckpt.read_text()
     assert journal == first
     assert journal.splitlines()[:2] == [
-        "# hamroots.scan.v3 lo=2 hi=500 targets=literal compute=w,W,delta",
+        "# hamroots.scan.v4 lo=2 hi=500 targets=literal compute=w,W,delta",
         "p,r,w,W,core,dist_0,dist_p,witnesses,checksum"]
     # resume: all blocks already done, output identical, nothing re-journaled
     assert format_scan_output(cfg, scan_range(cfg)) == first
@@ -172,7 +172,7 @@ def test_columns_follow_the_computed_statistics(tmp_path, compute, columns):
     stats = ",".join(name for name in STATS if name in compute)
     targets = "targets=literal " if "delta" in compute else ""
     assert text.splitlines()[:2] == [
-        f"# hamroots.scan.v3 lo=2 hi=30 {targets}compute={stats}", columns]
+        f"# hamroots.scan.v4 lo=2 hi=30 {targets}compute={stats}", columns]
     n_cells = len(columns.split(","))
     assert all(len(line.split(",")) == n_cells for line in text.splitlines()[1:])
     path = tmp_path / "scan.csv"
@@ -261,6 +261,31 @@ def test_malformed_row_rejected_with_path_and_line(tmp_path, edit):
         read_scan_output(path)
 
 
+@pytest.mark.parametrize("variant,p,witnesses,message", [
+    # 31: core 1, both endpoints at 2, so neither literal view reads the core
+    ("canonical", 31, "1", "witnesses listed where no view of literal targets reads them"),
+    ("canonical", 29, "", "witnesses missing where a view of literal targets reads them"),
+    # 17: core 1, p at 2 under reduced targets
+    ("reduced", 17, "1", "witnesses listed where no view of reduced targets reads them"),
+    ("reduced", 29, "", "witnesses missing where a view of reduced targets reads them"),
+], ids=["literal-unread-listed", "literal-read-missing", "reduced-unread-listed",
+        "reduced-read-missing"])
+def test_witness_lists_must_follow_the_views_that_read_them(tmp_path, variant, p, witnesses,
+                                                            message):
+    cfg = ScanConfig(lo=2, hi=100, variant=variant, compute=("delta",))
+    lines = format_scan_output(cfg, scan_range(cfg)).splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"{p},"))
+    cells = lines[i].split(",")
+    assert bool(cells[-2]) != bool(witnesses)
+    text = ",".join([*cells[:-2], witnesses])
+    lines[i] = f"{text},{zlib.crc32(text.encode()):08x}"  # a row the checksum vouches for
+    path = tmp_path / "scan.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}: line {i + 1}: {re.escape(message)}$"):
+        read_scan_output(str(path))
+
+
 @pytest.mark.parametrize("edit,lineno,message", [
     (lambda lines: lines[:-1], 27, "the file ends before the row of p=97"),
     (lambda lines: lines[:-1] + [lines[-1][:-1]], 27, "the file ends before the row of p=97"),
@@ -303,7 +328,7 @@ def _rows_of(lo, hi) -> list[str]:
 
 @pytest.mark.parametrize("journal,lineno,message", [
     (lambda header, rows: rows, 1,
-     "expected '# hamroots.scan.v3 lo=2 hi=60 compute=w,W', "
+     "expected '# hamroots.scan.v4 lo=2 hi=60 compute=w,W', "
      "got '2,0,,1,55d2e9b1'"),
     (lambda header, rows: header + _rows_of(7, 60), 3,
      "p=7 is not the next prime of [2, 60]"),
@@ -338,7 +363,9 @@ def test_journal_of_another_scan_is_refused(tmp_path):
 _stat = st.none() | st.integers(min_value=0, max_value=10**6)
 _radii = st.none() | st.builds(
     Radii, *[st.integers(min_value=0, max_value=40)] * 3,
-    st.lists(st.integers(min_value=0, max_value=10**12), max_size=300).map(tuple))
+    st.lists(st.integers(min_value=0, max_value=10**12), min_size=1, max_size=300).map(tuple)
+).map(lambda radii: radii if lists_core_witnesses(*radii[:3], False)
+      else radii._replace(witnesses=()))  # literal targets, as the config's
 _rows = st.tuples(st.integers(min_value=2, max_value=10**12), st.integers(min_value=0, max_value=40),
                   _stat, _stat, _radii)
 _computes = st.sets(st.sampled_from(STATS), min_size=1).map(tuple)
@@ -391,28 +418,31 @@ _D_COLUMNS = "p,r,core,dist_0,dist_p,witnesses,checksum"
      "unknown scan schema header '# hamroots.scan.v1 "),
     ("# hamroots.scan.v2 lo=2 hi=10 variant=canonical compute=w\np,r,w,checksum\n", 1,
      "unknown scan schema header '# hamroots.scan.v2 "),
-    ("# hamroots.scan.v3 lo=2 hi=10 compute=w\np,r\n", 2,
+    ("# hamroots.scan.v3 lo=2 hi=10 compute=w\np,r,w,checksum\n", 1,
+     "unknown scan schema header '# hamroots.scan.v3 "),
+    ("# hamroots.scan.v4 lo=2 hi=10 compute=w\np,r\n", 2,
      f"expected '{_W_COLUMNS}', got 'p,r'"),
-    (f"# hamroots.scan.v3 lo=2 hi=10 compute=delta\n{_D_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v4 lo=2 hi=10 compute=delta\n{_D_COLUMNS}\n", 1,
      "unknown radius targets None"),
-    (f"# hamroots.scan.v3 lo=2 hi=10 targets=odd compute=delta\n{_D_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v4 lo=2 hi=10 targets=odd compute=delta\n{_D_COLUMNS}\n", 1,
      "unknown radius targets 'odd'"),
-    (f"# hamroots.scan.v3 lo=2 hi=10 targets=literal compute=w\n{_W_COLUMNS}\n", 1,
-     "expected '# hamroots.scan.v3 lo=2 hi=10 compute=w', got "),
-    (f"# hamroots.scan.v3 lo=2 hi=10 variant=domain0 targets=literal compute=delta\n"
-     f"{_D_COLUMNS}\n", 1, "expected '# hamroots.scan.v3 lo=2 hi=10 targets=literal "
+    (f"# hamroots.scan.v4 lo=2 hi=10 targets=literal compute=w\n{_W_COLUMNS}\n", 1,
+     "expected '# hamroots.scan.v4 lo=2 hi=10 compute=w', got "),
+    (f"# hamroots.scan.v4 lo=2 hi=10 variant=domain0 targets=literal compute=delta\n"
+     f"{_D_COLUMNS}\n", 1, "expected '# hamroots.scan.v4 lo=2 hi=10 targets=literal "
      "compute=delta', got "),
-    (f"# hamroots.scan.v3 lo=2 hi=10\n{_W_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v4 lo=2 hi=10\n{_W_COLUMNS}\n", 1,
      "compute set must be a nonempty subset of w,W,delta, got None"),
-    (f"# hamroots.scan.v3 hi=10 compute=w\n{_W_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v4 hi=10 compute=w\n{_W_COLUMNS}\n", 1,
      "invalid literal for int"),
-    (f"# hamroots.scan.v3 lo=02 hi=10 compute=w\n{_W_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v4 lo=02 hi=10 compute=w\n{_W_COLUMNS}\n", 1,
      "'02' is not a canonical integer"),
-    (f"# hamroots.scan.v3 lo=10 hi=5 compute=w\n{_W_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v4 lo=10 hi=5 compute=w\n{_W_COLUMNS}\n", 1,
      r"bad scan range \[10, 5\]"),
-    ("# hamroots.scan.v3 lo=2 hi=10 compute=W,w\np,r,w,W,checksum\n", 1,
-     "expected '# hamroots.scan.v3 lo=2 hi=10 compute=w,W', got "),
+    ("# hamroots.scan.v4 lo=2 hi=10 compute=W,w\np,r,w,W,checksum\n", 1,
+     "expected '# hamroots.scan.v4 lo=2 hi=10 compute=w,W', got "),
 ], ids=["invalid-json", "unknown-schema", "unknown-csv-schema", "v1-header", "v2-header",
+        "v3-header",
         "csv-columns", "csv-no-targets", "csv-unknown-targets", "targets-without-delta",
         "variant-in-header", "csv-no-compute", "no-lo", "zero-padded-lo", "empty-range",
         "compute-out-of-order"])
@@ -469,5 +499,7 @@ def test_invariant_violation_names_prime_variant_and_values(monkeypatch, capsys,
     with pytest.raises(InvariantViolation) as exc:
         scan_range(ScanConfig(lo=23, hi=23, variant=variant))
     assert str(exc.value) == message
-    assert main(["scan", "--range", "23", "23", "--variant", variant]) == 4
-    assert capsys.readouterr().err == f"invariant violation: {message}\n"
+    # the command scans literal targets under their base view, canonical
+    assert main(["scan", "--range", "23", "23", "--targets", "literal"]) == 4
+    assert capsys.readouterr().err == \
+        f"invariant violation: {message.replace(variant, 'canonical')}\n"
