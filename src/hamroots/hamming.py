@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import CapabilityError
-from .numtheory import PrimeContext, bitmap_to_set, is_primitive_root, legendre_symbol
+from .numtheory import PrimeContext, bitmap_to_set
 
 
 @dataclass(frozen=True)
@@ -331,46 +331,67 @@ def ascending_weight_values(weight: int, below: int):
         v = _next_same_weight(v)
 
 
-def _sparsest(ctx: PrimeContext, accept, what: str) -> tuple[int, int]:
-    """(weight, witness): the first v in [1, p-1] that `accept`s, enumerating
-    weight classes in increasing weight and values ascending within a class.
-    `accept(v)` holds iff v lies outside every subgroup of a fixed family (the
-    squares, or the q-th powers for each prime q | p-1): 2^a lies in <2>, so
-    accept(2^a) implies accept(2), and class 1 is decided by 1 and 2 alone."""
-    for w in range(1, ctx.bit_len + 1):
-        # Class 1 is the powers of two: only 1 (for p = 2) and 2 can be first.
-        for v in ascending_weight_values(w, min(ctx.p, 3) if w == 1 else ctx.p):
-            if accept(v):
-                return w, v
-    raise RuntimeError(f"no {what} found mod {ctx.p}")
+def _sparsest(ctx: PrimeContext, roots: bool
+              ) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
+    """(weight, witness) of the sparsest quadratic non-residue of [1, p-1]
+    and, if `roots`, of the sparsest primitive root (else None), in one sweep.
+
+    The candidates are tried once each, in increasing weight and ascending
+    within a weight, with one Euler test v^((p-1)/2) each. Every primitive
+    root is a non-residue, since a square has order dividing (p-1)/2, so a
+    root is a non-residue that also passes v^((p-1)/q) != 1 for each odd prime
+    q | p-1, and only non-residues get those tests. The first non-residue is
+    w's witness, and the first that passes them all is W's. Class 1 is {2}:
+    the powers of two lie in <2>, so 2^a is a non-residue (or a root) only if
+    2 is. For p = 2 there are no non-residues and 1 is the root.
+    """
+    p = ctx.p
+    if p == 2:
+        return None, (1, 1) if roots else None
+    half = (p - 1) // 2
+    odd_exponents = ctx.pr_test_exponents()[1:]  # the first is half, for q = 2
+    nonresidue = None
+    for weight in range(1, ctx.bit_len + 1):
+        for v in (2,) if weight == 1 else ascending_weight_values(weight, p):
+            if pow(v, half, p) != p - 1:
+                continue
+            if nonresidue is None:
+                nonresidue = weight, v
+                if not roots:
+                    return nonresidue, None
+            if all(pow(v, e, p) != 1 for e in odd_exponents):
+                return nonresidue, (weight, v)
+    raise RuntimeError(f"no {'primitive root' if nonresidue else 'non-residue'} found mod {p}")
 
 
 def min_nonresidue_weight(ctx: PrimeContext) -> tuple[int, int]:
     """(weight, witness): sparsest quadratic non-residue in [1, p-1]."""
-    p = ctx.p
-    if p == 2:
+    if ctx.p == 2:
         raise CapabilityError("non-residues are undefined mod 2")
-    return _sparsest(ctx, lambda v: legendre_symbol(v, p) == -1, "non-residue")
+    return _sparsest(ctx, roots=False)[0]
 
 
 def min_primroot_weight(ctx: PrimeContext) -> tuple[int, int]:
     """(weight, witness): sparsest primitive root in [1, p-1]; (1, 1) for p = 2."""
-    return _sparsest(ctx, lambda v: is_primitive_root(v, ctx), "primitive root")
+    return _sparsest(ctx, roots=True)[1]
 
 
 def hamming_profile(ctx: PrimeContext, variant: RadiusVariant = CANONICAL,
                     compute: frozenset[str] = frozenset({"w", "W", "delta"})
                     ) -> HammingProfile:
-    """Bundle the requested statistics for one prime.
+    """Bundle the requested statistics for one prime; w and W come from one
+    sweep of the candidates.
 
     For p = 2 only W is defined (W_2 = 1); the other fields stay None.
     """
     p = ctx.p
     w = W = radii = None
-    if "w" in compute and p > 2:
-        w = min_nonresidue_weight(ctx)[0]
-    if "W" in compute:
-        W = min_primroot_weight(ctx)[0]
+    if "w" in compute or "W" in compute:
+        nonresidue, root = _sparsest(ctx, roots="W" in compute)
+        if "w" in compute and nonresidue:
+            w = nonresidue[0]
+        if root:
+            W = root[0]
     if "delta" in compute and p > 2:
         radii = _radii(ctx, variant.reduced_targets)
     return viewed_profile(p, ctx.r, w, W, radii, variant)

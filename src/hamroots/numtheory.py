@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import compress
 
@@ -125,6 +128,51 @@ def factorize(n: int) -> list[int]:
         stack.append(m // g)
     out.sort()
     return out
+
+
+def factorize_pm1(primes: list[int]) -> Iterator[list[int]]:
+    """factorize(p - 1) for each of an ascending list of primes, in order.
+
+    A segmented sieve over the window of the p - 1: each odd prime q up to
+    isqrt(max p - 1) strikes only the window's positions that are some p - 1.
+    Each p - 1 is then divided by its power of 2 and by the q that struck
+    it; what is left is 1 or a prime larger than every q. The struck q are
+    kept in flat arrays and each factor list is built only when it is
+    yielded, so a caller that takes them one at a time never holds them all.
+    """
+    if not primes:
+        return
+    lo = primes[0] - 1
+    flags = bytearray(primes[-1] - lo)
+    for p in primes:
+        flags[p - 1 - lo] = 1
+    # The q struck at each p - 1 form a linked list, least q first: head[i]
+    # is the first node of primes[i] (-1 for none), and node k holds a q in
+    # qs[k] and the next node in after[k].
+    head = array("i", [-1]) * len(primes)
+    qs, after = [], array("i")
+    root = math.isqrt(primes[-1] - 1)
+    for q in reversed(sieve_primes(root, 3)) if root >= 3 else ():
+        start = -lo % q
+        i = 0
+        for off in compress(range(start, len(flags), q), flags[start::q]):
+            i = bisect_left(primes, lo + off + 1, i)  # the hits ascend
+            after.append(head[i])
+            head[i] = len(qs)
+            qs.append(q)
+    for p, node in zip(primes, head):
+        m = p - 1
+        twos = (m & -m).bit_length() - 1
+        factors, m = [2] * twos, m >> twos
+        while node >= 0:
+            q = qs[node]
+            while m % q == 0:
+                m //= q
+                factors.append(q)
+            node = after[node]
+        if m > 1:
+            factors.append(m)
+        yield factors
 
 
 def legendre_symbol(a: int, p: int) -> int:

@@ -30,7 +30,7 @@ from operator import attrgetter
 from .errors import InvariantViolation
 from .hamming import (CANONICAL, REDUCED, VARIANTS, HammingProfile, Radii, hamming_profile,
                       lists_core_witnesses, viewed_profile)
-from .numtheory import PrimeContext, factorize, sieve_primes
+from .numtheory import PrimeContext, factorize_pm1, sieve_primes
 
 SCHEMA_ID = "hamroots.scan.v4"
 BLOCK_SIZE = 4096
@@ -69,9 +69,12 @@ def _scan_block(args) -> list[tuple]:
     variant = VARIANTS[variant_name]
     compute_set = frozenset(compute)
     rows = []
-    for p in primes:
-        ctx = PrimeContext(p, factorize(p - 1))
-        prof = hamming_profile(ctx, variant, compute_set)
+    for p, factors in zip(primes, factorize_pm1(primes)):
+        prof = hamming_profile(PrimeContext(p, factors), variant, compute_set)
+        # One sweep finds both: w's witness is the first non-residue and W's
+        # is a later or the same one, so w <= W holds by construction. The
+        # check guards this seam; w and W are checked independently by tests
+        # (a brute-force search and the reference counts at 10^5 and 10^6).
         if prof.w is not None and prof.W is not None and prof.w > prof.W:
             raise InvariantViolation(f"p={p} variant={variant_name}: w={prof.w} > W={prof.W}")
         # Under literal targets the distance from 0 to the primitive roots is

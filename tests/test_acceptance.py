@@ -183,6 +183,17 @@ def test_w_W_columns_at_1e5_and_1e6(scan_1e6_ww):
             assert row[stat] == [*ref[stat], 0], (j, stat)
 
 
+def test_W3_primes_to_3e6_are_the_class0_only_radius3_primes():
+    """Under literal targets the distance from 0 to the primitive roots is W,
+    so a prime with W = 3 has domain0 radius at least 3 with 0 a witness
+    class. To 3*10^6 those are exactly the reference primes whose only listed
+    class is 0, and no prime reaches W = 4."""
+    profiles = scan_range(ScanConfig(lo=3, hi=3 * 10**6, tasks=2, compute=("W",)))
+    assert {prof.p for prof in profiles if prof.W == 3} == \
+        {p for p, classes in RADIUS3_CLASSES.items() if classes == (0,)}
+    assert max(prof.W for prof in profiles) == 3
+
+
 def test_criterion_5_constants():
     rho = entropy_half_point()
     theta = sparse_weight_constant()

@@ -325,6 +325,18 @@ def test_profile_bundle():
     assert (partial.w, partial.W, partial.delta) == (None, 2, None)
 
 
+def test_profile_weights_do_not_depend_on_what_else_is_computed():
+    """One sweep serves w and W together; asked for one, it gives the same."""
+    both = frozenset({"w", "W"})
+    for p in sieve_primes(20000):
+        ctx = ctx_for(p)
+        prof = hamming_profile(ctx, compute=both)
+        assert hamming_profile(ctx, compute=frozenset({"w"})).w == prof.w, p
+        assert hamming_profile(ctx, compute=frozenset({"W"})).W == prof.W, p
+        if p == 2:
+            assert (prof.w, prof.W) == (None, 1)
+
+
 def test_flip_shuffles_match_floor_division_formula():
     for length in range(1, 17):
         full = (1 << (1 << length)) - 1

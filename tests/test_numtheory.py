@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from hamroots.errors import CapabilityError
 from hamroots.numtheory import (PrimeContext, bitmap_to_set, divisors,
-                                euler_phi, factorize, is_prime,
+                                euler_phi, factorize, factorize_pm1, is_prime,
                                 is_primitive_root, least_primitive_root,
                                 legendre_symbol, mobius,
                                 multiplicative_order, sieve_primes)
@@ -90,6 +90,18 @@ def test_factorize_product_recovery_and_rho_path():
         fs = factorize(n)
         assert fs == factors
         assert math.prod(fs) == n
+
+
+@pytest.mark.parametrize("primes", [
+    sieve_primes(10**5),
+    sieve_primes(10**6 + 20000, 10**6),
+    sieve_primes(3 * 10**6 + 20000, 3 * 10**6),
+    [1000003],
+    [2],  # p - 1 = 1 has no factors
+    [],
+], ids=["to-1e5", "near-1e6", "near-3e6", "one-prime", "two", "empty"])
+def test_factorize_pm1_matches_factorize(primes):
+    assert list(factorize_pm1(primes)) == [factorize(p - 1) for p in primes]
 
 
 def square_table(p):

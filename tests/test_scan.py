@@ -5,7 +5,7 @@ import zlib
 import pytest
 from hypothesis import given, strategies as st
 
-from hamroots import scan
+from hamroots import hamming, numtheory, scan
 from hamroots.cli import main
 from hamroots.errors import InvariantViolation
 from hamroots.hamming import (CANONICAL, DOMAIN0, HammingProfile, Radii,
@@ -33,6 +33,17 @@ def test_scan_includes_p2_with_weight_only():
     profiles = scan_range(ScanConfig(lo=2, hi=7))
     first = profiles[0]
     assert (first.p, first.r, first.w, first.W, first.delta) == (2, 0, None, 1, None)
+
+
+def test_scan_factors_each_block_in_one_sieve(monkeypatch):
+    """A scan never factors its primes one at a time: factorize_pm1 factors
+    every p - 1 of a block, and nothing downstream calls factorize."""
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called during a scan")
+    for module in (numtheory, hamming, scan):
+        monkeypatch.setattr(module, "factorize", refuse, raising=False)
+    profiles = scan_range(ScanConfig(lo=2, hi=10_000))
+    assert len(profiles) == 1229
 
 
 def test_scan_deterministic_across_task_counts(monkeypatch):
