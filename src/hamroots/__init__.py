@@ -16,10 +16,9 @@ from .cyclotomic import RootOfUnitySum, cyclotomic_poly
 from .errors import CapabilityError, InvariantViolation
 from .hamming import (BitExpansion, CANONICAL, DOMAIN0, REDUCED, RadiusVariant,
                       HammingProfile, VARIANTS, covering_radius,
-                      covering_radius_bfs, hamming_distance, hamming_profile,
-                      hamming_weight, high_bit_flip_set, low_bit_flip_set,
-                      min_flips_to_primroot, min_nonresidue_weight,
-                      min_primroot_weight, recombined_set)
+                      covering_radius_bfs, hamming_distance, hamming_weight,
+                      high_bit_flip_set, low_bit_flip_set, min_flips_to_primroot,
+                      min_nonresidue_weight, min_primroot_weight, recombined_set)
 from .numtheory import (PrimeContext, factorize, is_prime, is_primitive_root,
                         least_primitive_root, legendre_symbol, multiplicative_order,
                         sieve_primes)

@@ -20,7 +20,7 @@ from .charsums import (hoelder_bound_report, legendre_character,
                        split_char_sum)
 from .cubes import EXHAUSTIVE_P_CAP, NONRESIDUE, PRIMROOT, cube_census, max_avoiding_dimension
 from .errors import CapabilityError, InvariantViolation
-from .hamming import CANONICAL, DOMAIN0, REDUCED, VARIANTS, covering_radius, view, viewed_profile
+from .hamming import BASE_VIEWS, DOMAIN0, VARIANTS, covering_radius, view, viewed_profile
 from .numtheory import PrimeContext, divisors, factorize, is_primitive_root, sieve_primes
 from .scan import CountTable, ScanConfig, format_scan_output, read_scan_output, scan_range
 
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan = subs.add_parser("scan", help="per-prime statistics over a range",
                            parents=[workers, compute])
     scan.add_argument("--range", nargs=2, type=int, metavar=("LO", "HI"), required=True)
-    scan.add_argument("--targets", choices=("literal", "reduced"), default="literal")
+    scan.add_argument("--targets", choices=sorted(BASE_VIEWS), default="literal")
     scan.add_argument("--output", metavar="PATH",
                       help="written as PATH.part, which a rerun resumes, then renamed")
     scan.set_defaults(func=cmd_scan)
@@ -119,8 +119,7 @@ def cmd_scan(args) -> int:
     # PATH.part a block at a time, a rerun resumes it, and only a whole scan
     # is renamed onto PATH, so a failure leaves any old output.
     config = ScanConfig(lo=args.range[0], hi=args.range[1], tasks=args.tasks,
-                        variant=(REDUCED if args.targets == "reduced" else CANONICAL).name,
-                        compute=_compute_tuple(args.compute),
+                        targets=args.targets, compute=_compute_tuple(args.compute),
                         checkpoint=f"{args.output}.part" if args.output else None)
     profiles = scan_range(config)
     if args.output:
@@ -134,25 +133,32 @@ def _census_profiles(args, lo: int, compute: tuple[str, ...], variant_name: str)
     """The profiles of the primes in [lo, --limit] under the variant, with the
     statistics of compute: scanned in memory, or read from --scan-file, which
     must cover that range, hold those statistics and, for delta, have the
-    radius targets of the variant."""
+    radius targets of the variant. Either way the variant is a view of the
+    scan's radii."""
+    variant = VARIANTS[variant_name]
     if not args.scan_file:
-        return scan_range(ScanConfig(lo=lo, hi=args.limit, tasks=args.tasks,
-                                     variant=variant_name, compute=compute))
-    if args.tasks != 1:
+        profiles = scan_range(ScanConfig(lo=lo, hi=args.limit, tasks=args.tasks,
+                                         targets=variant.targets, compute=compute))
+    elif args.tasks != 1:
         raise ValueError("--tasks does not apply to a finished scan read with --scan-file")
-    scanned, profiles = read_scan_output(args.scan_file)
-    if scanned.lo > lo or scanned.hi < args.limit:
-        raise ValueError(f"scan file does not cover the primes up to {args.limit}")
-    missing = set(compute) - set(scanned.compute)
-    if missing:
-        raise ValueError(f"scan file lacks {','.join(sorted(missing))}, "
-                         f"which {args.command} needs")
-    variant, targets = VARIANTS[variant_name], VARIANTS[scanned.variant].targets
-    if "delta" in compute and targets != variant.targets:
-        raise ValueError(f"scan file radii are for {targets} targets, "
-                         f"--variant {variant_name} needs {variant.targets} targets")
-    return [viewed_profile(pr.p, pr.r, pr.w, pr.W, pr.radii, variant)
-            for pr in profiles if lo <= pr.p <= args.limit]
+    else:
+        scanned, profiles = read_scan_output(args.scan_file)
+        if scanned.lo > lo or scanned.hi < args.limit:
+            raise ValueError(f"scan file does not cover the primes up to {args.limit}")
+        missing = set(compute) - set(scanned.compute)
+        if missing:
+            raise ValueError(f"scan file lacks {','.join(sorted(missing))}, "
+                             f"which {args.command} needs")
+        if "delta" in compute and scanned.targets != variant.targets:
+            raise ValueError(f"scan file radii are for {scanned.targets} targets, "
+                             f"--variant {variant_name} needs {variant.targets} targets")
+    kept = 0  # each view replaces its profile in place, so one list is held at a time
+    for pr in profiles:
+        if lo <= pr.p <= args.limit:
+            profiles[kept] = viewed_profile(pr.p, pr.r, pr.w, pr.W, pr.radii, variant)
+            kept += 1
+    del profiles[kept:]
+    return profiles
 
 
 def cmd_table(args) -> int:
@@ -247,7 +253,7 @@ def cmd_delta3(args) -> int:
 
 
 def cmd_frequencies(args) -> int:
-    profiles = _census_profiles(args, 2, ("w", "W"), CANONICAL.name)
+    profiles = _census_profiles(args, 2, ("w", "W"), "canonical")
     row = CountTable.from_profiles(profiles, [args.limit]).rows[args.limit]
     pi, w1, big_w1 = row["pi"], row["w"][0], row["W"][0]
     artin = consts.artin_constant(min(args.limit, 1_000_000))

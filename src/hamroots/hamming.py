@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .errors import CapabilityError
+from .errors import CapabilityError, InvariantViolation
 from .numtheory import PrimeContext, bitmap_to_set
 
 
@@ -64,6 +64,8 @@ DOMAIN0 = RadiusVariant("domain0", n_domain_zero=True)
 REDUCED = RadiusVariant("reduced", reduced_targets=True)
 
 VARIANTS = {v.name: v for v in (CANONICAL, DOMAIN0, REDUCED)}
+# The view over [1, p] of each target set: what a scan and its file give.
+BASE_VIEWS = {v.targets: v for v in (CANONICAL, REDUCED)}
 
 
 class Radii(NamedTuple):
@@ -201,7 +203,7 @@ def lists_core_witnesses(core: int, dist_0: int, dist_p: int, reduced_targets: b
     return (dist_p if reduced_targets else min(dist_0, dist_p)) <= core
 
 
-def _radii(ctx: PrimeContext, reduced_targets: bool) -> Radii:
+def dilation_radii(ctx: PrimeContext, reduced_targets: bool) -> Radii:
     """Radii by iterated bitmap dilation.
 
     Grows the target set by Hamming-ball radius one per round until [1, p-1]
@@ -227,7 +229,9 @@ def _radii(ctx: PrimeContext, reduced_targets: bool) -> Radii:
                 uncovered = 0  # no view reads the core witnesses
             return Radii(core_radius, dist_0, dist_p, tuple(bitmap_to_set(uncovered)))
         if radius == ctx.bit_len:
-            raise RuntimeError(f"dilation failed to cover the domain for p={p}")
+            raise InvariantViolation(
+                f"p={p} targets={'reduced' if reduced_targets else 'literal'}: the dilation "
+                f"for delta leaves the domain uncovered after {radius} rounds")
         previous = ball
         ball = dilate(ball, ctx.bit_len)
         radius += 1
@@ -254,7 +258,7 @@ def covering_radius(ctx: PrimeContext, variant: RadiusVariant = CANONICAL
                     ) -> tuple[int, tuple[int, ...]]:
     """Covering radius and its witness classes (n mod p, ascending) over the
     variant's domain, by bitmap dilation."""
-    return view(_radii(ctx, variant.reduced_targets), variant)
+    return view(dilation_radii(ctx, variant.reduced_targets), variant)
 
 
 def covering_radius_bfs(ctx: PrimeContext, variant: RadiusVariant = CANONICAL
@@ -310,7 +314,8 @@ def min_flips_to_primroot(n: int, ctx: PrimeContext, variant: RadiusVariant = CA
         for t in _flips(n, length, s):
             if targets >> t & 1:
                 return s, t
-    raise RuntimeError(f"no target reachable from n={n} mod p={p}")
+    raise InvariantViolation(f"p={p} variant={variant.name}: the ball search for delta "
+                             f"reaches no target from n={n}")
 
 
 # --- minimal-weight statistics --------------------------------------------
@@ -331,8 +336,8 @@ def ascending_weight_values(weight: int, below: int):
         v = _next_same_weight(v)
 
 
-def _sparsest(ctx: PrimeContext, roots: bool
-              ) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
+def sparsest(ctx: PrimeContext, roots: bool
+             ) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
     """(weight, witness) of the sparsest quadratic non-residue of [1, p-1]
     and, if `roots`, of the sparsest primitive root (else None), in one sweep.
 
@@ -361,37 +366,17 @@ def _sparsest(ctx: PrimeContext, roots: bool
                     return nonresidue, None
             if all(pow(v, e, p) != 1 for e in odd_exponents):
                 return nonresidue, (weight, v)
-    raise RuntimeError(f"no {'primitive root' if nonresidue else 'non-residue'} found mod {p}")
+    raise InvariantViolation(f"p={p}: the candidate sweep for {'W' if nonresidue else 'w'} finds "
+                             f"no {'primitive root' if nonresidue else 'non-residue'}")
 
 
 def min_nonresidue_weight(ctx: PrimeContext) -> tuple[int, int]:
     """(weight, witness): sparsest quadratic non-residue in [1, p-1]."""
     if ctx.p == 2:
         raise CapabilityError("non-residues are undefined mod 2")
-    return _sparsest(ctx, roots=False)[0]
+    return sparsest(ctx, roots=False)[0]
 
 
 def min_primroot_weight(ctx: PrimeContext) -> tuple[int, int]:
     """(weight, witness): sparsest primitive root in [1, p-1]; (1, 1) for p = 2."""
-    return _sparsest(ctx, roots=True)[1]
-
-
-def hamming_profile(ctx: PrimeContext, variant: RadiusVariant = CANONICAL,
-                    compute: frozenset[str] = frozenset({"w", "W", "delta"})
-                    ) -> HammingProfile:
-    """Bundle the requested statistics for one prime; w and W come from one
-    sweep of the candidates.
-
-    For p = 2 only W is defined (W_2 = 1); the other fields stay None.
-    """
-    p = ctx.p
-    w = W = radii = None
-    if "w" in compute or "W" in compute:
-        nonresidue, root = _sparsest(ctx, roots="W" in compute)
-        if "w" in compute and nonresidue:
-            w = nonresidue[0]
-        if root:
-            W = root[0]
-    if "delta" in compute and p > 2:
-        radii = _radii(ctx, variant.reduced_targets)
-    return viewed_profile(p, ctx.r, w, W, radii, variant)
+    return sparsest(ctx, roots=True)[1]

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .errors import InvariantViolation
-from .hamming import (CANONICAL, REDUCED, VARIANTS, HammingProfile, Radii, hamming_profile,
-                      lists_core_witnesses, viewed_profile)
+from .hamming import (BASE_VIEWS, HammingProfile, Radii, dilation_radii,
+                      lists_core_witnesses, sparsest, viewed_profile)
 from .numtheory import PrimeContext, factorize_pm1, sieve_primes
 
 SCHEMA_ID = "hamroots.scan.v4"
@@ -42,15 +42,15 @@ class ScanConfig:
     lo: int
     hi: int
     tasks: int = 1
-    variant: str = CANONICAL.name
+    targets: str = "literal"  # the radius targets, literal or reduced (see RadiusVariant)
     compute: tuple[str, ...] = STATS
     checkpoint: str | None = None
 
     def __post_init__(self):
         if self.lo < 2 or self.hi < self.lo:
             raise ValueError(f"bad scan range [{self.lo}, {self.hi}]")
-        if type(self.variant) is not str or self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        if type(self.targets) is not str or self.targets not in BASE_VIEWS:
+            raise ValueError(f"unknown radius targets {self.targets!r}")
         if (type(self.compute) not in (list, tuple) or not self.compute
                 or any(name not in STATS for name in self.compute)):
             raise ValueError("compute set must be a nonempty subset of w,W,delta, "
@@ -59,32 +59,38 @@ class ScanConfig:
             raise ValueError("tasks must be >= 1")
 
 
-# A profile crosses from a worker to the parent as a tuple, which pickles
-# faster; the parent applies the scan's view to its radii.
-_profile_to_row = attrgetter("p", "r", "w", "W", "radii")
-
-
 def _scan_block(args) -> list[tuple]:
-    primes, variant_name, compute = args
-    variant = VARIANTS[variant_name]
-    compute_set = frozenset(compute)
+    """The (p, r, w, W, radii) row of each prime of a block, with None for
+    what is not computed or undefined (p = 2 has only W): one candidate sweep
+    gives w and W, one dilation of the targets gives the radii, of which every
+    domain convention is a view."""
+    primes, targets, compute = args
+    reduced = BASE_VIEWS[targets].reduced_targets
     rows = []
     for p, factors in zip(primes, factorize_pm1(primes)):
-        prof = hamming_profile(PrimeContext(p, factors), variant, compute_set)
+        ctx = PrimeContext(p, factors)
+        w = W = radii = None
+        if "w" in compute or "W" in compute:
+            nonresidue, root = sparsest(ctx, roots="W" in compute)
+            if "w" in compute and nonresidue:
+                w = nonresidue[0]
+            if root:
+                W = root[0]
+        if "delta" in compute and p > 2:
+            radii = dilation_radii(ctx, reduced)
         # One sweep finds both: w's witness is the first non-residue and W's
         # is a later or the same one, so w <= W holds by construction. The
         # check guards this seam; w and W are checked independently by tests
         # (a brute-force search and the reference counts at 10^5 and 10^6).
-        if prof.w is not None and prof.W is not None and prof.w > prof.W:
-            raise InvariantViolation(f"p={p} variant={variant_name}: w={prof.w} > W={prof.W}")
+        if w is not None and W is not None and w > W:
+            raise InvariantViolation(f"p={p} targets={targets}: w={w} > W={W}")
         # Under literal targets the distance from 0 to the primitive roots is
         # the least weight of one, so two independent engines must agree.
-        if (not variant.reduced_targets and prof.W is not None and prof.radii is not None
-                and prof.radii.dist_0 != prof.W):
+        if not reduced and W is not None and radii is not None and radii.dist_0 != W:
             raise InvariantViolation(
-                f"p={p} variant={variant_name}: the sparsest-root search gives W={prof.W}, "
-                f"the dilation puts 0 at distance {prof.radii.dist_0}")
-        rows.append(_profile_to_row(prof))
+                f"p={p} targets={targets}: the sparsest-root search gives W={W}, "
+                f"the dilation puts 0 at distance {radii.dist_0}")
+        rows.append((p, ctx.r, w, W, radii))
     return rows
 
 
@@ -99,12 +105,12 @@ def _weights(config: ScanConfig) -> list[str]:
 
 
 def _header(config: ScanConfig) -> str:
-    """The two header lines of a scan's file: the scan's fingerprint. Only
-    the targets of the radius variant are in it, and only when delta is."""
+    """The two header lines of a scan's file: the scan's fingerprint. The
+    radius targets are in it only when delta is."""
     with_radii = "delta" in config.compute
     stats = [*_weights(config), *(["delta"] if with_radii else [])]
     columns = ["p", "r", *_weights(config), *(RADII if with_radii else ()), "checksum"]
-    targets = f"targets={VARIANTS[config.variant].targets} " if with_radii else ""
+    targets = f"targets={config.targets} " if with_radii else ""
     return (f"# {SCHEMA_ID} lo={config.lo} hi={config.hi} {targets}"
             f"compute={','.join(stats)}\n{','.join(columns)}\n")
 
@@ -138,12 +144,13 @@ def _csv_int(cell: str) -> int:
 
 
 def _line_decoder(config: ScanConfig):
-    """The function from a line (newline stripped) to its profile under the
-    config's variant; it checks the cells and the witness rule, not the checksum."""
+    """The function from a line (newline stripped) to its profile in the base
+    view of the config's targets; it checks the cells and the witness rule,
+    not the checksum."""
     weights = _weights(config)
     with_radii = "delta" in config.compute
     n_cells = 3 + len(weights) + 4 * with_radii  # p, r, w and W, the radii, checksum
-    variant = VARIANTS[config.variant]
+    base = BASE_VIEWS[config.targets]
 
     def decode(line: str) -> HammingProfile:
         cells = line.split(",")
@@ -156,27 +163,24 @@ def _line_decoder(config: ScanConfig):
             *dists, wits = cells[-5:-1]
             radii = Radii(*map(_csv_int, dists),
                           tuple(_csv_int(c) for c in wits.split(";")) if wits else ())
-            if bool(wits) != lists_core_witnesses(*radii[:3], variant.reduced_targets):
+            if bool(wits) != lists_core_witnesses(*radii[:3], base.reduced_targets):
                 raise ValueError(f"witnesses {'listed where no' if wits else 'missing where a'} "
-                                 f"view of {variant.targets} targets reads them")
+                                 f"view of {config.targets} targets reads them")
         return viewed_profile(_csv_int(cells[0]), _csv_int(cells[1]), values.get("w"),
-                              values.get("W"), radii, variant)
+                              values.get("W"), radii, base)
     return decode
 
 
 def _config_of_header(line: str) -> ScanConfig:
-    """The scan that a file's first line names, under the base view of its
-    targets: canonical for literal targets, reduced for reduced ones."""
+    """The scan that a file's first line names. A file without radii names
+    no targets and is read as a literal-target scan."""
     if not line.startswith(f"# {SCHEMA_ID} "):
         raise ValueError(f"unknown scan schema header {line.rstrip()!r}")
     meta = dict(part.partition("=")[::2] for part in line.split()[2:])
-    targets = meta.get("targets")
-    config = ScanConfig(lo=_csv_int(meta.get("lo", "")), hi=_csv_int(meta.get("hi", "")),
-                        variant=REDUCED.name if targets == "reduced" else CANONICAL.name,
-                        compute=tuple(meta["compute"].split(",")) if "compute" in meta else None)
-    if "delta" in config.compute and targets not in ("literal", "reduced"):
-        raise ValueError(f"unknown radius targets {targets!r}")
-    return config
+    compute = tuple(meta["compute"].split(",")) if "compute" in meta else None
+    targets = meta.get("targets", None if compute and "delta" in compute else "literal")
+    return ScanConfig(lo=_csv_int(meta.get("lo", "")), hi=_csv_int(meta.get("hi", "")),
+                      targets=targets, compute=compute)
 
 
 def _read_rows(fh, path: str, config: ScanConfig, primes: list[int]):
@@ -267,14 +271,13 @@ def worker_count(tasks: int, blocks_left: int, cpus: int | None) -> int:
 
 
 def scan_range(config: ScanConfig) -> list[HammingProfile]:
-    """All per-prime profiles for primes in [lo, hi], ascending, under the
-    config's variant. A journal of the same range, targets and statistics
-    serves every variant."""
+    """All per-prime profiles for primes in [lo, hi], ascending, in the base
+    view of the config's targets, as `read_scan_output` gives them too."""
     primes = sieve_primes(config.hi, config.lo)
     profiles = _resume(config.checkpoint, config, primes) if config.checkpoint else []
     encode = _line_encoder(config)
-    variant = VARIANTS[config.variant]
-    todo = [(primes[i:i + BLOCK_SIZE], config.variant, tuple(config.compute))
+    base = BASE_VIEWS[config.targets]
+    todo = [(primes[i:i + BLOCK_SIZE], config.targets, tuple(config.compute))
             for i in range(len(profiles), len(primes), BLOCK_SIZE)]
     workers = worker_count(config.tasks, len(todo), os.cpu_count())
     with (open(config.checkpoint, "a", encoding="utf-8", newline="\n")
@@ -283,7 +286,7 @@ def scan_range(config: ScanConfig) -> list[HammingProfile]:
         if journal and not profiles:
             _append(journal, _header(config))
         for rows in (pool.imap if workers > 1 else map)(_scan_block, todo):
-            block = [viewed_profile(*row, variant) for row in rows]
+            block = [viewed_profile(*row, base) for row in rows]
             profiles += block
             if journal:
                 _append(journal, "".join(map(encode, block)))

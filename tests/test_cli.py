@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from hamroots import cli, scan
+from hamroots import cli, hamming, scan
 from hamroots.cli import build_parser, main
 from hamroots.errors import InvariantViolation
 from hamroots.scan import ScanConfig, format_scan_output, scan_range
@@ -138,6 +138,15 @@ def test_io_error_exit_2(capsys, tmp_path):
     assert main(["scan", "--range", "3", "7", "--output", str(missing_dir)]) == 2
 
 
+def test_engine_failure_exits_4_with_one_line(monkeypatch, capsys):
+    # a dilation that never grows the ball leaves the domain uncovered
+    monkeypatch.setattr(hamming, "dilate", lambda bitmap, length: bitmap)
+    code, out, err = run_err(capsys, "scan", "--range", "7", "7", "--compute", "delta")
+    assert (code, out) == (4, "")
+    assert err == ("invariant violation: p=7 targets=literal: the dilation for delta "
+                   "leaves the domain uncovered after 3 rounds\n")
+
+
 def test_scan_output_path_is_opened_before_the_scan(tmp_path, monkeypatch):
     blocks = []
     monkeypatch.setattr(scan, "_scan_block", lambda args: blocks.append(args) or [])
@@ -153,7 +162,7 @@ def _fail_in_block(monkeypatch, n):
     def block(args):
         seen.append(args)
         if len(seen) == n:
-            raise InvariantViolation(f"p={args[0][0]} variant=canonical: injected")
+            raise InvariantViolation(f"p={args[0][0]} targets=literal: injected")
         return real(args)
     monkeypatch.setattr(scan, "_scan_block", block)
 

@@ -4,16 +4,17 @@ from itertools import compress
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hamroots.errors import CapabilityError
+from hamroots import hamming
+from hamroots.errors import CapabilityError, InvariantViolation
 from hamroots.hamming import (BitExpansion, CANONICAL, DOMAIN0, REDUCED, Radii,
-                              _flip_shuffles, _radii,
+                              _flip_shuffles, dilation_radii, sparsest,
                               covering_radius, covering_radius_bfs, dilate,
-                              hamming_distance, hamming_profile,
-                              hamming_weight, high_bit_flip_set,
+                              hamming_distance, hamming_weight, high_bit_flip_set,
                               low_bit_flip_set, min_flips_to_primroot,
                               min_nonresidue_weight, min_primroot_weight,
-                              recombined_set)
+                              recombined_set, viewed_profile)
 from hamroots.numtheory import PrimeContext, bitmap_to_set, legendre_symbol, sieve_primes
+from hamroots.scan import ScanConfig, scan_range
 
 
 def ctx_for(p):
@@ -176,26 +177,41 @@ def test_views_match_the_per_domain_dilation_below_20000():
         ctx = ctx_for(p)
         for variant in (CANONICAL, DOMAIN0, REDUCED):
             assert covering_radius(ctx, variant) == domain_dilation(ctx, variant), (p, variant)
-        assert _radii(ctx, False).dist_0 == min_primroot_weight(ctx)[0], p
+        assert dilation_radii(ctx, False).dist_0 == min_primroot_weight(ctx)[0], p
 
 
 def test_view_of_the_endpoints():
     # 23: every n in [1, 22] is one flip from a root, 0 is two (W = 2), 23 is one
-    radii = _radii(ctx_for(23), False)
+    radii = dilation_radii(ctx_for(23), False)
     core = (1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18, 22)
     assert radii == Radii(1, 2, 1, core)
     assert covering_radius(ctx_for(23), CANONICAL) == (1, (0, *core))
     assert covering_radius(ctx_for(23), DOMAIN0) == (2, (0,))
     # 17: the core is the farther, so neither endpoint is a witness
-    assert _radii(ctx_for(17), False) == Radii(3, 2, 2, (16,))
+    assert dilation_radii(ctx_for(17), False) == Radii(3, 2, 2, (16,))
     assert covering_radius(ctx_for(17), DOMAIN0) == (3, (16,))
     # 31: both endpoints are farther than the core, so no view reads the core
     # witnesses and none are listed; reduced targets bring p = 17 to that case
-    assert _radii(ctx_for(31), False) == Radii(1, 2, 2, ())
+    assert dilation_radii(ctx_for(31), False) == Radii(1, 2, 2, ())
     assert covering_radius(ctx_for(31), CANONICAL) == covering_radius(ctx_for(31), DOMAIN0) \
         == (2, (0,))
-    assert _radii(ctx_for(17), True) == Radii(1, 2, 2, ())
+    assert dilation_radii(ctx_for(17), True) == Radii(1, 2, 2, ())
     assert covering_radius(ctx_for(17), REDUCED) == (2, (0,))
+
+
+def test_engine_failures_are_invariant_violations(monkeypatch):
+    """An engine that cannot finish names the prime, the statistic and itself."""
+    # factors of p - 1 that claim 7 | 6 add the root test v^0 != 1, which every candidate fails
+    with pytest.raises(InvariantViolation,
+                       match="^p=7: the candidate sweep for W finds no primitive root$"):
+        sparsest(PrimeContext(7, [2, 3, 7]), roots=True)
+    monkeypatch.setattr(hamming, "_target_bitmap", lambda ctx, reduced_targets: 0)
+    with pytest.raises(InvariantViolation, match="^p=7 targets=literal: the dilation for delta "
+                                                 "leaves the domain uncovered after 3 rounds$"):
+        dilation_radii(ctx_for(7), False)
+    with pytest.raises(InvariantViolation, match="^p=7 variant=canonical: the ball search for "
+                                                 "delta reaches no target from n=3$"):
+        min_flips_to_primroot(3, ctx_for(7))
 
 
 def test_engines_agree_up_to_300():
@@ -314,27 +330,27 @@ def test_sparsest_search_matches_brute_force_below_20000():
 
 
 def test_profile_bundle():
-    prof = hamming_profile(ctx_for(7))
+    (prof,) = scan_range(ScanConfig(lo=7, hi=7))
     assert (prof.w, prof.W, prof.delta, prof.witnesses) == (2, 2, 2, (6,))
     assert prof.radii == Radii(2, 2, 1, (6,))
-    prof0 = hamming_profile(ctx_for(7), DOMAIN0)
+    prof0 = viewed_profile(prof.p, prof.r, prof.w, prof.W, prof.radii, DOMAIN0)
     assert (prof0.delta, prof0.witnesses, prof0.radii) == (2, (0, 6), prof.radii)
-    prof2 = hamming_profile(ctx_for(2))
+    (prof2,) = scan_range(ScanConfig(lo=2, hi=2))
     assert (prof2.w, prof2.W, prof2.delta) == (None, 1, None)
-    partial = hamming_profile(ctx_for(17), compute=frozenset({"W"}))
+    (partial,) = scan_range(ScanConfig(lo=17, hi=17, compute=("W",)))
     assert (partial.w, partial.W, partial.delta) == (None, 2, None)
 
 
 def test_profile_weights_do_not_depend_on_what_else_is_computed():
     """One sweep serves w and W together; asked for one, it gives the same."""
-    both = frozenset({"w", "W"})
-    for p in sieve_primes(20000):
-        ctx = ctx_for(p)
-        prof = hamming_profile(ctx, compute=both)
-        assert hamming_profile(ctx, compute=frozenset({"w"})).w == prof.w, p
-        assert hamming_profile(ctx, compute=frozenset({"W"})).W == prof.W, p
-        if p == 2:
-            assert (prof.w, prof.W) == (None, 1)
+    def weights(compute):
+        profiles = scan_range(ScanConfig(lo=2, hi=20000, compute=compute))
+        return [(pr.p, pr.w, pr.W) for pr in profiles]
+    both = weights(("w", "W"))
+    assert [p for p, _, _ in both] == sieve_primes(20000)
+    assert weights(("w",)) == [(p, w, None) for p, w, _ in both]
+    assert weights(("W",)) == [(p, None, big_w) for p, _, big_w in both]
+    assert both[0] == (2, None, 1)
 
 
 def test_flip_shuffles_match_floor_division_formula():

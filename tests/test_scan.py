@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 from hamroots import hamming, numtheory, scan
 from hamroots.cli import main
 from hamroots.errors import InvariantViolation
-from hamroots.hamming import (CANONICAL, DOMAIN0, HammingProfile, Radii,
-                              lists_core_witnesses, viewed_profile)
+from hamroots.hamming import CANONICAL, DOMAIN0, Radii, lists_core_witnesses, viewed_profile
 from hamroots.scan import (STATS, CountTable, ScanConfig, _line_decoder,
                            _line_encoder, format_scan_output, read_scan_output,
                            scan_range, worker_count)
@@ -54,8 +53,13 @@ def test_scan_deterministic_across_task_counts(monkeypatch):
         format_scan_output(cfg8, scan_range(cfg8))
 
 
+def _domain0(profiles):
+    """The profiles under the domain0 view of their radii."""
+    return [viewed_profile(pr.p, pr.r, pr.w, pr.W, pr.radii, DOMAIN0) for pr in profiles]
+
+
 def test_scan_domain0_variant_rows():
-    profiles = scan_range(ScanConfig(lo=3, hi=23, variant="domain0"))
+    profiles = _domain0(scan_range(ScanConfig(lo=3, hi=23)))
     by_p = {p.p: p for p in profiles}
     assert by_p[23].delta == 2  # canonical would give 1
     assert all(p.W <= p.delta for p in profiles)
@@ -99,11 +103,11 @@ def test_journal_resumes_under_another_domain_convention(tmp_path, monkeypatch, 
     computed = []
     block = scan._scan_block
     monkeypatch.setattr(scan, "_scan_block", lambda args: computed.append(args[0]) or block(args))
-    domain0 = ScanConfig(lo=2, hi=300, variant="domain0", compute=compute)
-    resumed = scan_range(ScanConfig(**{**vars(domain0), "checkpoint": str(ckpt)}))
+    fresh = ScanConfig(lo=2, hi=300, compute=compute)
+    resumed = scan_range(ScanConfig(**{**vars(fresh), "checkpoint": str(ckpt)}))
     assert ckpt.read_text() == journal
     assert computed[0][0] == 59  # the first prime after the one whole block kept
-    assert resumed == scan_range(domain0)
+    assert _domain0(resumed) == _domain0(scan_range(fresh))
 
 
 def test_partial_checkpoint_resumes_to_identical_bytes(tmp_path, monkeypatch):
@@ -160,14 +164,13 @@ def test_malformed_complete_journal_line_rejected(tmp_path, monkeypatch):
         scan_range(cfg)
 
 
-def test_csv_round_trip(tmp_path):
-    cfg = ScanConfig(lo=2, hi=100)
-    profiles = scan_range(cfg)
+@pytest.mark.parametrize("targets", ["literal", "reduced"])
+def test_csv_round_trip(tmp_path, targets):
+    """A scan and its file give the same profiles: the base view of the targets."""
+    cfg = ScanConfig(lo=2, hi=100, targets=targets)
     path = tmp_path / "scan.csv"
-    path.write_text(format_scan_output(cfg, profiles), encoding="utf-8")
-    scanned, parsed = read_scan_output(str(path))
-    assert scanned == cfg
-    assert parsed == profiles
+    path.write_text(format_scan_output(cfg, scan_range(cfg)), encoding="utf-8")
+    assert read_scan_output(str(path)) == (cfg, scan_range(cfg))
 
 
 @pytest.mark.parametrize("compute,columns", [
@@ -177,7 +180,7 @@ def test_csv_round_trip(tmp_path):
     (("W",), "p,r,W,checksum"),
 ], ids=["all", "w-W", "delta", "W"])
 def test_columns_follow_the_computed_statistics(tmp_path, compute, columns):
-    cfg = ScanConfig(lo=2, hi=30, variant="domain0", compute=compute)
+    cfg = ScanConfig(lo=2, hi=30, compute=compute)
     profiles = scan_range(cfg)
     text = format_scan_output(cfg, profiles)
     stats = ",".join(name for name in STATS if name in compute)
@@ -190,9 +193,9 @@ def test_columns_follow_the_computed_statistics(tmp_path, compute, columns):
     path.write_text(text, encoding="utf-8")
     scanned, parsed = read_scan_output(str(path))
     assert scanned.compute == tuple(stats.split(","))
-    assert scanned.variant == "canonical"  # the base view of literal targets
-    assert [viewed_profile(pr.p, pr.r, pr.w, pr.W, pr.radii, DOMAIN0)
-            for pr in parsed] == profiles
+    assert scanned.targets == "literal"
+    assert parsed == profiles
+    assert _domain0(parsed) == _domain0(profiles)
 
 
 def _write_with_row_of_11_edited(tmp_path, field, value) -> tuple[str, int]:
@@ -272,18 +275,18 @@ def test_malformed_row_rejected_with_path_and_line(tmp_path, edit):
         read_scan_output(path)
 
 
-@pytest.mark.parametrize("variant,p,witnesses,message", [
+@pytest.mark.parametrize("targets,p,witnesses,message", [
     # 31: core 1, both endpoints at 2, so neither literal view reads the core
-    ("canonical", 31, "1", "witnesses listed where no view of literal targets reads them"),
-    ("canonical", 29, "", "witnesses missing where a view of literal targets reads them"),
+    ("literal", 31, "1", "witnesses listed where no view of literal targets reads them"),
+    ("literal", 29, "", "witnesses missing where a view of literal targets reads them"),
     # 17: core 1, p at 2 under reduced targets
     ("reduced", 17, "1", "witnesses listed where no view of reduced targets reads them"),
     ("reduced", 29, "", "witnesses missing where a view of reduced targets reads them"),
 ], ids=["literal-unread-listed", "literal-read-missing", "reduced-unread-listed",
         "reduced-read-missing"])
-def test_witness_lists_must_follow_the_views_that_read_them(tmp_path, variant, p, witnesses,
+def test_witness_lists_must_follow_the_views_that_read_them(tmp_path, targets, p, witnesses,
                                                             message):
-    cfg = ScanConfig(lo=2, hi=100, variant=variant, compute=("delta",))
+    cfg = ScanConfig(lo=2, hi=100, targets=targets, compute=("delta",))
     lines = format_scan_output(cfg, scan_range(cfg)).splitlines()
     i = next(i for i, line in enumerate(lines) if line.startswith(f"{p},"))
     cells = lines[i].split(",")
@@ -365,7 +368,7 @@ def test_journal_of_another_scan_is_refused(tmp_path):
     # neither the task count nor the order of the compute names is in the header
     scan_range(ScanConfig(**base, tasks=2, compute=("delta", "W", "w")))
     assert ckpt.read_bytes() == journal
-    for change in ({"lo": 2}, {"hi": 101}, {"variant": "reduced"}, {"compute": ("w", "W")}):
+    for change in ({"lo": 2}, {"hi": 101}, {"targets": "reduced"}, {"compute": ("w", "W")}):
         with pytest.raises(ValueError, match=f"^{re.escape(str(ckpt))}: line 1: expected "):
             scan_range(ScanConfig(**{**base, **change}))
         assert ckpt.read_bytes() == journal
@@ -488,29 +491,28 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ScanConfig(lo=1, hi=10)
     with pytest.raises(ValueError):
-        ScanConfig(lo=3, hi=10, variant="mystery")
+        ScanConfig(lo=3, hi=10, targets="mystery")
+    with pytest.raises(ValueError):  # a view is not a target set
+        ScanConfig(lo=3, hi=10, targets="canonical")
     with pytest.raises(ValueError):
         ScanConfig(lo=3, hi=10, compute=("w", "Z"))
     with pytest.raises(ValueError):
         ScanConfig(lo=3, hi=10, tasks=0)
 
 
-@pytest.mark.parametrize("variant,stats,message", [
-    ("canonical", {"w": 3, "W": 2}, "p=23 variant=canonical: w=3 > W=2"),
-    # The domain0 delta of these radii is 1, below W; the check compares W
-    # with the distance of 0 under every literal variant.
-    ("domain0", {"w": 1, "W": 2, "delta": 1, "radii": Radii(1, 1, 1, (1,))},
-     "p=23 variant=domain0: the sparsest-root search gives W=2, "
+@pytest.mark.parametrize("engine,result,message", [
+    ("sparsest", ((3, 7), (2, 5)), "p=23 targets=literal: w=3 > W=2"),
+    # W of 23 is 2; the check compares it with the distance of 0 under
+    # literal targets, whose domain0 view these radii would make 1.
+    ("dilation_radii", Radii(1, 1, 1, (1,)),
+     "p=23 targets=literal: the sparsest-root search gives W=2, "
      "the dilation puts 0 at distance 1"),
 ], ids=["w-above-W", "W-above-delta"])
 def test_invariant_violation_names_prime_variant_and_values(monkeypatch, capsys,
-                                                            variant, stats, message):
-    monkeypatch.setattr(scan, "hamming_profile", lambda ctx, var, compute: HammingProfile(
-        p=ctx.p, r=ctx.r, variant=var.name, **stats))
+                                                            engine, result, message):
+    monkeypatch.setattr(scan, engine, lambda *args, **kwargs: result)
     with pytest.raises(InvariantViolation) as exc:
-        scan_range(ScanConfig(lo=23, hi=23, variant=variant))
+        scan_range(ScanConfig(lo=23, hi=23))
     assert str(exc.value) == message
-    # the command scans literal targets under their base view, canonical
     assert main(["scan", "--range", "23", "23", "--targets", "literal"]) == 4
-    assert capsys.readouterr().err == \
-        f"invariant violation: {message.replace(variant, 'canonical')}\n"
+    assert capsys.readouterr().err == f"invariant violation: {message}\n"
