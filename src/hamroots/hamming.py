@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import CapabilityError, InvariantViolation
-from .numtheory import PrimeContext, bitmap_to_set
+from .numtheory import PrimeContext, _jacobi, bitmap_to_set
 
 
 @dataclass(frozen=True)
@@ -336,35 +336,47 @@ def ascending_weight_values(weight: int, below: int):
         v = _next_same_weight(v)
 
 
+@lru_cache(maxsize=None)
+def _weight_class(bit_len: int, weight: int) -> tuple[int, ...]:
+    """The bit_len-bit integers of the given weight, ascending: one tuple per
+    bit length, which every prime of that length cuts at p."""
+    return tuple(ascending_weight_values(weight, 1 << bit_len))
+
+
 def sparsest(ctx: PrimeContext, roots: bool
              ) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
     """(weight, witness) of the sparsest quadratic non-residue of [1, p-1]
     and, if `roots`, of the sparsest primitive root (else None), in one sweep.
 
     The candidates are tried once each, in increasing weight and ascending
-    within a weight, with one Euler test v^((p-1)/2) each. Every primitive
-    root is a non-residue, since a square has order dividing (p-1)/2, so a
-    root is a non-residue that also passes v^((p-1)/q) != 1 for each odd prime
-    q | p-1, and only non-residues get those tests. The first non-residue is
-    w's witness, and the first that passes them all is W's. Class 1 is {2}:
-    the powers of two lie in <2>, so 2^a is a non-residue (or a root) only if
-    2 is. For p = 2 there are no non-residues and 1 is the root.
+    within a weight, with one Legendre symbol each, computed by quadratic
+    reciprocity (`numtheory._jacobi`). Every primitive root is a non-residue,
+    since a square has order dividing (p-1)/2, so a root is a non-residue
+    that also passes v^((p-1)/q) != 1 for each odd prime q | p-1, and only
+    non-residues get those tests. The first non-residue is w's witness, and
+    the first that passes them all is W's. Class 1 is {2}: the powers of two
+    lie in <2>, so 2^a is a non-residue (or a root) only if 2 is. For p = 2
+    there are no non-residues and 1 is the root.
     """
     p = ctx.p
     if p == 2:
         return None, (1, 1) if roots else None
-    half = (p - 1) // 2
-    odd_exponents = ctx.pr_test_exponents()[1:]  # the first is half, for q = 2
+    odd_exponents = ctx.pr_test_exponents()[1:]  # the first is (p-1)/2, for q = 2
     nonresidue = None
     for weight in range(1, ctx.bit_len + 1):
-        for v in (2,) if weight == 1 else ascending_weight_values(weight, p):
-            if pow(v, half, p) != p - 1:
+        for v in (2,) if weight == 1 else _weight_class(ctx.bit_len, weight):
+            if v >= p:
+                break
+            if _jacobi(v, p) != -1:
                 continue
             if nonresidue is None:
                 nonresidue = weight, v
                 if not roots:
                     return nonresidue, None
-            if all(pow(v, e, p) != 1 for e in odd_exponents):
+            for e in odd_exponents:
+                if pow(v, e, p) == 1:
+                    break
+            else:
                 return nonresidue, (weight, v)
     raise InvariantViolation(f"p={p}: the candidate sweep for {'W' if nonresidue else 'w'} finds "
                              f"no {'primitive root' if nonresidue else 'non-residue'}")

@@ -175,13 +175,30 @@ def factorize_pm1(primes: list[int]) -> Iterator[list[int]]:
         yield factors
 
 
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a|n) in {-1, 0, +1} for 0 <= a < n and odd n, by
+    quadratic reciprocity: halving a flips the sign when n = 3, 5 (mod 8),
+    swapping a and n flips it when both are 3 (mod 4), and the symbol is 0
+    when gcd(a, n) > 1. For a prime n it is the Legendre symbol."""
+    t = 1
+    while a:
+        if not a & 1:
+            twos = (a & -a).bit_length() - 1
+            a >>= twos
+            if twos & 1 and (n ^ n >> 1) & 2:  # n = 3, 5 (mod 8)
+                t = -t
+        if a & n & 2:  # both odd, so both are 3 (mod 4)
+            t = -t
+        a, n = n % a, a
+    return t if n == 1 else 0
+
+
 def legendre_symbol(a: int, p: int) -> int:
-    """(a|p) in {-1, 0, +1} by Euler's criterion a^((p-1)/2) mod p, for any
-    integer a; pow reduces a mod p."""
+    """(a|p) in {-1, 0, +1} for any integer a, by quadratic reciprocity on
+    a mod p (see `_jacobi`)."""
     if p < 3 or p % 2 == 0:
         raise ValueError(f"Legendre symbol needs an odd prime modulus, got {p}")
-    t = pow(a, (p - 1) // 2, p)
-    return -1 if t == p - 1 else t
+    return _jacobi(a % p, p)
 
 
 def multiplicative_order(a: int, p: int) -> int:
@@ -227,7 +244,9 @@ class PrimeContext:
 
     r is the exponent with 2^r < p <= 2^(r+1); bit_len = r+1 is the width of
     the fixed-length binary expansions used throughout. For odd p this means
-    p itself fits in bit_len bits.
+    p itself fits in bit_len bits. factors_pm1 lists the prime factors of
+    p - 1 with multiplicity, ascending, as `factorize` and `factorize_pm1`
+    give them.
     """
 
     __slots__ = ("p", "r", "bit_len", "factors_pm1", "characters_by_order",
@@ -255,7 +274,7 @@ class PrimeContext:
 
     @property
     def distinct_factors(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.factors_pm1)))
+        return tuple(dict.fromkeys(self.factors_pm1))
 
     def pr_test_exponents(self) -> tuple[int, ...]:
         if self._pr_exponents is None:

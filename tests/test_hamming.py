@@ -7,13 +7,15 @@ from hypothesis import given, settings, strategies as st
 from hamroots import hamming
 from hamroots.errors import CapabilityError, InvariantViolation
 from hamroots.hamming import (BitExpansion, CANONICAL, DOMAIN0, REDUCED, Radii,
-                              _flip_shuffles, dilation_radii, sparsest,
+                              _flip_shuffles, _weight_class, ascending_weight_values,
+                              dilation_radii, sparsest,
                               covering_radius, covering_radius_bfs, dilate,
                               hamming_distance, hamming_weight, high_bit_flip_set,
                               low_bit_flip_set, min_flips_to_primroot,
                               min_nonresidue_weight, min_primroot_weight,
                               recombined_set, viewed_profile)
-from hamroots.numtheory import PrimeContext, bitmap_to_set, legendre_symbol, sieve_primes
+from hamroots.numtheory import (PrimeContext, bitmap_to_set, factorize_pm1, legendre_symbol,
+                                sieve_primes)
 from hamroots.scan import ScanConfig, scan_range
 
 
@@ -327,6 +329,63 @@ def test_sparsest_search_matches_brute_force_below_20000():
         if p > 2:
             witness = _brute_sparsest(p, set(powers[1::2]).__contains__)
             assert min_nonresidue_weight(ctx) == (witness.bit_count(), witness), p
+
+
+def _euler_sweep(ctx, roots):
+    """The candidate sweep with one Euler test v^((p-1)/2) per candidate and
+    each weight class enumerated afresh below p: the oracle of `sparsest`."""
+    p = ctx.p
+    half = (p - 1) // 2
+    odd_exponents = ctx.pr_test_exponents()[1:]
+    nonresidue = None
+    for weight in range(1, ctx.bit_len + 1):
+        for v in (2,) if weight == 1 else ascending_weight_values(weight, p):
+            if pow(v, half, p) != p - 1:
+                continue
+            if nonresidue is None:
+                nonresidue = weight, v
+                if not roots:
+                    return nonresidue, None
+            if all(pow(v, e, p) != 1 for e in odd_exponents):
+                return nonresidue, (weight, v)
+    raise AssertionError(p)
+
+
+def test_sparsest_matches_the_euler_test_sweep():
+    """Same (weight, witness) pairs for w and W as the Euler-test sweep, over
+    every prime in [3, 2*10^5] and [2990000, 3000000]. The primes just above a
+    power of two (3, 5, 17, 257, 65537, 2097169) see a cached weight class
+    that runs past p, whose values >= p the sweep must skip."""
+    primes = sieve_primes(200000, 3) + [2097169] + sieve_primes(3000000, 2990000)
+    assert {3, 5, 17, 257, 65537, 2097169} <= set(primes)
+    for p, factors in zip(primes, factorize_pm1(primes)):
+        ctx = PrimeContext(p, factors)
+        both = _euler_sweep(ctx, roots=True)
+        assert sparsest(ctx, roots=True) == both, p
+        assert sparsest(ctx, roots=False) == (both[0], None), p
+
+
+def test_sweep_tries_each_candidate_below_p_once_in_order(monkeypatch):
+    """With no non-residue reported, the sweep tries 2 and then every value
+    of [3, p-1] of weight >= 2, by (weight, value), and none >= p. Up to
+    3*10^6 no answer depends on the cut at p, so it is pinned here."""
+    for p in (3, 5, 17, 257, 65537):
+        tried = []
+        monkeypatch.setattr(hamming, "_jacobi", lambda v, n: tried.append(v) or 1)
+        with pytest.raises(InvariantViolation, match=f"^p={p}: the candidate sweep for w "):
+            sparsest(ctx_for(p), roots=True)
+        assert tried == [2] + sorted((v for v in range(3, p) if v.bit_count() >= 2),
+                                     key=lambda v: (v.bit_count(), v)), p
+
+
+def test_weight_classes_are_cached_gosper_enumerations():
+    for bit_len in range(2, 23):
+        for weight in range(2, 5):
+            cls = _weight_class(bit_len, weight)
+            assert cls == tuple(ascending_weight_values(weight, 1 << bit_len))
+            assert _weight_class(bit_len, weight) is cls
+            if bit_len <= 12:
+                assert cls == tuple(v for v in range(1 << bit_len) if v.bit_count() == weight)
 
 
 def test_profile_bundle():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hamroots.errors import CapabilityError
-from hamroots.numtheory import (PrimeContext, bitmap_to_set, divisors,
+from hamroots.numtheory import (PrimeContext, _jacobi, bitmap_to_set, divisors,
                                 euler_phi, factorize, factorize_pm1, is_prime,
                                 is_primitive_root, least_primitive_root,
                                 legendre_symbol, mobius,
@@ -132,6 +132,42 @@ def test_legendre_reduces_any_integer():
     assert [legendre_symbol(-1, p) for p in (3, 5, 7, 13)] == [-1, 1, -1, 1]
     assert [legendre_symbol(a, 7) for a in (-14, -7, 7, 21, 10**30 * 7)] == [0] * 5
     assert legendre_symbol(10**30, 7) == legendre_symbol(10**30 % 7, 7)
+
+
+def euler_criterion(a, p):
+    """The Legendre symbol (a|p) as a^((p-1)/2) mod p: the oracle of the
+    reciprocity algorithm."""
+    t = pow(a, (p - 1) // 2, p)
+    return -1 if t == p - 1 else t
+
+
+def test_legendre_matches_euler_criterion_below_2000():
+    for p in sieve_primes(2000, 3):
+        assert [legendre_symbol(a, p) for a in range(p)] == \
+            [euler_criterion(a, p) for a in range(p)], p
+
+
+def test_legendre_matches_euler_criterion_near_1e6_and_3e6():
+    """A sample of a for each prime: residues, negative values, multiples of
+    p and values near 10^30, which legendre_symbol reduces mod p first."""
+    rng = random.Random(19)
+    for p in sieve_primes(10**6 + 60, 10**6 - 60) + sieve_primes(3 * 10**6 + 60, 3 * 10**6 - 60):
+        sample = [1, 2, p - 1, p - 2] + [rng.randrange(p) for _ in range(200)]
+        sample += [-a for a in sample] + [k * p for k in (-2, -1, 0, 1, 10**24)]
+        sample += [10**30 + k for k in range(-50, 50)] + [-10**30 - k for k in range(50)]
+        for a in sample:
+            assert legendre_symbol(a, p) == euler_criterion(a, p), (a, p)
+        assert legendre_symbol(10**30 * p, p) == 0
+
+
+def test_jacobi_is_the_product_of_legendre_symbols():
+    """For odd n, (a|n) is the product of (a|q) over the prime
+    factors q of n, with multiplicity; 0 exactly when gcd(a, n) > 1."""
+    for n in range(3, 400, 2):
+        for a in range(n):
+            expected = math.prod(euler_criterion(a, q) for q in trial_division_oracle(n))
+            assert _jacobi(a, n) == expected, (a, n)
+    assert _jacobi(0, 1) == 1
 
 
 def test_legendre_rejects_bad_modulus():
