@@ -136,9 +136,10 @@ def _census_profiles(args, lo: int, compute: tuple[str, ...], variant_name: str)
     radius targets of the variant. Either way the variant is a view of the
     scan's radii."""
     variant = VARIANTS[variant_name]
+    targets = variant.targets  # those of the scan the profiles come from
     if not args.scan_file:
         profiles = scan_range(ScanConfig(lo=lo, hi=args.limit, tasks=args.tasks,
-                                         targets=variant.targets, compute=compute))
+                                         targets=targets, compute=compute))
     elif args.tasks != 1:
         raise ValueError("--tasks does not apply to a finished scan read with --scan-file")
     else:
@@ -152,10 +153,15 @@ def _census_profiles(args, lo: int, compute: tuple[str, ...], variant_name: str)
         if "delta" in compute and scanned.targets != variant.targets:
             raise ValueError(f"scan file radii are for {scanned.targets} targets, "
                              f"--variant {variant_name} needs {variant.targets} targets")
-    kept = 0  # each view replaces its profile in place, so one list is held at a time
+        targets = scanned.targets
+    # The profiles are in the base view of those targets; any other view
+    # replaces its profile in place, so one list is held at a time.
+    rebuild = variant is not BASE_VIEWS[targets]
+    kept = 0
     for pr in profiles:
         if lo <= pr.p <= args.limit:
-            profiles[kept] = viewed_profile(pr.p, pr.r, pr.w, pr.W, pr.radii, variant)
+            profiles[kept] = (viewed_profile(pr.p, pr.r, pr.w, pr.W, pr.radii, variant)
+                              if rebuild else pr)
             kept += 1
     del profiles[kept:]
     return profiles

@@ -83,12 +83,14 @@ class Radii(NamedTuple):
     witnesses: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class HammingProfile:
     """Per-prime record of the three statistics (None = not computed / undefined).
 
     delta and witnesses are the `variant` view of radii; radii is None where
     delta is (p = 2, or not computed) and in profiles built without it.
+    Profiles are not frozen, which makes building one about four times
+    cheaper; nothing assigns to them or hashes them.
     """
 
     p: int
@@ -343,28 +345,28 @@ def _weight_class(bit_len: int, weight: int) -> tuple[int, ...]:
     return tuple(ascending_weight_values(weight, 1 << bit_len))
 
 
-def sparsest(ctx: PrimeContext, roots: bool
+def sparsest(p: int, odd_exponents: list[int], roots: bool
              ) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
     """(weight, witness) of the sparsest quadratic non-residue of [1, p-1]
     and, if `roots`, of the sparsest primitive root (else None), in one sweep.
 
+    odd_exponents are the (p-1)/q for the odd primes q | p-1, in any order.
     The candidates are tried once each, in increasing weight and ascending
     within a weight, with one Legendre symbol each, computed by quadratic
     reciprocity (`numtheory._jacobi`). Every primitive root is a non-residue,
     since a square has order dividing (p-1)/2, so a root is a non-residue
-    that also passes v^((p-1)/q) != 1 for each odd prime q | p-1, and only
-    non-residues get those tests. The first non-residue is w's witness, and
-    the first that passes them all is W's. Class 1 is {2}: the powers of two
-    lie in <2>, so 2^a is a non-residue (or a root) only if 2 is. For p = 2
-    there are no non-residues and 1 is the root.
+    that also passes v^e != 1 for each odd exponent e, and only non-residues
+    get those tests. The first non-residue is w's witness, and the first
+    that passes them all is W's. Class 1 is {2}: the powers of two lie in
+    <2>, so 2^a is a non-residue (or a root) only if 2 is. For p = 2 there
+    are no non-residues and 1 is the root.
     """
-    p = ctx.p
     if p == 2:
         return None, (1, 1) if roots else None
-    odd_exponents = ctx.pr_test_exponents()[1:]  # the first is (p-1)/2, for q = 2
+    bit_len = p.bit_length()
     nonresidue = None
-    for weight in range(1, ctx.bit_len + 1):
-        for v in (2,) if weight == 1 else _weight_class(ctx.bit_len, weight):
+    for weight in range(1, bit_len + 1):
+        for v in (2,) if weight == 1 else _weight_class(bit_len, weight):
             if v >= p:
                 break
             if _jacobi(v, p) != -1:
@@ -386,9 +388,9 @@ def min_nonresidue_weight(ctx: PrimeContext) -> tuple[int, int]:
     """(weight, witness): sparsest quadratic non-residue in [1, p-1]."""
     if ctx.p == 2:
         raise CapabilityError("non-residues are undefined mod 2")
-    return sparsest(ctx, roots=False)[0]
+    return sparsest(ctx.p, ctx.pr_test_exponents()[1:], roots=False)[0]
 
 
 def min_primroot_weight(ctx: PrimeContext) -> tuple[int, int]:
     """(weight, witness): sparsest primitive root in [1, p-1]; (1, 1) for p = 2."""
-    return sparsest(ctx, roots=True)[1]
+    return sparsest(ctx.p, ctx.pr_test_exponents()[1:], roots=True)[1]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import compress
@@ -131,44 +130,44 @@ def factorize(n: int) -> list[int]:
 
 
 def factorize_pm1(primes: list[int]) -> Iterator[list[int]]:
-    """factorize(p - 1) for each of an ascending list of primes, in order.
+    """The distinct prime factors of p - 1, ascending, for each of an
+    ascending list of primes, in order: sorted(set(factorize(p - 1))).
 
     A segmented sieve over the window of the p - 1: each odd prime q up to
     isqrt(max p - 1) strikes only the window's positions that are some p - 1.
-    Each p - 1 is then divided by its power of 2 and by the q that struck
-    it; what is left is 1 or a prime larger than every q. The struck q are
-    kept in flat arrays and each factor list is built only when it is
+    Each p - 1 is then divided by its power of 2 and by the powers of the q
+    that struck it; what is left is 1 or a prime larger than every q. The
+    struck q are kept in flat arrays and each list is built only when it is
     yielded, so a caller that takes them one at a time never holds them all.
     """
     if not primes:
         return
     lo = primes[0] - 1
-    flags = bytearray(primes[-1] - lo)
-    for p in primes:
-        flags[p - 1 - lo] = 1
+    # where[off] is 1 + the index of the prime whose p - 1 is lo + off, or 0.
+    where = array("i", [0]) * (primes[-1] - lo)
+    for i, p in enumerate(primes, 1):
+        where[p - 1 - lo] = i
     # The q struck at each p - 1 form a linked list, least q first: head[i]
-    # is the first node of primes[i] (-1 for none), and node k holds a q in
-    # qs[k] and the next node in after[k].
-    head = array("i", [-1]) * len(primes)
+    # is the first node of primes[i - 1] (-1 for none), and node k holds a q
+    # in qs[k] and the next node in after[k].
+    head = array("i", [-1]) * (len(primes) + 1)
     qs, after = [], array("i")
     root = math.isqrt(primes[-1] - 1)
     for q in reversed(sieve_primes(root, 3)) if root >= 3 else ():
-        start = -lo % q
-        i = 0
-        for off in compress(range(start, len(flags), q), flags[start::q]):
-            i = bisect_left(primes, lo + off + 1, i)  # the hits ascend
+        for i in filter(None, where[-lo % q::q]):
             after.append(head[i])
             head[i] = len(qs)
             qs.append(q)
-    for p, node in zip(primes, head):
+    for p, node in zip(primes, head[1:]):
         m = p - 1
-        twos = (m & -m).bit_length() - 1
-        factors, m = [2] * twos, m >> twos
+        factors = [2] if m > 1 else []  # p - 1 is even for every odd p
+        m >>= (m & -m).bit_length() - 1
         while node >= 0:
             q = qs[node]
-            while m % q == 0:
+            factors.append(q)
+            m //= q
+            while not m % q:
                 m //= q
-                factors.append(q)
             node = after[node]
         if m > 1:
             factors.append(m)
@@ -245,8 +244,8 @@ class PrimeContext:
     r is the exponent with 2^r < p <= 2^(r+1); bit_len = r+1 is the width of
     the fixed-length binary expansions used throughout. For odd p this means
     p itself fits in bit_len bits. factors_pm1 lists the prime factors of
-    p - 1 with multiplicity, ascending, as `factorize` and `factorize_pm1`
-    give them.
+    p - 1, ascending, with multiplicity as `factorize` gives them or without
+    as `factorize_pm1` does: only their distinct values are read.
     """
 
     __slots__ = ("p", "r", "bit_len", "factors_pm1", "characters_by_order",

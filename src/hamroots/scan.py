@@ -63,21 +63,24 @@ def _scan_block(args) -> list[tuple]:
     """The (p, r, w, W, radii) row of each prime of a block, with None for
     what is not computed or undefined (p = 2 has only W): one candidate sweep
     gives w and W, one dilation of the targets gives the radii, of which every
-    domain convention is a view."""
+    domain convention is a view. Only the dilation needs a PrimeContext, for
+    the primitive-root bitmap cached on it; the sweep needs p and the odd
+    exponents (p-1)/q."""
     primes, targets, compute = args
     reduced = BASE_VIEWS[targets].reduced_targets
+    weights, roots, delta = "w" in compute or "W" in compute, "W" in compute, "delta" in compute
     rows = []
-    for p, factors in zip(primes, factorize_pm1(primes)):
-        ctx = PrimeContext(p, factors)
+    for p, qs in zip(primes, factorize_pm1(primes)):
         w = W = radii = None
-        if "w" in compute or "W" in compute:
-            nonresidue, root = sparsest(ctx, roots="W" in compute)
+        if weights:
+            m = p - 1
+            nonresidue, root = sparsest(p, [m // q for q in qs[1:]], roots)
             if "w" in compute and nonresidue:
                 w = nonresidue[0]
             if root:
                 W = root[0]
-        if "delta" in compute and p > 2:
-            radii = dilation_radii(ctx, reduced)
+        if delta and p > 2:
+            radii = dilation_radii(PrimeContext(p, qs), reduced)
         # One sweep finds both: w's witness is the first non-residue and W's
         # is a later or the same one, so w <= W holds by construction. The
         # check guards this seam; w and W are checked independently by tests
@@ -90,7 +93,7 @@ def _scan_block(args) -> list[tuple]:
             raise InvariantViolation(
                 f"p={p} targets={targets}: the sparsest-root search gives W={W}, "
                 f"the dilation puts 0 at distance {radii.dist_0}")
-        rows.append((p, ctx.r, w, W, radii))
+        rows.append((p, (p - 1).bit_length() - 1, w, W, radii))
     return rows
 
 
@@ -119,19 +122,29 @@ def _checksum(text: str) -> str:
     return "%08x" % zlib.crc32(text.encode())
 
 
-def _line_encoder(config: ScanConfig):
-    """The function from a profile to its line, newline included."""
+def _block_encoder(config: ScanConfig):
+    """The function from a list of profiles to their lines, newlines
+    included, in one pass: each row's cells are %-formatted, with "" for a
+    None in the rows that hold one."""
     cells_of = attrgetter("p", "r", *_weights(config))
     with_radii = "delta" in config.compute
+    row = ",".join(["%s"] * (2 + len(_weights(config)) + 4 * with_radii))
+    no_radii = ("", "", "", "")
+    crc32 = zlib.crc32
 
-    def encode(prof: HammingProfile) -> str:
-        cells = ["" if v is None else str(v) for v in cells_of(prof)]
-        if with_radii:
-            radii = prof.radii
-            cells += (["", "", "", ""] if radii is None else
-                      [*map(str, radii[:3]), ";".join(map(str, radii.witnesses))])
-        text = ",".join(cells)
-        return f"{text},{_checksum(text)}\n"
+    def encode(profiles: list[HammingProfile]) -> str:
+        lines = []
+        for prof in profiles:
+            cells = cells_of(prof)
+            if with_radii:
+                radii = prof.radii
+                cells += no_radii if radii is None else (
+                    *radii[:3], ";".join(map(str, radii.witnesses)))
+            if None in cells:
+                cells = tuple("" if v is None else v for v in cells)
+            text = row % cells
+            lines.append("%s,%08x\n" % (text, crc32(text.encode())))
+        return "".join(lines)
     return encode
 
 
@@ -237,7 +250,7 @@ def read_scan_output(path: str) -> tuple[ScanConfig, list[HammingProfile]]:
 
 def format_scan_output(config: ScanConfig, profiles: list[HammingProfile]) -> str:
     """The scan's file: its header, then one line per profile."""
-    return _header(config) + "".join(map(_line_encoder(config), profiles))
+    return _header(config) + _block_encoder(config)(profiles)
 
 
 # --- scanning -----------------------------------------------------------------
@@ -275,7 +288,7 @@ def scan_range(config: ScanConfig) -> list[HammingProfile]:
     view of the config's targets, as `read_scan_output` gives them too."""
     primes = sieve_primes(config.hi, config.lo)
     profiles = _resume(config.checkpoint, config, primes) if config.checkpoint else []
-    encode = _line_encoder(config)
+    encode = _block_encoder(config)
     base = BASE_VIEWS[config.targets]
     todo = [(primes[i:i + BLOCK_SIZE], config.targets, tuple(config.compute))
             for i in range(len(profiles), len(primes), BLOCK_SIZE)]
@@ -289,7 +302,7 @@ def scan_range(config: ScanConfig) -> list[HammingProfile]:
             block = [viewed_profile(*row, base) for row in rows]
             profiles += block
             if journal:
-                _append(journal, "".join(map(encode, block)))
+                _append(journal, encode(block))
     return profiles
 
 

@@ -203,10 +203,11 @@ def test_view_of_the_endpoints():
 
 def test_engine_failures_are_invariant_violations(monkeypatch):
     """An engine that cannot finish names the prime, the statistic and itself."""
-    # factors of p - 1 that claim 7 | 6 add the root test v^0 != 1, which every candidate fails
+    # odd exponents that claim 7 | 6 add the root test v^(6 // 7) = v^0 != 1,
+    # which every candidate fails
     with pytest.raises(InvariantViolation,
                        match="^p=7: the candidate sweep for W finds no primitive root$"):
-        sparsest(PrimeContext(7, [2, 3, 7]), roots=True)
+        sparsest(7, [6 // 3, 6 // 7], roots=True)
     monkeypatch.setattr(hamming, "_target_bitmap", lambda ctx, reduced_targets: 0)
     with pytest.raises(InvariantViolation, match="^p=7 targets=literal: the dilation for delta "
                                                  "leaves the domain uncovered after 3 rounds$"):
@@ -358,11 +359,26 @@ def test_sparsest_matches_the_euler_test_sweep():
     that runs past p, whose values >= p the sweep must skip."""
     primes = sieve_primes(200000, 3) + [2097169] + sieve_primes(3000000, 2990000)
     assert {3, 5, 17, 257, 65537, 2097169} <= set(primes)
-    for p, factors in zip(primes, factorize_pm1(primes)):
-        ctx = PrimeContext(p, factors)
-        both = _euler_sweep(ctx, roots=True)
-        assert sparsest(ctx, roots=True) == both, p
-        assert sparsest(ctx, roots=False) == (both[0], None), p
+    for p, qs in zip(primes, factorize_pm1(primes)):
+        both = _euler_sweep(PrimeContext(p, qs), roots=True)
+        odd_exponents = [(p - 1) // q for q in qs[1:]]
+        assert sparsest(p, odd_exponents, roots=True) == both, p
+        assert sparsest(p, odd_exponents, roots=False) == (both[0], None), p
+
+
+def test_sparsest_edge_inputs():
+    """p = 2 has no non-residue and the root 1. For p = 3 and the Fermat
+    primes 5, 17, 257 and 65537, p - 1 is a power of 2: the sieve gives [2],
+    there is no odd exponent, and so the first non-residue is W's witness."""
+    assert sparsest(2, [], roots=True) == (None, (1, 1))
+    assert sparsest(2, [], roots=False) == (None, None)
+    fermat = [3, 5, 17, 257, 65537]
+    assert list(factorize_pm1(fermat)) == [[2]] * 5
+    expected = {3: (1, 2), 5: (1, 2), 17: (2, 3), 257: (2, 3), 65537: (2, 3)}
+    for p in fermat:
+        assert sparsest(p, [], roots=True) == (expected[p], expected[p]), p
+        assert min_nonresidue_weight(ctx_for(p)) == min_primroot_weight(ctx_for(p)) \
+            == expected[p], p
 
 
 def test_sweep_tries_each_candidate_below_p_once_in_order(monkeypatch):
@@ -373,7 +389,7 @@ def test_sweep_tries_each_candidate_below_p_once_in_order(monkeypatch):
         tried = []
         monkeypatch.setattr(hamming, "_jacobi", lambda v, n: tried.append(v) or 1)
         with pytest.raises(InvariantViolation, match=f"^p={p}: the candidate sweep for w "):
-            sparsest(ctx_for(p), roots=True)
+            sparsest(p, ctx_for(p).pr_test_exponents()[1:], roots=True)
         assert tried == [2] + sorted((v for v in range(3, p) if v.bit_count() >= 2),
                                      key=lambda v: (v.bit_count(), v)), p
 

@@ -101,7 +101,7 @@ def test_factorize_product_recovery_and_rho_path():
     [],
 ], ids=["to-1e5", "near-1e6", "near-3e6", "one-prime", "two", "empty"])
 def test_factorize_pm1_matches_factorize(primes):
-    assert list(factorize_pm1(primes)) == [factorize(p - 1) for p in primes]
+    assert list(factorize_pm1(primes)) == [sorted(set(factorize(p - 1))) for p in primes]
 
 
 def square_table(p):

@@ -1,6 +1,7 @@
 import json
 import re
 import zlib
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,10 +9,10 @@ from hypothesis import given, strategies as st
 from hamroots import hamming, numtheory, scan
 from hamroots.cli import main
 from hamroots.errors import InvariantViolation
-from hamroots.hamming import CANONICAL, DOMAIN0, Radii, lists_core_witnesses, viewed_profile
-from hamroots.scan import (STATS, CountTable, ScanConfig, _line_decoder,
-                           _line_encoder, format_scan_output, read_scan_output,
-                           scan_range, worker_count)
+from hamroots.hamming import (BASE_VIEWS, CANONICAL, DOMAIN0, Radii, lists_core_witnesses,
+                              viewed_profile)
+from hamroots.scan import (STATS, CountTable, ScanConfig, _block_encoder, _line_decoder,
+                           format_scan_output, read_scan_output, scan_range, worker_count)
 
 
 def test_scan_first_rows_frozen():
@@ -43,6 +44,28 @@ def test_scan_factors_each_block_in_one_sieve(monkeypatch):
         monkeypatch.setattr(module, "factorize", refuse, raising=False)
     profiles = scan_range(ScanConfig(lo=2, hi=10_000))
     assert len(profiles) == 1229
+
+
+def test_ww_scan_builds_no_prime_context(monkeypatch):
+    """A w,W scan reads p and the odd exponents (p-1)/q off the block sieve
+    and builds no PrimeContext; a delta scan, whose primitive-root bitmap is
+    cached on a context, builds one for each odd prime."""
+    cfg = ScanConfig(lo=2, hi=10_000, compute=("w", "W"))
+    expected = scan_range(cfg)
+
+    def refuse(*args):
+        raise AssertionError(f"PrimeContext{args} built during a w,W scan")
+    for module in (numtheory, scan):
+        monkeypatch.setattr(module, "PrimeContext", refuse)
+    assert scan_range(cfg) == expected
+    assert len(expected) == 1229
+    monkeypatch.undo()
+    built = []
+    monkeypatch.setattr(scan, "PrimeContext",
+                        lambda p, qs: built.append(p) or numtheory.PrimeContext(p, qs))
+    profiles = scan_range(ScanConfig(lo=2, hi=300))
+    assert built == [prof.p for prof in profiles if prof.p > 2]
+    assert all(prof.delta is not None for prof in profiles[1:])
 
 
 def test_scan_deterministic_across_task_counts(monkeypatch):
@@ -391,11 +414,57 @@ def test_row_codecs_round_trip(row, compute):
     p, r, w, big_w, radii = row
     prof = viewed_profile(p, r, w if "w" in compute else None, big_w if "W" in compute else None,
                           radii if "delta" in compute else None, CANONICAL)
-    line = _line_encoder(cfg)(prof)
+    line = _block_encoder(cfg)([prof])
     assert line.endswith("\n") and "\n" not in line[:-1]
     assert _line_decoder(cfg)(line[:-1]) == prof
     text, _, checksum = line[:-1].rpartition(",")
     assert checksum == "%08x" % zlib.crc32(text.encode())
+
+
+def _line_oracle(config):
+    """The encoder the block encoder replaced: one profile at a time, each
+    cell through str() and the checksum through an f-string."""
+    cells_of = attrgetter("p", "r", *[name for name in ("w", "W") if name in config.compute])
+    with_radii = "delta" in config.compute
+
+    def encode(prof):
+        cells = ["" if v is None else str(v) for v in cells_of(prof)]
+        if with_radii:
+            radii = prof.radii
+            cells += (["", "", "", ""] if radii is None else
+                      [*map(str, radii[:3]), ";".join(map(str, radii.witnesses))])
+        text = ",".join(cells)
+        return f"{text},{zlib.crc32(text.encode()):08x}\n"
+    return encode
+
+
+@given(st.sampled_from(sorted(BASE_VIEWS)), _computes, st.lists(_rows, max_size=12))
+def test_block_encoder_matches_the_line_oracle(targets, compute, rows):
+    """Same bytes as one line at a time, for rows with None cells, radii
+    with and without core witnesses, and either radius targets."""
+    cfg = ScanConfig(lo=2, hi=3, targets=targets, compute=compute)
+    base = BASE_VIEWS[targets]
+    profiles = []
+    for p, r, w, big_w, radii in rows:
+        if radii and not lists_core_witnesses(*radii[:3], base.reduced_targets):
+            radii = radii._replace(witnesses=())
+        profiles.append(viewed_profile(p, r, w if "w" in compute else None,
+                                       big_w if "W" in compute else None,
+                                       radii if "delta" in compute else None, base))
+    assert _block_encoder(cfg)(profiles) == "".join(map(_line_oracle(cfg), profiles))
+
+
+@pytest.mark.parametrize("targets", sorted(BASE_VIEWS))
+@pytest.mark.parametrize("compute", [("w", "W"), ("W",), ("w", "delta"), STATS])
+def test_block_encoder_matches_the_line_oracle_on_a_scan(targets, compute):
+    """The rows of a real scan: p = 2 has no w and no radii, and radius-1
+    cores list their witnesses only where a view reads them."""
+    cfg = ScanConfig(lo=2, hi=400, targets=targets, compute=compute)
+    profiles = scan_range(cfg)
+    assert profiles[0].p == 2 and profiles[0].w is None and profiles[0].radii is None
+    if "delta" in compute:
+        assert {bool(prof.radii.witnesses) for prof in profiles[1:]} == {False, True}
+    assert _block_encoder(cfg)(profiles) == "".join(map(_line_oracle(cfg), profiles))
 
 
 def test_worker_count_is_bounded():
