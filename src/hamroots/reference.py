@@ -18,10 +18,14 @@ COUNT_TABLE = {
 
 # The 24 primes reported with covering radius 3 below 3e6 (a domain0 list:
 # canonically, 1753 and 2089 have radius 2), with the residue classes listed
-# at distance exactly 3. The class lists match neither our canonical nor our
-# domain0 witnesses (domain0 gives (16,) for 17 and (65,) for 67), and
-# neither the paper nor this table settles which class convention the source
-# used, so acceptance criterion 3 checks membership only.
+# at distance exactly 3. Each class list is 0 followed by the core witnesses
+# of the literal-target dilation (the n in [1, p-1] at distance 3) when the
+# core radius is 3, and by nothing else: 0 is listed for every prime, also
+# for the 8 core-3 primes, where 0 and p are at distance 2 or less. The one
+# exception is 67, whose core witness is 65 but whose list also holds 1, at
+# distance 3 under no convention checked (literal or reduced targets, n over
+# [0, p], [0, 2^(r+1)) or parts of them). Acceptance criterion 3 checks
+# membership only; a separate test checks this rule.
 RADIUS3_CLASSES = {
     17: (0, 16),
     67: (0, 1, 65),

@@ -30,7 +30,7 @@ from operator import attrgetter
 from .errors import InvariantViolation
 from .hamming import (BASE_VIEWS, HammingProfile, Radii, dilation_radii,
                       lists_core_witnesses, sparsest, viewed_profile)
-from .numtheory import PrimeContext, factorize_pm1, sieve_primes
+from .numtheory import PrimeContext, factorize_pm1, least_primitive_root, sieve_primes
 
 SCHEMA_ID = "hamroots.scan.v4"
 BLOCK_SIZE = 4096
@@ -59,6 +59,25 @@ class ScanConfig:
             raise ValueError("tasks must be >= 1")
 
 
+def _check_bitmap(ctx: PrimeContext, targets: str) -> None:
+    """Raise InvariantViolation unless the primitive-root bitmap that delta
+    is dilated from has phi(p - 1) bits set, none of them 0 or at or above p,
+    and sets the least primitive root, which `pow` finds without it."""
+    p, bm = ctx.p, ctx.pr_bitmap()
+    phi = p - 1
+    for q in ctx.distinct_factors:
+        phi -= phi // q
+    count, g = bm.bit_count(), least_primitive_root(ctx)
+    fault = (f"has {count} bits set, not phi(p-1) = {phi}" if count != phi
+             else "sets bit 0" if bm & 1
+             else "sets a bit at or above p" if bm >> p
+             else f"lacks the least primitive root {g}" if not bm & 1 << g
+             else None)
+    if fault:
+        raise InvariantViolation(f"p={p} targets={targets}: the primitive-root bitmap "
+                                 f"for delta (_build_pr_bitmap) {fault}")
+
+
 def _scan_block(args) -> list[tuple]:
     """The (p, r, w, W, radii) row of each prime of a block, with None for
     what is not computed or undefined (p = 2 has only W): one candidate sweep
@@ -80,7 +99,9 @@ def _scan_block(args) -> list[tuple]:
             if root:
                 W = root[0]
         if delta and p > 2:
-            radii = dilation_radii(PrimeContext(p, qs), reduced)
+            ctx = PrimeContext(p, qs)
+            _check_bitmap(ctx, targets)
+            radii = dilation_radii(ctx, reduced)
         # One sweep finds both: w's witness is the first non-residue and W's
         # is a later or the same one, so w <= W holds by construction. The
         # check guards this seam; w and W are checked independently by tests
@@ -277,32 +298,36 @@ def _resume(path: str, config: ScanConfig, primes: list[int]) -> list[HammingPro
     return [prof for prof, _ in rows]
 
 
-def worker_count(tasks: int, blocks_left: int, cpus: int | None) -> int:
-    """Pool size for a scan: the requested tasks, bounded by the blocks left
-    and the CPUs (an unknown CPU count counts as one)."""
-    return min(tasks, blocks_left, cpus or 1)
+def worker_count(tasks: int, blocks: int, cpus: int | None) -> int:
+    """Pool size for a scan: the requested tasks, bounded by the CPUs (an
+    unknown CPU count counts as one) and by the blocks the range can hold.
+    The pool starts before the sieve and the resume, so a worker holds the
+    block it computes and not the range; a scan with one block left
+    computes it in process."""
+    return min(tasks, blocks, cpus or 1)
 
 
 def scan_range(config: ScanConfig) -> list[HammingProfile]:
     """All per-prime profiles for primes in [lo, hi], ascending, in the base
     view of the config's targets, as `read_scan_output` gives them too."""
-    primes = sieve_primes(config.hi, config.lo)
-    profiles = _resume(config.checkpoint, config, primes) if config.checkpoint else []
-    encode = _block_encoder(config)
-    base = BASE_VIEWS[config.targets]
-    todo = [(primes[i:i + BLOCK_SIZE], config.targets, tuple(config.compute))
-            for i in range(len(profiles), len(primes), BLOCK_SIZE)]
-    workers = worker_count(config.tasks, len(todo), os.cpu_count())
-    with (open(config.checkpoint, "a", encoding="utf-8", newline="\n")
-          if config.checkpoint else contextlib.nullcontext()) as journal, \
-         (multiprocessing.Pool(workers) if workers > 1 else contextlib.nullcontext()) as pool:
-        if journal and not profiles:
-            _append(journal, _header(config))
-        for rows in (pool.imap if workers > 1 else map)(_scan_block, todo):
-            block = [viewed_profile(*row, base) for row in rows]
-            profiles += block
-            if journal:
-                _append(journal, encode(block))
+    blocks = -(-(config.hi - config.lo + 1) // BLOCK_SIZE)  # at most this many
+    workers = worker_count(config.tasks, blocks, os.cpu_count())
+    with multiprocessing.Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        primes = sieve_primes(config.hi, config.lo)
+        profiles = _resume(config.checkpoint, config, primes) if config.checkpoint else []
+        encode = _block_encoder(config)
+        base = BASE_VIEWS[config.targets]
+        todo = [(primes[i:i + BLOCK_SIZE], config.targets, tuple(config.compute))
+                for i in range(len(profiles), len(primes), BLOCK_SIZE)]
+        with (open(config.checkpoint, "a", encoding="utf-8", newline="\n")
+              if config.checkpoint else contextlib.nullcontext()) as journal:
+            if journal and not profiles:
+                _append(journal, _header(config))
+            for rows in (pool.imap if pool and len(todo) > 1 else map)(_scan_block, todo):
+                block = [viewed_profile(*row, base) for row in rows]
+                profiles += block
+                if journal:
+                    _append(journal, encode(block))
     return profiles
 
 

@@ -31,8 +31,8 @@ from hamroots.constants import (artin_constant, entropy, entropy_half_point,
                                 sparse_weight_constant)
 from hamroots.cubes import (NONRESIDUE, cube_census, max_avoiding_dimension)
 from hamroots.hamming import (CANONICAL, DOMAIN0, covering_radius,
-                              covering_radius_bfs, min_flips_to_primroot,
-                              viewed_profile)
+                              covering_radius_bfs, dilation_radii,
+                              min_flips_to_primroot, viewed_profile)
 from hamroots.numtheory import (PrimeContext, divisors, factorize,
                                 is_primitive_root, legendre_symbol,
                                 sieve_primes)
@@ -192,6 +192,22 @@ def test_W3_primes_to_3e6_are_the_class0_only_radius3_primes():
     assert {prof.p for prof in profiles if prof.W == 3} == \
         {p for p, classes in RADIUS3_CLASSES.items() if classes == (0,)}
     assert max(prof.W for prof in profiles) == 3
+
+
+def test_reference_classes_are_class_0_and_the_core_3_witnesses():
+    """Each reference class list is class 0 followed by the core witnesses of
+    the literal-target dilation when the core radius is 3. Class 0 is listed
+    for all 24 primes, also where 0 is not at distance 3. The one exception
+    is 67: its core witness is 65, and the list also holds class 1, at
+    distance 3 under no convention we know of (see reference.py)."""
+    extra = {}
+    for p, classes in RADIUS3_CLASSES.items():
+        radii = dilation_radii(PrimeContext.for_prime(p), False)
+        rule = (0, *(radii.witnesses if radii.core == 3 else ()))
+        assert set(rule) <= set(classes), p
+        if classes != rule:
+            extra[p] = sorted(set(classes) - set(rule))
+    assert extra == {67: [1]}
 
 
 def test_criterion_5_constants():

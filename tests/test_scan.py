@@ -1,4 +1,8 @@
+import contextlib
+import functools
 import json
+import multiprocessing
+import os
 import re
 import zlib
 from operator import attrgetter
@@ -470,11 +474,106 @@ def test_block_encoder_matches_the_line_oracle_on_a_scan(targets, compute):
 def test_worker_count_is_bounded():
     assert worker_count(1, 20, 2) == 1
     assert worker_count(8, 20, 2) == 2     # CPUs
-    assert worker_count(8, 3, 64) == 3     # blocks left
+    assert worker_count(8, 3, 64) == 3     # blocks the range can hold
     assert worker_count(4, 20, 64) == 4    # the request
     assert worker_count(8, 20, None) == 1  # unknown CPU count
     assert worker_count(10**6, 1, 10**6) == 1
-    assert worker_count(4, 0, 8) == 0      # nothing left to do
+    assert worker_count(4, 0, 8) == 0      # no block
+
+
+def _two_cpus(monkeypatch):
+    """Let a tasks=2 scan start its pool on a machine of any CPU count."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def test_pool_starts_before_the_sieve_and_the_resume(tmp_path, monkeypatch):
+    """The workers fork before the parent sieves the range or reads the
+    journal, so they inherit neither."""
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 16)
+    seen = []
+
+    def watch(name, call):
+        return lambda *args: seen.append((name, bool(multiprocessing.active_children()))) \
+            or call(*args)
+    monkeypatch.setattr(scan, "sieve_primes", watch("sieve", scan.sieve_primes))
+    monkeypatch.setattr(scan, "_resume", watch("resume", scan._resume))
+    cfg = ScanConfig(lo=2, hi=500, tasks=2, compute=("w", "W"),
+                     checkpoint=str(tmp_path / "scan.ckpt"))
+    assert len(scan_range(cfg)) == 95
+    assert seen == [("sieve", True), ("resume", True)]
+
+
+def test_two_task_resume_matches_a_fresh_serial_scan(tmp_path, monkeypatch):
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 16)
+    serial = ScanConfig(lo=2, hi=2000, checkpoint=str(tmp_path / "serial.ckpt"))
+    expected = format_scan_output(serial, scan_range(serial))
+    ckpt = tmp_path / "half.ckpt"
+    lines = expected.splitlines(keepends=True)
+    ckpt.write_text("".join(lines[:len(lines) // 2]))
+    resumed = ScanConfig(lo=2, hi=2000, tasks=2, checkpoint=str(ckpt))
+    assert format_scan_output(resumed, scan_range(resumed)) == expected
+    assert ckpt.read_text() == expected
+
+
+_SCAN_BLOCK = scan._scan_block
+
+
+def _block_in_a_worker_without(journal: str, args):
+    """_scan_block, computed in a pool worker that holds no descriptor of
+    the journal."""
+    assert multiprocessing.parent_process() is not None, "block computed in the parent"
+    links = set()
+    for fd in os.listdir("/proc/self/fd"):
+        with contextlib.suppress(OSError):  # the descriptor listdir used is gone
+            links.add(os.readlink(f"/proc/self/fd/{fd}"))
+    assert journal not in links, f"worker {os.getpid()} holds {journal}"
+    return _SCAN_BLOCK(args)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_workers_do_not_hold_the_journal(tmp_path, monkeypatch):
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 16)
+    ckpt = tmp_path / "scan.ckpt"
+    ckpt.touch()
+    monkeypatch.setattr(scan, "_scan_block",
+                        functools.partial(_block_in_a_worker_without, os.path.realpath(ckpt)))
+    cfg = ScanConfig(lo=2, hi=500, tasks=2, compute=("w", "W"), checkpoint=str(ckpt))
+    profiles = scan_range(cfg)
+    assert ckpt.read_text() == format_scan_output(cfg, profiles)
+    assert len(profiles) == 95
+
+
+def _drop_the_last_root(bm):
+    return bm ^ 1 << bm.bit_length() - 1
+
+
+def _shift_by_one(bm):
+    return bm << 1
+
+
+def _least_root_to_bit_0(bm):
+    return bm ^ (bm & -bm) | 1
+
+
+@pytest.mark.parametrize("mutate,p,fault", [
+    (_drop_the_last_root, 23, "has 9 bits set, not phi(p-1) = 10"),
+    (_drop_the_last_root, 1000003, "has 333331 bits set, not phi(p-1) = 333332"),
+    (_shift_by_one, 3, "sets a bit at or above p"),
+    (_shift_by_one, 23, "lacks the least primitive root 5"),
+    (_least_root_to_bit_0, 23, "sets bit 0"),
+], ids=["drop-23", "drop-1000003", "shift-3", "shift-23", "bit0-23"])
+def test_delta_scan_checks_the_bitmap_it_dilates(monkeypatch, mutate, p, fault):
+    """A delta scan without W, so that no other engine meets the bitmap,
+    still refuses one that is not the primitive roots of p."""
+    build = numtheory._build_pr_bitmap
+    monkeypatch.setattr(numtheory, "_build_pr_bitmap", lambda ctx: mutate(build(ctx)))
+    with pytest.raises(InvariantViolation) as exc:
+        scan_range(ScanConfig(lo=p, hi=p, compute=("delta",)))
+    assert str(exc.value) == (f"p={p} targets=literal: the primitive-root bitmap "
+                              f"for delta (_build_pr_bitmap) {fault}")
 
 
 def test_unknown_schema_rejected(tmp_path):
