@@ -109,9 +109,6 @@ def small_elements_cube(dim: int) -> HilbertCube:
     """The cube (0; 1, 2, ..., d) whose elements fill [0, d(d+1)/2]."""
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    top = dim * (dim + 1) // 2
-    if dim >= 2:
-        assert top < dim * dim  # the classical smallness comparison
     return HilbertCube(0, tuple(range(1, dim + 1)))
 
 

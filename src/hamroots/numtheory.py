@@ -16,7 +16,7 @@ from .errors import CapabilityError
 INDEX_TABLE_CAP = 100_000
 
 # Trial division handles factors up to this bound; anything larger goes to
-# the deterministic Brent/rho fallback.
+# the deterministic Pollard rho fallback.
 TRIAL_DIVISION_BOUND = 1_000_000
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -65,30 +65,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int) -> int:
-    """One nontrivial factor of an odd composite n; deterministic parameter
-    sweep. factorize strips 2 and 3 first, so every n it passes is odd."""
+def _pollard_rho(n: int) -> int:
+    """One nontrivial factor of an odd composite n by Pollard rho with Floyd
+    cycle detection, sweeping c = 1, 2, ... so the factor is deterministic.
+    factorize strips 2 and 3 first, so every n it passes is odd."""
     for c in range(1, 100):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
+        x = y = 2
+        g = 1
         while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
         if g != n:
             return g
     raise ArithmeticError(f"rho sweep exhausted on {n}")
@@ -97,9 +85,8 @@ def _brent_rho(n: int) -> int:
 def factorize(n: int) -> list[int]:
     """Prime factors of n with multiplicity, sorted ascending.
 
-    Trial division below TRIAL_DIVISION_BOUND, then Brent's cycle-finding
-    variant of Pollard rho with a fixed parameter sweep, so the result is
-    deterministic. factorize(1) == [].
+    Trial division below TRIAL_DIVISION_BOUND, then Pollard rho with a fixed
+    parameter sweep, so the result is deterministic. factorize(1) == [].
     """
     if n < 1:
         raise ValueError(f"factorize needs n >= 1, got {n}")
@@ -122,7 +109,7 @@ def factorize(n: int) -> list[int]:
         if d * d > m or is_prime(m):
             out.append(m)
             continue
-        g = _brent_rho(m)
+        g = _pollard_rho(m)
         stack.append(g)
         stack.append(m // g)
     out.sort()
@@ -243,9 +230,9 @@ class PrimeContext:
 
     r is the exponent with 2^r < p <= 2^(r+1); bit_len = r+1 is the width of
     the fixed-length binary expansions used throughout. For odd p this means
-    p itself fits in bit_len bits. factors_pm1 lists the prime factors of
-    p - 1, ascending, with multiplicity as `factorize` gives them or without
-    as `factorize_pm1` does: only their distinct values are read.
+    p itself fits in bit_len bits. factors_pm1 holds the distinct prime
+    factors of p - 1, ascending, whether the caller passes them with
+    multiplicity (`factorize`) or without (`factorize_pm1`).
     """
 
     __slots__ = ("p", "r", "bit_len", "factors_pm1", "characters_by_order",
@@ -255,7 +242,7 @@ class PrimeContext:
         self.p = p
         self.r = (p - 1).bit_length() - 1
         self.bit_len = self.r + 1
-        self.factors_pm1 = tuple(factors_pm1)
+        self.factors_pm1 = tuple(sorted(set(factors_pm1)))
         self.characters_by_order: dict = {}  # order d -> characters, cached by charsums
         self._pr_bitmap = None
         self._index_table = None
@@ -271,14 +258,10 @@ class PrimeContext:
     def __repr__(self):
         return f"PrimeContext(p={self.p})"
 
-    @property
-    def distinct_factors(self) -> tuple[int, ...]:
-        return tuple(dict.fromkeys(self.factors_pm1))
-
     def pr_test_exponents(self) -> tuple[int, ...]:
         if self._pr_exponents is None:
             m = self.p - 1
-            self._pr_exponents = tuple(m // q for q in self.distinct_factors)
+            self._pr_exponents = tuple(m // q for q in self.factors_pm1)
         return self._pr_exponents
 
     def pr_bitmap(self) -> int:
@@ -341,7 +324,7 @@ def _build_pr_bitmap(ctx: PrimeContext) -> int:
     # all of [0, m) is walked.
     end = m // 2 if p % 4 == 1 else m
     coprime = bytearray([1]) * end
-    for q in ctx.distinct_factors:
+    for q in ctx.factors_pm1:
         coprime[0::q] = bytes(len(range(0, end, q)))
     # g^(j + i) = g^i * g^j: the powers g^i of one block are computed once,
     # and each block of exponents starting at j scales them by c = g^j.

@@ -30,7 +30,8 @@ from operator import attrgetter
 from .errors import InvariantViolation
 from .hamming import (BASE_VIEWS, HammingProfile, Radii, dilation_radii,
                       lists_core_witnesses, sparsest, viewed_profile)
-from .numtheory import PrimeContext, factorize_pm1, least_primitive_root, sieve_primes
+from .numtheory import (PrimeContext, euler_phi, factorize_pm1, least_primitive_root,
+                        sieve_primes)
 
 SCHEMA_ID = "hamroots.scan.v4"
 BLOCK_SIZE = 4096
@@ -62,12 +63,11 @@ class ScanConfig:
 def _check_bitmap(ctx: PrimeContext, targets: str) -> None:
     """Raise InvariantViolation unless the primitive-root bitmap that delta
     is dilated from has phi(p - 1) bits set, none of them 0 or at or above p,
-    and sets the least primitive root, which `pow` finds without it."""
+    and sets the least primitive root, which `pow` finds without it. phi
+    comes from `euler_phi`, whose trial division does not read the block
+    sieve that the bitmap was built from."""
     p, bm = ctx.p, ctx.pr_bitmap()
-    phi = p - 1
-    for q in ctx.distinct_factors:
-        phi -= phi // q
-    count, g = bm.bit_count(), least_primitive_root(ctx)
+    phi, count, g = euler_phi(p - 1), bm.bit_count(), least_primitive_root(ctx)
     fault = (f"has {count} bits set, not phi(p-1) = {phi}" if count != phi
              else "sets bit 0" if bm & 1
              else "sets a bit at or above p" if bm >> p
@@ -200,8 +200,10 @@ def _line_decoder(config: ScanConfig):
             if bool(wits) != lists_core_witnesses(*radii[:3], base.reduced_targets):
                 raise ValueError(f"witnesses {'listed where no' if wits else 'missing where a'} "
                                  f"view of {config.targets} targets reads them")
-        return viewed_profile(_csv_int(cells[0]), _csv_int(cells[1]), values.get("w"),
-                              values.get("W"), radii, base)
+        p, r = _csv_int(cells[0]), _csv_int(cells[1])
+        if r != (p - 1).bit_length() - 1:
+            raise ValueError(f"r={r}, but p={p} has r={(p - 1).bit_length() - 1}")
+        return viewed_profile(p, r, values.get("w"), values.get("W"), radii, base)
     return decode
 
 

@@ -183,3 +183,12 @@ def test_defaults_set_only_by_tests_are_the_named_exemptions():
     assert modules and references
     found = {entry.split(": ", 1)[1] for entry in _unpassed_defaults(modules, references)}
     assert found == TEST_ONLY_DEFAULTS
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips them; runtime checks raise InvariantViolation instead.
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "hamroots").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -83,9 +83,12 @@ def test_factorize_matches_trial_division():
 
 
 def test_factorize_product_recovery_and_rho_path():
-    # Trial division splits the first product; both factors of the second
-    # exceed TRIAL_DIVISION_BOUND, so only the rho fallback can split it.
-    for factors in ([10007, 10009, 10037], [1000003, 1000033]):
+    # Trial division splits the first product; every factor of the others
+    # above 3 exceeds TRIAL_DIVISION_BOUND, so only the rho fallback can
+    # split them: two primes, a prime square, a cofactor that splits twice,
+    # and small factors taken before rho splits what is left.
+    for factors in ([10007, 10009, 10037], [1000003, 1000033], [1000003, 1000003],
+                    [1000003, 1000033, 1000037], [2, 3, 1000003, 1000033]):
         n = math.prod(factors)
         fs = factorize(n)
         assert fs == factors
@@ -249,7 +252,11 @@ def test_context_geometry():
     assert (ctx.r, ctx.bit_len) == (4, 5)
     assert 2**ctx.r < ctx.p <= 2 ** (ctx.r + 1)
     assert PrimeContext.for_prime(2).r == 0
-    assert math.prod(ctx.factors_pm1) == 16
+    assert ctx.factors_pm1 == (2,)
+    # The distinct primes of p - 1, ascending, however the caller passes them.
+    unsorted = PrimeContext(13, [3, 2, 2])
+    assert unsorted.factors_pm1 == (2, 3)
+    assert unsorted.pr_test_exponents() == (6, 4)
     with pytest.raises(ValueError):
         PrimeContext.for_prime(15)
 
@@ -316,7 +323,7 @@ def exponent_walk_bitmap(ctx):
     m = p - 1
     g = least_primitive_root(ctx)
     coprime = bytearray([1]) * m
-    for q in ctx.distinct_factors:
+    for q in ctx.factors_pm1:
         coprime[0::q] = bytes(len(range(0, m, q)))
     gap = 1
     while coprime.find(b"\0" * gap) >= 0:

@@ -40,14 +40,21 @@ def test_scan_includes_p2_with_weight_only():
 
 
 def test_scan_factors_each_block_in_one_sieve(monkeypatch):
-    """A scan never factors its primes one at a time: factorize_pm1 factors
-    every p - 1 of a block, and nothing downstream calls factorize."""
-    def refuse(n):
-        raise AssertionError(f"factorize({n}) called during a scan")
+    """A scan never factors its primes one at a time for its statistics:
+    factorize_pm1 factors every p - 1 of a block. The one factorize per odd
+    prime is the delta bitmap check's phi(p - 1), through euler_phi, which
+    must not read the block sieve that the bitmap was built from."""
+    called = []
+    factorize = numtheory.factorize
     for module in (numtheory, hamming, scan):
-        monkeypatch.setattr(module, "factorize", refuse, raising=False)
+        monkeypatch.setattr(module, "factorize",
+                            lambda n: called.append(n) or factorize(n), raising=False)
+    numtheory.euler_phi.cache_clear()
+    assert len(scan_range(ScanConfig(lo=2, hi=10_000, compute=("w", "W")))) == 1229
+    assert called == []
     profiles = scan_range(ScanConfig(lo=2, hi=10_000))
     assert len(profiles) == 1229
+    assert called == [prof.p - 1 for prof in profiles[1:]]
 
 
 def test_ww_scan_builds_no_prime_context(monkeypatch):
@@ -272,6 +279,28 @@ def test_journal_with_an_edited_row_is_refused_on_resume(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_row_whose_r_is_not_the_bit_length_of_p_is_refused(tmp_path, capsys):
+    """r is a function of p, so a row edited to another r under a recomputed
+    checksum is refused by the reader and by a resume of its journal."""
+    out, ckpt = tmp_path / "scan.csv", tmp_path / "scan.csv.part"
+    argv = ["scan", "--range", "2", "100", "--compute", "w,W", "--output", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    lines = out.read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith("5,2,"))
+    text = "5,7," + lines[i][len("5,2,"):].rpartition(",")[0]
+    lines[i] = f"{text},{zlib.crc32(text.encode()):08x}\n"
+    out.write_text("".join(lines))
+    message = f"line {i + 1}: r=7, but p=5 has r=2"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{out}: {message}')}$"):
+        read_scan_output(str(out))
+    out.replace(ckpt)  # the journal of a scan killed before its rename
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {ckpt}: {message}\n")
+    assert ckpt.read_text() == "".join(lines)  # a refused journal is left as it was
+    assert not out.exists()
+
+
 def _write_with_row_of_11_replaced(tmp_path, edit) -> tuple[str, int]:
     """A scan file of [2, 100] whose p = 11 line is replaced by edit(line);
     returns the path and that line's number."""
@@ -407,8 +436,8 @@ _radii = st.none() | st.builds(
     st.lists(st.integers(min_value=0, max_value=10**12), min_size=1, max_size=300).map(tuple)
 ).map(lambda radii: radii if lists_core_witnesses(*radii[:3], False)
       else radii._replace(witnesses=()))  # literal targets, as the config's
-_rows = st.tuples(st.integers(min_value=2, max_value=10**12), st.integers(min_value=0, max_value=40),
-                  _stat, _stat, _radii)
+_rows = st.builds(lambda p, w, big_w, radii: (p, (p - 1).bit_length() - 1, w, big_w, radii),
+                  st.integers(min_value=2, max_value=10**12), _stat, _stat, _radii)
 _computes = st.sets(st.sampled_from(STATS), min_size=1).map(tuple)
 
 
@@ -574,6 +603,21 @@ def test_delta_scan_checks_the_bitmap_it_dilates(monkeypatch, mutate, p, fault):
         scan_range(ScanConfig(lo=p, hi=p, compute=("delta",)))
     assert str(exc.value) == (f"p={p} targets=literal: the primitive-root bitmap "
                               f"for delta (_build_pr_bitmap) {fault}")
+
+
+@pytest.mark.parametrize("p,count,phi", [(31, 10, 8), (1000003, 333334, 333332)])
+def test_bitmap_check_does_not_take_phi_from_the_block_sieve(monkeypatch, p, count, phi):
+    """A block sieve that loses the largest prime of p - 1 yields a bitmap
+    of the exponents coprime to the rest; the check's phi(p - 1) comes from
+    trial division, so it refuses that bitmap."""
+    factorize_pm1 = scan.factorize_pm1
+    monkeypatch.setattr(scan, "factorize_pm1",
+                        lambda primes: (qs[:-1] for qs in factorize_pm1(primes)))
+    with pytest.raises(InvariantViolation) as exc:
+        scan_range(ScanConfig(lo=p, hi=p, compute=("delta",)))
+    assert str(exc.value) == (f"p={p} targets=literal: the primitive-root bitmap "
+                              f"for delta (_build_pr_bitmap) has {count} bits set, "
+                              f"not phi(p-1) = {phi}")
 
 
 def test_unknown_schema_rejected(tmp_path):
