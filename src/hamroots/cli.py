@@ -2,7 +2,8 @@
 
 Exit codes: 0 ok, 1 usage, 2 I/O failure, 3 capability limit, 4 invariant
 violation. Subcommands: scan, table, delta3, frequencies, cubes, charsum,
-constants.
+constants. The character sums, constants and cube search are reached through
+the package's lazy names, so a census command loads only the scan engine.
 """
 
 from __future__ import annotations
@@ -12,13 +13,9 @@ import math
 import os
 import sys
 
-from . import constants as consts
+import hamroots
+
 from . import reference
-from .characters import Character, build_characters
-from .charsums import (hoelder_bound_report, legendre_character,
-                       poly_char_sum, primroot_indicator, pv_burgess_bound_report,
-                       split_char_sum)
-from .cubes import EXHAUSTIVE_P_CAP, NONRESIDUE, PRIMROOT, cube_census, max_avoiding_dimension
 from .errors import CapabilityError, InvariantViolation
 from .hamming import BASE_VIEWS, DOMAIN0, VARIANTS, covering_radius, view, viewed_profile
 from .numtheory import PrimeContext, divisors, factorize, is_primitive_root, sieve_primes
@@ -262,7 +259,7 @@ def cmd_frequencies(args) -> int:
     profiles = _census_profiles(args, 2, ("w", "W"), "canonical")
     row = CountTable.from_profiles(profiles, [args.limit]).rows[args.limit]
     pi, w1, big_w1 = row["pi"], row["w"][0], row["W"][0]
-    artin = consts.artin_constant(min(args.limit, 1_000_000))
+    artin = hamroots.artin_constant(min(args.limit, 1_000_000))
     print(f"pi({args.limit}) = {pi}")
     print(f"w=1: {w1}/{pi} = {w1 / pi:.6f}   (limit 1/2)")
     print(f"W=1: {big_w1}/{pi} = {big_w1 / pi:.6f}   (Artin constant {artin:.7f})")
@@ -274,6 +271,7 @@ def cmd_frequencies(args) -> int:
 
 
 def cmd_cubes(args) -> int:
+    from .cubes import EXHAUSTIVE_P_CAP
     lo, hi = args.range
     rc = 0
     print("p,f,F,f_bar,F_bar,f_witness,F_witness,f_bar_witness,F_bar_witness,chain,hs_bound")
@@ -282,11 +280,11 @@ def cmd_cubes(args) -> int:
             continue
         ctx = PrimeContext.for_prime(p)
         if p > EXHAUSTIVE_P_CAP:  # heuristic lower bounds for f and F only
-            f = max_avoiding_dimension(ctx, NONRESIDUE)
-            big_f = max_avoiding_dimension(ctx, PRIMROOT)
+            f = hamroots.max_avoiding_dimension(ctx, hamroots.NONRESIDUE)
+            big_f = hamroots.max_avoiding_dimension(ctx, hamroots.PRIMROOT)
             print(f"{p},{f.dim},{big_f.dim},,,{f.witness},{big_f.witness},,,lower-bound,")
             continue
-        census = cube_census(ctx)
+        census = hamroots.cube_census(ctx)
         violations = census.chain_violations()
         chain = "ok" if not violations else "|".join(violations)
         hs_ok = census.avoid_nonresidue.dim < 12 * p**0.25
@@ -307,7 +305,7 @@ def cmd_charsum_indicator(args) -> int:
     ctx = PrimeContext.for_prime(args.p)
     good = 0
     for a in range(1, args.p):
-        if int(primroot_indicator(ctx, a)) == int(is_primitive_root(a, ctx)):
+        if int(hamroots.primroot_indicator(ctx, a)) == int(is_primitive_root(a, ctx)):
             good += 1
     print(f"indicator identity mod {args.p}: exact match {good}/{args.p - 1} residues")
     return 0 if good == args.p - 1 else 4
@@ -318,10 +316,10 @@ def cmd_charsum_pv(args) -> int:
     worst = None
     m = args.p - 1
     for d in divisors(m)[1:]:
-        for chi in build_characters(ctx, d):
+        for chi in hamroots.build_characters(ctx, d):
             for start in (0, args.p // 3):
                 for length in (args.p // 2, args.p - 1):
-                    rep = pv_burgess_bound_report(chi, start, length, args.nu)
+                    rep = hamroots.pv_burgess_bound_report(chi, start, length, args.nu)
                     if worst is None or rep.ratio > worst[0]:
                         worst = (rep.ratio, chi.j, start, length)
     if worst is None:
@@ -336,9 +334,9 @@ def cmd_charsum_pv(args) -> int:
 def cmd_charsum_weil(args) -> int:
     ctx = PrimeContext.for_prime(args.p)
     coeffs = [int(c) for c in args.coeffs.split(",")]
-    chi = legendre_character(ctx)
-    total, report = poly_char_sum(ctx, chi, coeffs, args.start,
-                                  args.length if args.length is not None else args.p - 1)
+    chi = hamroots.legendre_character(ctx)
+    total, report = hamroots.poly_char_sum(ctx, chi, coeffs, args.start,
+                                           args.length if args.length is not None else args.p - 1)
     print(f"|sum| = {report.magnitude:.6f}, bound = {report.bound:.6f}, "
           f"ratio = {report.ratio:.6f}, applicable = {report.applicable}"
           + (f" ({report.note})" if report.note else ""))
@@ -347,8 +345,8 @@ def cmd_charsum_weil(args) -> int:
 
 def cmd_charsum_hoelder(args) -> int:
     ctx = PrimeContext.for_prime(args.p)
-    chi = legendre_character(ctx)
-    rep = hoelder_bound_report(ctx, args.n, args.k, args.l, args.m, chi, args.nu)
+    chi = hamroots.legendre_character(ctx)
+    rep = hamroots.hoelder_bound_report(ctx, args.n, args.k, args.l, args.m, chi, args.nu)
     print(f"|S| = {rep.magnitude:.6f}, bound = {rep.bound:.6f}, ratio = {rep.ratio:.6f}"
           + ("" if rep.applicable else f"  [{rep.note}]"))
     return 0
@@ -357,11 +355,11 @@ def cmd_charsum_hoelder(args) -> int:
 def cmd_charsum_double(args) -> int:
     ctx = PrimeContext.for_prime(args.p)
     if args.j is None:
-        chi = legendre_character(ctx)
+        chi = hamroots.legendre_character(ctx)
     else:
         m = args.p - 1
-        chi = Character(ctx, args.j % m, m // math.gcd(args.j, m))
-    total = split_char_sum(ctx, args.n, args.k, args.l, args.m, chi)
+        chi = hamroots.Character(ctx, args.j % m, m // math.gcd(args.j, m))
+    total = hamroots.split_char_sum(ctx, args.n, args.k, args.l, args.m, chi)
     rational = total.as_rational()
     shown = rational if rational is not None else total.value()
     print(f"S = {shown} ({total.n_terms} terms, |S| = {total.magnitude():.6f})")
@@ -369,9 +367,9 @@ def cmd_charsum_double(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    rho = consts.entropy_half_point()
-    theta = consts.sparse_weight_constant()
-    artin = consts.artin_constant(10**6)  # the limit of the reference digits
+    rho = hamroots.entropy_half_point()
+    theta = hamroots.sparse_weight_constant()
+    artin = hamroots.artin_constant(10**6)  # the limit of the reference digits
     print(f"entropy half-point rho0 = {rho:.10f}   "
           f"(reference digits {reference.ENTROPY_HALF_POINT_DIGITS})")
     print(f"1/(8 sqrt e)    theta0 = {theta:.10f}   "

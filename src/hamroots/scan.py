@@ -21,8 +21,8 @@ and a partial last block are cut off, and the scan goes on from there.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
+import sys
 import zlib
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -30,8 +30,8 @@ from operator import attrgetter
 from .errors import InvariantViolation
 from .hamming import (BASE_VIEWS, HammingProfile, Radii, dilation_radii,
                       lists_core_witnesses, sparsest, viewed_profile)
-from .numtheory import (PrimeContext, euler_phi, factorize_pm1, least_primitive_root,
-                        sieve_primes)
+from .numtheory import (PrimeContext, euler_phi, factorize_pm1, is_primitive_root,
+                        least_primitive_root, sieve_primes)
 
 SCHEMA_ID = "hamroots.scan.v4"
 BLOCK_SIZE = 4096
@@ -63,16 +63,19 @@ class ScanConfig:
 def _check_bitmap(ctx: PrimeContext, targets: str) -> None:
     """Raise InvariantViolation unless the primitive-root bitmap that delta
     is dilated from has phi(p - 1) bits set, none of them 0 or at or above p,
-    and sets the least primitive root, which `pow` finds without it. phi
-    comes from `euler_phi`, whose trial division does not read the block
-    sieve that the bitmap was built from."""
+    sets the least primitive root, and agrees with `is_primitive_root` at 16
+    positions spread over [1, p - 1], set and unset; `pow` decides those
+    without the bitmap. phi comes from `euler_phi`, whose trial division does
+    not read the block sieve that the bitmap was built from."""
     p, bm = ctx.p, ctx.pr_bitmap()
     phi, count, g = euler_phi(p - 1), bm.bit_count(), least_primitive_root(ctx)
     fault = (f"has {count} bits set, not phi(p-1) = {phi}" if count != phi
              else "sets bit 0" if bm & 1
              else "sets a bit at or above p" if bm >> p
              else f"lacks the least primitive root {g}" if not bm & 1 << g
-             else None)
+             else next((f"has bit {x} = {b}, but is_primitive_root({x}) is {not b}"
+                        for x in (1 + k * (p - 2) // 15 for k in range(16))
+                        if (b := bm >> x & 1) != is_primitive_root(x, ctx)), None))
     if fault:
         raise InvariantViolation(f"p={p} targets={targets}: the primitive-root bitmap "
                                  f"for delta (_build_pr_bitmap) {fault}")
@@ -309,12 +312,45 @@ def worker_count(tasks: int, blocks: int, cpus: int | None) -> int:
     return min(tasks, blocks, cpus or 1)
 
 
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+
+def _die_with_parent(parent: int) -> None:
+    """Pool initializer: on Linux the kernel kills this worker when its
+    parent dies, and a worker whose parent died before that request exits.
+    An orphan would otherwise finish its block and die on the closed result
+    pipe with a BrokenPipeError traceback."""
+    if sys.platform.startswith("linux"):
+        import ctypes
+        import signal
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def _pool(workers: int):
+    """A pool of `workers` processes that die with this one, or a null
+    context for fewer than two; only a scan with a pool loads multiprocessing.
+    Where the platform can fork, the workers are forked from this process
+    whatever the default start method (forkserver on Linux from Python 3.14):
+    `_die_with_parent` needs this process as their parent, and a forked
+    worker holds only the block it is sent."""
+    if workers < 2:
+        return contextlib.nullcontext()
+    import multiprocessing
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    return multiprocessing.get_context(method).Pool(workers, _die_with_parent, (os.getpid(),))
+
+
 def scan_range(config: ScanConfig) -> list[HammingProfile]:
     """All per-prime profiles for primes in [lo, hi], ascending, in the base
     view of the config's targets, as `read_scan_output` gives them too."""
     blocks = -(-(config.hi - config.lo + 1) // BLOCK_SIZE)  # at most this many
-    workers = worker_count(config.tasks, blocks, os.cpu_count())
-    with multiprocessing.Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())  # those this process may run on, where the platform tells
+    with _pool(worker_count(config.tasks, blocks, cpus)) as pool:
         primes = sieve_primes(config.hi, config.lo)
         profiles = _resume(config.checkpoint, config, primes) if config.checkpoint else []
         encode = _block_encoder(config)

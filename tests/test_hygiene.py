@@ -4,8 +4,6 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# The package's __init__ imports names only to re-export them.
-REEXPORT_MODULES = {ROOT / "src" / "hamroots" / "__init__.py"}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -103,8 +101,7 @@ def test_no_unused_imports_in_src_and_tests():
     files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
     assert files
     found = {str(path.relative_to(ROOT)): unused for path in files
-             if path not in REEXPORT_MODULES
-             and (unused := _unused_imports(path.read_text(encoding="utf-8")))}
+             if (unused := _unused_imports(path.read_text(encoding="utf-8")))}
     assert found == {}
 
 

@@ -1,15 +1,23 @@
 import contextlib
 import functools
 import json
+import math
 import multiprocessing
 import os
 import re
+import select
+import signal
+import subprocess
+import sys
+import time
 import zlib
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import hamroots
 from hamroots import hamming, numtheory, scan
 from hamroots.cli import main
 from hamroots.errors import InvariantViolation
@@ -513,6 +521,72 @@ def test_worker_count_is_bounded():
 def _two_cpus(monkeypatch):
     """Let a tasks=2 scan start its pool on a machine of any CPU count."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def test_pool_is_sized_by_the_cpus_this_process_may_run_on(monkeypatch):
+    """Pinned to one CPU of two, a tasks=2 scan computes in process."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started for one usable CPU")
+    monkeypatch.setattr("multiprocessing.pool.Pool", no_pool)  # what every context starts
+    pinned = scan_range(ScanConfig(lo=2, hi=20000, tasks=2, compute=("w", "W")))
+    assert pinned == scan_range(ScanConfig(lo=2, hi=20000, compute=("w", "W")))
+
+
+@pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the forkserver start method")
+def test_pool_forks_under_a_forkserver_default():
+    """With forkserver as the default start method, as on Linux from Python
+    3.14, the pool still forks from the scan: a forkserver worker would see
+    the server as its parent and `_die_with_parent` would end it, so the scan
+    would never finish."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hamroots.__file__).parents[1]))
+    script = """
+import multiprocessing, multiprocessing.context as mpc, os
+from hamroots.scan import ScanConfig, scan_range
+multiprocessing.set_start_method("forkserver")
+os.sched_getaffinity = lambda pid: {0, 1}
+methods, pool = [], mpc.BaseContext.Pool
+def spy(ctx, *args, **kwargs):
+    methods.append(ctx.get_start_method())
+    return pool(ctx, *args, **kwargs)
+mpc.BaseContext.Pool = spy
+config = dict(lo=2, hi=60000, compute=("w", "W"))  # two blocks of primes
+print(methods, scan_range(ScanConfig(tasks=2, **config)) == scan_range(ScanConfig(**config)))
+"""
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.split() == ["['fork']", "True"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs Linux and two CPUs")
+def test_pool_workers_die_with_a_killed_scan(tmp_path):
+    """SIGKILL to a two-task scan takes its workers with it: none lives on
+    to die on the closed result pipe with a traceback."""
+    out = tmp_path / "F"
+    env = dict(os.environ, PYTHONPATH=str(Path(hamroots.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "hamroots", "scan", "--range", "3", "3000000",
+                             "--compute", "W", "--tasks", "2", "--output", str(out)],
+                            stderr=subprocess.PIPE, env=env, start_new_session=True)
+    try:
+        part, deadline = tmp_path / "F.part", time.monotonic() + 60
+        # The header and the first block are written, so both workers hold a block.
+        while not (part.exists() and part.read_text().count("\n") > 2):
+            assert proc.poll() is None and time.monotonic() < deadline, "no block was written"
+            time.sleep(0.01)
+        os.kill(proc.pid, signal.SIGKILL)
+        # The workers share the parent's stderr, so it ends once all of them are gone.
+        assert select.select([proc.stderr], [], [], 10)[0], "stderr still open after 10 s"
+        assert b"Traceback" not in proc.stderr.read()
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        proc.stderr.close()
 
 
 def test_pool_starts_before_the_sieve_and_the_resume(tmp_path, monkeypatch):
@@ -603,6 +677,71 @@ def test_delta_scan_checks_the_bitmap_it_dilates(monkeypatch, mutate, p, fault):
         scan_range(ScanConfig(lo=p, hi=p, compute=("delta",)))
     assert str(exc.value) == (f"p={p} targets=literal: the primitive-root bitmap "
                               f"for delta (_build_pr_bitmap) {fault}")
+
+
+def _walked_bitmap(ctx, g, end, mirror):
+    """The bitmap of g^t for the t in [0, end) coprime to p - 1, with the
+    mirror bits p - g^t when asked: `_build_pr_bitmap` by a plain walk, with
+    the choices it makes exposed for mutation."""
+    p, m = ctx.p, ctx.p - 1
+    digits, x = bytearray(b"0") * p, 1
+    for t in range(end):
+        if math.gcd(t, m) == 1:
+            digits[x] = 49  # ord("1")
+            if mirror:
+                digits[p - x] = 49
+        x = x * g % p
+    digits.reverse()
+    return int(digits, 2)
+
+
+def _walk_end(p):
+    return (p - 1) // 2 if p % 4 == 1 else p - 1
+
+
+def _mirror_for_every_p(ctx):
+    return _walked_bitmap(ctx, numtheory.least_primitive_root(ctx), (ctx.p - 1) // 2, True)
+
+
+def _drop_the_last_block(ctx):
+    end, block = _walk_end(ctx.p), numtheory._POWER_BLOCK
+    return _walked_bitmap(ctx, numtheory.least_primitive_root(ctx), (end - 1) // block * block,
+                          ctx.p % 4 == 1)
+
+
+def _walk_from_g_squared(ctx):
+    g = numtheory.least_primitive_root(ctx)
+    return _walked_bitmap(ctx, g * g % ctx.p, _walk_end(ctx.p), ctx.p % 4 == 1)
+
+
+@pytest.mark.parametrize("p", [3, 7, 13, 8209, 1000003, 1000033])
+def test_walked_bitmap_unmutated_is_the_bitmap(p):
+    ctx = numtheory.PrimeContext.for_prime(p)
+    assert _walked_bitmap(ctx, numtheory.least_primitive_root(ctx), _walk_end(p),
+                          p % 4 == 1) == numtheory._build_pr_bitmap(ctx)
+
+
+@pytest.mark.parametrize("lo,hi", [(3, 2000), (1000003, 1000003)])
+@pytest.mark.parametrize("mutant", [_mirror_for_every_p, _drop_the_last_block,
+                                    _walk_from_g_squared])
+def test_delta_scan_refuses_a_mutated_bitmap_walk(monkeypatch, mutant, lo, hi):
+    monkeypatch.setattr(numtheory, "_build_pr_bitmap", mutant)
+    with pytest.raises(InvariantViolation, match=r"the primitive-root bitmap for delta "
+                                                 r"\(_build_pr_bitmap\)"):
+        scan_range(ScanConfig(lo=lo, hi=hi, compute=("delta",)))
+
+
+@pytest.mark.parametrize("p,x", [(7, 4), (1000003, 200001)])
+def test_bitmap_check_compares_fixed_positions_with_pow(monkeypatch, p, x):
+    """The mirror applied for p = 3 mod 4 keeps the popcount, bit 0, the
+    bits at or above p and the least root; only the positions checked with
+    `is_primitive_root` refuse it."""
+    monkeypatch.setattr(numtheory, "_build_pr_bitmap", _mirror_for_every_p)
+    with pytest.raises(InvariantViolation) as exc:
+        scan_range(ScanConfig(lo=p, hi=p, compute=("delta",)))
+    assert str(exc.value) == (f"p={p} targets=literal: the primitive-root bitmap for delta "
+                              f"(_build_pr_bitmap) has bit {x} = 1, but "
+                              f"is_primitive_root({x}) is False")
 
 
 @pytest.mark.parametrize("p,count,phi", [(31, 10, 8), (1000003, 333334, 333332)])
