@@ -10,25 +10,29 @@ per-n ball search are kept as its oracles, and all three must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
 from .errors import CapabilityError, InvariantViolation
-from .numtheory import PrimeContext, _jacobi, bitmap_to_set
+from .numtheory import PrimeContext, _jacobi, bitmap_to_set, is_primitive_root
 
 
-@dataclass(frozen=True)
-class BitExpansion:
-    """An integer pinned to a fixed bit width (index 0 = least significant)."""
-
+class _BitExpansion(NamedTuple):
     value: int
     length: int
 
-    def __post_init__(self):
+
+class BitExpansion(_BitExpansion):
+    """An integer pinned to a fixed bit width (index 0 = least significant)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.value < (1 << self.length):
             raise ValueError(f"{self.value} does not fit in {self.length} bits")
+        return self
 
     @property
     def weight(self) -> int:
@@ -38,8 +42,7 @@ class BitExpansion:
         return format(self.value, f"0{self.length}b")
 
 
-@dataclass(frozen=True)
-class RadiusVariant:
+class RadiusVariant(NamedTuple):
     """Convention knobs for the covering radius.
 
     n_domain_zero: measure n over [0, p-1] instead of [1, p]. The two domains
@@ -83,24 +86,43 @@ class Radii(NamedTuple):
     witnesses: tuple[int, ...]
 
 
-@dataclass(slots=True)
 class HammingProfile:
     """Per-prime record of the three statistics (None = not computed / undefined).
 
     delta and witnesses are the `variant` view of radii; radii is None where
     delta is (p = 2, or not computed) and in profiles built without it.
-    Profiles are not frozen, which makes building one about four times
-    cheaper; nothing assigns to them or hashes them.
+    Profiles compare by value. They are not frozen, which makes building one
+    about four times cheaper than through a frozen `__init__` (each slot set
+    by `object.__setattr__`); nothing assigns to them or hashes them.
     """
 
-    p: int
-    r: int
-    w: int | None = None
-    W: int | None = None
-    delta: int | None = None
-    witnesses: tuple[int, ...] = ()
-    variant: str = CANONICAL.name
-    radii: Radii | None = None
+    __slots__ = ("p", "r", "w", "W", "delta", "witnesses", "variant", "radii")
+
+    def __init__(self, p: int, r: int, w: int | None = None, W: int | None = None,
+                 delta: int | None = None, witnesses: tuple[int, ...] = (),
+                 variant: str = CANONICAL.name, radii: Radii | None = None):
+        self.p = p
+        self.r = r
+        self.w = w
+        self.W = W
+        self.delta = delta
+        self.witnesses = witnesses
+        self.variant = variant
+        self.radii = radii
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "HammingProfile(%s)" % ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
 
 
 def hamming_weight(n: int) -> int:
@@ -205,12 +227,40 @@ def lists_core_witnesses(core: int, dist_0: int, dist_p: int, reduced_targets: b
     return (dist_p if reduced_targets else min(dist_0, dist_p)) <= core
 
 
+def _certify_core(ctx: PrimeContext, reduced_targets: bool, core: int, uncovered: int) -> None:
+    """Raise InvariantViolation unless up to nine points of the uncovered set
+    (the lowest, the highest, and the lowest at or above k*p/8 for k = 1..7)
+    each have no target within core - 1 flips and some target at exactly
+    core flips, found by `is_primitive_root` alone, without the bitmap or
+    the dilation. Under reduced targets any t < 2^bit_len whose residue is
+    a primitive root counts; under literal targets only t in [1, p-1] does,
+    so the others are filtered out first, since the test reduces t mod p."""
+    p, length = ctx.p, ctx.bit_len
+    points = {uncovered.bit_length() - 1}  # the point 1 is never a target, so never empty
+    for start in (k * p // 8 for k in range(8)):
+        above = uncovered >> start
+        if above:
+            points.add(start + (above & -above).bit_length() - 1)
+    for n in sorted(points):
+        for s in range(core + 1):
+            hit = next((t for t in _flips(n, length, s)
+                        if (reduced_targets or 0 < t < p) and is_primitive_root(t, ctx)), None)
+            if (hit is None) == (s < core):
+                continue
+            found = f"no target {s}" if hit is None else f"the target {hit} {s}"
+            raise InvariantViolation(
+                f"p={p} targets={'reduced' if reduced_targets else 'literal'}: the dilation "
+                f"for delta (dilate) puts n={n} at distance {core}, but is_primitive_root "
+                f"finds {found} flips away")
+
+
 def dilation_radii(ctx: PrimeContext, reduced_targets: bool) -> Radii:
     """Radii by iterated bitmap dilation.
 
     Grows the target set by Hamming-ball radius one per round until [1, p-1]
     and the points 0 and p are all covered. The core witnesses are the points
-    of [1, p-1] still uncovered going into the round that covers it, if read.
+    of [1, p-1] still uncovered going into the round that covers it, if read;
+    `_certify_core` checks some of them, listed or not, against `pow`.
     """
     p = ctx.p
     if p == 2:
@@ -227,6 +277,7 @@ def dilation_radii(ctx: PrimeContext, reduced_targets: bool) -> Radii:
         if dist_p is None and ball >> p & 1:
             dist_p = radius
         if None not in (core_radius, dist_0, dist_p):
+            _certify_core(ctx, reduced_targets, core_radius, uncovered)
             if not lists_core_witnesses(core_radius, dist_0, dist_p, reduced_targets):
                 uncovered = 0  # no view reads the core witnesses
             return Radii(core_radius, dist_0, dist_p, tuple(bitmap_to_set(uncovered)))

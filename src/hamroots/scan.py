@@ -24,8 +24,8 @@ import contextlib
 import os
 import sys
 import zlib
-from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .hamming import (BASE_VIEWS, HammingProfile, Radii, dilation_radii,
@@ -38,8 +38,7 @@ BLOCK_SIZE = 4096
 STATS = ("w", "W", "delta")  # the statistics a scan can compute, in column order
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class _ScanConfig(NamedTuple):
     lo: int
     hi: int
     tasks: int = 1
@@ -47,7 +46,15 @@ class ScanConfig:
     compute: tuple[str, ...] = STATS
     checkpoint: str | None = None
 
-    def __post_init__(self):
+
+class ScanConfig(_ScanConfig):
+    """One scan: its range, worker tasks, radius targets, statistics and
+    checkpoint journal; the values are checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.lo < 2 or self.hi < self.lo:
             raise ValueError(f"bad scan range [{self.lo}, {self.hi}]")
         if type(self.targets) is not str or self.targets not in BASE_VIEWS:
@@ -58,6 +65,7 @@ class ScanConfig:
                              f"got {self.compute}")
         if self.tasks < 1:
             raise ValueError("tasks must be >= 1")
+        return self
 
 
 def _check_bitmap(ctx: PrimeContext, targets: str) -> None:
@@ -73,9 +81,13 @@ def _check_bitmap(ctx: PrimeContext, targets: str) -> None:
              else "sets bit 0" if bm & 1
              else "sets a bit at or above p" if bm >> p
              else f"lacks the least primitive root {g}" if not bm & 1 << g
-             else next((f"has bit {x} = {b}, but is_primitive_root({x}) is {not b}"
-                        for x in (1 + k * (p - 2) // 15 for k in range(16))
-                        if (b := bm >> x & 1) != is_primitive_root(x, ctx)), None))
+             else None)
+    if not fault:  # one copy of the bitmap, which fits in p bits, serves the 16 positions
+        octets = bm.to_bytes((p + 7) // 8, "little")
+        fault = next((f"has bit {x} = {b}, but is_primitive_root({x}) is {not b}"
+                      for x in (1 + k * (p - 2) // 15 for k in range(16))
+                      if (b := octets[x >> 3] >> (x & 7) & 1) != is_primitive_root(x, ctx)),
+                     None)
     if fault:
         raise InvariantViolation(f"p={p} targets={targets}: the primitive-root bitmap "
                                  f"for delta (_build_pr_bitmap) {fault}")
@@ -372,12 +384,12 @@ def scan_range(config: ScanConfig) -> list[HammingProfile]:
 # --- census aggregation ------------------------------------------------------
 
 
-@dataclass
 class CountTable:
     """Counts of primes per statistic value at each 10^j threshold."""
 
-    thresholds: list[int]
-    rows: dict[int, dict] = field(default_factory=dict)
+    def __init__(self, thresholds: list[int], rows: dict[int, dict] | None = None):
+        self.thresholds = thresholds
+        self.rows = {} if rows is None else rows
 
     @classmethod
     def from_profiles(cls, profiles: list[HammingProfile], thresholds: list[int]) -> "CountTable":

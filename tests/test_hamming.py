@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hamroots import hamming
 from hamroots.errors import CapabilityError, InvariantViolation
-from hamroots.hamming import (BitExpansion, CANONICAL, DOMAIN0, REDUCED, Radii,
+from hamroots.hamming import (BitExpansion, CANONICAL, DOMAIN0, REDUCED, HammingProfile, Radii,
                               _flip_shuffles, _weight_class, ascending_weight_values,
                               dilation_radii, sparsest,
                               covering_radius, covering_radius_bfs, dilate,
@@ -39,8 +39,13 @@ def test_weights_and_distances():
 def test_bit_expansion():
     b = BitExpansion(17, 5)
     assert str(b) == "10001" and b.weight == 2
-    with pytest.raises(ValueError):
+    assert b == BitExpansion(value=17, length=5) and len({b, BitExpansion(17, 5)}) == 1
+    with pytest.raises(AttributeError):
+        b.value = 3
+    with pytest.raises(ValueError, match="^32 does not fit in 5 bits$"):
         BitExpansion(32, 5)
+    with pytest.raises(ValueError, match="^-1 does not fit in 5 bits$"):
+        BitExpansion(length=5, value=-1)
 
 
 def test_flip_set_examples():
@@ -414,6 +419,23 @@ def test_profile_bundle():
     assert (prof2.w, prof2.W, prof2.delta) == (None, 1, None)
     (partial,) = scan_range(ScanConfig(lo=17, hi=17, compute=("W",)))
     assert (partial.w, partial.W, partial.delta) == (None, 2, None)
+    # Built by keyword, as perfbench's replay builds it, or by position, a
+    # profile compares by value, field by field, and is unhashable.
+    replayed = HammingProfile(p=7, r=2, w=2, W=2, delta=2, witnesses=(6,),
+                              variant=CANONICAL.name)
+    assert replayed == HammingProfile(7, 2, 2, 2, 2, (6,))
+    assert replayed != prof and replayed.radii is None
+    assert HammingProfile(7, 2, 2, 2, 2, (6,), "canonical", prof.radii) == prof
+    assert HammingProfile(7, 2) == HammingProfile(7, 2, None, None, None, (), "canonical", None)
+    assert HammingProfile(7, 2) != HammingProfile(7, 2, variant="domain0")
+    assert prof != (7, 2, 2, 2, 2, (6,), "canonical", prof.radii)
+    assert repr(HammingProfile(3, 1, W=1)) == (
+        "HammingProfile(p=3, r=1, w=None, W=1, delta=None, witnesses=(), "
+        "variant='canonical', radii=None)")
+    with pytest.raises(TypeError):
+        hash(prof)
+    with pytest.raises(AttributeError):
+        prof.extra = 1
 
 
 def test_profile_weights_do_not_depend_on_what_else_is_computed():

@@ -146,7 +146,7 @@ def test_journal_resumes_under_another_domain_convention(tmp_path, monkeypatch, 
     block = scan._scan_block
     monkeypatch.setattr(scan, "_scan_block", lambda args: computed.append(args[0]) or block(args))
     fresh = ScanConfig(lo=2, hi=300, compute=compute)
-    resumed = scan_range(ScanConfig(**{**vars(fresh), "checkpoint": str(ckpt)}))
+    resumed = scan_range(ScanConfig(**{**fresh._asdict(), "checkpoint": str(ckpt)}))
     assert ckpt.read_text() == journal
     assert computed[0][0] == 59  # the first prime after the one whole block kept
     assert _domain0(resumed) == _domain0(scan_range(fresh))
@@ -744,6 +744,79 @@ def test_bitmap_check_compares_fixed_positions_with_pow(monkeypatch, p, x):
                               f"is_primitive_root({x}) is False")
 
 
+def _drop_shuffle(which):
+    """A `_flip_shuffles` that loses its first, middle or last pair, so
+    `dilate` never flips that bit: the radii can stay right while the
+    uncovered set going into the last round grows."""
+    shuffles = hamming._flip_shuffles
+
+    def dropped(length):
+        pairs = shuffles(length)
+        i = {"first": 0, "middle": length // 2, "last": length - 1}[which]
+        return pairs[:i] + pairs[i + 1:]
+    return dropped
+
+
+_CERTIFICATE = (r"the dilation for delta \(dilate\) puts n=\d+ at distance 2, "
+                r"but is_primitive_root finds the target \d+ 1 flips away")
+
+
+@pytest.mark.parametrize("lo,hi,targets,message", [
+    # p = 3 has bit length 2, so a lost bit leaves a point that no target reaches
+    (3, 2000, "literal", r"the dilation for delta "),
+    (1000000, 1000040, "literal", _CERTIFICATE),
+    (1000000, 1000040, "reduced", _CERTIFICATE),
+], ids=["3-2000", "delta_large", "delta_large-reduced"])
+@pytest.mark.parametrize("which", ["first", "middle", "last"])
+def test_delta_scan_refuses_a_dilation_that_skips_a_shuffle(monkeypatch, which, lo, hi,
+                                                             targets, message):
+    monkeypatch.setattr(hamming, "_flip_shuffles", _drop_shuffle(which))
+    with pytest.raises(InvariantViolation, match=f"^p=\\d+ targets={targets}: {message}"):
+        scan_range(ScanConfig(lo=lo, hi=hi, targets=targets, compute=("delta",)))
+
+
+@pytest.mark.parametrize("targets", ["literal", "reduced"])
+@pytest.mark.parametrize("p", [17, 8209, 1000003])
+def test_core_certificate_names_the_point_and_what_pow_finds(monkeypatch, targets, p):
+    """The certificate passes the dilation's own uncovered set and refuses
+    it at a core radius one off either way, with `is_primitive_root` alone."""
+    ctx = numtheory.PrimeContext.for_prime(p)
+    reduced = targets == "reduced"
+    seen = []
+    monkeypatch.setattr(hamming, "_certify_core", lambda *args: seen.append(args))
+    radii = hamming.dilation_radii(ctx, reduced)
+    monkeypatch.undo()
+    (_, _, core, uncovered), = seen
+    n = (uncovered & -uncovered).bit_length() - 1  # the lowest point is certified first
+    assert core == radii.core and uncovered >> n & 1
+    hamming._certify_core(ctx, reduced, core, uncovered)
+    prefix = (f"p={p} targets={targets}: the dilation for delta (dilate) puts n={n} at "
+              f"distance")
+    with pytest.raises(InvariantViolation) as exc:
+        hamming._certify_core(ctx, reduced, core + 1, uncovered)
+    assert re.fullmatch(rf"{re.escape(prefix)} {core + 1}, but is_primitive_root finds "
+                        rf"the target \d+ {core} flips away", str(exc.value))
+    with pytest.raises(InvariantViolation) as exc:
+        hamming._certify_core(ctx, reduced, core - 1, uncovered)
+    assert str(exc.value) == (f"{prefix} {core - 1}, but is_primitive_root finds no target "
+                              f"{core - 1} flips away")
+
+
+def test_core_certificate_counts_only_literal_targets_in_1_to_p_minus_1():
+    """16 is the core witness of 17 at distance 3 under literal targets. One
+    flip away lies 20, whose residue 3 is a primitive root: a target only
+    under reduced targets, although `is_primitive_root(20)` holds."""
+    ctx = numtheory.PrimeContext.for_prime(17)
+    assert numtheory.is_primitive_root(20, ctx)
+    assert hamming.dilation_radii(ctx, False) == Radii(3, 2, 2, (16,))
+    hamming._certify_core(ctx, False, 3, 1 << 16)
+    with pytest.raises(InvariantViolation) as exc:
+        hamming._certify_core(ctx, True, 3, 1 << 16)
+    assert str(exc.value) == ("p=17 targets=reduced: the dilation for delta (dilate) puts "
+                              "n=16 at distance 3, but is_primitive_root finds the target "
+                              "20 1 flips away")
+
+
 @pytest.mark.parametrize("p,count,phi", [(31, 10, 8), (1000003, 333334, 333332)])
 def test_bitmap_check_does_not_take_phi_from_the_block_sieve(monkeypatch, p, count, phi):
     """A block sieve that loses the largest prime of p - 1 yields a bitmap
@@ -828,6 +901,10 @@ def test_count_table_identities():
     assert table.sum_identity_ok(1000, "w")
     assert table.sum_identity_ok(1000, "W")
     assert table.sum_identity_ok(1000, "delta")
+    # a table built without rows has rows of its own
+    first, second = CountTable([10]), CountTable(thresholds=[10])
+    first.rows[10] = {}
+    assert second.rows == {} and first.thresholds == second.thresholds == [10]
 
 
 def test_frequencies_at_1000():
@@ -837,18 +914,35 @@ def test_frequencies_at_1000():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bad scan range \[5, 3\]$"):
         ScanConfig(lo=5, hi=3)
-    with pytest.raises(ValueError):
-        ScanConfig(lo=1, hi=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bad scan range \[1, 10\]$"):
+        ScanConfig(1, 10)
+    with pytest.raises(ValueError, match="^unknown radius targets 'mystery'$"):
         ScanConfig(lo=3, hi=10, targets="mystery")
-    with pytest.raises(ValueError):  # a view is not a target set
-        ScanConfig(lo=3, hi=10, targets="canonical")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown radius targets 'canonical'$"):
+        ScanConfig(lo=3, hi=10, targets="canonical")  # a view is not a target set
+    with pytest.raises(ValueError, match=r"^compute set must be a nonempty subset of "
+                                         r"w,W,delta, got \('w', 'Z'\)$"):
         ScanConfig(lo=3, hi=10, compute=("w", "Z"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^compute set must be a nonempty subset"):
+        ScanConfig(3, 10, 1, "literal", ())
+    with pytest.raises(ValueError, match="^tasks must be >= 1$"):
         ScanConfig(lo=3, hi=10, tasks=0)
+    # A valid config is built by position or by keyword, with the same
+    # defaults, is equal by value, and no field can be assigned.
+    config = ScanConfig(3, 10)
+    assert (config.lo, config.hi, config.tasks, config.targets, config.compute,
+            config.checkpoint) == (3, 10, 1, "literal", STATS, None)
+    assert config == ScanConfig(lo=3, hi=10, tasks=1, targets="literal", compute=STATS)
+    assert ScanConfig(3, 10, 2, "reduced", ("w",), "j") == ScanConfig(
+        lo=3, hi=10, tasks=2, targets="reduced", compute=("w",), checkpoint="j")
+    assert config != ScanConfig(3, 10, tasks=2)
+    assert config._asdict() == {"lo": 3, "hi": 10, "tasks": 1, "targets": "literal",
+                                "compute": STATS, "checkpoint": None}
+    for name in ("lo", "tasks", "checkpoint", "other"):
+        with pytest.raises(AttributeError):
+            setattr(config, name, 4)
 
 
 @pytest.mark.parametrize("engine,result,message", [
