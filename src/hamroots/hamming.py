@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import CapabilityError, InvariantViolation
-from .numtheory import PrimeContext, _jacobi, bitmap_to_set, is_primitive_root
+from .numtheory import PrimeContext, _NONZERO, _jacobi, bitmap_to_set, is_primitive_root
 
 
 class _BitExpansion(NamedTuple):
@@ -33,6 +33,11 @@ class BitExpansion(_BitExpansion):
         if not 0 <= self.value < (1 << self.length):
             raise ValueError(f"{self.value} does not fit in {self.length} bits")
         return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # Through __new__ and its checks; `_replace` builds with `_make` too.
+        return cls(*iterable)
 
     @property
     def weight(self) -> int:
@@ -91,9 +96,9 @@ class HammingProfile:
 
     delta and witnesses are the `variant` view of radii; radii is None where
     delta is (p = 2, or not computed) and in profiles built without it.
-    Profiles compare by value. They are not frozen, which makes building one
-    about four times cheaper than through a frozen `__init__` (each slot set
-    by `object.__setattr__`); nothing assigns to them or hashes them.
+    Profiles compare by value. They are not frozen: a frozen `__init__` sets
+    each slot by `object.__setattr__`, which made building one three to five
+    times slower on CPython 3.11; nothing assigns to them or hashes them.
     """
 
     __slots__ = ("p", "r", "w", "W", "delta", "witnesses", "variant", "radii")
@@ -196,12 +201,13 @@ def _target_bitmap(ctx: PrimeContext, reduced_targets: bool) -> int:
     return bm
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _flip_shuffles(length: int) -> tuple[tuple[int, int], ...]:
     """(shift, mask-of-positions-with-bit-i-clear) pairs for bitmap dilation.
 
     Masks repeat a little-endian byte pattern, cut to 2^length bits; linear
-    in 2^length."""
+    in 2^length. Only the last length's masks are kept, length * 2^length / 8
+    bytes: a scan's primes ascend, so no length is built twice."""
     size = 1 << length
     out = []
     for i in range(length):
@@ -237,10 +243,19 @@ def _certify_core(ctx: PrimeContext, reduced_targets: bool, core: int, uncovered
     so the others are filtered out first, since the test reduces t mod p."""
     p, length = ctx.p, ctx.bit_len
     points = {uncovered.bit_length() - 1}  # the point 1 is never a target, so never empty
+    # One little-endian copy of the set, at most p/8 bytes, serves every
+    # start; a shift of the int per start would copy up to p bits each time.
+    octets = uncovered.to_bytes((uncovered.bit_length() + 7) // 8, "little")
+    flags = octets.translate(_NONZERO)
     for start in (k * p // 8 for k in range(8)):
-        above = uncovered >> start
-        if above:
-            points.add(start + (above & -above).bit_length() - 1)
+        i = start >> 3  # the byte of start, with its bits below start cleared
+        byte = octets[i] >> (start & 7) << (start & 7) if i < len(octets) else 0
+        if not byte:
+            i = flags.find(1, i + 1)
+            if i < 0:
+                break  # no point lies above this start, nor above the next
+            byte = octets[i]
+        points.add(8 * i + (byte & -byte).bit_length() - 1)
     for n in sorted(points):
         for s in range(core + 1):
             hit = next((t for t in _flips(n, length, s)

@@ -323,36 +323,73 @@ def _build_pr_bitmap(ctx: PrimeContext) -> int:
     # p = 3 mod 4, m/2 is odd and -1 is not a root, so no mirror exists and
     # all of [0, m) is walked.
     end = m // 2 if p % 4 == 1 else m
-    coprime = bytearray([1]) * end
-    for q in ctx.factors_pm1:
-        coprime[0::q] = bytes(len(range(0, end, q)))
     # g^(j + i) = g^i * g^j: the powers g^i of one block are computed once,
     # and each block of exponents starting at j scales them by c = g^j.
     base = [1] * min(_POWER_BLOCK, end)
     for i in range(1, len(base)):
         base[i] = base[i - 1] * g % p
-    # Digit x of the string is bit x of the bitmap once the string is reversed.
+    # Digit x of the string is bit p - 1 - x of the int it parses to.
     digits = bytearray(b"0") * p
     for j in range(0, end, _POWER_BLOCK):
+        # Exponent j + i is a multiple of the prime q | m iff i = -j mod q.
+        coprime = bytearray([1]) * min(_POWER_BLOCK, end - j)
+        for q in ctx.factors_pm1:
+            coprime[-j % q::q] = bytes(len(range(-j % q, len(coprime), q)))
         c = pow(g, j, p)
-        for b in compress(base, coprime[j:j + _POWER_BLOCK]):
+        for b in compress(base, coprime):
             digits[b * c % p] = 49  # ord("1")
-    del coprime, base  # free them before int() allocates the result
-    # Read unreversed, digit x is bit p - 1 - x; one shift more makes it the
-    # mirror bit p - x.
-    mirror = int(digits, 2) << 1 if end < m else 0
-    digits.reverse()
-    return int(digits, 2) | mirror
+    del base, coprime  # free them before int() allocates the result
+    flipped = int(digits, 2)
+    del digits
+    # Big-endian bytes with the bits of each reversed, read little-endian,
+    # put bit p - 1 - x at x once the pad of the last byte is shifted out.
+    size = (p + 7) // 8
+    bitmap = int.from_bytes(flipped.to_bytes(size, "big").translate(_bit_reversal()),
+                            "little") >> (8 * size - p)
+    # One shift more makes flipped's bit p - 1 - x the mirror bit p - x.
+    return bitmap | flipped << 1 if end < m else bitmap
+
+
+@lru_cache(maxsize=1)
+def _bit_reversal() -> bytes:
+    """Each byte value with its 8 bits in reverse order, built on first use."""
+    return bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+@lru_cache(maxsize=1)
+def _byte_bits() -> list[bytes]:
+    """The 8 bits of each byte value as 0/1 bytes, least significant first,
+    built on first use."""
+    return [bytes(b >> i & 1 for i in range(8)) for b in range(256)]
+
+
+# Maps each byte to 0 if it is zero and to 1 if not, for `bytes.translate`,
+# so that a find of 1 in the result finds the next nonzero byte.
+_NONZERO = b"\0" + b"\1" * 255
+
+# bitmap_to_set expands at most this many bytes of a run at a time.
+_RUN_CAP = 4096
 
 
 def bitmap_to_set(bitmap: int) -> list[int]:
-    """Indices of set bits of a non-negative int, ascending; linear in its bit length."""
-    digits = bin(bitmap)[:1:-1]
+    """Indices of set bits of a non-negative int, ascending.
+
+    Reads one little-endian `to_bytes` copy of the int, bit_length / 8 bytes,
+    and a 0/1 flag per byte of it; finds each run of nonzero bytes with
+    `bytes.find` on the flags and expands only those runs, at most 4096
+    bytes at a time, into their bits. A sparse set builds nothing of the
+    int's full length in bits."""
+    octets = bitmap.to_bytes((bitmap.bit_length() + 7) // 8, "little")
+    flags = octets.translate(_NONZERO)
+    bits = _byte_bits()
     out = []
-    i = digits.find("1")
+    i = flags.find(1)
     while i >= 0:
-        out.append(i)
-        i = digits.find("1", i + 1)
+        j = flags.find(0, i, i + _RUN_CAP)
+        if j < 0:
+            j = min(i + _RUN_CAP, len(octets))
+        out.extend(compress(range(8 * i, 8 * j), b"".join(map(bits.__getitem__, octets[i:j]))))
+        i = flags.find(1, j)
     return out
 
 

@@ -67,6 +67,11 @@ class ScanConfig(_ScanConfig):
             raise ValueError("tasks must be >= 1")
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        # Through __new__ and its checks; `_replace` builds with `_make` too.
+        return cls(*iterable)
+
 
 def _check_bitmap(ctx: PrimeContext, targets: str) -> None:
     """Raise InvariantViolation unless the primitive-root bitmap that delta

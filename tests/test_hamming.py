@@ -46,6 +46,10 @@ def test_bit_expansion():
         BitExpansion(32, 5)
     with pytest.raises(ValueError, match="^-1 does not fit in 5 bits$"):
         BitExpansion(length=5, value=-1)
+    with pytest.raises(ValueError, match="^9 does not fit in 2 bits$"):
+        BitExpansion(1, 2)._replace(value=9)
+    with pytest.raises(ValueError, match="^4 does not fit in 2 bits$"):
+        BitExpansion._make((4, 2))
 
 
 def test_flip_set_examples():
@@ -448,6 +452,14 @@ def test_profile_weights_do_not_depend_on_what_else_is_computed():
     assert weights(("w",)) == [(p, w, None) for p, w, _ in both]
     assert weights(("W",)) == [(p, None, big_w) for p, _, big_w in both]
     assert both[0] == (2, None, 1)
+
+
+def test_dilation_keeps_the_masks_of_one_bit_length():
+    """A process holds the masks of the length it dilates at, not of every
+    length it has passed: 2.6 MB at 20 bits, 5.5 MB at 21."""
+    dilate(1, 20)
+    dilate(1, 21)
+    assert _flip_shuffles.cache_info().currsize == 1
 
 
 def test_flip_shuffles_match_floor_division_formula():

@@ -3,7 +3,7 @@ import random
 from itertools import compress
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hamroots.errors import CapabilityError
 from hamroots.numtheory import (PrimeContext, _jacobi, bitmap_to_set, divisors,
@@ -282,6 +282,11 @@ def test_phi_mobius_divisors():
 
 
 @given(st.integers(min_value=0, max_value=1 << 300))
+@example(0)
+@example(1)
+@example(0xFF << 4)  # one run across a byte boundary
+@example(1 | 1 << 20000)  # two runs far apart
+@example((1 << 8 * 4100 + 3) - 1)  # all ones, longer than one expanded run of 4096 bytes
 def test_bitmap_to_set_matches_per_index_check(x):
     assert bitmap_to_set(x) == [i for i in range(x.bit_length()) if x >> i & 1]
 

@@ -817,6 +817,31 @@ def test_core_certificate_counts_only_literal_targets_in_1_to_p_minus_1():
                               "20 1 flips away")
 
 
+@pytest.mark.skipif(not os.path.isfile("/proc/self/status"), reason="needs /proc/self/status")
+def test_delta_scan_holds_one_p_byte_buffer_and_one_bit_length_of_masks():
+    """Above its imports, a delta scan of the four primes in [10^6, 10^6 + 40]
+    peaks within one p-byte buffer, the L * 2^L / 8 bytes of the masks of
+    bit length L = 20 and 0.5 MB: about 3.95 MB. A copy of the coprime
+    exponents, the bitmap's digits or its set bits as a string, each the
+    size of p, takes it past that. The peak is VmHWM, the high-water mark of
+    the child's own memory: its ru_maxrss would start at this process's
+    peak, which it inherits across exec."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hamroots.__file__).parents[1]))
+    script = """
+from hamroots.scan import ScanConfig, scan_range
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+before = peak_kib()
+scan_range(ScanConfig(1000000, 1000040, compute=("delta",)))
+print((peak_kib() - before) / 1024)
+"""
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    p, length = 1000039, 20
+    assert float(out) <= (p + length * (1 << length) // 8) / 2**20 + 0.5
+
+
 @pytest.mark.parametrize("p,count,phi", [(31, 10, 8), (1000003, 333334, 333332)])
 def test_bitmap_check_does_not_take_phi_from_the_block_sieve(monkeypatch, p, count, phi):
     """A block sieve that loses the largest prime of p - 1 yields a bitmap
@@ -929,6 +954,11 @@ def test_config_validation():
         ScanConfig(3, 10, 1, "literal", ())
     with pytest.raises(ValueError, match="^tasks must be >= 1$"):
         ScanConfig(lo=3, hi=10, tasks=0)
+    # _replace and _make check as the constructor does
+    with pytest.raises(ValueError, match=r"^bad scan range \[1, 10\]$"):
+        ScanConfig(3, 10)._replace(lo=1, tasks=0)
+    with pytest.raises(ValueError, match="^tasks must be >= 1$"):
+        ScanConfig._make((3, 10, 0))
     # A valid config is built by position or by keyword, with the same
     # defaults, is equal by value, and no field can be assigned.
     config = ScanConfig(3, 10)
