@@ -17,8 +17,8 @@ import hamroots
 
 from . import reference
 from .errors import CapabilityError, InvariantViolation
-from .hamming import BASE_VIEWS, DOMAIN0, VARIANTS, covering_radius, view, viewed_profile
-from .numtheory import PrimeContext, divisors, factorize, is_primitive_root, sieve_primes
+from .hamming import BASE_VIEWS, DOMAIN0, VARIANTS, dilation_radii, viewed_profile
+from .numtheory import PrimeContext, divisors, is_primitive_root, sieve_primes
 from .scan import CountTable, ScanConfig, format_scan_output, read_scan_output, scan_range
 
 
@@ -152,7 +152,7 @@ def _census_profiles(args, lo: int, compute: tuple[str, ...], variant_name: str)
                              f"--variant {variant_name} needs {variant.targets} targets")
         targets = scanned.targets
     # The profiles are in the base view of those targets; any other view
-    # replaces its profile in place, so one list is held at a time.
+    # replaces its profile in place.
     rebuild = variant is not BASE_VIEWS[targets]
     kept = 0
     for pr in profiles:
@@ -203,21 +203,19 @@ def cmd_table(args) -> int:
 def _itemize_variant_differences(profiles, variant: str) -> None:
     """List primes whose radius under the scanned variant differs from the
     domain0 one (the convention the reference delta columns follow). The
-    domain0 radius is a view of each row's radii, except under reduced
-    targets, whose radii do not give it."""
+    domain0 profile is a view of each row's radii; under reduced targets,
+    whose radii do not give it, of a literal-target dilation."""
     print(f"# {variant} vs domain0 radius differences:")
     reduced = VARIANTS[variant].reduced_targets
     for prof in profiles:
         if prof.delta is None or prof.p == 2:
             continue
-        if reduced:
-            alt, alt_wits = covering_radius(PrimeContext(prof.p, factorize(prof.p - 1)), DOMAIN0)
-        else:
-            alt, alt_wits = view(prof.radii, DOMAIN0)
-        if alt != prof.delta:
+        radii = dilation_radii(PrimeContext.for_prime(prof.p), False) if reduced else prof.radii
+        alt = viewed_profile(prof.p, prof.r, prof.w, prof.W, radii, DOMAIN0)
+        if alt.delta != prof.delta:
             print(f"  p={prof.p}: {variant}={prof.delta} (classes "
-                  f"{';'.join(map(str, prof.witnesses))}) domain0={alt} "
-                  f"(classes {';'.join(map(str, alt_wits))})")
+                  f"{';'.join(map(str, prof.witnesses))}) domain0={alt.delta} "
+                  f"(classes {';'.join(map(str, alt.witnesses))})")
 
 
 def cmd_delta3(args) -> int:
@@ -232,13 +230,14 @@ def cmd_delta3(args) -> int:
             deep.append(pr.p)
     print(f"# primes <= {args.limit} with covering radius 3 ({args.variant} variant)")
     for p, pr in radius3.items():
-        line = f"{p}: classes {';'.join(map(str, pr.witnesses))}"
+        wits = pr.witnesses  # derived again on each read
+        line = f"{p}: classes {';'.join(map(str, wits))}"
         if args.paper_diff:
             ref = reference.RADIUS3_CLASSES.get(p)
             if ref is None:
                 line += "  [not in reference list]"
             else:
-                ours = set(pr.witnesses)
+                ours = set(wits)
                 marks = [f"{c}{'+' if c in ours else '-'}" for c in ref]
                 extra = sorted(ours - set(ref))
                 line += f"  reference: {';'.join(marks)}"

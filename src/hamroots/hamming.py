@@ -79,29 +79,34 @@ BASE_VIEWS = {v.targets: v for v in (CANONICAL, REDUCED)}
 class Radii(NamedTuple):
     """What one dilation of the targets says about the class 0 and the rest.
 
-    core is the covering radius of [1, p-1] and witnesses its witness
-    classes, ascending, or () where no view reads them; dist_0 and dist_p are
-    the distances from the points 0 and p to the targets. Both points are
-    the class 0, so every domain convention is a view of these (see `view`).
+    core is the covering radius of [1, p-1] and count the number of its
+    witness classes, the points of [1, p-1] at distance core; dist_0 and
+    dist_p are the distances from the points 0 and p to the targets. Both
+    points are the class 0, so every domain convention is a view of these
+    (see `view`). The classes themselves are not kept: `covering_radius`
+    lists them.
     """
 
     core: int
     dist_0: int
     dist_p: int
-    witnesses: tuple[int, ...]
+    count: int
 
 
 class HammingProfile:
     """Per-prime record of the three statistics (None = not computed / undefined).
 
-    delta and witnesses are the `variant` view of radii; radii is None where
-    delta is (p = 2, or not computed) and in profiles built without it.
-    Profiles compare by value. They are not frozen: a frozen `__init__` sets
-    each slot by `object.__setattr__`, which made building one three to five
-    times slower on CPython 3.11; nothing assigns to them or hashes them.
+    A profile built with radii is their `variant` view: delta and
+    witness_count come from `view`, and `witnesses` is derived when read (see
+    there). radii is None where delta is (p = 2, or not computed) and in
+    profiles built from their statistics, which keep the witnesses they are
+    given. Profiles compare by value, and neither that nor `repr` derives a
+    list. They are not frozen: a frozen `__init__` sets each slot by
+    `object.__setattr__`, which made building one three to five times slower
+    on CPython 3.11; nothing assigns to them or hashes them.
     """
 
-    __slots__ = ("p", "r", "w", "W", "delta", "witnesses", "variant", "radii")
+    __slots__ = ("p", "r", "w", "W", "delta", "variant", "radii", "_witnesses")
 
     def __init__(self, p: int, r: int, w: int | None = None, W: int | None = None,
                  delta: int | None = None, witnesses: tuple[int, ...] = (),
@@ -110,10 +115,40 @@ class HammingProfile:
         self.r = r
         self.w = w
         self.W = W
-        self.delta = delta
-        self.witnesses = witnesses
         self.variant = variant
         self.radii = radii
+        if radii is None:
+            self.delta, self._witnesses = delta, witnesses
+        elif delta is not None or witnesses:
+            raise ValueError("a profile with radii takes delta and its witnesses from their view")
+        else:
+            self.delta, self._witnesses = view(radii, VARIANTS[variant])[0], None
+
+    @property
+    def witness_count(self) -> int:
+        """The number of witness classes, read off the view of the radii
+        where the profile has them."""
+        if self.radii is None:
+            return len(self._witnesses)
+        return view(self.radii, VARIANTS[self.variant])[1]
+
+    @property
+    def witnesses(self) -> tuple[int, ...]:
+        """The witness classes, ascending. A profile with radii derives them:
+        (0,) where the core is nearer than delta, and otherwise the list of
+        `covering_radius`, which must have this delta and witness_count."""
+        radii = self.radii
+        if radii is None:
+            return self._witnesses
+        if radii.core < self.delta:
+            return (0,)
+        delta, wits = covering_radius(PrimeContext.for_prime(self.p), VARIANTS[self.variant])
+        if (delta, len(wits)) != (self.delta, self.witness_count):
+            raise InvariantViolation(
+                f"p={self.p} variant={self.variant}: the row gives delta={self.delta} with "
+                f"{self.witness_count} witness classes, but the dilation for delta "
+                f"(covering_radius) lists {len(wits)} at delta={delta}")
+        return wits
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -126,8 +161,12 @@ class HammingProfile:
     __hash__ = None
 
     def __repr__(self):
-        return "HammingProfile(%s)" % ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        # The witnesses a profile was built with are shown; derived ones are not.
+        names = ("p", "r", "w", "W", "delta", "witness_count", "variant", "radii")
+        shown = [f"{name}={getattr(self, name)!r}" for name in names]
+        if self.radii is None:
+            shown.append(f"witnesses={self._witnesses!r}")
+        return "HammingProfile(%s)" % ", ".join(shown)
 
 
 def hamming_weight(n: int) -> int:
@@ -227,12 +266,6 @@ def dilate(bitmap: int, length: int) -> int:
     return out
 
 
-def lists_core_witnesses(core: int, dist_0: int, dist_p: int, reduced_targets: bool) -> bool:
-    """Whether a view of these targets reads the core witnesses: one whose
-    endpoint (p, or 0 too under literal targets) is no farther than the core."""
-    return (dist_p if reduced_targets else min(dist_0, dist_p)) <= core
-
-
 def _certify_core(ctx: PrimeContext, reduced_targets: bool, core: int, uncovered: int) -> None:
     """Raise InvariantViolation unless up to nine points of the uncovered set
     (the lowest, the highest, and the lowest at or above k*p/8 for k = 1..7)
@@ -269,13 +302,13 @@ def _certify_core(ctx: PrimeContext, reduced_targets: bool, core: int, uncovered
                 f"finds {found} flips away")
 
 
-def dilation_radii(ctx: PrimeContext, reduced_targets: bool) -> Radii:
-    """Radii by iterated bitmap dilation.
+def _dilation(ctx: PrimeContext, reduced_targets: bool) -> tuple[Radii, int]:
+    """Radii by iterated bitmap dilation, and the uncovered core set.
 
     Grows the target set by Hamming-ball radius one per round until [1, p-1]
     and the points 0 and p are all covered. The core witnesses are the points
-    of [1, p-1] still uncovered going into the round that covers it, if read;
-    `_certify_core` checks some of them, listed or not, against `pow`.
+    of [1, p-1] still uncovered going into the round that covers it, returned
+    as a bitmap; `_certify_core` checks some of them against `pow`.
     """
     p = ctx.p
     if p == 2:
@@ -293,9 +326,7 @@ def dilation_radii(ctx: PrimeContext, reduced_targets: bool) -> Radii:
             dist_p = radius
         if None not in (core_radius, dist_0, dist_p):
             _certify_core(ctx, reduced_targets, core_radius, uncovered)
-            if not lists_core_witnesses(core_radius, dist_0, dist_p, reduced_targets):
-                uncovered = 0  # no view reads the core witnesses
-            return Radii(core_radius, dist_0, dist_p, tuple(bitmap_to_set(uncovered)))
+            return Radii(core_radius, dist_0, dist_p, uncovered.bit_count()), uncovered
         if radius == ctx.bit_len:
             raise InvariantViolation(
                 f"p={p} targets={'reduced' if reduced_targets else 'literal'}: the dilation "
@@ -305,28 +336,36 @@ def dilation_radii(ctx: PrimeContext, reduced_targets: bool) -> Radii:
         radius += 1
 
 
-def view(radii: Radii, variant: RadiusVariant) -> tuple[int, tuple[int, ...]]:
-    """(delta, witness classes) over the variant's domain, [0, p-1] or [1, p]:
+def dilation_radii(ctx: PrimeContext, reduced_targets: bool) -> Radii:
+    """The radii of one dilation of the targets, which every domain
+    convention views; a scan row holds them."""
+    return _dilation(ctx, reduced_targets)[0]
+
+
+def view(radii: Radii, variant: RadiusVariant) -> tuple[int, int]:
+    """(delta, witness count) over the variant's domain, [0, p-1] or [1, p]:
     its endpoint 0 or p adds the class 0 to the witnesses of [1, p-1]."""
     end = radii.dist_0 if variant.n_domain_zero else radii.dist_p
     delta = max(radii.core, end)
-    return delta, (((0,) if end == delta else ())
-                   + (radii.witnesses if radii.core == delta else ()))
+    return delta, (end == delta) + (radii.count if radii.core == delta else 0)
 
 
 def viewed_profile(p: int, r: int, w: int | None, W: int | None, radii: Radii | None,
                    variant: RadiusVariant) -> HammingProfile:
     """The profile of these statistics whose delta and witnesses are the
     variant's view of radii; the variant's targets must be those of radii."""
-    delta, wits = view(radii, variant) if radii else (None, ())
-    return HammingProfile(p, r, w, W, delta, wits, variant.name, radii)
+    return HammingProfile(p, r, w, W, variant=variant.name, radii=radii)
 
 
 def covering_radius(ctx: PrimeContext, variant: RadiusVariant = CANONICAL
                     ) -> tuple[int, tuple[int, ...]]:
     """Covering radius and its witness classes (n mod p, ascending) over the
-    variant's domain, by bitmap dilation."""
-    return view(dilation_radii(ctx, variant.reduced_targets), variant)
+    variant's domain, by bitmap dilation. This is the one place a witness
+    list is made: a scan keeps only its count."""
+    radii, uncovered = _dilation(ctx, variant.reduced_targets)
+    delta, count = view(radii, variant)
+    core = tuple(bitmap_to_set(uncovered)) if radii.core == delta else ()
+    return delta, (0,) * (count - len(core)) + core  # the class 0 where the endpoint reaches delta
 
 
 def covering_radius_bfs(ctx: PrimeContext, variant: RadiusVariant = CANONICAL

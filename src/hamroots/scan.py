@@ -4,17 +4,19 @@ Primes are sharded into fixed-size blocks; workers compute per-prime
 statistics independently and the parent takes the blocks back in order, so
 the output bytes do not depend on the task count.
 
-A scan has one row encoding, the `hamroots.scan.v4` CSV file: a line naming
+A scan has one row encoding, the `hamroots.scan.v5` CSV file: a line naming
 the schema, the range, the radius targets (when delta is computed) and the
 computed statistics, a line of column names, then one line per prime ending
-in the crc32 of the line's text. A row holds the radii of one dilation, of
-which each domain convention is a view, so the file does not depend on the
-convention; core witnesses are listed only where a view reads them. The two
-header lines are the scan's fingerprint. The checkpoint journal is that same
-file, appended one block at a time (each fsynced), so a finished journal
-equals the output byte for byte. Resume reads the journal with the
-reader of output files: the header must be this scan's, every checksum must
-hold and the rows must be the scan's primes in order. A line torn by a crash
+in the crc32 of the line's text. Every cell is an integer or empty. A row
+holds the radii of one dilation, of which each domain convention is a view,
+so the file does not depend on the convention; the core witnesses are
+counted, not listed, and a profile derives its list again when it is read
+(`HammingProfile.witnesses`). The two header lines are the scan's
+fingerprint. The checkpoint journal is that same file, appended one block at
+a time (each fsynced), so a finished journal equals the output byte for
+byte. Resume reads the journal with the reader of output files: the header
+must be this scan's, every checksum must hold and the rows must be the
+scan's primes in order. A line torn by a crash
 and a partial last block are cut off, and the scan goes on from there.
 """
 
@@ -28,12 +30,11 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import InvariantViolation
-from .hamming import (BASE_VIEWS, HammingProfile, Radii, dilation_radii,
-                      lists_core_witnesses, sparsest, viewed_profile)
+from .hamming import BASE_VIEWS, HammingProfile, Radii, dilation_radii, sparsest, viewed_profile
 from .numtheory import (PrimeContext, euler_phi, factorize_pm1, is_primitive_root,
                         least_primitive_root, sieve_primes)
 
-SCHEMA_ID = "hamroots.scan.v4"
+SCHEMA_ID = "hamroots.scan.v5"
 BLOCK_SIZE = 4096
 STATS = ("w", "W", "delta")  # the statistics a scan can compute, in column order
 
@@ -138,9 +139,9 @@ def _scan_block(args) -> list[tuple]:
     return rows
 
 
-# --- the v4 file: header, rows, reader ----------------------------------------
+# --- the v5 file: header, rows, reader ----------------------------------------
 
-RADII = ("core", "dist_0", "dist_p", "witnesses")  # the columns of delta, in order
+RADII = ("core", "dist_0", "dist_p", "core_count")  # the columns of delta, in order
 
 
 def _weights(config: ScanConfig) -> list[str]:
@@ -178,9 +179,7 @@ def _block_encoder(config: ScanConfig):
         for prof in profiles:
             cells = cells_of(prof)
             if with_radii:
-                radii = prof.radii
-                cells += no_radii if radii is None else (
-                    *radii[:3], ";".join(map(str, radii.witnesses)))
+                cells += no_radii if prof.radii is None else prof.radii
             if None in cells:
                 cells = tuple("" if v is None else v for v in cells)
             text = row % cells
@@ -199,8 +198,7 @@ def _csv_int(cell: str) -> int:
 
 def _line_decoder(config: ScanConfig):
     """The function from a line (newline stripped) to its profile in the base
-    view of the config's targets; it checks the cells and the witness rule,
-    not the checksum."""
+    view of the config's targets; it checks the cells, not the checksum."""
     weights = _weights(config)
     with_radii = "delta" in config.compute
     n_cells = 3 + len(weights) + 4 * with_radii  # p, r, w and W, the radii, checksum
@@ -214,12 +212,7 @@ def _line_decoder(config: ScanConfig):
                   for name, cell in zip(weights, cells[2:])}
         radii = None
         if with_radii and cells[-5:-1] != ["", "", "", ""]:
-            *dists, wits = cells[-5:-1]
-            radii = Radii(*map(_csv_int, dists),
-                          tuple(_csv_int(c) for c in wits.split(";")) if wits else ())
-            if bool(wits) != lists_core_witnesses(*radii[:3], base.reduced_targets):
-                raise ValueError(f"witnesses {'listed where no' if wits else 'missing where a'} "
-                                 f"view of {config.targets} targets reads them")
+            radii = Radii(*map(_csv_int, cells[-5:-1]))
         p, r = _csv_int(cells[0]), _csv_int(cells[1])
         if r != (p - 1).bit_length() - 1:
             raise ValueError(f"r={r}, but p={p} has r={(p - 1).bit_length() - 1}")

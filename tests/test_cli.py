@@ -41,7 +41,7 @@ def test_scan_jsonl_and_output_file(tmp_path, capsys):
     code, _ = run(capsys, "scan", "--range", "3", "31", "--output", str(target))
     assert code == 0
     lines = target.read_text().splitlines()
-    assert lines[0] == "# hamroots.scan.v4 lo=3 hi=31 targets=literal compute=w,W,delta"
+    assert lines[0] == "# hamroots.scan.v5 lo=3 hi=31 targets=literal compute=w,W,delta"
     assert len(lines) == 2 + 10  # header, columns, pi(31) - 1 primes
 
 

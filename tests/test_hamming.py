@@ -13,7 +13,7 @@ from hamroots.hamming import (BitExpansion, CANONICAL, DOMAIN0, REDUCED, Hamming
                               hamming_distance, hamming_weight, high_bit_flip_set,
                               low_bit_flip_set, min_flips_to_primroot,
                               min_nonresidue_weight, min_primroot_weight,
-                              recombined_set, viewed_profile)
+                              recombined_set, view, viewed_profile)
 from hamroots.numtheory import (PrimeContext, bitmap_to_set, factorize_pm1, legendre_symbol,
                                 sieve_primes)
 from hamroots.scan import ScanConfig, scan_range
@@ -192,21 +192,26 @@ def test_views_match_the_per_domain_dilation_below_20000():
 
 
 def test_view_of_the_endpoints():
+    # The radii count the core witnesses; each view counts its own, and
+    # covering_radius lists them.
     # 23: every n in [1, 22] is one flip from a root, 0 is two (W = 2), 23 is one
     radii = dilation_radii(ctx_for(23), False)
     core = (1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18, 22)
-    assert radii == Radii(1, 2, 1, core)
+    assert radii == Radii(1, 2, 1, len(core))
+    assert view(radii, CANONICAL) == (1, 13) and view(radii, DOMAIN0) == (2, 1)
     assert covering_radius(ctx_for(23), CANONICAL) == (1, (0, *core))
     assert covering_radius(ctx_for(23), DOMAIN0) == (2, (0,))
     # 17: the core is the farther, so neither endpoint is a witness
-    assert dilation_radii(ctx_for(17), False) == Radii(3, 2, 2, (16,))
+    assert dilation_radii(ctx_for(17), False) == Radii(3, 2, 2, 1)
+    assert view(dilation_radii(ctx_for(17), False), DOMAIN0) == (3, 1)
     assert covering_radius(ctx_for(17), DOMAIN0) == (3, (16,))
-    # 31: both endpoints are farther than the core, so no view reads the core
-    # witnesses and none are listed; reduced targets bring p = 17 to that case
-    assert dilation_radii(ctx_for(31), False) == Radii(1, 2, 2, ())
+    # 31: both endpoints are farther than the core, so no view reads the 22
+    # core witnesses; reduced targets bring p = 17 to that case
+    assert dilation_radii(ctx_for(31), False) == Radii(1, 2, 2, 22)
+    assert view(dilation_radii(ctx_for(31), False), CANONICAL) == (2, 1)
     assert covering_radius(ctx_for(31), CANONICAL) == covering_radius(ctx_for(31), DOMAIN0) \
         == (2, (0,))
-    assert dilation_radii(ctx_for(17), True) == Radii(1, 2, 2, ())
+    assert dilation_radii(ctx_for(17), True) == Radii(1, 2, 2, 8)
     assert covering_radius(ctx_for(17), REDUCED) == (2, (0,))
 
 
@@ -416,26 +421,36 @@ def test_weight_classes_are_cached_gosper_enumerations():
 def test_profile_bundle():
     (prof,) = scan_range(ScanConfig(lo=7, hi=7))
     assert (prof.w, prof.W, prof.delta, prof.witnesses) == (2, 2, 2, (6,))
-    assert prof.radii == Radii(2, 2, 1, (6,))
+    assert prof.radii == Radii(2, 2, 1, 1) and prof.witness_count == 1
     prof0 = viewed_profile(prof.p, prof.r, prof.w, prof.W, prof.radii, DOMAIN0)
     assert (prof0.delta, prof0.witnesses, prof0.radii) == (2, (0, 6), prof.radii)
+    assert prof0.witness_count == 2
     (prof2,) = scan_range(ScanConfig(lo=2, hi=2))
     assert (prof2.w, prof2.W, prof2.delta) == (None, 1, None)
     (partial,) = scan_range(ScanConfig(lo=17, hi=17, compute=("W",)))
     assert (partial.w, partial.W, partial.delta) == (None, 2, None)
     # Built by keyword, as perfbench's replay builds it, or by position, a
     # profile compares by value, field by field, and is unhashable.
+    # A profile built with a list keeps it and counts it; one built with
+    # radii takes delta and its count from their view.
     replayed = HammingProfile(p=7, r=2, w=2, W=2, delta=2, witnesses=(6,),
                               variant=CANONICAL.name)
     assert replayed == HammingProfile(7, 2, 2, 2, 2, (6,))
+    assert (replayed.witness_count, replayed.witnesses) == (1, (6,))
     assert replayed != prof and replayed.radii is None
-    assert HammingProfile(7, 2, 2, 2, 2, (6,), "canonical", prof.radii) == prof
+    assert replayed != HammingProfile(7, 2, 2, 2, 2, (5,))
+    assert HammingProfile(7, 2, 2, 2, variant="canonical", radii=prof.radii) == prof
+    with pytest.raises(ValueError, match="^a profile with radii takes delta and its "
+                                         "witnesses from their view$"):
+        HammingProfile(7, 2, 2, 2, 2, (6,), "canonical", prof.radii)
     assert HammingProfile(7, 2) == HammingProfile(7, 2, None, None, None, (), "canonical", None)
     assert HammingProfile(7, 2) != HammingProfile(7, 2, variant="domain0")
     assert prof != (7, 2, 2, 2, 2, (6,), "canonical", prof.radii)
     assert repr(HammingProfile(3, 1, W=1)) == (
-        "HammingProfile(p=3, r=1, w=None, W=1, delta=None, witnesses=(), "
-        "variant='canonical', radii=None)")
+        "HammingProfile(p=3, r=1, w=None, W=1, delta=None, witness_count=0, "
+        "variant='canonical', radii=None, witnesses=())")
+    assert repr(prof) == ("HammingProfile(p=7, r=2, w=2, W=2, delta=2, witness_count=1, "
+                          "variant='canonical', radii=Radii(core=2, dist_0=2, dist_p=1, count=1))")
     with pytest.raises(TypeError):
         hash(prof)
     with pytest.raises(AttributeError):

@@ -21,8 +21,7 @@ import hamroots
 from hamroots import hamming, numtheory, scan
 from hamroots.cli import main
 from hamroots.errors import InvariantViolation
-from hamroots.hamming import (BASE_VIEWS, CANONICAL, DOMAIN0, Radii, lists_core_witnesses,
-                              viewed_profile)
+from hamroots.hamming import BASE_VIEWS, CANONICAL, DOMAIN0, Radii, viewed_profile
 from hamroots.scan import (STATS, CountTable, ScanConfig, _block_encoder, _line_decoder,
                            format_scan_output, read_scan_output, scan_range, worker_count)
 
@@ -116,8 +115,8 @@ def test_checkpoint_resume_and_fingerprint(tmp_path, monkeypatch):
     journal = ckpt.read_text()
     assert journal == first
     assert journal.splitlines()[:2] == [
-        "# hamroots.scan.v4 lo=2 hi=500 targets=literal compute=w,W,delta",
-        "p,r,w,W,core,dist_0,dist_p,witnesses,checksum"]
+        "# hamroots.scan.v5 lo=2 hi=500 targets=literal compute=w,W,delta",
+        "p,r,w,W,core,dist_0,dist_p,core_count,checksum"]
     # resume: all blocks already done, output identical, nothing re-journaled
     assert format_scan_output(cfg, scan_range(cfg)) == first
     assert ckpt.read_text() == journal
@@ -216,9 +215,9 @@ def test_csv_round_trip(tmp_path, targets):
 
 
 @pytest.mark.parametrize("compute,columns", [
-    (("w", "W", "delta"), "p,r,w,W,core,dist_0,dist_p,witnesses,checksum"),
+    (("w", "W", "delta"), "p,r,w,W,core,dist_0,dist_p,core_count,checksum"),
     (("W", "w"), "p,r,w,W,checksum"),
-    (("delta",), "p,r,core,dist_0,dist_p,witnesses,checksum"),
+    (("delta",), "p,r,core,dist_0,dist_p,core_count,checksum"),
     (("W",), "p,r,W,checksum"),
 ], ids=["all", "w-W", "delta", "W"])
 def test_columns_follow_the_computed_statistics(tmp_path, compute, columns):
@@ -228,7 +227,7 @@ def test_columns_follow_the_computed_statistics(tmp_path, compute, columns):
     stats = ",".join(name for name in STATS if name in compute)
     targets = "targets=literal " if "delta" in compute else ""
     assert text.splitlines()[:2] == [
-        f"# hamroots.scan.v4 lo=2 hi=30 {targets}compute={stats}", columns]
+        f"# hamroots.scan.v5 lo=2 hi=30 {targets}compute={stats}", columns]
     n_cells = len(columns.split(","))
     assert all(len(line.split(",")) == n_cells for line in text.splitlines()[1:])
     path = tmp_path / "scan.csv"
@@ -330,7 +329,7 @@ def _write_with_row_of_11_replaced(tmp_path, edit) -> tuple[str, int]:
     lambda line: line.replace("11,", "+1_1,", 1),
     lambda line: line.replace("11,3,", "11, 3,", 1),
     lambda line: "0" + line,
-    lambda line: re.sub(r",(\d+),(\w+)$", r",0\1,\2", line),  # p = 11's witness 1
+    lambda line: re.sub(r",(\d+),(\w+)$", r",0\1,\2", line),  # p = 11's core count 1
 ], ids=["six-cells", "eight-cells", "non-integer-p", "empty-r",
         "underscore-sign-p", "space-r", "zero-padded-p", "zero-padded-witness"])
 def test_malformed_row_rejected_with_path_and_line(tmp_path, edit):
@@ -339,29 +338,102 @@ def test_malformed_row_rejected_with_path_and_line(tmp_path, edit):
         read_scan_output(path)
 
 
-@pytest.mark.parametrize("targets,p,witnesses,message", [
-    # 31: core 1, both endpoints at 2, so neither literal view reads the core
-    ("literal", 31, "1", "witnesses listed where no view of literal targets reads them"),
-    ("literal", 29, "", "witnesses missing where a view of literal targets reads them"),
-    # 17: core 1, p at 2 under reduced targets
-    ("reduced", 17, "1", "witnesses listed where no view of reduced targets reads them"),
-    ("reduced", 29, "", "witnesses missing where a view of reduced targets reads them"),
-], ids=["literal-unread-listed", "literal-read-missing", "reduced-unread-listed",
-        "reduced-read-missing"])
-def test_witness_lists_must_follow_the_views_that_read_them(tmp_path, targets, p, witnesses,
-                                                            message):
-    cfg = ScanConfig(lo=2, hi=100, targets=targets, compute=("delta",))
-    lines = format_scan_output(cfg, scan_range(cfg)).splitlines()
-    i = next(i for i, line in enumerate(lines) if line.startswith(f"{p},"))
+def _delta_scan_3000(targets):
+    """The delta scan of [3, 3000] under these targets, and its file."""
+    cfg = ScanConfig(lo=3, hi=3000, targets=targets, compute=("delta",))
+    profiles = scan_range(cfg)
+    return cfg, profiles, format_scan_output(cfg, profiles)
+
+
+@pytest.mark.parametrize("targets", sorted(BASE_VIEWS))
+def test_derived_witnesses_have_the_row_count_and_are_the_oracle_lists(tmp_path, targets):
+    """A v5 row holds the count of the core witnesses, not their list. Every
+    profile derives its list when read: it has the row's count and is the
+    list of `covering_radius` for the base view, and so for a profile read
+    back from the file."""
+    cfg, profiles, text = _delta_scan_3000(targets)
+    path = tmp_path / "scan.csv"
+    path.write_text(text, encoding="utf-8")
+    base = BASE_VIEWS[targets]
+    assert read_scan_output(str(path)) == (cfg, profiles)
+    for prof in profiles:
+        assert prof.variant == base.name and prof.witness_count >= 1
+        wits = prof.witnesses
+        assert len(wits) == prof.witness_count, prof.p
+        assert (prof.delta, wits) == hamming.covering_radius(
+            numtheory.PrimeContext.for_prime(prof.p), base), prof.p
+
+
+@pytest.mark.parametrize("targets", sorted(BASE_VIEWS))
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_a_row_whose_core_count_is_off_is_refused_when_its_witnesses_are_read(
+        tmp_path, targets, offset):
+    """A core_count one off, under a recomputed checksum, reads back; the
+    derived list then disagrees with the row, and reading it names the
+    prime, the statistic and the engine."""
+    cfg, _, text = _delta_scan_3000(targets)
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("29,"))
     cells = lines[i].split(",")
-    assert bool(cells[-2]) != bool(witnesses)
-    text = ",".join([*cells[:-2], witnesses])
-    lines[i] = f"{text},{zlib.crc32(text.encode()):08x}"  # a row the checksum vouches for
+    cells[-2] = str(int(cells[-2]) + offset)
+    body = ",".join(cells[:-1])
+    lines[i] = f"{body},{zlib.crc32(body.encode()):08x}"  # a row the checksum vouches for
     path = tmp_path / "scan.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError,
-                       match=f"^{re.escape(str(path))}: line {i + 1}: {re.escape(message)}$"):
-        read_scan_output(str(path))
+    mutant = next(prof for prof in read_scan_output(str(path))[1] if prof.p == 29)
+    delta, wits = hamming.covering_radius(numtheory.PrimeContext.for_prime(29),
+                                          BASE_VIEWS[targets])
+    assert mutant.radii.core == mutant.delta == delta  # the core witnesses are read
+    assert mutant.witness_count == len(wits) + offset
+    with pytest.raises(InvariantViolation) as exc:
+        mutant.witnesses
+    assert str(exc.value) == (
+        f"p=29 variant={BASE_VIEWS[targets].name}: the row gives delta={delta} with "
+        f"{len(wits) + offset} witness classes, but the dilation for delta "
+        f"(covering_radius) lists {len(wits)} at delta={delta}")
+
+
+def test_comparing_printing_and_counting_profiles_derive_no_list(monkeypatch):
+    """Equality, repr and CountTable read what a profile holds; with
+    `covering_radius` refusing to run they still work. A profile whose core
+    is nearer than delta has the class 0 alone, also without a derivation."""
+    profiles = scan_range(ScanConfig(lo=2, hi=3000))
+    domain0 = _domain0(profiles)
+    again = scan_range(ScanConfig(lo=2, hi=3000))
+
+    def refuse(*args):
+        raise AssertionError("a witness list was derived")
+    monkeypatch.setattr(hamming, "covering_radius", refuse)
+    assert profiles == again and profiles != domain0
+    assert all("witnesses" not in repr(prof) for prof in profiles[1:] + domain0[1:])
+    assert repr(profiles[1]) == ("HammingProfile(p=3, r=1, w=1, W=1, delta=2, witness_count=1, "
+                                 "variant='canonical', radii=Radii(core=2, dist_0=1, dist_p=1, "
+                                 "count=1))")
+    table = CountTable.from_profiles(profiles, [1000])
+    assert table.rows[1000]["delta"] == [20, 144, 3, 0]
+    assert CountTable.from_profiles(domain0, [1000]).rows[1000]["delta"] == [11, 153, 3, 0]
+    nearer = [prof for prof in domain0[1:] if prof.radii.core < prof.delta]
+    assert len(nearer) == 39 and {prof.witnesses for prof in nearer} == {(0,)}
+    assert {prof.witness_count for prof in nearer} == {1}
+    with pytest.raises(AssertionError, match="a witness list was derived"):
+        profiles[1].witnesses
+
+
+@pytest.mark.parametrize("compute", [("w", "W"), STATS])
+def test_a_profile_without_delta_has_no_witnesses(compute):
+    """p = 2, a w,W scan and a profile built from its statistics without
+    delta count no witness and list none, as the benchmark's reference rows
+    without delta expect; one built with a list counts that list."""
+    profiles = scan_range(ScanConfig(lo=2, hi=100, compute=compute))
+    without = profiles if "delta" not in compute else profiles[:1]
+    assert without[0].p == 2
+    assert [(prof.witness_count, prof.witnesses) for prof in without] == [(0, ())] * len(without)
+    built = hamming.HammingProfile(p=5, r=2, w=1, W=1, delta=None, witnesses=(),
+                                   variant=CANONICAL.name)
+    assert (built.witness_count, built.witnesses) == (0, ())
+    listed = hamming.HammingProfile(p=7, r=2, w=2, W=2, delta=2, witnesses=(6,),
+                                    variant=CANONICAL.name)
+    assert (listed.witness_count, listed.witnesses) == (1, (6,))
 
 
 @pytest.mark.parametrize("edit,lineno,message", [
@@ -406,7 +478,7 @@ def _rows_of(lo, hi) -> list[str]:
 
 @pytest.mark.parametrize("journal,lineno,message", [
     (lambda header, rows: rows, 1,
-     "expected '# hamroots.scan.v4 lo=2 hi=60 compute=w,W', "
+     "expected '# hamroots.scan.v5 lo=2 hi=60 compute=w,W', "
      "got '2,0,,1,55d2e9b1'"),
     (lambda header, rows: header + _rows_of(7, 60), 3,
      "p=7 is not the next prime of [2, 60]"),
@@ -440,10 +512,7 @@ def test_journal_of_another_scan_is_refused(tmp_path):
 
 _stat = st.none() | st.integers(min_value=0, max_value=10**6)
 _radii = st.none() | st.builds(
-    Radii, *[st.integers(min_value=0, max_value=40)] * 3,
-    st.lists(st.integers(min_value=0, max_value=10**12), min_size=1, max_size=300).map(tuple)
-).map(lambda radii: radii if lists_core_witnesses(*radii[:3], False)
-      else radii._replace(witnesses=()))  # literal targets, as the config's
+    Radii, *[st.integers(min_value=0, max_value=40)] * 3, st.integers(min_value=1, max_value=10**12))
 _rows = st.builds(lambda p, w, big_w, radii: (p, (p - 1).bit_length() - 1, w, big_w, radii),
                   st.integers(min_value=2, max_value=10**12), _stat, _stat, _radii)
 _computes = st.sets(st.sampled_from(STATS), min_size=1).map(tuple)
@@ -472,8 +541,7 @@ def _line_oracle(config):
         cells = ["" if v is None else str(v) for v in cells_of(prof)]
         if with_radii:
             radii = prof.radii
-            cells += (["", "", "", ""] if radii is None else
-                      [*map(str, radii[:3]), ";".join(map(str, radii.witnesses))])
+            cells += ["", "", "", ""] if radii is None else [*map(str, radii)]
         text = ",".join(cells)
         return f"{text},{zlib.crc32(text.encode()):08x}\n"
     return encode
@@ -482,29 +550,27 @@ def _line_oracle(config):
 @given(st.sampled_from(sorted(BASE_VIEWS)), _computes, st.lists(_rows, max_size=12))
 def test_block_encoder_matches_the_line_oracle(targets, compute, rows):
     """Same bytes as one line at a time, for rows with None cells, radii
-    with and without core witnesses, and either radius targets."""
+    and either radius targets."""
     cfg = ScanConfig(lo=2, hi=3, targets=targets, compute=compute)
     base = BASE_VIEWS[targets]
-    profiles = []
-    for p, r, w, big_w, radii in rows:
-        if radii and not lists_core_witnesses(*radii[:3], base.reduced_targets):
-            radii = radii._replace(witnesses=())
-        profiles.append(viewed_profile(p, r, w if "w" in compute else None,
-                                       big_w if "W" in compute else None,
-                                       radii if "delta" in compute else None, base))
+    profiles = [viewed_profile(p, r, w if "w" in compute else None,
+                               big_w if "W" in compute else None,
+                               radii if "delta" in compute else None, base)
+                for p, r, w, big_w, radii in rows]
     assert _block_encoder(cfg)(profiles) == "".join(map(_line_oracle(cfg), profiles))
 
 
 @pytest.mark.parametrize("targets", sorted(BASE_VIEWS))
 @pytest.mark.parametrize("compute", [("w", "W"), ("W",), ("w", "delta"), STATS])
 def test_block_encoder_matches_the_line_oracle_on_a_scan(targets, compute):
-    """The rows of a real scan: p = 2 has no w and no radii, and radius-1
-    cores list their witnesses only where a view reads them."""
+    """The rows of a real scan: p = 2 has no w and no radii, and the core
+    counts run from one witness to many."""
     cfg = ScanConfig(lo=2, hi=400, targets=targets, compute=compute)
     profiles = scan_range(cfg)
     assert profiles[0].p == 2 and profiles[0].w is None and profiles[0].radii is None
     if "delta" in compute:
-        assert {bool(prof.radii.witnesses) for prof in profiles[1:]} == {False, True}
+        assert min(prof.radii.count for prof in profiles[1:]) == 1
+        assert max(prof.radii.count for prof in profiles[1:]) > 100
     assert _block_encoder(cfg)(profiles) == "".join(map(_line_oracle(cfg), profiles))
 
 
@@ -808,7 +874,7 @@ def test_core_certificate_counts_only_literal_targets_in_1_to_p_minus_1():
     under reduced targets, although `is_primitive_root(20)` holds."""
     ctx = numtheory.PrimeContext.for_prime(17)
     assert numtheory.is_primitive_root(20, ctx)
-    assert hamming.dilation_radii(ctx, False) == Radii(3, 2, 2, (16,))
+    assert hamming.dilation_radii(ctx, False) == Radii(3, 2, 2, 1)
     hamming._certify_core(ctx, False, 3, 1 << 16)
     with pytest.raises(InvariantViolation) as exc:
         hamming._certify_core(ctx, True, 3, 1 << 16)
@@ -869,7 +935,7 @@ def test_unknown_schema_rejected(tmp_path):
 
 
 _W_COLUMNS = "p,r,w,checksum"
-_D_COLUMNS = "p,r,core,dist_0,dist_p,witnesses,checksum"
+_D_COLUMNS = "p,r,core,dist_0,dist_p,core_count,checksum"
 
 
 @pytest.mark.parametrize("text,lineno,message", [
@@ -883,29 +949,32 @@ _D_COLUMNS = "p,r,core,dist_0,dist_p,witnesses,checksum"
      "unknown scan schema header '# hamroots.scan.v2 "),
     ("# hamroots.scan.v3 lo=2 hi=10 compute=w\np,r,w,checksum\n", 1,
      "unknown scan schema header '# hamroots.scan.v3 "),
-    ("# hamroots.scan.v4 lo=2 hi=10 compute=w\np,r\n", 2,
+    ("# hamroots.scan.v4 lo=2 hi=10 targets=literal compute=delta\n"
+     "p,r,core,dist_0,dist_p,witnesses,checksum\n3,1,2,1,1,1,752b43d6\n", 1,
+     "unknown scan schema header '# hamroots.scan.v4 "),
+    ("# hamroots.scan.v5 lo=2 hi=10 compute=w\np,r\n", 2,
      f"expected '{_W_COLUMNS}', got 'p,r'"),
-    (f"# hamroots.scan.v4 lo=2 hi=10 compute=delta\n{_D_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v5 lo=2 hi=10 compute=delta\n{_D_COLUMNS}\n", 1,
      "unknown radius targets None"),
-    (f"# hamroots.scan.v4 lo=2 hi=10 targets=odd compute=delta\n{_D_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v5 lo=2 hi=10 targets=odd compute=delta\n{_D_COLUMNS}\n", 1,
      "unknown radius targets 'odd'"),
-    (f"# hamroots.scan.v4 lo=2 hi=10 targets=literal compute=w\n{_W_COLUMNS}\n", 1,
-     "expected '# hamroots.scan.v4 lo=2 hi=10 compute=w', got "),
-    (f"# hamroots.scan.v4 lo=2 hi=10 variant=domain0 targets=literal compute=delta\n"
-     f"{_D_COLUMNS}\n", 1, "expected '# hamroots.scan.v4 lo=2 hi=10 targets=literal "
+    (f"# hamroots.scan.v5 lo=2 hi=10 targets=literal compute=w\n{_W_COLUMNS}\n", 1,
+     "expected '# hamroots.scan.v5 lo=2 hi=10 compute=w', got "),
+    (f"# hamroots.scan.v5 lo=2 hi=10 variant=domain0 targets=literal compute=delta\n"
+     f"{_D_COLUMNS}\n", 1, "expected '# hamroots.scan.v5 lo=2 hi=10 targets=literal "
      "compute=delta', got "),
-    (f"# hamroots.scan.v4 lo=2 hi=10\n{_W_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v5 lo=2 hi=10\n{_W_COLUMNS}\n", 1,
      "compute set must be a nonempty subset of w,W,delta, got None"),
-    (f"# hamroots.scan.v4 hi=10 compute=w\n{_W_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v5 hi=10 compute=w\n{_W_COLUMNS}\n", 1,
      "invalid literal for int"),
-    (f"# hamroots.scan.v4 lo=02 hi=10 compute=w\n{_W_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v5 lo=02 hi=10 compute=w\n{_W_COLUMNS}\n", 1,
      "'02' is not a canonical integer"),
-    (f"# hamroots.scan.v4 lo=10 hi=5 compute=w\n{_W_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v5 lo=10 hi=5 compute=w\n{_W_COLUMNS}\n", 1,
      r"bad scan range \[10, 5\]"),
-    ("# hamroots.scan.v4 lo=2 hi=10 compute=W,w\np,r,w,W,checksum\n", 1,
-     "expected '# hamroots.scan.v4 lo=2 hi=10 compute=w,W', got "),
+    ("# hamroots.scan.v5 lo=2 hi=10 compute=W,w\np,r,w,W,checksum\n", 1,
+     "expected '# hamroots.scan.v5 lo=2 hi=10 compute=w,W', got "),
 ], ids=["invalid-json", "unknown-schema", "unknown-csv-schema", "v1-header", "v2-header",
-        "v3-header",
+        "v3-header", "v4-header",
         "csv-columns", "csv-no-targets", "csv-unknown-targets", "targets-without-delta",
         "variant-in-header", "csv-no-compute", "no-lo", "zero-padded-lo", "empty-range",
         "compute-out-of-order"])
@@ -979,7 +1048,7 @@ def test_config_validation():
     ("sparsest", ((3, 7), (2, 5)), "p=23 targets=literal: w=3 > W=2"),
     # W of 23 is 2; the check compares it with the distance of 0 under
     # literal targets, whose domain0 view these radii would make 1.
-    ("dilation_radii", Radii(1, 1, 1, (1,)),
+    ("dilation_radii", Radii(1, 1, 1, 1),
      "p=23 targets=literal: the sparsest-root search gives W=2, "
      "the dilation puts 0 at distance 1"),
 ], ids=["w-above-W", "W-above-delta"])
