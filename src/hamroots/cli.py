@@ -12,14 +12,15 @@ import argparse
 import math
 import os
 import sys
+from typing import Iterator
 
 import hamroots
 
 from . import reference
 from .errors import CapabilityError, InvariantViolation
-from .hamming import BASE_VIEWS, DOMAIN0, VARIANTS, dilation_radii, viewed_profile
+from .hamming import BASE_VIEWS, DOMAIN0, VARIANTS, HammingProfile, dilation_radii, viewed_profile
 from .numtheory import PrimeContext, divisors, is_primitive_root, sieve_primes
-from .scan import CountTable, ScanConfig, format_scan_output, read_scan_output, scan_range
+from .scan import CountTable, ScanConfig, format_scan_output, read_scan_output, scan_profiles
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,25 +119,28 @@ def cmd_scan(args) -> int:
     config = ScanConfig(lo=args.range[0], hi=args.range[1], tasks=args.tasks,
                         targets=args.targets, compute=_compute_tuple(args.compute),
                         checkpoint=f"{args.output}.part" if args.output else None)
-    profiles = scan_range(config)
     if args.output:
+        for _ in scan_profiles(config):
+            pass
         os.replace(config.checkpoint, args.output)
     else:
-        sys.stdout.write(format_scan_output(config, profiles))
+        sys.stdout.write(format_scan_output(config, scan_profiles(config)))
     return 0
 
 
-def _census_profiles(args, lo: int, compute: tuple[str, ...], variant_name: str) -> list:
+def _census_profiles(args, lo: int, compute: tuple[str, ...],
+                     variant_name: str) -> Iterator[HammingProfile]:
     """The profiles of the primes in [lo, --limit] under the variant, with the
     statistics of compute: scanned in memory, or read from --scan-file, which
     must cover that range, hold those statistics and, for delta, have the
     radius targets of the variant. Either way the variant is a view of the
-    scan's radii."""
+    scan's radii. The flags and the file are checked before this returns."""
     variant = VARIANTS[variant_name]
     targets = variant.targets  # those of the scan the profiles come from
+    # One check of the flags, the same for either source.
+    config = ScanConfig(lo=lo, hi=args.limit, tasks=args.tasks, targets=targets, compute=compute)
     if not args.scan_file:
-        profiles = scan_range(ScanConfig(lo=lo, hi=args.limit, tasks=args.tasks,
-                                         targets=targets, compute=compute))
+        profiles = scan_profiles(config)
     elif args.tasks != 1:
         raise ValueError("--tasks does not apply to a finished scan read with --scan-file")
     else:
@@ -151,17 +155,11 @@ def _census_profiles(args, lo: int, compute: tuple[str, ...], variant_name: str)
             raise ValueError(f"scan file radii are for {scanned.targets} targets, "
                              f"--variant {variant_name} needs {variant.targets} targets")
         targets = scanned.targets
-    # The profiles are in the base view of those targets; any other view
-    # replaces its profile in place.
+    # The profiles, made as they are read, are in the base view of those
+    # targets; any other view replaces each profile.
     rebuild = variant is not BASE_VIEWS[targets]
-    kept = 0
-    for pr in profiles:
-        if lo <= pr.p <= args.limit:
-            profiles[kept] = (viewed_profile(pr.p, pr.r, pr.w, pr.W, pr.radii, variant)
-                              if rebuild else pr)
-            kept += 1
-    del profiles[kept:]
-    return profiles
+    return (viewed_profile(pr.p, pr.r, pr.w, pr.W, pr.radii, variant) if rebuild else pr
+            for pr in profiles if lo <= pr.p <= args.limit)
 
 
 def cmd_table(args) -> int:
@@ -170,6 +168,8 @@ def cmd_table(args) -> int:
         raise ValueError("limit below the smallest tabulated threshold 10^3")
     compute = _compute_tuple(args.compute)
     profiles = _census_profiles(args, 2, compute, args.variant)
+    if args.paper_diff:  # read twice, by the table and by the itemization
+        profiles = list(profiles)
     table = CountTable.from_profiles(profiles, [10**j for j in exponents])
     header = f"{'j':>2} {'pi':>6}"
     for i in (1, 2, 3):

@@ -2,7 +2,8 @@
 
 Primes are sharded into fixed-size blocks; workers compute per-prime
 statistics independently and the parent takes the blocks back in order, so
-the output bytes do not depend on the task count.
+the output bytes do not depend on the task count. A scan streams: it yields
+a block's profiles after their rows reach the journal, and keeps none.
 
 A scan has one row encoding, the `hamroots.scan.v5` CSV file: a line naming
 the schema, the range, the radius targets (when delta is computed) and the
@@ -14,9 +15,9 @@ counted, not listed, and a profile derives its list again when it is read
 (`HammingProfile.witnesses`). The two header lines are the scan's
 fingerprint. The checkpoint journal is that same file, appended one block at
 a time (each fsynced), so a finished journal equals the output byte for
-byte. Resume reads the journal with the reader of output files: the header
-must be this scan's, every checksum must hold and the rows must be the
-scan's primes in order. A line torn by a crash
+byte. Resume reads the journal a block at a time with the reader of output
+files: the header must be this scan's, every checksum must hold and the rows
+must be the scan's primes in order. Once all is read, a line torn by a crash
 and a partial last block are cut off, and the scan goes on from there.
 """
 
@@ -27,7 +28,7 @@ import os
 import sys
 import zlib
 from operator import attrgetter
-from typing import NamedTuple
+from typing import Generator, Iterable, Iterator, NamedTuple
 
 from .errors import InvariantViolation
 from .hamming import BASE_VIEWS, HammingProfile, Radii, dilation_radii, sparsest, viewed_profile
@@ -165,16 +166,16 @@ def _checksum(text: str) -> str:
 
 
 def _block_encoder(config: ScanConfig):
-    """The function from a list of profiles to their lines, newlines
-    included, in one pass: each row's cells are %-formatted, with "" for a
-    None in the rows that hold one."""
+    """The function from profiles to their lines, newlines included, in
+    one pass: each row's cells are %-formatted, with "" for a None in the
+    rows that hold one."""
     cells_of = attrgetter("p", "r", *_weights(config))
     with_radii = "delta" in config.compute
     row = ",".join(["%s"] * (2 + len(_weights(config)) + 4 * with_radii))
     no_radii = ("", "", "", "")
     crc32 = zlib.crc32
 
-    def encode(profiles: list[HammingProfile]) -> str:
+    def encode(profiles: Iterable[HammingProfile]) -> str:
         lines = []
         for prof in profiles:
             cells = cells_of(prof)
@@ -284,7 +285,7 @@ def read_scan_output(path: str) -> tuple[ScanConfig, list[HammingProfile]]:
     return config, profiles
 
 
-def format_scan_output(config: ScanConfig, profiles: list[HammingProfile]) -> str:
+def format_scan_output(config: ScanConfig, profiles: Iterable[HammingProfile]) -> str:
     """The scan's file: its header, then one line per profile."""
     return _header(config) + _block_encoder(config)(profiles)
 
@@ -298,19 +299,22 @@ def _append(fh, text: str) -> None:
     os.fsync(fh.fileno())
 
 
-def _resume(path: str, config: ScanConfig, primes: list[int]) -> list[HammingProfile]:
-    """The profiles of the whole blocks in a scan's checkpoint journal, which
-    is cut to those blocks: a torn last line and a partial last block go, and
-    so does the header of a journal without a whole block."""
-    rows = []
+def _resume(config: ScanConfig, primes: list[int]) -> Generator[HammingProfile, None, int]:
+    """Yield the profiles of the whole blocks in the scan's checkpoint journal,
+    one block at a time, and return their number. Once read to its end, the
+    journal is cut to those blocks: a torn last line and a partial last block
+    go, and so does the header of a journal without a whole block."""
+    path, kept, end, block = config.checkpoint, 0, 0, []
     if os.path.exists(path):
         with open(path, "rb") as fh:
-            rows = list(_read_rows(fh, path, config, primes))
-    if len(rows) < len(primes):
-        del rows[len(rows) - len(rows) % BLOCK_SIZE:]
+            for prof, row_end in _read_rows(fh, path, config, primes):
+                block.append(prof)
+                if len(block) == BLOCK_SIZE or kept + len(block) == len(primes):
+                    yield from block
+                    kept, end, block = kept + len(block), row_end, []
     with open(path, "ab") as fh:
-        fh.truncate(rows[-1][1] if rows else 0)
-    return [prof for prof, _ in rows]
+        fh.truncate(end)
+    return kept
 
 
 def worker_count(tasks: int, blocks: int, cpus: int | None) -> int:
@@ -354,29 +358,34 @@ def _pool(workers: int):
     return multiprocessing.get_context(method).Pool(workers, _die_with_parent, (os.getpid(),))
 
 
-def scan_range(config: ScanConfig) -> list[HammingProfile]:
-    """All per-prime profiles for primes in [lo, hi], ascending, in the base
-    view of the config's targets, as `read_scan_output` gives them too."""
+def scan_profiles(config: ScanConfig) -> Iterator[HammingProfile]:
+    """Yield the per-prime profiles for primes in [lo, hi], ascending, in the
+    base view of the config's targets, as `read_scan_output` gives them too.
+    A block's profiles are yielded after its rows reach the journal."""
     blocks = -(-(config.hi - config.lo + 1) // BLOCK_SIZE)  # at most this many
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count())  # those this process may run on, where the platform tells
     with _pool(worker_count(config.tasks, blocks, cpus)) as pool:
         primes = sieve_primes(config.hi, config.lo)
-        profiles = _resume(config.checkpoint, config, primes) if config.checkpoint else []
+        done = (yield from _resume(config, primes)) if config.checkpoint else 0
         encode = _block_encoder(config)
         base = BASE_VIEWS[config.targets]
         todo = [(primes[i:i + BLOCK_SIZE], config.targets, tuple(config.compute))
-                for i in range(len(profiles), len(primes), BLOCK_SIZE)]
+                for i in range(done, len(primes), BLOCK_SIZE)]
         with (open(config.checkpoint, "a", encoding="utf-8", newline="\n")
               if config.checkpoint else contextlib.nullcontext()) as journal:
-            if journal and not profiles:
+            if journal and not done:
                 _append(journal, _header(config))
             for rows in (pool.imap if pool and len(todo) > 1 else map)(_scan_block, todo):
                 block = [viewed_profile(*row, base) for row in rows]
-                profiles += block
                 if journal:
                     _append(journal, encode(block))
-    return profiles
+                yield from block
+
+
+def scan_range(config: ScanConfig) -> list[HammingProfile]:
+    """The list of what `scan_profiles` yields."""
+    return list(scan_profiles(config))
 
 
 # --- census aggregation ------------------------------------------------------
@@ -390,7 +399,8 @@ class CountTable:
         self.rows = {} if rows is None else rows
 
     @classmethod
-    def from_profiles(cls, profiles: list[HammingProfile], thresholds: list[int]) -> "CountTable":
+    def from_profiles(cls, profiles: Iterable[HammingProfile],
+                      thresholds: list[int]) -> "CountTable":
         table = cls(thresholds=sorted(thresholds))
         for t in table.thresholds:
             row = {"pi": 0, "w": [0, 0, 0, 0], "W": [0, 0, 0, 0], "delta": [0, 0, 0, 0]}

@@ -314,6 +314,16 @@ def test_table_scan_file_must_hold_the_requested_statistics(tmp_path, capsys):
     assert out == run(capsys, "table", "--limit", "1000", "--compute", "w,W")[1]
 
 
+@pytest.mark.parametrize("compute,got", [("", "()"), ("foo", "('foo',)")],
+                         ids=["empty", "unknown"])
+def test_table_compute_set_is_checked_alike_for_either_source(tmp_path, capsys, compute, got):
+    path = _scan_file(tmp_path, capsys, "ww.csv", "--range", "2", "1000", "--compute", "w,W")
+    message = f"error: compute set must be a nonempty subset of w,W,delta, got {got}\n"
+    for source in ([], ["--scan-file", path]):
+        code, out, err = run_err(capsys, "table", "--limit", "1000", "--compute", compute, *source)
+        assert (code, out, err) == (1, "", message), source
+
+
 def test_scan_file_bytes_depend_only_on_the_targets(tmp_path, capsys):
     def scan_bytes(*argv):
         return open(_scan_file(tmp_path, capsys, "s.csv", "--range", "2", "300", *argv),
@@ -431,7 +441,7 @@ def test_frequencies_paper_diff_needs_the_reference_limit(monkeypatch, capsys):
     code, out = run(capsys, "frequencies", "--limit", "1000")
     assert code == 0 and "reference" not in out
     # a short scan stands in for the census to 10^6: only the limit decides
-    monkeypatch.setattr(cli, "scan_range", lambda config: scan_range(
+    monkeypatch.setattr(cli, "scan_profiles", lambda config: scan_range(
         ScanConfig(lo=2, hi=1000, compute=config.compute)))
     code, out = run(capsys, "frequencies", "--limit", "1000000")
     assert code == 0

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import gc
 import json
 import math
 import multiprocessing
@@ -21,7 +22,8 @@ import hamroots
 from hamroots import hamming, numtheory, scan
 from hamroots.cli import main
 from hamroots.errors import InvariantViolation
-from hamroots.hamming import BASE_VIEWS, CANONICAL, DOMAIN0, Radii, viewed_profile
+from hamroots.hamming import (BASE_VIEWS, CANONICAL, DOMAIN0, HammingProfile, Radii,
+                              viewed_profile)
 from hamroots.scan import (STATS, CountTable, ScanConfig, _block_encoder, _line_decoder,
                            format_scan_output, read_scan_output, scan_range, worker_count)
 
@@ -266,24 +268,32 @@ def test_corrupted_delta_under_original_checksum_rejected(tmp_path):
         read_scan_output(path)
 
 
-def test_journal_with_an_edited_row_is_refused_on_resume(tmp_path, capsys):
-    out, ckpt = tmp_path / "scan.csv", tmp_path / "scan.csv.part"
-    argv = ["scan", "--range", "2", "100", "--compute", "w,W", "--output", str(out)]
-    assert main(argv) == 0
-    capsys.readouterr()
-    out.replace(ckpt)  # the journal of a scan killed before its rename
-    lines = ckpt.read_text().splitlines(keepends=True)
-    i = next(i for i, line in enumerate(lines) if line.startswith("11,3,1,"))
-    lines[i] = "11,3,3," + lines[i][len("11,3,1,"):]  # w of p = 11, 1 -> 3
-    ckpt.write_text("".join(lines))
-    message = f"{ckpt}: checksum mismatch on line {i + 1} (p=11)"
-    cfg = ScanConfig(lo=2, hi=100, compute=("w", "W"), checkpoint=str(ckpt))
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        scan_range(cfg)
-    assert main(argv) == 1
-    assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert ckpt.read_text() == "".join(lines)  # a refused journal is left as it was
-    assert not out.exists()
+def test_journal_with_an_edited_row_is_refused_on_resume(tmp_path, capsys, monkeypatch):
+    # In one block, and in the second of several, after a whole block has
+    # been yielded: either way the journal is cut only after the whole read.
+    for block_size, p, streamed in ((scan.BLOCK_SIZE, 11, []),
+                                    (8, 29, [2, 3, 5, 7, 11, 13, 17, 19])):
+        monkeypatch.setattr(scan, "BLOCK_SIZE", block_size)
+        out, ckpt = tmp_path / f"scan{p}.csv", tmp_path / f"scan{p}.csv.part"
+        argv = ["scan", "--range", "2", "100", "--compute", "w,W", "--output", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        out.replace(ckpt)  # the journal of a scan killed before its rename
+        lines = ckpt.read_text().splitlines(keepends=True)
+        row = f"{p},{(p - 1).bit_length() - 1},"
+        i = next(i for i, line in enumerate(lines) if line.startswith(row + "1,"))
+        lines[i] = row + "3," + lines[i][len(row + "1,"):]  # w of p, 1 -> 3
+        ckpt.write_text("".join(lines))
+        message = f"{ckpt}: checksum mismatch on line {i + 1} (p={p})"
+        cfg = ScanConfig(lo=2, hi=100, compute=("w", "W"), checkpoint=str(ckpt))
+        yielded = []
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            yielded.extend(prof.p for prof in scan.scan_profiles(cfg))
+        assert yielded == streamed
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert ckpt.read_text() == "".join(lines)  # a refused journal is left as it was
+        assert not out.exists()
 
 
 def test_row_whose_r_is_not_the_bit_length_of_p_is_refused(tmp_path, capsys):
@@ -684,6 +694,52 @@ def test_two_task_resume_matches_a_fresh_serial_scan(tmp_path, monkeypatch):
     resumed = ScanConfig(lo=2, hi=2000, tasks=2, checkpoint=str(ckpt))
     assert format_scan_output(resumed, scan_range(resumed)) == expected
     assert ckpt.read_text() == expected
+
+
+def test_a_scan_closed_after_its_first_block_leaves_whole_blocks(tmp_path, monkeypatch):
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 16)
+    serial = ScanConfig(lo=2, hi=2000)
+    fresh = scan_range(serial)
+    expected = format_scan_output(serial, fresh)
+    ckpt = tmp_path / "closed.ckpt"
+    cfg = ScanConfig(lo=2, hi=2000, tasks=2, checkpoint=str(ckpt))
+    profiles = scan.scan_profiles(cfg)
+    first = [next(profiles) for _ in range(16)]
+    assert multiprocessing.active_children()  # the pool is still running
+    profiles.close()
+    assert multiprocessing.active_children() == []
+    assert first == fresh[:16]
+    # the header and the first block, which a rerun resumes
+    assert ckpt.read_text() == "".join(expected.splitlines(keepends=True)[:2 + 16])
+    resumed = ScanConfig(lo=2, hi=2000, checkpoint=str(ckpt))
+    assert format_scan_output(resumed, scan_range(resumed)) == expected
+    assert ckpt.read_text() == expected
+
+
+@pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
+def test_a_scan_holds_at_most_about_one_block_of_profiles(tmp_path, monkeypatch, capsys,
+                                                          resumed):
+    """Sampled at each journal write, the profiles alive beyond those held
+    before the scan never exceed two blocks, in a range of 42 blocks."""
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 16)
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--range", "2", "5000", "--compute", "w,W", "--output", str(out)]
+    assert main(argv) == 0
+    expected = out.read_bytes()
+    if resumed:
+        out.with_name("scan.csv.part").write_bytes(expected[:len(expected) // 2])
+    out.unlink()
+    gc.collect()
+
+    def live():
+        return sum(type(obj) is HammingProfile for obj in gc.get_objects())
+    before, seen = live(), []
+    append = scan._append
+    monkeypatch.setattr(scan, "_append", lambda fh, text: seen.append(live()) or append(fh, text))
+    assert main(argv) == 0
+    assert out.read_bytes() == expected
+    assert len(seen) > 10 and max(seen) - before <= 2 * 16
 
 
 _SCAN_BLOCK = scan._scan_block
