@@ -28,15 +28,14 @@ class BoundReport:
 
     magnitude: float
     bound: float
-    formula: str
     ratio: float
     applicable: bool = True
     note: str = ""
 
     @classmethod
-    def compare(cls, magnitude: float, bound: float, formula: str,
+    def compare(cls, magnitude: float, bound: float,
                 applicable: bool = True, note: str = "") -> "BoundReport":
-        return cls(magnitude=magnitude, bound=bound, formula=formula,
+        return cls(magnitude=magnitude, bound=bound,
                    ratio=magnitude / bound if bound else math.inf,
                    applicable=applicable, note=note)
 
@@ -59,9 +58,9 @@ def pv_burgess_bound_report(chi: Character, start: int, length: int, nu: int = 1
     mag = interval_char_sum(chi, start, length).magnitude()
     bound = length ** (1 - 1 / nu) * chi.p ** ((nu + 1) / (4 * nu * nu))
     if chi.is_principal:
-        return BoundReport.compare(mag, bound, f"pv-burgess(nu={nu})",
-                                   applicable=False, note="bound inapplicable (principal)")
-    return BoundReport.compare(mag, bound, f"pv-burgess(nu={nu})")
+        return BoundReport.compare(mag, bound, applicable=False,
+                                   note="bound inapplicable (principal)")
+    return BoundReport.compare(mag, bound)
 
 
 def split_char_sum(ctx: PrimeContext, n: int, k: int, hi_flips: int, lo_flips: int,
@@ -106,9 +105,9 @@ def hoelder_bound_report(ctx: PrimeContext, n: int, k: int, hi_flips: int,
     bound = (n_u**nu_exp * n_v**0.5 * 2 ** (k / (2 * nu))
              + n_u**nu_exp * n_v * 2 ** (ctx.r / (4 * nu)) * math.log(ctx.p) ** (1 / (2 * nu)))
     if chi.is_principal:
-        return BoundReport.compare(mag, bound, f"hoelder(nu={nu})",
-                                   applicable=False, note="bound inapplicable (principal)")
-    return BoundReport.compare(mag, bound, f"hoelder(nu={nu})")
+        return BoundReport.compare(mag, bound, applicable=False,
+                                   note="bound inapplicable (principal)")
+    return BoundReport.compare(mag, bound)
 
 
 # --- polynomial character sums ---------------------------------------------
@@ -217,8 +216,7 @@ def poly_char_sum(ctx: PrimeContext, chi: Character, coeffs: list[int],
         applicable, note = False, "bound inapplicable (principal)"
     elif is_power_of_rational(f, p, chi.order):
         applicable, note = False, f"bound inapplicable (F is an m-th power, m={chi.order})"
-    return acc, BoundReport.compare(acc.magnitude(), bound, "weil",
-                                    applicable=applicable, note=note)
+    return acc, BoundReport.compare(acc.magnitude(), bound, applicable=applicable, note=note)
 
 
 def legendre_partial_sum_report(ctx: PrimeContext, length: int) -> BoundReport:
@@ -232,8 +230,7 @@ def legendre_partial_sum_report(ctx: PrimeContext, length: int) -> BoundReport:
     if not 1 <= length <= p:
         raise ValueError(f"length must be in [1, {p}]")
     total = sum(legendre_symbol(z, p) for z in range(1, length + 1))
-    return BoundReport.compare(abs(total), float(length), "legendre-partial",
-                               note=f"sum={total}")
+    return BoundReport.compare(abs(total), float(length), note=f"sum={total}")
 
 
 def legendre_character(ctx: PrimeContext) -> Character:

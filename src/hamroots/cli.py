@@ -18,7 +18,7 @@ import hamroots
 
 from . import reference
 from .errors import CapabilityError, InvariantViolation
-from .hamming import BASE_VIEWS, DOMAIN0, VARIANTS, HammingProfile, dilation_radii, viewed_profile
+from .hamming import BASE_VIEWS, DOMAIN0, VARIANTS, HammingProfile, dilation_radii
 from .numtheory import PrimeContext, divisors, is_primitive_root, sieve_primes
 from .scan import CountTable, ScanConfig, format_scan_output, read_scan_output, scan_profiles
 
@@ -158,7 +158,8 @@ def _census_profiles(args, lo: int, compute: tuple[str, ...],
     # The profiles, made as they are read, are in the base view of those
     # targets; any other view replaces each profile.
     rebuild = variant is not BASE_VIEWS[targets]
-    return (viewed_profile(pr.p, pr.r, pr.w, pr.W, pr.radii, variant) if rebuild else pr
+    return (HammingProfile(pr.p, pr.r, pr.w, pr.W, variant=variant.name, radii=pr.radii)
+            if rebuild else pr
             for pr in profiles if lo <= pr.p <= args.limit)
 
 
@@ -211,7 +212,7 @@ def _itemize_variant_differences(profiles, variant: str) -> None:
         if prof.delta is None or prof.p == 2:
             continue
         radii = dilation_radii(PrimeContext.for_prime(prof.p), False) if reduced else prof.radii
-        alt = viewed_profile(prof.p, prof.r, prof.w, prof.W, radii, DOMAIN0)
+        alt = HammingProfile(prof.p, prof.r, prof.w, prof.W, variant=DOMAIN0.name, radii=radii)
         if alt.delta != prof.delta:
             print(f"  p={prof.p}: {variant}={prof.delta} (classes "
                   f"{';'.join(map(str, prof.witnesses))}) domain0={alt.delta} "

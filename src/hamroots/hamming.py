@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import CapabilityError, InvariantViolation
-from .numtheory import PrimeContext, _NONZERO, _jacobi, bitmap_to_set, is_primitive_root
+from .numtheory import PrimeContext, _jacobi, bitmap_to_set, is_primitive_root
 
 
 class _BitExpansion(NamedTuple):
@@ -266,6 +266,11 @@ def dilate(bitmap: int, length: int) -> int:
     return out
 
 
+# Maps each byte to 0 if it is zero and to 1 if not, for `bytes.translate`,
+# so that a find of 1 in the result finds the next nonzero byte.
+_NONZERO = b"\0" + b"\1" * 255
+
+
 def _certify_core(ctx: PrimeContext, reduced_targets: bool, core: int, uncovered: int) -> None:
     """Raise InvariantViolation unless up to nine points of the uncovered set
     (the lowest, the highest, and the lowest at or above k*p/8 for k = 1..7)
@@ -350,13 +355,6 @@ def view(radii: Radii, variant: RadiusVariant) -> tuple[int, int]:
     return delta, (end == delta) + (radii.count if radii.core == delta else 0)
 
 
-def viewed_profile(p: int, r: int, w: int | None, W: int | None, radii: Radii | None,
-                   variant: RadiusVariant) -> HammingProfile:
-    """The profile of these statistics whose delta and witnesses are the
-    variant's view of radii; the variant's targets must be those of radii."""
-    return HammingProfile(p, r, w, W, variant=variant.name, radii=radii)
-
-
 def covering_radius(ctx: PrimeContext, variant: RadiusVariant = CANONICAL
                     ) -> tuple[int, tuple[int, ...]]:
     """Covering radius and its witness classes (n mod p, ascending) over the
@@ -428,26 +426,12 @@ def min_flips_to_primroot(n: int, ctx: PrimeContext, variant: RadiusVariant = CA
 # --- minimal-weight statistics --------------------------------------------
 
 
-def _next_same_weight(v: int) -> int:
-    # Gosper's hack: next larger integer with the same popcount.
-    c = v & -v
-    r = v + c
-    return r | (((v ^ r) >> 2) // c)
-
-
-def ascending_weight_values(weight: int, below: int):
-    """Integers of the given Hamming weight in [1, below), ascending."""
-    v = (1 << weight) - 1
-    while v < below:
-        yield v
-        v = _next_same_weight(v)
-
-
 @lru_cache(maxsize=None)
 def _weight_class(bit_len: int, weight: int) -> tuple[int, ...]:
-    """The bit_len-bit integers of the given weight, ascending: one tuple per
-    bit length, which every prime of that length cuts at p."""
-    return tuple(ascending_weight_values(weight, 1 << bit_len))
+    """The bit_len-bit integers of the given weight, ascending (the flips of
+    0, sorted): one tuple per bit length, which every prime of that length
+    cuts at p."""
+    return tuple(sorted(_flips(0, bit_len, weight)))
 
 
 def sparsest(p: int, odd_exponents: list[int], roots: bool

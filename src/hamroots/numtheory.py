@@ -356,41 +356,17 @@ def _bit_reversal() -> bytes:
     return bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-@lru_cache(maxsize=1)
-def _byte_bits() -> list[bytes]:
-    """The 8 bits of each byte value as 0/1 bytes, least significant first,
-    built on first use."""
-    return [bytes(b >> i & 1 for i in range(8)) for b in range(256)]
-
-
-# Maps each byte to 0 if it is zero and to 1 if not, for `bytes.translate`,
-# so that a find of 1 in the result finds the next nonzero byte.
-_NONZERO = b"\0" + b"\1" * 255
-
-# bitmap_to_set expands at most this many bytes of a run at a time.
-_RUN_CAP = 4096
+# Maps the digits "0" and "1" to the bytes 0 and 1, for `bytes.translate`.
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def bitmap_to_set(bitmap: int) -> list[int]:
     """Indices of set bits of a non-negative int, ascending.
 
-    Reads one little-endian `to_bytes` copy of the int, bit_length / 8 bytes,
-    and a 0/1 flag per byte of it; finds each run of nonzero bytes with
-    `bytes.find` on the flags and expands only those runs, at most 4096
-    bytes at a time, into their bits. A sparse set builds nothing of the
-    int's full length in bits."""
-    octets = bitmap.to_bytes((bitmap.bit_length() + 7) // 8, "little")
-    flags = octets.translate(_NONZERO)
-    bits = _byte_bits()
-    out = []
-    i = flags.find(1)
-    while i >= 0:
-        j = flags.find(0, i, i + _RUN_CAP)
-        if j < 0:
-            j = min(i + _RUN_CAP, len(octets))
-        out.extend(compress(range(8 * i, 8 * j), b"".join(map(bits.__getitem__, octets[i:j]))))
-        i = flags.find(1, j)
-    return out
+    One pass: the binary digits of the int, least significant first, as 0/1
+    bytes select their own indices."""
+    digits = format(bitmap, "b")[::-1].encode().translate(_DIGIT_BITS)
+    return list(compress(range(len(digits)), digits))
 
 
 def poly_divmod(a: list[int], b: list[int], p: int | None = None

@@ -31,7 +31,7 @@ from operator import attrgetter
 from typing import Generator, Iterable, Iterator, NamedTuple
 
 from .errors import InvariantViolation
-from .hamming import BASE_VIEWS, HammingProfile, Radii, dilation_radii, sparsest, viewed_profile
+from .hamming import BASE_VIEWS, HammingProfile, Radii, dilation_radii, sparsest
 from .numtheory import (PrimeContext, euler_phi, factorize_pm1, is_primitive_root,
                         least_primitive_root, sieve_primes)
 
@@ -57,6 +57,12 @@ class ScanConfig(_ScanConfig):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        for name in ("lo", "hi", "tasks"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if not (self.checkpoint is None or isinstance(self.checkpoint, (str, os.PathLike))):
+            raise ValueError(f"checkpoint must be None or a path, got {self.checkpoint!r}")
         if self.lo < 2 or self.hi < self.lo:
             raise ValueError(f"bad scan range [{self.lo}, {self.hi}]")
         if type(self.targets) is not str or self.targets not in BASE_VIEWS:
@@ -203,7 +209,7 @@ def _line_decoder(config: ScanConfig):
     weights = _weights(config)
     with_radii = "delta" in config.compute
     n_cells = 3 + len(weights) + 4 * with_radii  # p, r, w and W, the radii, checksum
-    base = BASE_VIEWS[config.targets]
+    base = BASE_VIEWS[config.targets].name
 
     def decode(line: str) -> HammingProfile:
         cells = line.split(",")
@@ -217,7 +223,7 @@ def _line_decoder(config: ScanConfig):
         p, r = _csv_int(cells[0]), _csv_int(cells[1])
         if r != (p - 1).bit_length() - 1:
             raise ValueError(f"r={r}, but p={p} has r={(p - 1).bit_length() - 1}")
-        return viewed_profile(p, r, values.get("w"), values.get("W"), radii, base)
+        return HammingProfile(p, r, values.get("w"), values.get("W"), variant=base, radii=radii)
     return decode
 
 
@@ -369,7 +375,7 @@ def scan_profiles(config: ScanConfig) -> Iterator[HammingProfile]:
         primes = sieve_primes(config.hi, config.lo)
         done = (yield from _resume(config, primes)) if config.checkpoint else 0
         encode = _block_encoder(config)
-        base = BASE_VIEWS[config.targets]
+        base = BASE_VIEWS[config.targets].name
         todo = [(primes[i:i + BLOCK_SIZE], config.targets, tuple(config.compute))
                 for i in range(done, len(primes), BLOCK_SIZE)]
         with (open(config.checkpoint, "a", encoding="utf-8", newline="\n")
@@ -377,7 +383,8 @@ def scan_profiles(config: ScanConfig) -> Iterator[HammingProfile]:
             if journal and not done:
                 _append(journal, _header(config))
             for rows in (pool.imap if pool and len(todo) > 1 else map)(_scan_block, todo):
-                block = [viewed_profile(*row, base) for row in rows]
+                block = [HammingProfile(p, r, w, W, variant=base, radii=radii)
+                         for p, r, w, W, radii in rows]
                 if journal:
                     _append(journal, encode(block))
                 yield from block
@@ -394,17 +401,15 @@ def scan_range(config: ScanConfig) -> list[HammingProfile]:
 class CountTable:
     """Counts of primes per statistic value at each 10^j threshold."""
 
-    def __init__(self, thresholds: list[int], rows: dict[int, dict] | None = None):
-        self.thresholds = thresholds
-        self.rows = {} if rows is None else rows
+    def __init__(self, thresholds: list[int]):
+        self.thresholds = sorted(thresholds)
+        self.rows = {t: {"pi": 0, "w": [0, 0, 0, 0], "W": [0, 0, 0, 0], "delta": [0, 0, 0, 0]}
+                     for t in self.thresholds}
 
     @classmethod
     def from_profiles(cls, profiles: Iterable[HammingProfile],
                       thresholds: list[int]) -> "CountTable":
-        table = cls(thresholds=sorted(thresholds))
-        for t in table.thresholds:
-            row = {"pi": 0, "w": [0, 0, 0, 0], "W": [0, 0, 0, 0], "delta": [0, 0, 0, 0]}
-            table.rows[t] = row
+        table = cls(thresholds)
         for prof in profiles:
             for t in table.thresholds:
                 if prof.p > t:

@@ -32,7 +32,7 @@ from hamroots.constants import (artin_constant, entropy, entropy_half_point,
 from hamroots.cubes import (NONRESIDUE, cube_census, max_avoiding_dimension)
 from hamroots.hamming import (CANONICAL, DOMAIN0, covering_radius,
                               covering_radius_bfs, dilation_radii,
-                              min_flips_to_primroot, viewed_profile)
+                              HammingProfile, min_flips_to_primroot)
 from hamroots.numtheory import (PrimeContext, divisors, factorize,
                                 is_primitive_root, legendre_symbol,
                                 sieve_primes)
@@ -48,7 +48,8 @@ def scan_10k():
 @pytest.fixture(scope="module")
 def scan_10k_domain0(scan_10k):
     """The same scan under the reference tables' convention (0 scanned)."""
-    return [viewed_profile(pr.p, pr.r, pr.w, pr.W, pr.radii, DOMAIN0) for pr in scan_10k]
+    return [HammingProfile(pr.p, pr.r, pr.w, pr.W, variant=DOMAIN0.name, radii=pr.radii)
+            for pr in scan_10k]
 
 
 @pytest.fixture(scope="module")

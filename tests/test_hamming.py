@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from hamroots import hamming
 from hamroots.errors import CapabilityError, InvariantViolation
 from hamroots.hamming import (BitExpansion, CANONICAL, DOMAIN0, REDUCED, HammingProfile, Radii,
-                              _flip_shuffles, _weight_class, ascending_weight_values,
+                              _flip_shuffles, _weight_class,
                               dilation_radii, sparsest,
                               covering_radius, covering_radius_bfs, dilate,
                               hamming_distance, hamming_weight, high_bit_flip_set,
                               low_bit_flip_set, min_flips_to_primroot,
                               min_nonresidue_weight, min_primroot_weight,
-                              recombined_set, view, viewed_profile)
+                              recombined_set, view)
 from hamroots.numtheory import (PrimeContext, bitmap_to_set, factorize_pm1, legendre_symbol,
                                 sieve_primes)
 from hamroots.scan import ScanConfig, scan_range
@@ -346,6 +346,17 @@ def test_sparsest_search_matches_brute_force_below_20000():
             assert min_nonresidue_weight(ctx) == (witness.bit_count(), witness), p
 
 
+def _gosper(weight, below):
+    """Integers of the given weight in [1, below), ascending, by Gosper's
+    hack: an enumeration of a weight class independent of `hamming._flips`."""
+    v = (1 << weight) - 1
+    while v < below:
+        yield v
+        c = v & -v
+        r = v + c
+        v = r | (((v ^ r) >> 2) // c)
+
+
 def _euler_sweep(ctx, roots):
     """The candidate sweep with one Euler test v^((p-1)/2) per candidate and
     each weight class enumerated afresh below p: the oracle of `sparsest`."""
@@ -354,7 +365,7 @@ def _euler_sweep(ctx, roots):
     odd_exponents = ctx.pr_test_exponents()[1:]
     nonresidue = None
     for weight in range(1, ctx.bit_len + 1):
-        for v in (2,) if weight == 1 else ascending_weight_values(weight, p):
+        for v in (2,) if weight == 1 else _gosper(weight, p):
             if pow(v, half, p) != p - 1:
                 continue
             if nonresidue is None:
@@ -412,7 +423,7 @@ def test_weight_classes_are_cached_gosper_enumerations():
     for bit_len in range(2, 23):
         for weight in range(2, 5):
             cls = _weight_class(bit_len, weight)
-            assert cls == tuple(ascending_weight_values(weight, 1 << bit_len))
+            assert cls == tuple(_gosper(weight, 1 << bit_len))
             assert _weight_class(bit_len, weight) is cls
             if bit_len <= 12:
                 assert cls == tuple(v for v in range(1 << bit_len) if v.bit_count() == weight)
@@ -422,7 +433,7 @@ def test_profile_bundle():
     (prof,) = scan_range(ScanConfig(lo=7, hi=7))
     assert (prof.w, prof.W, prof.delta, prof.witnesses) == (2, 2, 2, (6,))
     assert prof.radii == Radii(2, 2, 1, 1) and prof.witness_count == 1
-    prof0 = viewed_profile(prof.p, prof.r, prof.w, prof.W, prof.radii, DOMAIN0)
+    prof0 = HammingProfile(prof.p, prof.r, prof.w, prof.W, variant=DOMAIN0.name, radii=prof.radii)
     assert (prof0.delta, prof0.witnesses, prof0.radii) == (2, (0, 6), prof.radii)
     assert prof0.witness_count == 2
     (prof2,) = scan_range(ScanConfig(lo=2, hi=2))

@@ -53,8 +53,9 @@ def _dead_definitions(modules: dict[str, str], references: list[str]) -> list[st
 def _unpassed_defaults(modules: dict[str, str], references: list[str]) -> list[str]:
     """Defaulted parameters of functions in `modules` that no call in `modules`
     or `references` passes, by position or keyword. Calls are matched by the
-    name of the callee; one with *args or **kwargs passes everything. A
-    method's positions skip self or cls; dunder methods are exempt."""
+    name of the callee, and those of an `__init__` by the name of its class;
+    one with *args or **kwargs passes everything. A method's positions skip
+    self or cls; other dunder methods are exempt."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     calls = [node for tree in [*trees.values(), *map(ast.parse, references)]
              for node in ast.walk(tree) if isinstance(node, ast.Call)]
@@ -74,11 +75,16 @@ def _unpassed_defaults(modules: dict[str, str], references: list[str]) -> list[s
                    for member in node.body
                    if not any(getattr(dec, "id", None) == "staticmethod"
                               for dec in getattr(member, "decorator_list", ()))}
+        inits = {id(member): node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for member in node.body
+                 if getattr(member, "name", None) == "__init__"}
         for node in ast.walk(tree):
             if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    or (node.name.startswith("__") and node.name.endswith("__"))):
+                    or (node.name.startswith("__") and node.name.endswith("__")
+                        and id(node) not in inits)):
                 continue
-            got = passed.get(node.name, set())
+            callee = inits.get(id(node), node.name)
+            got = passed.get(callee, set())
             if "*" in got:
                 continue
             positional = node.args.posonlyargs + node.args.args
@@ -87,8 +93,32 @@ def _unpassed_defaults(modules: dict[str, str], references: list[str]) -> list[s
                          if i >= len(positional) - len(node.args.defaults)]
             defaulted += [(None, arg.arg) for arg, default
                           in zip(node.args.kwonlyargs, node.args.kw_defaults) if default]
-            out += [f"{module}:{node.lineno}: {node.name}({param})" for pos, param in defaulted
+            what = f"{callee}.__init__" if id(node) in inits else node.name
+            out += [f"{module}:{node.lineno}: {what}({param})" for pos, param in defaulted
                     if pos not in got and param not in got]
+    return out
+
+
+def _unread_fields(modules: dict[str, str], references: list[str]) -> list[str]:
+    """Annotated fields of the NamedTuple and dataclass classes of `modules`
+    whose name no attribute in `modules` or `references` reads."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    attrs = {node.attr for tree in [*trees.values(), *map(ast.parse, references)]
+             for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    out = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            marks = [getattr(base, "id", None) for base in node.bases]
+            marks += [getattr(getattr(dec, "func", dec), "id", None)
+                      for dec in node.decorator_list]
+            if "NamedTuple" not in marks and "dataclass" not in marks:
+                continue
+            out += [f"{module}:{field.lineno}: {node.name}.{field.target.id}"
+                    for field in node.body
+                    if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+                    and field.target.id not in attrs]
     return out
 
 
@@ -141,13 +171,19 @@ def test_unpassed_defaults_detector():
               "    def m(self, a, b=1, c=2): pass\n"
               "    @staticmethod\n"
               "    def s(a=0, b=1): pass\n"
-              "    def __init__(self, x=0): pass\n"
+              "    def __init__(self, x=0, y=1): pass\n"
+              "    def __call__(self, z=0): pass\n"
               "def f(a, b=1, *, c=2, d=3): pass\n"
               "def g(a=1, b=2): pass\n"
-              "def h(a=1): pass\n")
-    references = ["C().m(1, 2)\nC.s(5)\nf(1, c=2)\ng(*args)\nh(**kw)\n"]
+              "def h(a=1): pass\n"
+              "class D:\n"
+              "    def __init__(self, a, b=1): pass\n"
+              "    @classmethod\n"
+              "    def make(cls): return cls(0, b=2)\n")
+    references = ["C(y=2).m(1, 2)\nC.s(5)\nf(1, c=2)\ng(*args)\nh(**kw)\nD(1)\n"]
     assert _unpassed_defaults({"m.py": module}, references) == [
-        "m.py:6: f(b)", "m.py:6: f(d)", "m.py:2: m(c)", "m.py:4: s(b)"]
+        "m.py:7: f(b)", "m.py:7: f(d)", "m.py:2: m(c)", "m.py:4: s(b)",
+        "m.py:5: C.__init__(x)", "m.py:11: D.__init__(b)"]
 
 
 def test_no_unpassed_defaults_in_src():
@@ -158,6 +194,37 @@ def test_no_unpassed_defaults_in_src():
                   for path in sorted((ROOT / folder).rglob("*.py"))]
     assert modules and references
     assert _unpassed_defaults(modules, references) == []
+
+
+def test_unread_fields_detector():
+    module = ("from dataclasses import dataclass\n"
+              "from typing import NamedTuple\n"
+              "class T(NamedTuple):\n"
+              "    read: int\n"
+              "    unread: int = 0\n"
+              "@dataclass(frozen=True)\n"
+              "class D:\n"
+              "    kept: str\n"
+              "    dropped: str\n"
+              "    LIMIT = 3\n"
+              "@dataclass\n"
+              "class E:\n"
+              "    lost: int\n"
+              "class Plain:\n"
+              "    ignored: int\n")
+    references = ["t = T(1)\nt.read\nD('a', 'b').kept\nunread = dropped = 1\n"]
+    assert _unread_fields({"m.py": module}, references) == [
+        "m.py:5: T.unread", "m.py:9: D.dropped", "m.py:13: E.lost"]
+
+
+def test_no_unread_fields_in_src():
+    modules = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "hamroots").rglob("*.py"))}
+    references = [path.read_text(encoding="utf-8")
+                  for folder in ("tests", "perfbench")
+                  for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert modules and references
+    assert _unread_fields(modules, references) == []
 
 
 # Defaulted parameters that only tests pass, each kept on purpose.

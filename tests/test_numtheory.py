@@ -284,9 +284,9 @@ def test_phi_mobius_divisors():
 @given(st.integers(min_value=0, max_value=1 << 300))
 @example(0)
 @example(1)
-@example(0xFF << 4)  # one run across a byte boundary
-@example(1 | 1 << 20000)  # two runs far apart
-@example((1 << 8 * 4100 + 3) - 1)  # all ones, longer than one expanded run of 4096 bytes
+@example(0xFF << 4)  # set bits across a byte boundary
+@example(1 | 1 << 20000)  # a sparse set: two bits far apart
+@example((1 << 8 * 4100 + 3) - 1)  # all ones, over 4096 bytes
 def test_bitmap_to_set_matches_per_index_check(x):
     assert bitmap_to_set(x) == [i for i in range(x.bit_length()) if x >> i & 1]
 

@@ -22,8 +22,7 @@ import hamroots
 from hamroots import hamming, numtheory, scan
 from hamroots.cli import main
 from hamroots.errors import InvariantViolation
-from hamroots.hamming import (BASE_VIEWS, CANONICAL, DOMAIN0, HammingProfile, Radii,
-                              viewed_profile)
+from hamroots.hamming import BASE_VIEWS, CANONICAL, DOMAIN0, HammingProfile, Radii
 from hamroots.scan import (STATS, CountTable, ScanConfig, _block_encoder, _line_decoder,
                            format_scan_output, read_scan_output, scan_range, worker_count)
 
@@ -98,7 +97,8 @@ def test_scan_deterministic_across_task_counts(monkeypatch):
 
 def _domain0(profiles):
     """The profiles under the domain0 view of their radii."""
-    return [viewed_profile(pr.p, pr.r, pr.w, pr.W, pr.radii, DOMAIN0) for pr in profiles]
+    return [HammingProfile(pr.p, pr.r, pr.w, pr.W, variant=DOMAIN0.name, radii=pr.radii)
+            for pr in profiles]
 
 
 def test_scan_domain0_variant_rows():
@@ -532,8 +532,8 @@ _computes = st.sets(st.sampled_from(STATS), min_size=1).map(tuple)
 def test_row_codecs_round_trip(row, compute):
     cfg = ScanConfig(lo=2, hi=3, compute=compute)
     p, r, w, big_w, radii = row
-    prof = viewed_profile(p, r, w if "w" in compute else None, big_w if "W" in compute else None,
-                          radii if "delta" in compute else None, CANONICAL)
+    prof = HammingProfile(p, r, w if "w" in compute else None, big_w if "W" in compute else None,
+                          variant=CANONICAL.name, radii=radii if "delta" in compute else None)
     line = _block_encoder(cfg)([prof])
     assert line.endswith("\n") and "\n" not in line[:-1]
     assert _line_decoder(cfg)(line[:-1]) == prof
@@ -562,10 +562,10 @@ def test_block_encoder_matches_the_line_oracle(targets, compute, rows):
     """Same bytes as one line at a time, for rows with None cells, radii
     and either radius targets."""
     cfg = ScanConfig(lo=2, hi=3, targets=targets, compute=compute)
-    base = BASE_VIEWS[targets]
-    profiles = [viewed_profile(p, r, w if "w" in compute else None,
+    base = BASE_VIEWS[targets].name
+    profiles = [HammingProfile(p, r, w if "w" in compute else None,
                                big_w if "W" in compute else None,
-                               radii if "delta" in compute else None, base)
+                               variant=base, radii=radii if "delta" in compute else None)
                 for p, r, w, big_w, radii in rows]
     assert _block_encoder(cfg)(profiles) == "".join(map(_line_oracle(cfg), profiles))
 
@@ -1051,10 +1051,14 @@ def test_count_table_identities():
     assert table.sum_identity_ok(1000, "w")
     assert table.sum_identity_ok(1000, "W")
     assert table.sum_identity_ok(1000, "delta")
-    # a table built without rows has rows of its own
-    first, second = CountTable([10]), CountTable(thresholds=[10])
-    first.rows[10] = {}
-    assert second.rows == {} and first.thresholds == second.thresholds == [10]
+    # each table has zero rows of its own, at its thresholds sorted
+    first, second = CountTable([10, 1]), CountTable(thresholds=[1, 10])
+    assert first.thresholds == second.thresholds == [1, 10]
+    first.rows[10]["pi"] = 5
+    first.rows[10]["w"][0] = 5
+    assert second.rows[10] == {"pi": 0, "w": [0, 0, 0, 0], "W": [0, 0, 0, 0],
+                               "delta": [0, 0, 0, 0]}
+    assert first.rows[1] == second.rows[1]
 
 
 def test_frequencies_at_1000():
@@ -1079,11 +1083,26 @@ def test_config_validation():
         ScanConfig(3, 10, 1, "literal", ())
     with pytest.raises(ValueError, match="^tasks must be >= 1$"):
         ScanConfig(lo=3, hi=10, tasks=0)
+    # counts must be ints (a bool is not), and a checkpoint None or a path:
+    # an int would be taken as an open file descriptor
+    for field, value in (("lo", 2.0), ("hi", 1e3), ("hi", "100"), ("tasks", 1.5),
+                         ("tasks", True), ("lo", False)):
+        with pytest.raises(ValueError, match=f"^{field} must be an int, got {value!r}$"):
+            ScanConfig(**{"lo": 2, "hi": 100, field: value})
+    for value in (3, b"j", ["j"]):
+        with pytest.raises(ValueError, match=r"^checkpoint must be None or a path, got "
+                                             + re.escape(repr(value)) + "$"):
+            ScanConfig(lo=2, hi=100, checkpoint=value)
     # _replace and _make check as the constructor does
     with pytest.raises(ValueError, match=r"^bad scan range \[1, 10\]$"):
         ScanConfig(3, 10)._replace(lo=1, tasks=0)
     with pytest.raises(ValueError, match="^tasks must be >= 1$"):
         ScanConfig._make((3, 10, 0))
+    with pytest.raises(ValueError, match="^checkpoint must be None or a path, got 3$"):
+        ScanConfig(3, 10)._replace(checkpoint=3)
+    with pytest.raises(ValueError, match="^hi must be an int, got 1000.0$"):
+        ScanConfig(3, 10)._replace(hi=1e3)
+    assert ScanConfig(3, 10, checkpoint=Path("j")).checkpoint == Path("j")
     # A valid config is built by position or by keyword, with the same
     # defaults, is equal by value, and no field can be assigned.
     config = ScanConfig(3, 10)
