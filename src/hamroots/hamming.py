@@ -318,8 +318,8 @@ def _dilation(ctx: PrimeContext, reduced_targets: bool) -> tuple[Radii, int]:
     p = ctx.p
     if p == 2:
         raise CapabilityError("p = 2 is excluded from covering-radius scans")
-    core = (1 << p) - 2  # n in [1, p-1]
     ball = previous = _target_bitmap(ctx, reduced_targets)
+    core = (1 << p) - 2  # n in [1, p-1]; made after the bitmap, so not live while it is built
     radius = 0
     core_radius = dist_0 = dist_p = None
     while True:

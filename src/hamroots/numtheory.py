@@ -8,7 +8,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 from itertools import compress
 
-from .errors import CapabilityError
+from .errors import CapabilityError, InvariantViolation
 
 # Discrete-log (index) tables are built by enumerating powers of the least
 # primitive root, so character work is capped to moduli where an O(p) table
@@ -267,10 +267,13 @@ class PrimeContext:
     def pr_bitmap(self) -> int:
         """Bitmap over [0, 2^bit_len) with bit a set iff a is a primitive root.
 
-        Exactly phi(p-1) bits are set; the result is cached on the context.
+        Checked once by `_check_pr_bitmap` before it is cached on the context,
+        so every reader gets a checked bitmap or the InvariantViolation refusing it.
         """
         if self._pr_bitmap is None:
-            self._pr_bitmap = _build_pr_bitmap(self)
+            bitmap = _build_pr_bitmap(self)
+            _check_pr_bitmap(self, bitmap)
+            self._pr_bitmap = bitmap
         return self._pr_bitmap
 
     def index_table(self) -> list[int]:
@@ -348,6 +351,30 @@ def _build_pr_bitmap(ctx: PrimeContext) -> int:
                             "little") >> (8 * size - p)
     # One shift more makes flipped's bit p - 1 - x the mirror bit p - x.
     return bitmap | flipped << 1 if end < m else bitmap
+
+
+def _check_pr_bitmap(ctx: PrimeContext, bm: int) -> None:
+    """Raise InvariantViolation unless the primitive-root bitmap has
+    phi(p - 1) bits set, none of them 0 or at or above p, sets the least
+    primitive root, and agrees with `is_primitive_root` at 16 positions
+    spread over [1, p - 1], set and unset; `pow` decides those without the
+    bitmap. phi comes from `euler_phi`, whose trial division does not read
+    the block sieve that a scan's factors of p - 1 come from."""
+    p = ctx.p
+    phi, count, g = euler_phi(p - 1), bm.bit_count(), least_primitive_root(ctx)
+    fault = (f"has {count} bits set, not phi(p-1) = {phi}" if count != phi
+             else "sets bit 0" if bm & 1
+             else "sets a bit at or above p" if bm >> p
+             else f"lacks the least primitive root {g}" if not bm & 1 << g
+             else None)
+    if not fault:  # one copy of the bitmap, which fits in p bits, serves the 16 positions
+        octets = bm.to_bytes((p + 7) // 8, "little")
+        fault = next((f"has bit {x} = {b}, but is_primitive_root({x}) is {not b}"
+                      for x in (1 + k * (p - 2) // 15 for k in range(16))
+                      if (b := octets[x >> 3] >> (x & 7) & 1) != is_primitive_root(x, ctx)),
+                     None)
+    if fault:
+        raise InvariantViolation(f"p={p}: the primitive-root bitmap (_build_pr_bitmap) {fault}")
 
 
 @lru_cache(maxsize=1)

@@ -32,8 +32,7 @@ from typing import Generator, Iterable, Iterator, NamedTuple
 
 from .errors import InvariantViolation
 from .hamming import BASE_VIEWS, HammingProfile, Radii, dilation_radii, sparsest
-from .numtheory import (PrimeContext, euler_phi, factorize_pm1, is_primitive_root,
-                        least_primitive_root, sieve_primes)
+from .numtheory import PrimeContext, factorize_pm1, sieve_primes
 
 SCHEMA_ID = "hamroots.scan.v5"
 BLOCK_SIZE = 4096
@@ -81,31 +80,6 @@ class ScanConfig(_ScanConfig):
         return cls(*iterable)
 
 
-def _check_bitmap(ctx: PrimeContext, targets: str) -> None:
-    """Raise InvariantViolation unless the primitive-root bitmap that delta
-    is dilated from has phi(p - 1) bits set, none of them 0 or at or above p,
-    sets the least primitive root, and agrees with `is_primitive_root` at 16
-    positions spread over [1, p - 1], set and unset; `pow` decides those
-    without the bitmap. phi comes from `euler_phi`, whose trial division does
-    not read the block sieve that the bitmap was built from."""
-    p, bm = ctx.p, ctx.pr_bitmap()
-    phi, count, g = euler_phi(p - 1), bm.bit_count(), least_primitive_root(ctx)
-    fault = (f"has {count} bits set, not phi(p-1) = {phi}" if count != phi
-             else "sets bit 0" if bm & 1
-             else "sets a bit at or above p" if bm >> p
-             else f"lacks the least primitive root {g}" if not bm & 1 << g
-             else None)
-    if not fault:  # one copy of the bitmap, which fits in p bits, serves the 16 positions
-        octets = bm.to_bytes((p + 7) // 8, "little")
-        fault = next((f"has bit {x} = {b}, but is_primitive_root({x}) is {not b}"
-                      for x in (1 + k * (p - 2) // 15 for k in range(16))
-                      if (b := octets[x >> 3] >> (x & 7) & 1) != is_primitive_root(x, ctx)),
-                     None)
-    if fault:
-        raise InvariantViolation(f"p={p} targets={targets}: the primitive-root bitmap "
-                                 f"for delta (_build_pr_bitmap) {fault}")
-
-
 def _scan_block(args) -> list[tuple]:
     """The (p, r, w, W, radii) row of each prime of a block, with None for
     what is not computed or undefined (p = 2 has only W): one candidate sweep
@@ -127,9 +101,7 @@ def _scan_block(args) -> list[tuple]:
             if root:
                 W = root[0]
         if delta and p > 2:
-            ctx = PrimeContext(p, qs)
-            _check_bitmap(ctx, targets)
-            radii = dilation_radii(ctx, reduced)
+            radii = dilation_radii(PrimeContext(p, qs), reduced)
         # One sweep finds both: w's witness is the first non-residue and W's
         # is a later or the same one, so w <= W holds by construction. The
         # check guards this seam; w and W are checked independently by tests
@@ -151,20 +123,20 @@ def _scan_block(args) -> list[tuple]:
 RADII = ("core", "dist_0", "dist_p", "core_count")  # the columns of delta, in order
 
 
-def _weights(config: ScanConfig) -> list[str]:
-    """The weight statistics a scan computes, in column order."""
-    return [name for name in ("w", "W") if name in config.compute]
+def _columns(config: ScanConfig) -> list[str]:
+    """The cells of a scan's rows before the checksum, in order: p, r, the
+    weight statistics computed and, when delta is computed, its radii."""
+    return ["p", "r", *(name for name in ("w", "W") if name in config.compute),
+            *(RADII if "delta" in config.compute else ())]
 
 
 def _header(config: ScanConfig) -> str:
     """The two header lines of a scan's file: the scan's fingerprint. The
     radius targets are in it only when delta is."""
-    with_radii = "delta" in config.compute
-    stats = [*_weights(config), *(["delta"] if with_radii else [])]
-    columns = ["p", "r", *_weights(config), *(RADII if with_radii else ()), "checksum"]
-    targets = f"targets={config.targets} " if with_radii else ""
+    stats = [name for name in STATS if name in config.compute]
+    targets = f"targets={config.targets} " if "delta" in config.compute else ""
     return (f"# {SCHEMA_ID} lo={config.lo} hi={config.hi} {targets}"
-            f"compute={','.join(stats)}\n{','.join(columns)}\n")
+            f"compute={','.join(stats)}\n{','.join([*_columns(config), 'checksum'])}\n")
 
 
 def _checksum(text: str) -> str:
@@ -175,10 +147,12 @@ def _block_encoder(config: ScanConfig):
     """The function from profiles to their lines, newlines included, in
     one pass: each row's cells are %-formatted, with "" for a None in the
     rows that hold one."""
-    cells_of = attrgetter("p", "r", *_weights(config))
-    with_radii = "delta" in config.compute
-    row = ",".join(["%s"] * (2 + len(_weights(config)) + 4 * with_radii))
-    no_radii = ("", "", "", "")
+    columns = _columns(config)
+    plain = [name for name in columns if name not in RADII]
+    cells_of = attrgetter(*plain)
+    with_radii = len(plain) < len(columns)
+    row = ",".join(["%s"] * len(columns))
+    no_radii = ("",) * len(RADII)
     crc32 = zlib.crc32
 
     def encode(profiles: Iterable[HammingProfile]) -> str:
@@ -206,20 +180,18 @@ def _csv_int(cell: str) -> int:
 def _line_decoder(config: ScanConfig):
     """The function from a line (newline stripped) to its profile in the base
     view of the config's targets; it checks the cells, not the checksum."""
-    weights = _weights(config)
-    with_radii = "delta" in config.compute
-    n_cells = 3 + len(weights) + 4 * with_radii  # p, r, w and W, the radii, checksum
+    columns = _columns(config)
+    plain = [name for name in columns if name not in RADII]
     base = BASE_VIEWS[config.targets].name
 
     def decode(line: str) -> HammingProfile:
         cells = line.split(",")
-        if len(cells) != n_cells:
-            raise ValueError(f"expected {n_cells} columns, got {len(cells)}")
+        if len(cells) != len(columns) + 1:  # the checksum ends the row
+            raise ValueError(f"expected {len(columns) + 1} columns, got {len(cells)}")
         values = {name: _csv_int(cell) if cell else None
-                  for name, cell in zip(weights, cells[2:])}
-        radii = None
-        if with_radii and cells[-5:-1] != ["", "", "", ""]:
-            radii = Radii(*map(_csv_int, cells[-5:-1]))
+                  for name, cell in zip(plain[2:], cells[2:])}  # w and W
+        radii = cells[len(plain):-1]  # none, or all empty for a prime without radii
+        radii = Radii(*map(_csv_int, radii)) if any(radii) else None
         p, r = _csv_int(cells[0]), _csv_int(cells[1])
         if r != (p - 1).bit_length() - 1:
             raise ValueError(f"r={r}, but p={p} has r={(p - 1).bit_length() - 1}")
@@ -421,7 +393,7 @@ class CountTable:
                         row[key][min(val, 4) - 1] += 1
         return table
 
-    def sum_identity_ok(self, threshold: int, stat: str = "w") -> bool:
+    def sum_identity_ok(self, threshold: int, stat: str) -> bool:
         """Odd primes partition by weight class: counts must sum to pi - 1."""
         row = self.rows[threshold]
         expected = row["pi"] - 1 if stat in ("w", "delta") else row["pi"]

@@ -50,26 +50,12 @@ def _dead_definitions(modules: dict[str, str], references: list[str]) -> list[st
     return [f"{name}:{line}: {what}" for name, line, what in dead]
 
 
-def _unpassed_defaults(modules: dict[str, str], references: list[str]) -> list[str]:
-    """Defaulted parameters of functions in `modules` that no call in `modules`
-    or `references` passes, by position or keyword. Calls are matched by the
-    name of the callee, and those of an `__init__` by the name of its class;
-    one with *args or **kwargs passes everything. A method's positions skip
-    self or cls; other dunder methods are exempt."""
-    trees = {name: ast.parse(source) for name, source in modules.items()}
-    calls = [node for tree in [*trees.values(), *map(ast.parse, references)]
-             for node in ast.walk(tree) if isinstance(node, ast.Call)]
-    passed: dict[str, set] = {}
-    for call in calls:
-        func = call.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        got = passed.setdefault(name, set())
-        if (any(isinstance(arg, ast.Starred) for arg in call.args)
-                or any(kw.arg is None for kw in call.keywords)):
-            got.add("*")
-        got.update(range(len(call.args)))
-        got.update(kw.arg for kw in call.keywords)
-    out = []
+def _defaulted_parameters(trees: dict[str, ast.AST]):
+    """(entry, callee, position, name) for each defaulted parameter of the
+    functions in `trees` (module name -> tree). The callee is the name a call
+    uses: a function's, or for an `__init__` its class's. A method's
+    positions skip self or cls; dunder methods other than `__init__` are
+    exempt, and keyword-only parameters have no position."""
     for module, tree in trees.items():
         methods = {id(member) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
                    for member in node.body
@@ -84,9 +70,6 @@ def _unpassed_defaults(modules: dict[str, str], references: list[str]) -> list[s
                         and id(node) not in inits)):
                 continue
             callee = inits.get(id(node), node.name)
-            got = passed.get(callee, set())
-            if "*" in got:
-                continue
             positional = node.args.posonlyargs + node.args.args
             skip = 1 if id(node) in methods else 0
             defaulted = [(i - skip, arg.arg) for i, arg in enumerate(positional)
@@ -94,9 +77,57 @@ def _unpassed_defaults(modules: dict[str, str], references: list[str]) -> list[s
             defaulted += [(None, arg.arg) for arg, default
                           in zip(node.args.kwonlyargs, node.args.kw_defaults) if default]
             what = f"{callee}.__init__" if id(node) in inits else node.name
-            out += [f"{module}:{node.lineno}: {what}({param})" for pos, param in defaulted
-                    if pos not in got and param not in got]
-    return out
+            for pos, param in defaulted:
+                yield f"{module}:{node.lineno}: {what}({param})", callee, pos, param
+
+
+def _calls(nodes: list[ast.AST]) -> dict[str, list]:
+    """For each callee name, what each call to it passes: the set of its
+    positions and keywords, or None for a call with *args or **kwargs,
+    which may pass anything."""
+    passed: dict[str, list] = {}
+    for call in nodes:
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        starred = (any(isinstance(arg, ast.Starred) for arg in call.args)
+                   or any(kw.arg is None for kw in call.keywords))
+        passed.setdefault(name, []).append(
+            None if starred else {*range(len(call.args)), *(kw.arg for kw in call.keywords)})
+    return passed
+
+
+def _unpassed_defaults(modules: dict[str, str], references: list[str]) -> list[str]:
+    """Defaulted parameters of functions in `modules` that no call in `modules`
+    or `references` passes, by position or keyword. Calls are matched by the
+    name of the callee (see `_defaulted_parameters`); one with *args or
+    **kwargs passes everything."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    calls = _calls([node for tree in [*trees.values(), *map(ast.parse, references)]
+                    for node in ast.walk(tree)])
+    return [entry for entry, callee, pos, param in _defaulted_parameters(trees)
+            if not any(got is None or pos in got or param in got
+                       for got in calls.get(callee, ()))]
+
+
+def _overridden_defaults(modules: dict[str, str], references: list[str]) -> list[str]:
+    """Defaulted parameters of functions in `modules` that every call in
+    `modules` or `references` passes, by position or keyword, so that no call
+    takes the default. Calls are matched as `_unpassed_defaults` matches them.
+    A function with no call, with a call by *args or **kwargs, or named
+    anywhere other than as a callee (say, passed as a callback) may take its
+    defaults, so none of its parameters is listed."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    nodes = [node for tree in [*trees.values(), *map(ast.parse, references)]
+             for node in ast.walk(tree)]
+    calls = _calls(nodes)
+    callees = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+    named = {node.id if isinstance(node, ast.Name) else node.attr for node in nodes
+             if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in callees}
+    return [entry for entry, callee, pos, param in _defaulted_parameters(trees)
+            if callee not in named and (got := calls.get(callee))
+            and all(call is not None and (pos in call or param in call) for call in got)]
 
 
 def _unread_fields(modules: dict[str, str], references: list[str]) -> list[str]:
@@ -194,6 +225,39 @@ def test_no_unpassed_defaults_in_src():
                   for path in sorted((ROOT / folder).rglob("*.py"))]
     assert modules and references
     assert _unpassed_defaults(modules, references) == []
+
+
+def test_overridden_defaults_detector():
+    module = ("class C:\n"
+              "    def m(self, a, b=1, c=2): pass\n"
+              "    def __init__(self, x=0): pass\n"
+              "def f(a, b=1, *, c=2): pass\n"
+              "def g(a=1): pass\n"
+              "def h(a=1): pass\n"
+              "def k(a=1): pass\n"
+              "def unused(a=1): pass\n")
+    references = ["C(1).m(1, 2, c=3)\nC(x=2)\nf(1, 2, c=3)\nf(1, b=2)\ng(*args)\ng(1)\n"
+                  "h(2)\nmap(h, xs)\nk(3)\nk()\n"]
+    assert _overridden_defaults({"m.py": module}, references) == [
+        "m.py:4: f(b)", "m.py:2: m(b)", "m.py:2: m(c)", "m.py:3: C.__init__(x)"]
+
+
+# Defaulted parameters that every call passes, each kept on purpose.
+OVERRIDDEN_DEFAULTS = {
+    # a public entry point, whose default is the limit of the reference digits
+    "artin_constant(prime_limit)",
+}
+
+
+def test_defaults_overridden_by_every_call_are_the_named_exemptions():
+    modules = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "hamroots").rglob("*.py"))}
+    references = [path.read_text(encoding="utf-8")
+                  for folder in ("tests", "perfbench")
+                  for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert modules and references
+    found = {entry.split(": ", 1)[1] for entry in _overridden_defaults(modules, references)}
+    assert found == OVERRIDDEN_DEFAULTS
 
 
 def test_unread_fields_detector():

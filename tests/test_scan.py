@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hamroots
-from hamroots import hamming, numtheory, scan
+from hamroots import cubes, hamming, numtheory, scan
 from hamroots.cli import main
 from hamroots.errors import InvariantViolation
 from hamroots.hamming import BASE_VIEWS, CANONICAL, DOMAIN0, HammingProfile, Radii
@@ -783,22 +783,68 @@ def _least_root_to_bit_0(bm):
     return bm ^ (bm & -bm) | 1
 
 
-@pytest.mark.parametrize("mutate,p,fault", [
-    (_drop_the_last_root, 23, "has 9 bits set, not phi(p-1) = 10"),
-    (_drop_the_last_root, 1000003, "has 333331 bits set, not phi(p-1) = 333332"),
-    (_shift_by_one, 3, "sets a bit at or above p"),
-    (_shift_by_one, 23, "lacks the least primitive root 5"),
-    (_least_root_to_bit_0, 23, "sets bit 0"),
-], ids=["drop-23", "drop-1000003", "shift-3", "shift-23", "bit0-23"])
-def test_delta_scan_checks_the_bitmap_it_dilates(monkeypatch, mutate, p, fault):
+def _read_in_a_scan(lo, hi, tmp_path):
+    return lambda: scan_range(ScanConfig(lo=lo, hi=hi, compute=("delta",)))
+
+
+def _read_prime_by_prime(read, cap=None):
+    """The reader that calls `read` on `PrimeContext.for_prime(p)` for each
+    prime p of the range, or of its part up to `cap`."""
+    def prepare(lo, hi, tmp_path):
+        primes = numtheory.sieve_primes(hi if cap is None else min(hi, cap), lo)
+        return lambda: [read(numtheory.PrimeContext.for_prime(p)) for p in primes]
+    return prepare
+
+
+def _read_witnesses_of_a_scan_file(lo, hi, tmp_path):
+    """The reader of the witnesses that the profiles of a scan file derive:
+    the file is written before the bitmap is mutated, and read after."""
+    path = str(tmp_path / "scan.csv")
+    scan_range(ScanConfig(lo=lo, hi=hi, compute=("delta",), checkpoint=path))
+    return lambda: [prof.witnesses for prof in read_scan_output(path)[1]]
+
+
+# Each reader of the primitive-root bitmap, as a function of the range and a
+# directory that prepares what it reads and returns the call that reads it.
+_BITMAP_READERS = {
+    "scan_range": _read_in_a_scan,
+    "covering_radius": _read_prime_by_prime(hamming.covering_radius),
+    "covering_radius_bfs": _read_prime_by_prime(hamming.covering_radius_bfs),
+    "min_flips_to_primroot": _read_prime_by_prime(
+        functools.partial(hamming.min_flips_to_primroot, 1)),
+    "cube_census": _read_prime_by_prime(cubes.cube_census, cubes.EXHAUSTIVE_P_CAP),
+    "witnesses": _read_witnesses_of_a_scan_file,
+}
+
+
+def _read_by_each(cases, without):
+    """Each case (id -> arguments) crossed with each reader of the bitmap,
+    but those that `without` names for its id; a case keeps its own id in a
+    scan and adds the reader's name to it otherwise."""
+    return [pytest.param(*case, reader, id=case_id if reader == "scan_range"
+                         else f"{case_id}-{reader}")
+            for case_id, case in cases.items() for reader in _BITMAP_READERS
+            if reader not in without.get(case_id, ())]
+
+
+@pytest.mark.parametrize("mutate,p,fault,reader", _read_by_each({
+    "drop-23": (_drop_the_last_root, 23, "has 9 bits set, not phi(p-1) = 10"),
+    "drop-1000003": (_drop_the_last_root, 1000003, "has 333331 bits set, not phi(p-1) = 333332"),
+    "shift-3": (_shift_by_one, 3, "sets a bit at or above p"),
+    "shift-23": (_shift_by_one, 23, "lacks the least primitive root 5"),
+    "bit0-23": (_least_root_to_bit_0, 23, "sets bit 0"),
+}, without={"drop-1000003": ["cube_census"]}))
+def test_delta_scan_checks_the_bitmap_it_dilates(monkeypatch, tmp_path, mutate, p, fault,
+                                                 reader):
     """A delta scan without W, so that no other engine meets the bitmap,
-    still refuses one that is not the primitive roots of p."""
+    still refuses one that is not the primitive roots of p; so does every
+    other reader of the bitmap, whatever engines it has."""
+    read = _BITMAP_READERS[reader](p, p, tmp_path)
     build = numtheory._build_pr_bitmap
     monkeypatch.setattr(numtheory, "_build_pr_bitmap", lambda ctx: mutate(build(ctx)))
     with pytest.raises(InvariantViolation) as exc:
-        scan_range(ScanConfig(lo=p, hi=p, compute=("delta",)))
-    assert str(exc.value) == (f"p={p} targets=literal: the primitive-root bitmap "
-                              f"for delta (_build_pr_bitmap) {fault}")
+        read()
+    assert str(exc.value) == f"p={p}: the primitive-root bitmap (_build_pr_bitmap) {fault}"
 
 
 def _walked_bitmap(ctx, g, end, mirror):
@@ -843,27 +889,36 @@ def test_walked_bitmap_unmutated_is_the_bitmap(p):
                           p % 4 == 1) == numtheory._build_pr_bitmap(ctx)
 
 
-@pytest.mark.parametrize("lo,hi", [(3, 2000), (1000003, 1000003)])
-@pytest.mark.parametrize("mutant", [_mirror_for_every_p, _drop_the_last_block,
-                                    _walk_from_g_squared])
-def test_delta_scan_refuses_a_mutated_bitmap_walk(monkeypatch, mutant, lo, hi):
+_WALK_CASES = {f"{mutant.__name__}-{lo}-{hi}": (mutant, lo, hi)
+               for lo, hi in [(3, 2000), (1000003, 1000003)]
+               for mutant in [_mirror_for_every_p, _drop_the_last_block, _walk_from_g_squared]}
+
+
+@pytest.mark.parametrize("mutant,lo,hi,reader", _read_by_each(
+    _WALK_CASES, without={case_id: ["cube_census"] for case_id, (_, lo, _) in _WALK_CASES.items()
+                          if lo > cubes.EXHAUSTIVE_P_CAP}))
+def test_delta_scan_refuses_a_mutated_bitmap_walk(monkeypatch, tmp_path, mutant, lo, hi,
+                                                  reader):
+    read = _BITMAP_READERS[reader](lo, hi, tmp_path)
     monkeypatch.setattr(numtheory, "_build_pr_bitmap", mutant)
-    with pytest.raises(InvariantViolation, match=r"the primitive-root bitmap for delta "
-                                                 r"\(_build_pr_bitmap\)"):
-        scan_range(ScanConfig(lo=lo, hi=hi, compute=("delta",)))
+    with pytest.raises(InvariantViolation, match=r"^p=\d+: the primitive-root bitmap "
+                                                 r"\(_build_pr_bitmap\) "):
+        read()
 
 
-@pytest.mark.parametrize("p,x", [(7, 4), (1000003, 200001)])
-def test_bitmap_check_compares_fixed_positions_with_pow(monkeypatch, p, x):
+@pytest.mark.parametrize("p,x,reader", _read_by_each(
+    {"7-4": (7, 4), "1000003-200001": (1000003, 200001)},
+    without={"1000003-200001": ["cube_census"]}))
+def test_bitmap_check_compares_fixed_positions_with_pow(monkeypatch, tmp_path, p, x, reader):
     """The mirror applied for p = 3 mod 4 keeps the popcount, bit 0, the
     bits at or above p and the least root; only the positions checked with
     `is_primitive_root` refuse it."""
+    read = _BITMAP_READERS[reader](p, p, tmp_path)
     monkeypatch.setattr(numtheory, "_build_pr_bitmap", _mirror_for_every_p)
     with pytest.raises(InvariantViolation) as exc:
-        scan_range(ScanConfig(lo=p, hi=p, compute=("delta",)))
-    assert str(exc.value) == (f"p={p} targets=literal: the primitive-root bitmap for delta "
-                              f"(_build_pr_bitmap) has bit {x} = 1, but "
-                              f"is_primitive_root({x}) is False")
+        read()
+    assert str(exc.value) == (f"p={p}: the primitive-root bitmap (_build_pr_bitmap) "
+                              f"has bit {x} = 1, but is_primitive_root({x}) is False")
 
 
 def _drop_shuffle(which):
@@ -964,19 +1019,28 @@ print((peak_kib() - before) / 1024)
     assert float(out) <= (p + length * (1 << length) // 8) / 2**20 + 0.5
 
 
-@pytest.mark.parametrize("p,count,phi", [(31, 10, 8), (1000003, 333334, 333332)])
-def test_bitmap_check_does_not_take_phi_from_the_block_sieve(monkeypatch, p, count, phi):
+@pytest.mark.parametrize("p,count,phi,reader", _read_by_each(
+    {"31-10-8": (31, 10, 8), "1000003-333334-333332": (1000003, 333334, 333332)},
+    # p = 31 has core radius 1 below delta 2: its witnesses are (0,), read off no bitmap
+    without={"31-10-8": ["witnesses"], "1000003-333334-333332": ["cube_census"]}))
+def test_bitmap_check_does_not_take_phi_from_the_block_sieve(monkeypatch, tmp_path, p, count,
+                                                             phi, reader):
     """A block sieve that loses the largest prime of p - 1 yields a bitmap
     of the exponents coprime to the rest; the check's phi(p - 1) comes from
-    trial division, so it refuses that bitmap."""
+    trial division, so it refuses that bitmap, in the scan and in every
+    reader whose PrimeContext takes its factors from that sieve."""
+    read = _BITMAP_READERS[reader](p, p, tmp_path)
     factorize_pm1 = scan.factorize_pm1
-    monkeypatch.setattr(scan, "factorize_pm1",
-                        lambda primes: (qs[:-1] for qs in factorize_pm1(primes)))
+
+    def sieve(primes):
+        return (qs[:-1] for qs in factorize_pm1(primes))
+    monkeypatch.setattr(scan, "factorize_pm1", sieve)
+    monkeypatch.setattr(numtheory.PrimeContext, "for_prime",
+                        classmethod(lambda cls, p: cls(p, next(sieve([p])))))
     with pytest.raises(InvariantViolation) as exc:
-        scan_range(ScanConfig(lo=p, hi=p, compute=("delta",)))
-    assert str(exc.value) == (f"p={p} targets=literal: the primitive-root bitmap "
-                              f"for delta (_build_pr_bitmap) has {count} bits set, "
-                              f"not phi(p-1) = {phi}")
+        read()
+    assert str(exc.value) == (f"p={p}: the primitive-root bitmap (_build_pr_bitmap) "
+                              f"has {count} bits set, not phi(p-1) = {phi}")
 
 
 def test_unknown_schema_rejected(tmp_path):
