@@ -24,7 +24,8 @@ from .numtheory import (PrimeContext, divisors, euler_phi, legendre_symbol, mobi
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Observed magnitude of a sum against one bound formula."""
+    """Observed magnitude of a sum against one bound formula. Over a zero
+    bound the ratio is inf, unless the sum is zero too."""
 
     magnitude: float
     bound: float
@@ -36,7 +37,7 @@ class BoundReport:
     def compare(cls, magnitude: float, bound: float,
                 applicable: bool = True, note: str = "") -> "BoundReport":
         return cls(magnitude=magnitude, bound=bound,
-                   ratio=magnitude / bound if bound else math.inf,
+                   ratio=magnitude / bound if bound else math.inf if magnitude else 0.0,
                    applicable=applicable, note=note)
 
 

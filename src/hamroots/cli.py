@@ -20,7 +20,7 @@ from . import reference
 from .errors import CapabilityError, InvariantViolation
 from .hamming import BASE_VIEWS, DOMAIN0, VARIANTS, HammingProfile, dilation_radii
 from .numtheory import PrimeContext, divisors, is_primitive_root, sieve_primes
-from .scan import CountTable, ScanConfig, format_scan_output, read_scan_output, scan_profiles
+from .scan import CountTable, ScanConfig, format_scan_output, scan_profiles, stream_scan_output
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,7 +134,8 @@ def _census_profiles(args, lo: int, compute: tuple[str, ...],
     statistics of compute: scanned in memory, or read from --scan-file, which
     must cover that range, hold those statistics and, for delta, have the
     radius targets of the variant. Either way the variant is a view of the
-    scan's radii. The flags and the file are checked before this returns."""
+    scan's radii, and the profiles stream. The flags and the file's header
+    are checked before this returns, its rows as they are read."""
     variant = VARIANTS[variant_name]
     targets = variant.targets  # those of the scan the profiles come from
     # One check of the flags, the same for either source.
@@ -144,7 +145,7 @@ def _census_profiles(args, lo: int, compute: tuple[str, ...],
     elif args.tasks != 1:
         raise ValueError("--tasks does not apply to a finished scan read with --scan-file")
     else:
-        scanned, profiles = read_scan_output(args.scan_file)
+        scanned, profiles = stream_scan_output(args.scan_file)
         if scanned.lo > lo or scanned.hi < args.limit:
             raise ValueError(f"scan file does not cover the primes up to {args.limit}")
         missing = set(compute) - set(scanned.compute)

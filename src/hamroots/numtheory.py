@@ -355,14 +355,22 @@ def _build_pr_bitmap(ctx: PrimeContext) -> int:
 
 def _check_pr_bitmap(ctx: PrimeContext, bm: int) -> None:
     """Raise InvariantViolation unless the primitive-root bitmap has
-    phi(p - 1) bits set, none of them 0 or at or above p, sets the least
-    primitive root, and agrees with `is_primitive_root` at 16 positions
-    spread over [1, p - 1], set and unset; `pow` decides those without the
-    bitmap. phi comes from `euler_phi`, whose trial division does not read
-    the block sieve that a scan's factors of p - 1 come from."""
+    phi(p - 1) bits set, was built from primes that divide p - 1 down to 1,
+    sets none of bit 0 and the bits at or above p, sets the least primitive
+    root, and agrees with `is_primitive_root` at 16 positions spread over
+    [1, p - 1], set and unset; `pow` decides those without the bitmap. phi
+    comes from `euler_phi`'s trial division, so a prime that the block sieve
+    loses from a scan's context makes the count disagree; one that trial
+    division loses from a `for_prime` context, and so from phi too, is left
+    over when the context's primes are divided out of p - 1."""
     p = ctx.p
     phi, count, g = euler_phi(p - 1), bm.bit_count(), least_primitive_root(ctx)
+    rest, qs = p - 1, math.prod(ctx.factors_pm1)
+    while (d := math.gcd(rest, qs)) > 1:
+        rest //= d
     fault = (f"has {count} bits set, not phi(p-1) = {phi}" if count != phi
+             else f"was built from the factors {ctx.factors_pm1} of p-1, leaving {rest}"
+             if rest != 1
              else "sets bit 0" if bm & 1
              else "sets a bit at or above p" if bm >> p
              else f"lacks the least primitive root {g}" if not bm & 1 << g

@@ -245,22 +245,33 @@ def _read_rows(fh, path: str, config: ScanConfig, primes: list[int]):
         yield prof, end
 
 
-def read_scan_output(path: str) -> tuple[ScanConfig, list[HammingProfile]]:
-    """The scan a file describes and its profiles in the base view of its
-    targets, read as `_read_rows` reads them; the rows must also cover every
-    prime of the header's range."""
+def stream_scan_output(path: str) -> tuple[ScanConfig, Iterator[HammingProfile]]:
+    """The scan a file describes, read from its first line alone, and an
+    iterator of its profiles in the base view of its targets, read as
+    `_read_rows` reads them; after the last row the iterator checks that the
+    rows cover every prime of the header's range."""
     with open(path, "rb") as fh:
         try:
             config = _config_of_header(fh.readline().decode())
         except ValueError as exc:
             raise ValueError(f"{path}: line 1: {exc}") from None
-        fh.seek(0)
-        primes = sieve_primes(config.hi, config.lo)
-        profiles = [prof for prof, _ in _read_rows(fh, path, config, primes)]
-    if len(profiles) < len(primes):  # the missing row's line follows the two header lines
-        raise ValueError(f"{path}: line {len(profiles) + 3}: the file ends before "
-                         f"the row of p={primes[len(profiles)]}")
-    return config, profiles
+
+    def profiles():
+        primes, read = sieve_primes(config.hi, config.lo), 0
+        with open(path, "rb") as fh:
+            for read, (prof, _) in enumerate(_read_rows(fh, path, config, primes), 1):
+                yield prof
+        if read < len(primes):  # the missing row's line follows the two header lines
+            raise ValueError(f"{path}: line {read + 3}: the file ends before "
+                             f"the row of p={primes[read]}")
+    return config, profiles()
+
+
+def read_scan_output(path: str) -> tuple[ScanConfig, list[HammingProfile]]:
+    """The scan a file describes and the list of the profiles that
+    `stream_scan_output` reads from it."""
+    config, profiles = stream_scan_output(path)
+    return config, list(profiles)
 
 
 def format_scan_output(config: ScanConfig, profiles: Iterable[HammingProfile]) -> str:

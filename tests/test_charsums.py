@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from hamroots.characters import build_characters
-from hamroots.charsums import (_characters_of_order, _exact_unit_orbit_sum,
+from hamroots.charsums import (BoundReport, _characters_of_order, _exact_unit_orbit_sum,
                                count_primroots_via_characters,
                                distinct_root_count, hoelder_bound_report,
                                interval_char_sum, is_power_of_rational,
@@ -235,3 +236,9 @@ def test_pv_and_hoelder_reports():
     assert hoe.applicable and hoe.ratio > 0 and hoe.bound > 0
     assert not hoelder_bound_report(ctx, 17, 2, 1, 1, principal).applicable
     assert "principal" in hoelder_bound_report(ctx, 17, 2, 1, 1, principal).note
+    # n = 1 with k = 1 and no high flips has an empty high flip set: an empty
+    # sum within its zero bound, not infinitely over it
+    c11 = ctx_for(11)
+    empty = hoelder_bound_report(c11, 1, 1, 0, 0, legendre_character(c11))
+    assert (empty.magnitude, empty.bound, empty.ratio) == (0, 0, 0)
+    assert BoundReport.compare(1.0, 0.0).ratio == math.inf

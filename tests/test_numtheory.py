@@ -5,6 +5,7 @@ from itertools import compress
 import pytest
 from hypothesis import example, given, strategies as st
 
+from hamroots import numtheory
 from hamroots.errors import CapabilityError
 from hamroots.numtheory import (PrimeContext, _jacobi, bitmap_to_set, divisors,
                                 euler_phi, factorize, factorize_pm1, is_prime,
@@ -247,7 +248,7 @@ def test_least_primitive_root_examples():
     assert least_primitive_root(PrimeContext.for_prime(67)) == 2
 
 
-def test_context_geometry():
+def test_context_geometry(monkeypatch):
     ctx = PrimeContext.for_prime(17)
     assert (ctx.r, ctx.bit_len) == (4, 5)
     assert 2**ctx.r < ctx.p <= 2 ** (ctx.r + 1)
@@ -259,6 +260,10 @@ def test_context_geometry():
     assert unsorted.pr_test_exponents() == (6, 4)
     with pytest.raises(ValueError):
         PrimeContext.for_prime(15)
+    # for_prime factors p - 1 without a sieve, so a p near 10^18 costs
+    # milliseconds, not a sieve to 10^9.
+    monkeypatch.setattr(numtheory, "sieve_primes", lambda *args: pytest.fail("sieved"))
+    assert PrimeContext.for_prime(10**18 + 3).factors_pm1 == (2, 3, 17, 131, 1427, 52445056723)
 
 
 def test_index_table_bijection_and_cap():

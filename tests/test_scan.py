@@ -717,28 +717,37 @@ def test_a_scan_closed_after_its_first_block_leaves_whole_blocks(tmp_path, monke
     assert ckpt.read_text() == expected
 
 
-@pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
-def test_a_scan_holds_at_most_about_one_block_of_profiles(tmp_path, monkeypatch, capsys,
-                                                          resumed):
-    """Sampled at each journal write, the profiles alive beyond those held
-    before the scan never exceed two blocks, in a range of 42 blocks."""
+@pytest.mark.parametrize("run", ["fresh", "resumed", "scan-file"])
+def test_a_scan_holds_at_most_about_one_block_of_profiles(tmp_path, monkeypatch, capsys, run):
+    """Sampled at each profile that a scan makes, or that a census makes as
+    it reads the scan's file, the profiles alive beyond those held before
+    never exceed two blocks, in a range of 42 blocks."""
     monkeypatch.setattr(scan, "BLOCK_SIZE", 16)
     out = tmp_path / "scan.csv"
     argv = ["scan", "--range", "2", "5000", "--compute", "w,W", "--output", str(out)]
     assert main(argv) == 0
-    expected = out.read_bytes()
-    if resumed:
-        out.with_name("scan.csv.part").write_bytes(expected[:len(expected) // 2])
-    out.unlink()
+    if run == "scan-file":
+        argv = ["frequencies", "--limit", "5000", "--scan-file", str(out)]
+        capsys.readouterr()
+        assert main(argv[:3]) == 0  # in memory
+        expected = capsys.readouterr().out
+    else:
+        expected = out.read_bytes()
+        if run == "resumed":
+            out.with_name("scan.csv.part").write_bytes(expected[:len(expected) // 2])
+        out.unlink()
     gc.collect()
 
     def live():
         return sum(type(obj) is HammingProfile for obj in gc.get_objects())
     before, seen = live(), []
-    append = scan._append
-    monkeypatch.setattr(scan, "_append", lambda fh, text: seen.append(live()) or append(fh, text))
+
+    def sampled(*args, **kwargs):
+        seen.append(live())
+        return HammingProfile(*args, **kwargs)
+    monkeypatch.setattr(scan, "HammingProfile", sampled)
     assert main(argv) == 0
-    assert out.read_bytes() == expected
+    assert (capsys.readouterr().out if run == "scan-file" else out.read_bytes()) == expected
     assert len(seen) > 10 and max(seen) - before <= 2 * 16
 
 
@@ -1019,17 +1028,10 @@ print((peak_kib() - before) / 1024)
     assert float(out) <= (p + length * (1 << length) // 8) / 2**20 + 0.5
 
 
-@pytest.mark.parametrize("p,count,phi,reader", _read_by_each(
-    {"31-10-8": (31, 10, 8), "1000003-333334-333332": (1000003, 333334, 333332)},
-    # p = 31 has core radius 1 below delta 2: its witnesses are (0,), read off no bitmap
-    without={"31-10-8": ["witnesses"], "1000003-333334-333332": ["cube_census"]}))
-def test_bitmap_check_does_not_take_phi_from_the_block_sieve(monkeypatch, tmp_path, p, count,
-                                                             phi, reader):
-    """A block sieve that loses the largest prime of p - 1 yields a bitmap
-    of the exponents coprime to the rest; the check's phi(p - 1) comes from
-    trial division, so it refuses that bitmap, in the scan and in every
-    reader whose PrimeContext takes its factors from that sieve."""
-    read = _BITMAP_READERS[reader](p, p, tmp_path)
+def _the_block_sieve_loses_the_largest_prime(monkeypatch):
+    """Every context, the scan's and (in place of trial division)
+    `for_prime`'s, gets p - 1 from a block sieve that loses its largest
+    prime, so its bitmap holds the exponents coprime to the rest."""
     factorize_pm1 = scan.factorize_pm1
 
     def sieve(primes):
@@ -1037,10 +1039,56 @@ def test_bitmap_check_does_not_take_phi_from_the_block_sieve(monkeypatch, tmp_pa
     monkeypatch.setattr(scan, "factorize_pm1", sieve)
     monkeypatch.setattr(numtheory.PrimeContext, "for_prime",
                         classmethod(lambda cls, p: cls(p, next(sieve([p])))))
-    with pytest.raises(InvariantViolation) as exc:
-        read()
-    assert str(exc.value) == (f"p={p}: the primitive-root bitmap (_build_pr_bitmap) "
-                              f"has {count} bits set, not phi(p-1) = {phi}")
+
+
+def _trial_division_loses_the_largest_prime(monkeypatch):
+    """`euler_phi` and `for_prime` get n without its largest prime."""
+    factorize = numtheory.factorize
+
+    def lossy(n):
+        qs = factorize(n)
+        return [q for q in qs if q != qs[-1]]
+    monkeypatch.setattr(numtheory, "factorize", lossy)
+
+
+_LOST_FROM_31 = "was built from the factors (2, 3) of p-1, leaving 5"
+_LOST_FROM_1000003 = "was built from the factors (2, 3) of p-1, leaving 166667"
+
+
+@pytest.mark.parametrize("lose,p,in_a_scan,elsewhere,reader", _read_by_each({
+    "31-10-8": (_the_block_sieve_loses_the_largest_prime, 31,
+                "has 10 bits set, not phi(p-1) = 8", "has 10 bits set, not phi(p-1) = 8"),
+    "1000003-333334-333332": (_the_block_sieve_loses_the_largest_prime, 1000003,
+                              "has 333334 bits set, not phi(p-1) = 333332",
+                              "has 333334 bits set, not phi(p-1) = 333332"),
+    "factorize-31": (_trial_division_loses_the_largest_prime, 31,
+                     "has 8 bits set, not phi(p-1) = 10", _LOST_FROM_31),
+    "factorize-1000003": (_trial_division_loses_the_largest_prime, 1000003,
+                          "has 333332 bits set, not phi(p-1) = 333334", _LOST_FROM_1000003),
+}, without={
+    # p = 31 has core radius 1 below delta 2: its witnesses are (0,), read off no bitmap
+    "31-10-8": ["witnesses"], "factorize-31": ["witnesses"],
+    "1000003-333334-333332": ["cube_census"], "factorize-1000003": ["cube_census"],
+}))
+def test_bitmap_check_does_not_take_phi_from_the_block_sieve(monkeypatch, tmp_path, lose, p,
+                                                             in_a_scan, elsewhere, reader):
+    """phi(p - 1) comes from trial division, and the context's primes are
+    divided out of p - 1, so every reader refuses the bitmap when either
+    engine loses the largest prime of p - 1. A scan's context takes its
+    primes from the block sieve, so trial division's loss shows there as a
+    wrong phi; a `for_prime` context takes them from trial division, so it
+    shows there as a prime left over. phi is cleared before, so that a lossy
+    phi is not hidden by a cached one, and after, so that it is not kept."""
+    read = _BITMAP_READERS[reader](p, p, tmp_path)
+    lose(monkeypatch)
+    numtheory.euler_phi.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation) as exc:
+            read()
+    finally:
+        numtheory.euler_phi.cache_clear()
+    fault = in_a_scan if reader == "scan_range" else elsewhere
+    assert str(exc.value) == f"p={p}: the primitive-root bitmap (_build_pr_bitmap) {fault}"
 
 
 def test_unknown_schema_rejected(tmp_path):
