@@ -121,11 +121,10 @@ def factorize_pm1(primes: list[int]) -> Iterator[list[int]]:
     ascending list of primes, in order: sorted(set(factorize(p - 1))).
 
     A segmented sieve over the window of the p - 1: each odd prime q up to
-    isqrt(max p - 1) strikes only the window's positions that are some p - 1.
-    Each p - 1 is then divided by its power of 2 and by the powers of the q
-    that struck it; what is left is 1 or a prime larger than every q. The
-    struck q are kept in flat arrays and each list is built only when it is
-    yielded, so a caller that takes them one at a time never holds them all.
+    isqrt(max p - 1) strikes only the window's positions that are some p - 1,
+    and appends itself to that p's list, so each list is ascending. Each
+    p - 1 is then divided by its power of 2 and by the powers of the q in its
+    list; what is left is 1 or a prime larger than every q.
     """
     if not primes:
         return
@@ -134,28 +133,21 @@ def factorize_pm1(primes: list[int]) -> Iterator[list[int]]:
     where = array("i", [0]) * (primes[-1] - lo)
     for i, p in enumerate(primes, 1):
         where[p - 1 - lo] = i
-    # The q struck at each p - 1 form a linked list, least q first: head[i]
-    # is the first node of primes[i - 1] (-1 for none), and node k holds a q
-    # in qs[k] and the next node in after[k].
-    head = array("i", [-1]) * (len(primes) + 1)
-    qs, after = [], array("i")
+    # struck[i] lists the odd primes that divide primes[i - 1] - 1.
+    struck = [[] for _ in range(len(primes) + 1)]
     root = math.isqrt(primes[-1] - 1)
-    for q in reversed(sieve_primes(root, 3)) if root >= 3 else ():
+    for q in sieve_primes(root, 3) if root >= 3 else ():
         for i in filter(None, where[-lo % q::q]):
-            after.append(head[i])
-            head[i] = len(qs)
-            qs.append(q)
-    for p, node in zip(primes, head[1:]):
+            struck[i].append(q)
+    for p, qs in zip(primes, struck[1:]):
         m = p - 1
         factors = [2] if m > 1 else []  # p - 1 is even for every odd p
         m >>= (m & -m).bit_length() - 1
-        while node >= 0:
-            q = qs[node]
+        for q in qs:
             factors.append(q)
             m //= q
             while not m % q:
                 m //= q
-            node = after[node]
         if m > 1:
             factors.append(m)
         yield factors

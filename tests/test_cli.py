@@ -326,8 +326,8 @@ def test_table_compute_set_is_checked_alike_for_either_source(tmp_path, capsys, 
 
 def test_scan_file_bytes_depend_only_on_the_targets(tmp_path, capsys):
     def scan_bytes(*argv):
-        return open(_scan_file(tmp_path, capsys, "s.csv", "--range", "2", "300", *argv),
-                    "rb").read()
+        path = _scan_file(tmp_path, capsys, "s.csv", "--range", "2", "300", *argv)
+        return Path(path).read_bytes()
     assert scan_bytes() == scan_bytes("--targets", "literal") != scan_bytes("--targets", "reduced")
     assert scan_bytes("--compute", "w,W") == scan_bytes("--compute", "w,W", "--targets", "reduced")
     with pytest.raises(SystemExit) as exc:  # the domain is a view, not a scan option
@@ -373,9 +373,9 @@ def test_table_scan_file_without_radii_serves_every_variant(tmp_path, capsys):
 
 def test_table_scan_file_bad_checksum_is_refused(tmp_path, capsys):
     path = _scan_file(tmp_path, capsys, "full.csv", "--range", "2", "1000")
-    lines = open(path).read().splitlines(keepends=True)
+    lines = Path(path).read_text().splitlines(keepends=True)
     lines[2:] = [line.rsplit(",", 1)[0] + ",deadbeef\n" for line in lines[2:]]
-    open(path, "w").writelines(lines)
+    Path(path).write_text("".join(lines))
     code, out, err = run_err(capsys, "table", "--limit", "1000", "--scan-file", path)
     assert code == 1 and out == ""
     assert "checksum mismatch on line 3" in err
@@ -451,10 +451,10 @@ def test_frequencies_paper_diff_needs_the_reference_limit(monkeypatch, capsys):
 
 def test_table_scan_file_malformed_row_is_refused_by_line(tmp_path, capsys):
     path = _scan_file(tmp_path, capsys, "full.csv", "--range", "2", "1000")
-    lines = open(path).read().splitlines(keepends=True)
+    lines = Path(path).read_text().splitlines(keepends=True)
     assert lines[5].startswith("7,2,2,2,2,")
     lines[5] = lines[5].replace("7,2,2,2,2,", "7,2,2,2,", 1)  # p = 7 loses its core cell
-    open(path, "w").writelines(lines)
+    Path(path).write_text("".join(lines))
     code, out, err = run_err(capsys, "table", "--limit", "1000", "--scan-file", path)
     assert code == 1 and out == ""
     assert f"{path}: line 6: expected 9 columns, got 8" in err
