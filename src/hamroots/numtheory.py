@@ -21,10 +21,6 @@ TRIAL_DIVISION_BOUND = 1_000_000
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# The primitive-root bitmap computes powers of g in blocks of this many
-# exponents, each block scaling one shared table of g^0 .. g^(block - 1).
-_POWER_BLOCK = 4096
-
 
 def sieve_primes(limit: int, lo: int = 2) -> list[int]:
     """All primes in [lo, limit], ascending, by a segmented byte sieve of
@@ -311,38 +307,86 @@ def _build_pr_bitmap(ctx: PrimeContext) -> int:
     p = ctx.p
     m = p - 1
     g = least_primitive_root(ctx)
-    # g^t is a generator iff gcd(t, m) == 1. For p = 1 mod 4, 4 | m, so every
-    # prime q | m also divides m/2 and gcd(t + m/2, m) == gcd(t, m); since
-    # g^(m/2) = -1, the roots are closed under x -> p - x: the exponents in
-    # [0, m/2) give half the roots and the mirror gives the rest. For
-    # p = 3 mod 4, m/2 is odd and -1 is not a root, so no mirror exists and
-    # all of [0, m) is walked.
-    end = m // 2 if p % 4 == 1 else m
-    # g^(j + i) = g^i * g^j: the powers g^i of one block are computed once,
-    # and each block of exponents starting at j scales them by c = g^j.
-    base = [1] * min(_POWER_BLOCK, end)
-    for i in range(1, len(base)):
-        base[i] = base[i - 1] * g % p
-    # Digit x of the string is bit p - 1 - x of the int it parses to.
+    # g^t is a root iff gcd(t, m) = 1, so y is a root iff ind(y) = ind_g(y) is
+    # a unit mod Q, the product of the least primes of m while it stays at
+    # most 256, and no larger prime q of m divides ind(y). Q <= 256 keeps
+    # every ind(y) mod Q in one byte, so adding to it and testing it for a
+    # unit are each one `translate` through a 256-byte table, at C speed.
+    qs, walked = 1, []
+    for q in ctx.factors_pm1:  # ascending
+        if qs * q <= 256:
+            qs *= q
+        else:
+            walked.append(q)
+    # Dirichlet: cut (0, 1) at the mediants of the Farey fractions of order
+    # a_max. Neighbours t/a and t'/a' have a + a' > a_max and sit
+    # 1/(a*(a + a')) from their mediant, so every y in [1, p - 1] has a
+    # fraction t/a on its side of the cuts with a*y = t*p + x, where
+    # 0 < |x| <= p/(a + a') and so |x| <= x_max. Then ind(y) = ind(x) - ind(a),
+    # and ind(-x) = ind(x) + m/2. a_max <= isqrt(p) - 1 keeps a_max < x_max;
+    # a_max near p^(1/3) trades the 0.3*a_max^2 slices against the table up
+    # to x_max.
+    a_max = max(1, min(round(p ** (1 / 3)), math.isqrt(p) - 1))
+    x_max = p // (a_max + 1)
+    # ind(x) mod Q for x <= x_max is additive over prime powers: each prime
+    # l <= x_max adds ind(l) mod Q, which l^(m/Q) gives in the subgroup of
+    # order Q, to the multiples of each power of l.
+    residues = bytes(range(qs)) * 2  # the slice from k maps u to (u + k) mod Q
+    pad = bytes(256 - qs)
+    e = m // qs
+    gen, power, logs = pow(g, e, p), 1, {}
+    for k in range(qs):
+        logs[power] = k
+        power = power * gen % p
+    ind = bytearray(x_max + 1)
+    for ell in sieve_primes(x_max) if x_max >= 2 else ():
+        if k := logs[pow(ell, e, p)]:
+            add, power = residues[k:k + qs] + pad, ell
+            while power <= x_max:
+                ind[power::power] = ind[power::power].translate(add)
+                power *= ell
+    # Entry x_max + x is ind(x) mod Q for 0 < |x| <= x_max.
+    h = m // 2 % qs
+    signed = ind[x_max:0:-1].translate(residues[h:h + qs] + pad) + ind
+    # The y in [lo, hi] of each Farey fraction t/a, next t2/a2, as flat
+    # (t, a, lo, hi) quadruples grouped by s = ind(a) mod Q.
+    spans, lo = [array("q") for _ in range(qs)], 1
+    t, a, t2, a2 = 0, 1, 1, a_max
+    while lo < p:
+        hi = (t + t2) * p // (a + a2) if t2 <= a_max else m
+        spans[ind[a]].extend((t, a, lo, hi))
+        k = (a_max + a) // a2
+        t, a, t2, a2, lo = t2, a2, k * t2 - t, k * a2 - a, hi + 1
+    units = bytes(49 if math.gcd(u, qs) == 1 else 48 for u in range(qs)) * 2  # "1", "0"
+    # Digit y of the string is bit p - 1 - y of the int it parses to.
     digits = bytearray(b"0") * p
-    for j in range(0, end, _POWER_BLOCK):
-        # Exponent j + i is a multiple of the prime q | m iff i = -j mod q.
-        coprime = bytearray([1]) * min(_POWER_BLOCK, end - j)
-        for q in ctx.factors_pm1:
-            coprime[-j % q::q] = bytes(len(range(-j % q, len(coprime), q)))
-        c = pow(g, j, p)
-        for b in compress(base, coprime):
-            digits[b * c % p] = 49  # ord("1")
-    del base, coprime  # free them before int() allocates the result
+    for s, group in enumerate(spans):
+        if not group:
+            continue
+        # Entry x_max + x of roots is "1" iff ind(x) - s is a unit mod Q.
+        roots = signed.translate(units[qs - s:2 * qs - s] + pad)
+        for t, a, lo, hi in zip(*[iter(group)] * 4):
+            start = x_max + a * lo - t * p
+            digits[lo:hi + 1] = roots[start:start + a * (hi - lo) + 1:a]
+    del ind, signed, roots  # free them before int() allocates the result
+    # Each prime q of m above Q: clear the q-th powers g^(q*k) that the
+    # slices set, those with k a unit mod Q (Q divides m/q), by walking
+    # g^(q*(k + Q*j)) from each unit k.
+    for q in walked:
+        step = pow(g, q * qs, p)
+        for k in range(1, qs):
+            if math.gcd(k, qs) == 1:
+                x = pow(g, q * k, p)
+                for _ in range(m // (q * qs)):
+                    digits[x] = 48  # ord("0")
+                    x = x * step % p
     flipped = int(digits, 2)
     del digits
     # Big-endian bytes with the bits of each reversed, read little-endian,
     # put bit p - 1 - x at x once the pad of the last byte is shifted out.
     size = (p + 7) // 8
-    bitmap = int.from_bytes(flipped.to_bytes(size, "big").translate(_bit_reversal()),
-                            "little") >> (8 * size - p)
-    # One shift more makes flipped's bit p - 1 - x the mirror bit p - x.
-    return bitmap | flipped << 1 if end < m else bitmap
+    return int.from_bytes(flipped.to_bytes(size, "big").translate(_bit_reversal()),
+                          "little") >> (8 * size - p)
 
 
 def _check_pr_bitmap(ctx: PrimeContext, bm: int) -> None:

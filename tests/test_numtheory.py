@@ -316,8 +316,9 @@ def test_pr_bitmap_large_primes(p):
 
 # 30030 = 2*3*5*7*11*13 divides p - 1 for the last three primes, so the
 # exponents coprime to p - 1 sit up to 22 apart: the longest runs of
-# sieved-out exponents below 10^6, some of them across the boundary of two
-# blocks of powers. 150151 is 3 mod 4, the others 1 mod 4 (the mirror).
+# sieved-out exponents below 10^6. The bitmap tests the product 210 of the
+# four least of those primes on its table of indices and clears the 11-th
+# and 13-th powers by walking them.
 @pytest.mark.parametrize("p", [3, 5, 7, 120121, 150151, 540541])
 def test_pr_bitmap_matches_per_residue_check_across_long_coprime_gaps(p):
     ctx = PrimeContext.for_prime(p)
@@ -350,17 +351,19 @@ def exponent_walk_bitmap(ctx):
 
 
 def test_pr_bitmap_matches_exponent_walk_below_20000():
-    # Below 4096 exponents the only block of powers is partial; above it
-    # the last block is partial unless 4096 divides the walked range.
+    # For 1957 of these primes the primes of p - 1 multiply past 256, so the
+    # bitmap walks the powers of the larger ones; below 9 the Farey order is 1.
     for p in sieve_primes(20000):
         ctx = PrimeContext.for_prime(p)
         assert ctx.pr_bitmap() == exponent_walk_bitmap(ctx), p
 
 
-# 65537 walks (p - 1)/2 = 8 * 4096 exponents, whole blocks with none partial;
-# 120121, 150151 and 540541 have the long sieved-out runs noted above; the
-# last four are the primes of the delta_large benchmark workload.
-@pytest.mark.parametrize("p", [65537, 120121, 150151, 540541,
+# 65537 has p - 1 = 2^16, so Q = 2 and nothing is walked; 120121, 150151 and
+# 540541 have the long sieved-out runs noted above; the bitmap walks the
+# powers of 11, 17 and 23 for 903211 = 2*3*5*7*11*17*23 + 1, of 83 and 241
+# for 1000151 and of 197 and 2539 for 1000367, where Q = 2; the last four
+# are the primes of the delta_large benchmark workload.
+@pytest.mark.parametrize("p", [65537, 120121, 150151, 540541, 903211, 1000151, 1000367,
                                1000003, 1000033, 1000037, 1000039])
 def test_pr_bitmap_matches_exponent_walk_large(p):
     ctx = PrimeContext.for_prime(p)

@@ -858,8 +858,9 @@ def test_delta_scan_checks_the_bitmap_it_dilates(monkeypatch, tmp_path, mutate, 
 
 def _walked_bitmap(ctx, g, end, mirror):
     """The bitmap of g^t for the t in [0, end) coprime to p - 1, with the
-    mirror bits p - g^t when asked: `_build_pr_bitmap` by a plain walk, with
-    the choices it makes exposed for mutation."""
+    mirror bits p - g^t when asked: the primitive roots by a plain walk, with
+    the generator, the range of exponents and the mirror of roots under
+    x -> p - x, which holds only for p = 1 mod 4, exposed for mutation."""
     p, m = ctx.p, ctx.p - 1
     digits, x = bytearray(b"0") * p, 1
     for t in range(end):
@@ -881,7 +882,9 @@ def _mirror_for_every_p(ctx):
 
 
 def _drop_the_last_block(ctx):
-    end, block = _walk_end(ctx.p), numtheory._POWER_BLOCK
+    """The walk without its last block of 4096 exponents, or all of them
+    below 4096: roots lost from the end of the walk."""
+    end, block = _walk_end(ctx.p), 4096
     return _walked_bitmap(ctx, numtheory.least_primitive_root(ctx), (end - 1) // block * block,
                           ctx.p % 4 == 1)
 
@@ -913,6 +916,34 @@ def test_delta_scan_refuses_a_mutated_bitmap_walk(monkeypatch, tmp_path, mutant,
     with pytest.raises(InvariantViolation, match=r"^p=\d+: the primitive-root bitmap "
                                                  r"\(_build_pr_bitmap\) "):
         read()
+
+
+def _with_the_powers_of_the_largest_prime(build):
+    """`build` with the powers g^t set for the t that only the largest
+    prime q of p - 1 shares with p - 1: the bitmap of a build that skips its
+    walk of the q-th powers."""
+    def mutant(ctx):
+        p, qs = ctx.p, ctx.factors_pm1
+        g, rest = numtheory.least_primitive_root(ctx), math.prod(qs[:-1])
+        return build(ctx) | sum(1 << pow(g, t, p) for t in range(0, p - 1, qs[-1])
+                                if math.gcd(t, rest) == 1)
+    return mutant
+
+
+# 1000003 - 1 = 2*3*166667 gains g^166667 and g^833335; 1000367 - 1 =
+# 2*197*2539 gains the g^(2539*k) for the odd k < 394 but 197.
+@pytest.mark.parametrize("p,count,phi,reader", _read_by_each(
+    {"1000003": (1000003, 333334, 333332), "1000367": (1000367, 497644, 497448)},
+    without={"1000003": ["cube_census"], "1000367": ["cube_census"]}))
+def test_bitmap_check_refuses_a_build_that_skips_a_walked_prime(monkeypatch, tmp_path, p,
+                                                                 count, phi, reader):
+    read = _BITMAP_READERS[reader](p, p, tmp_path)
+    monkeypatch.setattr(numtheory, "_build_pr_bitmap",
+                        _with_the_powers_of_the_largest_prime(numtheory._build_pr_bitmap))
+    with pytest.raises(InvariantViolation) as exc:
+        read()
+    assert str(exc.value) == (f"p={p}: the primitive-root bitmap (_build_pr_bitmap) "
+                              f"has {count} bits set, not phi(p-1) = {phi}")
 
 
 @pytest.mark.parametrize("p,x,reader", _read_by_each(
