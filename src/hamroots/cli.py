@@ -139,6 +139,9 @@ def _census_profiles(args, lo: int, compute: tuple[str, ...],
     variant = VARIANTS[variant_name]
     targets = variant.targets  # those of the scan the profiles come from
     # One check of the flags, the same for either source.
+    if args.limit < lo:
+        raise ValueError(f"--limit {args.limit} is below {lo}, "
+                         f"the least prime {args.command} reads")
     config = ScanConfig(lo=lo, hi=args.limit, tasks=args.tasks, targets=targets, compute=compute)
     if not args.scan_file:
         profiles = scan_profiles(config)

@@ -345,9 +345,9 @@ def _build_pr_bitmap(ctx: PrimeContext) -> int:
             while power <= x_max:
                 ind[power::power] = ind[power::power].translate(add)
                 power *= ell
-    # Entry x_max + x is ind(x) mod Q for 0 < |x| <= x_max.
+    # Entry x_max - x is ind(x) mod Q for 0 < |x| <= x_max.
     h = m // 2 % qs
-    signed = ind[x_max:0:-1].translate(residues[h:h + qs] + pad) + ind
+    signed = ind[::-1] + ind[1:].translate(residues[h:h + qs] + pad)
     # The y in [lo, hi] of each Farey fraction t/a, next t2/a2, as flat
     # (t, a, lo, hi) quadruples grouped by s = ind(a) mod Q.
     spans, lo = [array("q") for _ in range(qs)], 1
@@ -358,16 +358,16 @@ def _build_pr_bitmap(ctx: PrimeContext) -> int:
         k = (a_max + a) // a2
         t, a, t2, a2, lo = t2, a2, k * t2 - t, k * a2 - a, hi + 1
     units = bytes(49 if math.gcd(u, qs) == 1 else 48 for u in range(qs)) * 2  # "1", "0"
-    # Digit y of the string is bit p - 1 - y of the int it parses to.
+    # Digit m - y of the string is bit y of the int it parses to.
     digits = bytearray(b"0") * p
     for s, group in enumerate(spans):
         if not group:
             continue
-        # Entry x_max + x of roots is "1" iff ind(x) - s is a unit mod Q.
+        # Entry x_max - x of roots is "1" iff ind(x) - s is a unit mod Q.
         roots = signed.translate(units[qs - s:2 * qs - s] + pad)
         for t, a, lo, hi in zip(*[iter(group)] * 4):
-            start = x_max + a * lo - t * p
-            digits[lo:hi + 1] = roots[start:start + a * (hi - lo) + 1:a]
+            start = x_max - a * hi + t * p
+            digits[m - hi:p - lo] = roots[start:start + a * (hi - lo) + 1:a]
     del ind, signed, roots  # free them before int() allocates the result
     # Each prime q of m above Q: clear the q-th powers g^(q*k) that the
     # slices set, those with k a unit mod Q (Q divides m/q), by walking
@@ -378,15 +378,9 @@ def _build_pr_bitmap(ctx: PrimeContext) -> int:
             if math.gcd(k, qs) == 1:
                 x = pow(g, q * k, p)
                 for _ in range(m // (q * qs)):
-                    digits[x] = 48  # ord("0")
+                    digits[m - x] = 48  # ord("0")
                     x = x * step % p
-    flipped = int(digits, 2)
-    del digits
-    # Big-endian bytes with the bits of each reversed, read little-endian,
-    # put bit p - 1 - x at x once the pad of the last byte is shifted out.
-    size = (p + 7) // 8
-    return int.from_bytes(flipped.to_bytes(size, "big").translate(_bit_reversal()),
-                          "little") >> (8 * size - p)
+    return int(digits, 2)
 
 
 def _check_pr_bitmap(ctx: PrimeContext, bm: int) -> None:
@@ -419,12 +413,6 @@ def _check_pr_bitmap(ctx: PrimeContext, bm: int) -> None:
                      None)
     if fault:
         raise InvariantViolation(f"p={p}: the primitive-root bitmap (_build_pr_bitmap) {fault}")
-
-
-@lru_cache(maxsize=1)
-def _bit_reversal() -> bytes:
-    """Each byte value with its 8 bits in reverse order, built on first use."""
-    return bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 # Maps the digits "0" and "1" to the bytes 0 and 1, for `bytes.translate`.

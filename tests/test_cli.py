@@ -133,6 +133,15 @@ def test_usage_errors_exit_1(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("delta3", "--limit", "2"), "error: --limit 2 is below 3, the least prime delta3 reads\n"),
+    (("frequencies", "--limit", "1"),
+     "error: --limit 1 is below 2, the least prime frequencies reads\n"),
+], ids=["delta3", "frequencies"])
+def test_census_limit_below_the_least_prime_names_the_flag(capsys, argv, err):
+    assert run_err(capsys, *argv) == (1, "", err)
+
+
 def test_io_error_exit_2(capsys, tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert main(["scan", "--range", "3", "7", "--output", str(missing_dir)]) == 2

@@ -361,10 +361,15 @@ def test_pr_bitmap_matches_exponent_walk_below_20000():
 # 65537 has p - 1 = 2^16, so Q = 2 and nothing is walked; 120121, 150151 and
 # 540541 have the long sieved-out runs noted above; the bitmap walks the
 # powers of 11, 17 and 23 for 903211 = 2*3*5*7*11*17*23 + 1, of 83 and 241
-# for 1000151 and of 197 and 2539 for 1000367, where Q = 2; the last four
-# are the primes of the delta_large benchmark workload.
+# for 1000151 and of 197 and 2539 for 1000367, where Q = 2; 1000003 to
+# 1000039 are the primes of the delta_large benchmark workload. The last
+# three have bit length 22, the top of the 3e6 census: 2097169 walks 43691
+# (p - 1 = 2^4*3*43691); 2771341 has Q = 30 and walks 11, 13, 17 and 19,
+# one of the primes there where the walk costs most; 2980007 has Q = 146 and
+# walks 20411 (p - 1 = 2*73*20411).
 @pytest.mark.parametrize("p", [65537, 120121, 150151, 540541, 903211, 1000151, 1000367,
-                               1000003, 1000033, 1000037, 1000039])
+                               1000003, 1000033, 1000037, 1000039,
+                               2097169, 2771341, 2980007])
 def test_pr_bitmap_matches_exponent_walk_large(p):
     ctx = PrimeContext.for_prime(p)
     assert ctx.pr_bitmap() == exponent_walk_bitmap(ctx)
