@@ -244,17 +244,17 @@ def _target_bitmap(ctx: PrimeContext, reduced_targets: bool) -> int:
 def _flip_shuffles(length: int) -> tuple[tuple[int, int], ...]:
     """(shift, mask-of-positions-with-bit-i-clear) pairs for bitmap dilation.
 
-    Masks repeat a little-endian byte pattern, cut to 2^length bits; linear
-    in 2^length. Only the last length's masks are kept, length * 2^length / 8
-    bytes: a scan's primes ascend, so no length is built twice."""
-    size = 1 << length
+    The mask for s = 2^i starts as s ones, one period of s ones and s zeros,
+    and ORs in itself shifted up by its period until it spans 2^length bits:
+    int shifts whose sizes double, so linear in 2^length per mask.
+    Only the last length's masks are kept, length * 2^length / 8 bytes: a
+    scan's primes ascend, so no length is built twice."""
     out = []
     for i in range(length):
-        s = 1 << i
-        block = (bytes([(0x55, 0x33, 0x0F)[i]]) if s < 8
-                 else b"\xff" * (s // 8) + b"\0" * (s // 8))
-        mask = int.from_bytes(block * max(1, size // 8 // len(block)), "little")
-        out.append((s, mask & ((1 << size) - 1)))
+        mask = (1 << (1 << i)) - 1
+        for j in range(i + 1, length):
+            mask |= mask << (1 << j)
+        out.append((1 << i, mask))
     return tuple(out)
 
 

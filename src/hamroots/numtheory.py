@@ -348,27 +348,20 @@ def _build_pr_bitmap(ctx: PrimeContext) -> int:
     # Entry x_max - x is ind(x) mod Q for 0 < |x| <= x_max.
     h = m // 2 % qs
     signed = ind[::-1] + ind[1:].translate(residues[h:h + qs] + pad)
-    # The y in [lo, hi] of each Farey fraction t/a, next t2/a2, as flat
-    # (t, a, lo, hi) quadruples grouped by s = ind(a) mod Q.
-    spans, lo = [array("q") for _ in range(qs)], 1
+    # Entry u of roots[s] is "1" iff u - s is a unit mod Q.
+    units = bytes(49 if math.gcd(u, qs) == 1 else 48 for u in range(qs)) * 2  # "1", "0"
+    roots = [units[qs - s:2 * qs - s] + pad for s in range(qs)]
+    # Digit m - y of the string is bit y of the int it parses to. Each Farey
+    # fraction t/a, next t2/a2, fills the y in [lo, hi].
+    digits, lo = bytearray(b"0") * p, 1
     t, a, t2, a2 = 0, 1, 1, a_max
     while lo < p:
         hi = (t + t2) * p // (a + a2) if t2 <= a_max else m
-        spans[ind[a]].extend((t, a, lo, hi))
+        start = x_max - a * hi + t * p
+        digits[m - hi:p - lo] = signed[start:start + a * (hi - lo) + 1:a].translate(roots[ind[a]])
         k = (a_max + a) // a2
         t, a, t2, a2, lo = t2, a2, k * t2 - t, k * a2 - a, hi + 1
-    units = bytes(49 if math.gcd(u, qs) == 1 else 48 for u in range(qs)) * 2  # "1", "0"
-    # Digit m - y of the string is bit y of the int it parses to.
-    digits = bytearray(b"0") * p
-    for s, group in enumerate(spans):
-        if not group:
-            continue
-        # Entry x_max - x of roots is "1" iff ind(x) - s is a unit mod Q.
-        roots = signed.translate(units[qs - s:2 * qs - s] + pad)
-        for t, a, lo, hi in zip(*[iter(group)] * 4):
-            start = x_max - a * hi + t * p
-            digits[m - hi:p - lo] = roots[start:start + a * (hi - lo) + 1:a]
-    del ind, signed, roots  # free them before int() allocates the result
+    del ind, signed  # free them before int() allocates the result
     # Each prime q of m above Q: clear the q-th powers g^(q*k) that the
     # slices set, those with k a unit mod Q (Q divides m/q), by walking
     # g^(q*(k + Q*j)) from each unit k.

@@ -499,6 +499,27 @@ def test_flip_shuffles_match_floor_division_formula():
         assert _flip_shuffles(length) == tuple(expected), length
 
 
+def byte_pattern_shuffles(length):
+    """Oracle for _flip_shuffles: repeat the little-endian byte pattern of
+    each mask (0x55, 0x33, 0x0F, then runs of 0xFF and 0x00) and cut it to
+    2^length bits."""
+    size = 1 << length
+    out = []
+    for i in range(length):
+        s = 1 << i
+        block = (bytes([(0x55, 0x33, 0x0F)[i]]) if s < 8
+                 else b"\xff" * (s // 8) + b"\0" * (s // 8))
+        mask = int.from_bytes(block * max(1, size // 8 // len(block)), "little")
+        out.append((s, mask & ((1 << size) - 1)))
+    return tuple(out)
+
+
+def test_flip_shuffles_match_byte_patterns_through_census_lengths():
+    # 20 to 22 are the bit lengths of the primes of the 3e6 census.
+    for length in range(1, 23):
+        assert _flip_shuffles(length) == byte_pattern_shuffles(length), length
+
+
 def _bfs_distances(targets, length):
     """Hop distance from each vertex of the length-cube to the target set."""
     dist = [None] * (1 << length)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import compress
 
 import pytest
@@ -373,6 +374,22 @@ def test_pr_bitmap_matches_exponent_walk_below_20000():
 def test_pr_bitmap_matches_exponent_walk_large(p):
     ctx = PrimeContext.for_prime(p)
     assert ctx.pr_bitmap() == exponent_walk_bitmap(ctx)
+
+
+# The build holds the p-byte digit buffer and then the p/8-byte int parsed
+# from it, and before that the tables of about 3*p^(2/3) bytes that the Farey
+# slices read; no structure per slice is kept.
+@pytest.mark.parametrize("p", [1000003, 2980007])
+def test_pr_bitmap_heap_peak_is_digits_int_and_tables(p):
+    ctx = PrimeContext.for_prime(p)
+    least_primitive_root(ctx)
+    tracemalloc.start()
+    try:
+        numtheory._build_pr_bitmap(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= p + p // 8 + 4 * p ** (2 / 3) + 65536
 
 
 def test_pr_bitmap_mirror_under_negation():
