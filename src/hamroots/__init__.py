@@ -23,11 +23,10 @@ _SUBMODULE_OF = {name: module for module, names in {
               "small_elements_cube"),
     "cyclotomic": ("RootOfUnitySum", "cyclotomic_poly"),
     "errors": ("CapabilityError", "InvariantViolation"),
-    "hamming": ("BitExpansion", "CANONICAL", "DOMAIN0", "REDUCED", "RadiusVariant",
-                "HammingProfile", "VARIANTS", "covering_radius", "covering_radius_bfs",
-                "hamming_distance", "hamming_weight", "high_bit_flip_set", "low_bit_flip_set",
-                "min_flips_to_primroot", "min_nonresidue_weight", "min_primroot_weight",
-                "recombined_set"),
+    "hamming": ("CANONICAL", "DOMAIN0", "REDUCED", "RadiusVariant", "HammingProfile", "VARIANTS",
+                "covering_radius", "covering_radius_bfs", "hamming_distance", "hamming_weight",
+                "high_bit_flip_set", "low_bit_flip_set", "min_flips_to_primroot",
+                "min_nonresidue_weight", "min_primroot_weight", "recombined_set"),
     "numtheory": ("PrimeContext", "factorize", "is_prime", "is_primitive_root",
                   "least_primitive_root", "legendre_symbol", "multiplicative_order",
                   "sieve_primes"),

@@ -211,11 +211,11 @@ def _itemize_variant_differences(profiles, variant: str) -> None:
     domain0 profile is a view of each row's radii; under reduced targets,
     whose radii do not give it, of a literal-target dilation."""
     print(f"# {variant} vs domain0 radius differences:")
-    reduced = VARIANTS[variant].reduced_targets
+    literal = VARIANTS[variant].targets == "literal"
     for prof in profiles:
         if prof.delta is None or prof.p == 2:
             continue
-        radii = dilation_radii(PrimeContext.for_prime(prof.p), False) if reduced else prof.radii
+        radii = prof.radii if literal else dilation_radii(PrimeContext.for_prime(prof.p), "literal")
         alt = HammingProfile(prof.p, prof.r, prof.w, prof.W, variant=DOMAIN0.name, radii=radii)
         if alt.delta != prof.delta:
             print(f"  p={prof.p}: {variant}={prof.delta} (classes "

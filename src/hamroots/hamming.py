@@ -18,58 +18,25 @@ from .errors import CapabilityError, InvariantViolation
 from .numtheory import PrimeContext, _jacobi, bitmap_to_set, is_primitive_root
 
 
-class _BitExpansion(NamedTuple):
-    value: int
-    length: int
-
-
-class BitExpansion(_BitExpansion):
-    """An integer pinned to a fixed bit width (index 0 = least significant)."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not 0 <= self.value < (1 << self.length):
-            raise ValueError(f"{self.value} does not fit in {self.length} bits")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # Through __new__ and its checks; `_replace` builds with `_make` too.
-        return cls(*iterable)
-
-    @property
-    def weight(self) -> int:
-        return self.value.bit_count()
-
-    def __str__(self):
-        return format(self.value, f"0{self.length}b")
-
-
 class RadiusVariant(NamedTuple):
     """Convention knobs for the covering radius.
 
     n_domain_zero: measure n over [0, p-1] instead of [1, p]. The two domains
     differ only in the points 0 and p, so this is a view of one dilation (see
     `view`), not a parameter of it.
-    reduced_targets: accept any bit pattern t < 2^bit_len whose residue mod p
-    is a primitive root, instead of only literal integers in [1, p-1].
+    targets: the target set, the one choice a dilation depends on: "literal"
+    takes only the integers in [1, p-1] that are primitive roots, "reduced"
+    any bit pattern t < 2^bit_len whose residue mod p is one.
     """
 
     name: str
     n_domain_zero: bool = False
-    reduced_targets: bool = False
-
-    @property
-    def targets(self) -> str:
-        """The name of the target set, the one choice a dilation depends on."""
-        return "reduced" if self.reduced_targets else "literal"
+    targets: str = "literal"
 
 
 CANONICAL = RadiusVariant("canonical")
 DOMAIN0 = RadiusVariant("domain0", n_domain_zero=True)
-REDUCED = RadiusVariant("reduced", reduced_targets=True)
+REDUCED = RadiusVariant("reduced", targets="reduced")
 
 VARIANTS = {v.name: v for v in (CANONICAL, DOMAIN0, REDUCED)}
 # The view over [1, p] of each target set: what a scan and its file give.
@@ -97,16 +64,16 @@ class HammingProfile:
     """Per-prime record of the three statistics (None = not computed / undefined).
 
     A profile built with radii is their `variant` view: delta and
-    witness_count come from `view`, and `witnesses` is derived when read (see
-    there). radii is None where delta is (p = 2, or not computed) and in
-    profiles built from their statistics, which keep the witnesses they are
-    given. Profiles compare by value, and neither that nor `repr` derives a
-    list. They are not frozen: a frozen `__init__` sets each slot by
-    `object.__setattr__`, which made building one three to five times slower
-    on CPython 3.11; nothing assigns to them or hashes them.
+    witness_count are taken from `view` once, and `witnesses` is derived when
+    read (see there). radii is None where delta is (p = 2, or not computed)
+    and in profiles built from their statistics, which keep the witnesses
+    they are given and count them. Profiles compare by value, and neither
+    that nor `repr` derives a list. They are not frozen: a frozen `__init__`
+    sets each slot by `object.__setattr__`, which made building one three to
+    five times slower on CPython 3.11; nothing assigns to them or hashes them.
     """
 
-    __slots__ = ("p", "r", "w", "W", "delta", "variant", "radii", "_witnesses")
+    __slots__ = ("p", "r", "w", "W", "delta", "witness_count", "variant", "radii", "_witnesses")
 
     def __init__(self, p: int, r: int, w: int | None = None, W: int | None = None,
                  delta: int | None = None, witnesses: tuple[int, ...] = (),
@@ -118,19 +85,12 @@ class HammingProfile:
         self.variant = variant
         self.radii = radii
         if radii is None:
-            self.delta, self._witnesses = delta, witnesses
+            self.delta, self.witness_count, self._witnesses = delta, len(witnesses), witnesses
         elif delta is not None or witnesses:
             raise ValueError("a profile with radii takes delta and its witnesses from their view")
         else:
-            self.delta, self._witnesses = view(radii, VARIANTS[variant])[0], None
-
-    @property
-    def witness_count(self) -> int:
-        """The number of witness classes, read off the view of the radii
-        where the profile has them."""
-        if self.radii is None:
-            return len(self._witnesses)
-        return view(self.radii, VARIANTS[self.variant])[1]
+            self.delta, self.witness_count = view(radii, VARIANTS[variant])
+            self._witnesses = None
 
     @property
     def witnesses(self) -> tuple[int, ...]:
@@ -161,9 +121,9 @@ class HammingProfile:
     __hash__ = None
 
     def __repr__(self):
-        # The witnesses a profile was built with are shown; derived ones are not.
-        names = ("p", "r", "w", "W", "delta", "witness_count", "variant", "radii")
-        shown = [f"{name}={getattr(self, name)!r}" for name in names]
+        # Every slot but _witnesses; the witnesses a profile was built with
+        # are shown, derived ones are not.
+        shown = [f"{name}={getattr(self, name)!r}" for name in self.__slots__[:-1]]
         if self.radii is None:
             shown.append(f"witnesses={self._witnesses!r}")
         return "HammingProfile(%s)" % ", ".join(shown)
@@ -232,9 +192,9 @@ def recombined_set(n: int, ctx: PrimeContext, k: int, hi_flips: int, lo_flips: i
 # --- covering radius engines ---------------------------------------------
 
 
-def _target_bitmap(ctx: PrimeContext, reduced_targets: bool) -> int:
+def _target_bitmap(ctx: PrimeContext, targets: str) -> int:
     bm = ctx.pr_bitmap()
-    if reduced_targets:
+    if targets == "reduced":
         width_mask = (1 << (1 << ctx.bit_len)) - 1
         bm |= (bm << ctx.p) & width_mask
     return bm
@@ -271,7 +231,7 @@ def dilate(bitmap: int, length: int) -> int:
 _NONZERO = b"\0" + b"\1" * 255
 
 
-def _certify_core(ctx: PrimeContext, reduced_targets: bool, core: int, uncovered: int) -> None:
+def _certify_core(ctx: PrimeContext, targets: str, core: int, uncovered: int) -> None:
     """Raise InvariantViolation unless up to nine points of the uncovered set
     (the lowest, the highest, and the lowest at or above k*p/8 for k = 1..7)
     each have no target within core - 1 flips and some target at exactly
@@ -280,6 +240,7 @@ def _certify_core(ctx: PrimeContext, reduced_targets: bool, core: int, uncovered
     a primitive root counts; under literal targets only t in [1, p-1] does,
     so the others are filtered out first, since the test reduces t mod p."""
     p, length = ctx.p, ctx.bit_len
+    top = 1 << length if targets == "reduced" else p  # the targets t lie in [1, top)
     points = {uncovered.bit_length() - 1}  # the point 1 is never a target, so never empty
     # One little-endian copy of the set, at most p/8 bytes, serves every
     # start; a shift of the int per start would copy up to p bits each time.
@@ -297,17 +258,16 @@ def _certify_core(ctx: PrimeContext, reduced_targets: bool, core: int, uncovered
     for n in sorted(points):
         for s in range(core + 1):
             hit = next((t for t in _flips(n, length, s)
-                        if (reduced_targets or 0 < t < p) and is_primitive_root(t, ctx)), None)
+                        if 0 < t < top and is_primitive_root(t, ctx)), None)
             if (hit is None) == (s < core):
                 continue
             found = f"no target {s}" if hit is None else f"the target {hit} {s}"
             raise InvariantViolation(
-                f"p={p} targets={'reduced' if reduced_targets else 'literal'}: the dilation "
-                f"for delta (dilate) puts n={n} at distance {core}, but is_primitive_root "
-                f"finds {found} flips away")
+                f"p={p} targets={targets}: the dilation for delta (dilate) puts n={n} at "
+                f"distance {core}, but is_primitive_root finds {found} flips away")
 
 
-def _dilation(ctx: PrimeContext, reduced_targets: bool) -> tuple[Radii, int]:
+def _dilation(ctx: PrimeContext, targets: str) -> tuple[Radii, int]:
     """Radii by iterated bitmap dilation, and the uncovered core set.
 
     Grows the target set by Hamming-ball radius one per round until [1, p-1]
@@ -318,7 +278,7 @@ def _dilation(ctx: PrimeContext, reduced_targets: bool) -> tuple[Radii, int]:
     p = ctx.p
     if p == 2:
         raise CapabilityError("p = 2 is excluded from covering-radius scans")
-    ball = previous = _target_bitmap(ctx, reduced_targets)
+    ball = previous = _target_bitmap(ctx, targets)
     core = (1 << p) - 2  # n in [1, p-1]; made after the bitmap, so not live while it is built
     radius = 0
     core_radius = dist_0 = dist_p = None
@@ -330,21 +290,21 @@ def _dilation(ctx: PrimeContext, reduced_targets: bool) -> tuple[Radii, int]:
         if dist_p is None and ball >> p & 1:
             dist_p = radius
         if None not in (core_radius, dist_0, dist_p):
-            _certify_core(ctx, reduced_targets, core_radius, uncovered)
+            _certify_core(ctx, targets, core_radius, uncovered)
             return Radii(core_radius, dist_0, dist_p, uncovered.bit_count()), uncovered
         if radius == ctx.bit_len:
             raise InvariantViolation(
-                f"p={p} targets={'reduced' if reduced_targets else 'literal'}: the dilation "
-                f"for delta leaves the domain uncovered after {radius} rounds")
+                f"p={p} targets={targets}: the dilation for delta leaves the domain "
+                f"uncovered after {radius} rounds")
         previous = ball
         ball = dilate(ball, ctx.bit_len)
         radius += 1
 
 
-def dilation_radii(ctx: PrimeContext, reduced_targets: bool) -> Radii:
+def dilation_radii(ctx: PrimeContext, targets: str) -> Radii:
     """The radii of one dilation of the targets, which every domain
     convention views; a scan row holds them."""
-    return _dilation(ctx, reduced_targets)[0]
+    return _dilation(ctx, targets)[0]
 
 
 def view(radii: Radii, variant: RadiusVariant) -> tuple[int, int]:
@@ -360,7 +320,7 @@ def covering_radius(ctx: PrimeContext, variant: RadiusVariant = CANONICAL
     """Covering radius and its witness classes (n mod p, ascending) over the
     variant's domain, by bitmap dilation. This is the one place a witness
     list is made: a scan keeps only its count."""
-    radii, uncovered = _dilation(ctx, variant.reduced_targets)
+    radii, uncovered = _dilation(ctx, variant.targets)
     delta, count = view(radii, variant)
     core = tuple(bitmap_to_set(uncovered)) if radii.core == delta else ()
     return delta, (0,) * (count - len(core)) + core  # the class 0 where the endpoint reaches delta
@@ -372,7 +332,7 @@ def covering_radius_bfs(ctx: PrimeContext, variant: RadiusVariant = CANONICAL
     if ctx.p == 2:
         raise CapabilityError("p = 2 is excluded from covering-radius scans")
     size = 1 << ctx.bit_len
-    targets = _target_bitmap(ctx, variant.reduced_targets)
+    targets = _target_bitmap(ctx, variant.targets)
     dist = [-1] * size
     frontier = []
     t = targets
@@ -414,7 +374,7 @@ def min_flips_to_primroot(n: int, ctx: PrimeContext, variant: RadiusVariant = CA
             raise ValueError(f"n must be in [0, {p - 1}] for this variant")
     elif not 1 <= n <= p:
         raise ValueError(f"n must be in [1, {p}]")
-    targets = _target_bitmap(ctx, variant.reduced_targets)
+    targets = _target_bitmap(ctx, variant.targets)
     for s in range(length + 1):
         for t in _flips(n, length, s):
             if targets >> t & 1:

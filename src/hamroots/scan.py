@@ -88,7 +88,6 @@ def _scan_block(args) -> list[tuple]:
     the primitive-root bitmap cached on it; the sweep needs p and the odd
     exponents (p-1)/q."""
     primes, targets, compute = args
-    reduced = BASE_VIEWS[targets].reduced_targets
     weights, roots, delta = "w" in compute or "W" in compute, "W" in compute, "delta" in compute
     rows = []
     for p, qs in zip(primes, factorize_pm1(primes)):
@@ -101,7 +100,7 @@ def _scan_block(args) -> list[tuple]:
             if root:
                 W = root[0]
         if delta and p > 2:
-            radii = dilation_radii(PrimeContext(p, qs), reduced)
+            radii = dilation_radii(PrimeContext(p, qs), targets)
         # One sweep finds both: w's witness is the first non-residue and W's
         # is a later or the same one, so w <= W holds by construction. The
         # check guards this seam; w and W are checked independently by tests
@@ -110,7 +109,7 @@ def _scan_block(args) -> list[tuple]:
             raise InvariantViolation(f"p={p} targets={targets}: w={w} > W={W}")
         # Under literal targets the distance from 0 to the primitive roots is
         # the least weight of one, so two independent engines must agree.
-        if not reduced and W is not None and radii is not None and radii.dist_0 != W:
+        if targets == "literal" and W is not None and radii is not None and radii.dist_0 != W:
             raise InvariantViolation(
                 f"p={p} targets={targets}: the sparsest-root search gives W={W}, "
                 f"the dilation puts 0 at distance {radii.dist_0}")
@@ -179,7 +178,8 @@ def _csv_int(cell: str) -> int:
 
 def _line_decoder(config: ScanConfig):
     """The function from a line (newline stripped) to its profile in the base
-    view of the config's targets; it checks the cells, not the checksum."""
+    view of the config's targets; it checks the cells, not the checksum. Only
+    the row of p = 2 may hold an empty cell: it has no w and no radii."""
     columns = _columns(config)
     plain = [name for name in columns if name not in RADII]
     base = BASE_VIEWS[config.targets].name
@@ -188,13 +188,15 @@ def _line_decoder(config: ScanConfig):
         cells = line.split(",")
         if len(cells) != len(columns) + 1:  # the checksum ends the row
             raise ValueError(f"expected {len(columns) + 1} columns, got {len(cells)}")
+        p, r = _csv_int(cells[0]), _csv_int(cells[1])
+        if r != (p - 1).bit_length() - 1:
+            raise ValueError(f"r={r}, but p={p} has r={(p - 1).bit_length() - 1}")
+        if p > 2 and "" in cells[2:-1]:
+            raise ValueError(f"the row of p={p} has an empty cell, which only p = 2 may have")
         values = {name: _csv_int(cell) if cell else None
                   for name, cell in zip(plain[2:], cells[2:])}  # w and W
         radii = cells[len(plain):-1]  # none, or all empty for a prime without radii
         radii = Radii(*map(_csv_int, radii)) if any(radii) else None
-        p, r = _csv_int(cells[0]), _csv_int(cells[1])
-        if r != (p - 1).bit_length() - 1:
-            raise ValueError(f"r={r}, but p={p} has r={(p - 1).bit_length() - 1}")
         return HammingProfile(p, r, values.get("w"), values.get("W"), variant=base, radii=radii)
     return decode
 

@@ -206,7 +206,7 @@ def test_reference_classes_are_class_0_and_the_core_3_witnesses():
         ctx = PrimeContext.for_prime(p)
         # domain0 has delta 3 here; its list is 0 where dist_0 = W = 3, then the core's
         core = (c for c in covering_radius(ctx, DOMAIN0)[1] if c)
-        rule = (0, *(core if dilation_radii(ctx, False).core == 3 else ()))
+        rule = (0, *(core if dilation_radii(ctx, "literal").core == 3 else ()))
         assert set(rule) <= set(classes), p
         if classes != rule:
             extra[p] = sorted(set(classes) - set(rule))

@@ -1,5 +1,6 @@
 import argparse
 import re
+import zlib
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from hamroots import cli, hamming, scan
 from hamroots.cli import build_parser, main
 from hamroots.errors import InvariantViolation
-from hamroots.scan import ScanConfig, format_scan_output, scan_range
+from hamroots.scan import ScanConfig, format_scan_output, read_scan_output, scan_range
 
 
 def run(capsys, *argv):
@@ -433,6 +434,22 @@ def test_delta3_scan_file_refusals(tmp_path, capsys):
                                  "--scan-file", path)
         assert code == 1 and out == ""
         assert message in err and "--compute" not in err
+
+
+def test_an_empty_cell_in_an_odd_primes_row_is_refused(tmp_path, capsys):
+    """Only the row of p = 2 has empty cells. A file whose row of p = 5 has
+    its radii blanked under a recomputed checksum is refused by the reader
+    and by delta3, which would otherwise compare a delta of None with 3."""
+    path = _scan_file(tmp_path, capsys, "d.csv", "--range", "2", "100", "--compute", "delta")
+    lines = Path(path).read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith("5,"))
+    lines[i] = f"5,2,,,,,{zlib.crc32(b'5,2,,,,'):08x}\n"
+    Path(path).write_text("".join(lines))
+    message = f"{path}: line {i + 1}: the row of p=5 has an empty cell, which only p = 2 may have"
+    assert run_err(capsys, "delta3", "--limit", "100", "--scan-file", path) == (
+        1, "", f"error: {message}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_scan_output(path)
 
 
 def test_frequencies_scan_file_matches_the_scan(tmp_path, capsys):

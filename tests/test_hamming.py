@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hamroots import hamming
 from hamroots.errors import CapabilityError, InvariantViolation
-from hamroots.hamming import (BitExpansion, CANONICAL, DOMAIN0, REDUCED, HammingProfile, Radii,
+from hamroots.hamming import (CANONICAL, DOMAIN0, REDUCED, HammingProfile, Radii,
                               _flip_shuffles, _weight_class,
                               dilation_radii, sparsest,
                               covering_radius, covering_radius_bfs, dilate,
@@ -34,22 +34,6 @@ def test_weights_and_distances():
         hamming_distance(8, 1, 3)
     with pytest.raises(ValueError):
         hamming_weight(-1)
-
-
-def test_bit_expansion():
-    b = BitExpansion(17, 5)
-    assert str(b) == "10001" and b.weight == 2
-    assert b == BitExpansion(value=17, length=5) and len({b, BitExpansion(17, 5)}) == 1
-    with pytest.raises(AttributeError):
-        b.value = 3
-    with pytest.raises(ValueError, match="^32 does not fit in 5 bits$"):
-        BitExpansion(32, 5)
-    with pytest.raises(ValueError, match="^-1 does not fit in 5 bits$"):
-        BitExpansion(length=5, value=-1)
-    with pytest.raises(ValueError, match="^9 does not fit in 2 bits$"):
-        BitExpansion(1, 2)._replace(value=9)
-    with pytest.raises(ValueError, match="^4 does not fit in 2 bits$"):
-        BitExpansion._make((4, 2))
 
 
 def test_flip_set_examples():
@@ -170,7 +154,7 @@ def domain_dilation(ctx, variant):
     p = ctx.p
     domain = (1 << p) - 1 if variant.n_domain_zero else (1 << (p + 1)) - 2
     ball = ctx.pr_bitmap()
-    if variant.reduced_targets:
+    if variant.targets == "reduced":
         ball |= (ball << p) & ((1 << (1 << ctx.bit_len)) - 1)
     radius, previous = 0, ball
     while ball & domain != domain:
@@ -188,30 +172,30 @@ def test_views_match_the_per_domain_dilation_below_20000():
         ctx = ctx_for(p)
         for variant in (CANONICAL, DOMAIN0, REDUCED):
             assert covering_radius(ctx, variant) == domain_dilation(ctx, variant), (p, variant)
-        assert dilation_radii(ctx, False).dist_0 == min_primroot_weight(ctx)[0], p
+        assert dilation_radii(ctx, "literal").dist_0 == min_primroot_weight(ctx)[0], p
 
 
 def test_view_of_the_endpoints():
     # The radii count the core witnesses; each view counts its own, and
     # covering_radius lists them.
     # 23: every n in [1, 22] is one flip from a root, 0 is two (W = 2), 23 is one
-    radii = dilation_radii(ctx_for(23), False)
+    radii = dilation_radii(ctx_for(23), "literal")
     core = (1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18, 22)
     assert radii == Radii(1, 2, 1, len(core))
     assert view(radii, CANONICAL) == (1, 13) and view(radii, DOMAIN0) == (2, 1)
     assert covering_radius(ctx_for(23), CANONICAL) == (1, (0, *core))
     assert covering_radius(ctx_for(23), DOMAIN0) == (2, (0,))
     # 17: the core is the farther, so neither endpoint is a witness
-    assert dilation_radii(ctx_for(17), False) == Radii(3, 2, 2, 1)
-    assert view(dilation_radii(ctx_for(17), False), DOMAIN0) == (3, 1)
+    assert dilation_radii(ctx_for(17), "literal") == Radii(3, 2, 2, 1)
+    assert view(dilation_radii(ctx_for(17), "literal"), DOMAIN0) == (3, 1)
     assert covering_radius(ctx_for(17), DOMAIN0) == (3, (16,))
     # 31: both endpoints are farther than the core, so no view reads the 22
     # core witnesses; reduced targets bring p = 17 to that case
-    assert dilation_radii(ctx_for(31), False) == Radii(1, 2, 2, 22)
-    assert view(dilation_radii(ctx_for(31), False), CANONICAL) == (2, 1)
+    assert dilation_radii(ctx_for(31), "literal") == Radii(1, 2, 2, 22)
+    assert view(dilation_radii(ctx_for(31), "literal"), CANONICAL) == (2, 1)
     assert covering_radius(ctx_for(31), CANONICAL) == covering_radius(ctx_for(31), DOMAIN0) \
         == (2, (0,))
-    assert dilation_radii(ctx_for(17), True) == Radii(1, 2, 2, 8)
+    assert dilation_radii(ctx_for(17), "reduced") == Radii(1, 2, 2, 8)
     assert covering_radius(ctx_for(17), REDUCED) == (2, (0,))
 
 
@@ -222,10 +206,10 @@ def test_engine_failures_are_invariant_violations(monkeypatch):
     with pytest.raises(InvariantViolation,
                        match="^p=7: the candidate sweep for W finds no primitive root$"):
         sparsest(7, [6 // 3, 6 // 7], roots=True)
-    monkeypatch.setattr(hamming, "_target_bitmap", lambda ctx, reduced_targets: 0)
+    monkeypatch.setattr(hamming, "_target_bitmap", lambda ctx, targets: 0)
     with pytest.raises(InvariantViolation, match="^p=7 targets=literal: the dilation for delta "
                                                  "leaves the domain uncovered after 3 rounds$"):
-        dilation_radii(ctx_for(7), False)
+        dilation_radii(ctx_for(7), "literal")
     with pytest.raises(InvariantViolation, match="^p=7 variant=canonical: the ball search for "
                                                  "delta reaches no target from n=3$"):
         min_flips_to_primroot(3, ctx_for(7))

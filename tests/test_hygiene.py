@@ -1,6 +1,8 @@
 """Source hygiene checks that stand in for a linter."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -320,3 +322,23 @@ def test_no_assert_statements_in_src():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_a_failing_property_test_is_reported_and_the_run_goes_on(tmp_path):
+    """Under the project's pytest settings a failing `@given` test shows its
+    falsifying example and the tests after it run. To report it hypothesis
+    imports libcst, whose import raises a DeprecationWarning; an error filter
+    that caught it would end the whole run with INTERNALERROR."""
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 10\n\n\n"
+        "def test_passes():\n"
+        "    pass\n")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+                          "-p", "no:cacheprovider", "test_property.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout
+    assert "1 failed, 1 passed" in run.stdout

@@ -330,6 +330,11 @@ def _write_with_row_of_11_replaced(tmp_path, edit) -> tuple[str, int]:
     return str(path), i + 1
 
 
+def _blank(line: str, *cells: int) -> str:
+    """line with the cells at these indices emptied."""
+    return ",".join("" if j in cells else cell for j, cell in enumerate(line.split(",")))
+
+
 @pytest.mark.parametrize("edit", [
     lambda line: ",".join(line.split(",")[:6]),
     lambda line: line + ",0",
@@ -340,8 +345,13 @@ def _write_with_row_of_11_replaced(tmp_path, edit) -> tuple[str, int]:
     lambda line: line.replace("11,3,", "11, 3,", 1),
     lambda line: "0" + line,
     lambda line: re.sub(r",(\d+),(\w+)$", r",0\1,\2", line),  # p = 11's core count 1
+    # The writer leaves these empty in the row of p = 2 alone.
+    lambda line: _blank(line, 2),
+    lambda line: _blank(line, 3),
+    lambda line: _blank(line, 4, 5, 6, 7),
 ], ids=["six-cells", "eight-cells", "non-integer-p", "empty-r",
-        "underscore-sign-p", "space-r", "zero-padded-p", "zero-padded-witness"])
+        "underscore-sign-p", "space-r", "zero-padded-p", "zero-padded-witness",
+        "empty-w", "empty-W", "empty-radii"])
 def test_malformed_row_rejected_with_path_and_line(tmp_path, edit):
     path, lineno = _write_with_row_of_11_replaced(tmp_path, edit)
     with pytest.raises(ValueError, match=f"^{re.escape(path)}: line {lineno}: "):
@@ -520,11 +530,13 @@ def test_journal_of_another_scan_is_refused(tmp_path):
         assert ckpt.read_bytes() == journal
 
 
-_stat = st.none() | st.integers(min_value=0, max_value=10**6)
-_radii = st.none() | st.builds(
+_stat = st.integers(min_value=0, max_value=10**6)
+_radii = st.builds(
     Radii, *[st.integers(min_value=0, max_value=40)] * 3, st.integers(min_value=1, max_value=10**12))
-_rows = st.builds(lambda p, w, big_w, radii: (p, (p - 1).bit_length() - 1, w, big_w, radii),
-                  st.integers(min_value=2, max_value=10**12), _stat, _stat, _radii)
+# Rows as the writer writes them: only the row of p = 2 has None cells.
+_rows = (st.tuples(st.just(2), st.just(0), *[st.none() | stat for stat in (_stat, _stat, _radii)])
+         | st.builds(lambda p, w, big_w, radii: (p, (p - 1).bit_length() - 1, w, big_w, radii),
+                     st.integers(min_value=3, max_value=10**12), _stat, _stat, _radii))
 _computes = st.sets(st.sampled_from(STATS), min_size=1).map(tuple)
 
 
@@ -998,25 +1010,45 @@ def test_core_certificate_names_the_point_and_what_pow_finds(monkeypatch, target
     """The certificate passes the dilation's own uncovered set and refuses
     it at a core radius one off either way, with `is_primitive_root` alone."""
     ctx = numtheory.PrimeContext.for_prime(p)
-    reduced = targets == "reduced"
     seen = []
     monkeypatch.setattr(hamming, "_certify_core", lambda *args: seen.append(args))
-    radii = hamming.dilation_radii(ctx, reduced)
+    radii = hamming.dilation_radii(ctx, targets)
     monkeypatch.undo()
     (_, _, core, uncovered), = seen
     n = (uncovered & -uncovered).bit_length() - 1  # the lowest point is certified first
     assert core == radii.core and uncovered >> n & 1
-    hamming._certify_core(ctx, reduced, core, uncovered)
+    hamming._certify_core(ctx, targets, core, uncovered)
     prefix = (f"p={p} targets={targets}: the dilation for delta (dilate) puts n={n} at "
               f"distance")
     with pytest.raises(InvariantViolation) as exc:
-        hamming._certify_core(ctx, reduced, core + 1, uncovered)
+        hamming._certify_core(ctx, targets, core + 1, uncovered)
     assert re.fullmatch(rf"{re.escape(prefix)} {core + 1}, but is_primitive_root finds "
                         rf"the target \d+ {core} flips away", str(exc.value))
     with pytest.raises(InvariantViolation) as exc:
-        hamming._certify_core(ctx, reduced, core - 1, uncovered)
+        hamming._certify_core(ctx, targets, core - 1, uncovered)
     assert str(exc.value) == (f"{prefix} {core - 1}, but is_primitive_root finds no target "
                               f"{core - 1} flips away")
+
+
+@pytest.mark.parametrize("k", range(8))
+@pytest.mark.parametrize("p", [1000037, 1000133])
+def test_core_certificate_checks_the_lowest_point_at_or_above_each_eighth(p, k):
+    """The certificate checks the lowest point of the uncovered set at or
+    above k*p/8 for each k. With the least primitive root at or above k*p/8
+    added to the set, it must refuse that root, a target 0 flips from itself.
+    The 3 points of 1000037 lie in eighths 2, 3 and 7, so a certificate that
+    stops at the first empty window misses the roots of the later ones. The
+    19 points of 1000133 fill every eighth, so only window k reaches the root
+    added to eighth k, and one that skips a window misses it."""
+    ctx = numtheory.PrimeContext.for_prime(p)
+    radii, uncovered = hamming._dilation(ctx, "literal")
+    assert radii.count == {1000037: 3, 1000133: 19}[p]
+    root = next(x for x in range(k * p // 8, p) if numtheory.is_primitive_root(x, ctx))
+    with pytest.raises(InvariantViolation) as exc:
+        hamming._certify_core(ctx, "literal", radii.core, uncovered | 1 << root)
+    assert str(exc.value) == (f"p={p} targets=literal: the dilation for delta (dilate) puts "
+                              f"n={root} at distance {radii.core}, but is_primitive_root finds "
+                              f"the target {root} 0 flips away")
 
 
 def test_core_certificate_counts_only_literal_targets_in_1_to_p_minus_1():
@@ -1025,10 +1057,10 @@ def test_core_certificate_counts_only_literal_targets_in_1_to_p_minus_1():
     under reduced targets, although `is_primitive_root(20)` holds."""
     ctx = numtheory.PrimeContext.for_prime(17)
     assert numtheory.is_primitive_root(20, ctx)
-    assert hamming.dilation_radii(ctx, False) == Radii(3, 2, 2, 1)
-    hamming._certify_core(ctx, False, 3, 1 << 16)
+    assert hamming.dilation_radii(ctx, "literal") == Radii(3, 2, 2, 1)
+    hamming._certify_core(ctx, "literal", 3, 1 << 16)
     with pytest.raises(InvariantViolation) as exc:
-        hamming._certify_core(ctx, True, 3, 1 << 16)
+        hamming._certify_core(ctx, "reduced", 3, 1 << 16)
     assert str(exc.value) == ("p=17 targets=reduced: the dilation for delta (dilate) puts "
                               "n=16 at distance 3, but is_primitive_root finds the target "
                               "20 1 flips away")
