@@ -46,19 +46,23 @@ class Character:
         return cmath.exp(2j * math.pi * e / (self.p - 1))
 
 
-def build_characters(ctx: PrimeContext, d: int) -> list[Character]:
-    """All phi(d) characters mod p of exact order d, for d | p-1.
+def build_characters(ctx: PrimeContext, d: int) -> tuple[Character, ...]:
+    """All phi(d) characters mod p of exact order d, for d | p-1, as the
+    tuple cached on ctx.characters_by_order.
 
     chi_j has order (p-1)/gcd(j, p-1), so the order-d characters are the
     j = (p-1)/d * t with gcd(t, d) = 1.
     """
-    m = ctx.p - 1
-    if d < 1 or m % d != 0:
-        raise ValueError(f"order {d} does not divide p-1={m}")
-    ctx.index_table()  # raises CapabilityError above the cap
-    step = m // d
-    return [Character(ctx, step * t % m, d)
-            for t in range(1, d + 1) if math.gcd(t, d) == 1]
+    cache = ctx.characters_by_order
+    if d not in cache:
+        m = ctx.p - 1
+        if d < 1 or m % d != 0:
+            raise ValueError(f"order {d} does not divide p-1={m}")
+        ctx.index_table()  # raises CapabilityError above the cap
+        step = m // d
+        cache[d] = tuple(Character(ctx, step * t % m, d)
+                         for t in range(1, d + 1) if math.gcd(t, d) == 1)
+    return cache[d]
 
 
 def all_characters(ctx: PrimeContext) -> list[Character]:

@@ -41,15 +41,29 @@ class BoundReport:
                    applicable=applicable, note=note)
 
 
+def _char_sum(chi: Character, values) -> RootOfUnitySum:
+    """Exact sum of chi(z) over the integers z in values."""
+    acc = RootOfUnitySum(chi.p - 1)
+    for z in values:
+        acc.add(chi.root_index(z))
+    return acc
+
+
+def _bound_report(chi: Character, magnitude: float, bound: float,
+                  reason: str = "") -> BoundReport:
+    """magnitude against bound, which is inapplicable for the reason given
+    and always for a principal character."""
+    if chi.is_principal:
+        reason = "bound inapplicable (principal)"
+    return BoundReport.compare(magnitude, bound, applicable=not reason, note=reason)
+
+
 def interval_char_sum(chi: Character, start: int, length: int) -> RootOfUnitySum:
     """Exact sum of chi(z) for z = start+1 .. start+length."""
     p = chi.p
     if not 1 <= length <= p:
         raise ValueError(f"interval length must be in [1, {p}], got {length}")
-    acc = RootOfUnitySum(p - 1)
-    for z in range(start + 1, start + length + 1):
-        acc.add(chi.root_index(z))
-    return acc
+    return _char_sum(chi, range(start + 1, start + length + 1))
 
 
 def pv_burgess_bound_report(chi: Character, start: int, length: int, nu: int = 1) -> BoundReport:
@@ -58,10 +72,7 @@ def pv_burgess_bound_report(chi: Character, start: int, length: int, nu: int = 1
         raise ValueError("nu must be a positive integer")
     mag = interval_char_sum(chi, start, length).magnitude()
     bound = length ** (1 - 1 / nu) * chi.p ** ((nu + 1) / (4 * nu * nu))
-    if chi.is_principal:
-        return BoundReport.compare(mag, bound, applicable=False,
-                                   note="bound inapplicable (principal)")
-    return BoundReport.compare(mag, bound)
+    return _bound_report(chi, mag, bound)
 
 
 def split_char_sum(ctx: PrimeContext, n: int, k: int, hi_flips: int, lo_flips: int,
@@ -75,19 +86,11 @@ def split_char_sum(ctx: PrimeContext, n: int, k: int, hi_flips: int, lo_flips: i
     us = high_bit_flip_set(n, ctx, k, hi_flips)
     vs = low_bit_flip_set(n, ctx, k, lo_flips)
     shift = ctx.r - k + 1
-    acc = RootOfUnitySum(ctx.p - 1)
     if order == "uv":
-        for u in us:
-            base = u << shift
-            for v in vs:
-                acc.add(chi.root_index(base + v))
-    elif order == "vu":
-        for v in vs:
-            for u in us:
-                acc.add(chi.root_index((u << shift) + v))
-    else:
-        raise ValueError(f"unknown evaluation order {order!r}")
-    return acc
+        return _char_sum(chi, ((u << shift) + v for u in us for v in vs))
+    if order == "vu":
+        return _char_sum(chi, ((u << shift) + v for v in vs for u in us))
+    raise ValueError(f"unknown evaluation order {order!r}")
 
 
 def hoelder_bound_report(ctx: PrimeContext, n: int, k: int, hi_flips: int,
@@ -105,10 +108,7 @@ def hoelder_bound_report(ctx: PrimeContext, n: int, k: int, hi_flips: int,
     n_v = len(low_bit_flip_set(n, ctx, k, lo_flips))
     bound = (n_u**nu_exp * n_v**0.5 * 2 ** (k / (2 * nu))
              + n_u**nu_exp * n_v * 2 ** (ctx.r / (4 * nu)) * math.log(ctx.p) ** (1 / (2 * nu)))
-    if chi.is_principal:
-        return BoundReport.compare(mag, bound, applicable=False,
-                                   note="bound inapplicable (principal)")
-    return BoundReport.compare(mag, bound)
+    return _bound_report(chi, mag, bound)
 
 
 # --- polynomial character sums ---------------------------------------------
@@ -207,17 +207,11 @@ def poly_char_sum(ctx: PrimeContext, chi: Character, coeffs: list[int],
         length = p - 1
     if not 1 <= length < p:
         raise ValueError(f"range length must be in [1, {p - 1}]")
-    acc = RootOfUnitySum(p - 1)
-    for u in range(start + 1, start + length + 1):
-        acc.add(chi.root_index(poly_eval(f, u, p)))
-    d = distinct_root_count(f, p)
-    bound = d * math.sqrt(p) * math.log(p)
-    applicable, note = True, ""
-    if chi.is_principal:
-        applicable, note = False, "bound inapplicable (principal)"
-    elif is_power_of_rational(f, p, chi.order):
-        applicable, note = False, f"bound inapplicable (F is an m-th power, m={chi.order})"
-    return acc, BoundReport.compare(acc.magnitude(), bound, applicable=applicable, note=note)
+    acc = _char_sum(chi, (poly_eval(f, u, p) for u in range(start + 1, start + length + 1)))
+    bound = distinct_root_count(f, p) * math.sqrt(p) * math.log(p)
+    reason = (f"bound inapplicable (F is an m-th power, m={chi.order})"
+              if is_power_of_rational(f, p, chi.order) else "")
+    return acc, _bound_report(chi, acc.magnitude(), bound, reason)
 
 
 def legendre_partial_sum_report(ctx: PrimeContext, length: int) -> BoundReport:
@@ -248,23 +242,17 @@ def _exact_unit_orbit_sum(exponent_counts: dict[int, int], d: int) -> int:
     The multiset {t*i mod d : gcd(t, d) = 1} is uniform on the class
     {x : gcd(x, d) = h} with h = gcd(i, d), and the sum over that class is
     the Moebius value mu(d/h) (sum of all primitive (d/h)-th roots of unity).
-    Uniformity is verified; a violation means characters were enumerated
-    incorrectly.
+    Uniformity is verified over each whole class, a missing exponent counting
+    0; a violation means characters were enumerated incorrectly.
     """
     by_class: dict[int, set[int]] = {}
-    weight: dict[int, int] = {}
-    for x, c in exponent_counts.items():
-        h = math.gcd(x, d)
-        by_class.setdefault(h, set()).add(c)
-        weight[h] = c
+    for x in range(d):
+        by_class.setdefault(math.gcd(x, d), set()).add(exponent_counts.get(x, 0))
     total = 0
     for h, counts in by_class.items():
         if len(counts) != 1:
             raise InvariantViolation(f"character orbit not uniform on gcd-class {h} mod {d}")
-        n_class = sum(1 for x in range(d) if math.gcd(x, d) == h)
-        if n_class != sum(1 for x in exponent_counts if math.gcd(x, d) == h):
-            raise InvariantViolation(f"character orbit misses part of gcd-class {h} mod {d}")
-        total += weight[h] * mobius(d // h)
+        total += counts.pop() * mobius(d // h)
     return total
 
 
@@ -286,7 +274,7 @@ def primroot_indicator(ctx: PrimeContext, a: int, method: str = "orbit") -> Frac
         total = Fraction(0)
         for d in square_free_divs:
             counts: dict[int, int] = {}
-            for chi in _characters_of_order(ctx, d):
+            for chi in build_characters(ctx, d):
                 e = chi.root_index(a)
                 x = e * d // m  # exponent as a d-th root of unity
                 counts[x] = counts.get(x, 0) + 1
@@ -297,7 +285,7 @@ def primroot_indicator(ctx: PrimeContext, a: int, method: str = "orbit") -> Frac
         vec = [0] * m
         for d in square_free_divs:
             w = mobius(d) * (scale // euler_phi(d))
-            for chi in _characters_of_order(ctx, d):
+            for chi in build_characters(ctx, d):
                 vec[chi.root_index(a)] += w
         acc = RootOfUnitySum(m, counts=vec)
         const = acc.as_rational()
@@ -309,13 +297,6 @@ def primroot_indicator(ctx: PrimeContext, a: int, method: str = "orbit") -> Frac
     if value not in (0, 1):
         raise InvariantViolation(f"indicator value {value} for a={a} mod {p}")
     return value
-
-
-def _characters_of_order(ctx: PrimeContext, d: int) -> tuple[Character, ...]:
-    cache = ctx.characters_by_order
-    if d not in cache:
-        cache[d] = tuple(build_characters(ctx, d))
-    return cache[d]
 
 
 def count_primroots_via_characters(ctx: PrimeContext, values) -> int:

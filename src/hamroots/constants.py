@@ -1,4 +1,5 @@
-"""Analytic constants and the bound curves used in report comparison columns."""
+"""Analytic constants, and the paper's bound curves at one bit length
+(`bound_profile`), a library helper that no command or report prints."""
 
 from __future__ import annotations
 

@@ -88,21 +88,24 @@ def cube_elements(cube: HilbertCube, p: int) -> set[int]:
     return elems
 
 
-def _target_set(ctx: PrimeContext, predicate: str) -> set[int]:
+def _target_mask(ctx: PrimeContext, predicate: str) -> int:
+    """Bit a set iff a satisfies the predicate; PRIMROOT's is the checked bitmap."""
     if predicate == NONRESIDUE:
-        return {a for a in range(1, ctx.p) if legendre_symbol(a, ctx.p) == -1}
+        return sum(1 << a for a in range(1, ctx.p) if legendre_symbol(a, ctx.p) == -1)
     if predicate == PRIMROOT:
-        return set(bitmap_to_set(ctx.pr_bitmap()))
+        return ctx.pr_bitmap()
     raise ValueError(f"unknown predicate {predicate!r}; expected one of {_PREDICATES}")
 
 
 def cube_avoids(cube: HilbertCube, ctx: PrimeContext, predicate: str) -> bool:
     """True iff no cube element satisfies the predicate (0 satisfies neither)."""
-    return not (cube_elements(cube, ctx.p) & _target_set(ctx, predicate))
+    elems, target = cube_elements(cube, ctx.p), _target_mask(ctx, predicate)
+    return not any(target >> a & 1 for a in elems)
 
 
 def cube_contained(cube: HilbertCube, ctx: PrimeContext, predicate: str) -> bool:
-    return cube_elements(cube, ctx.p) <= _target_set(ctx, predicate)
+    elems, target = cube_elements(cube, ctx.p), _target_mask(ctx, predicate)
+    return all(target >> a & 1 for a in elems)
 
 
 def small_elements_cube(dim: int) -> HilbertCube:
@@ -179,11 +182,11 @@ def _max_cube_heuristic(p: int, allowed_mask: int) -> CubeSearchResult:
 
 
 def _allowed_mask(ctx: PrimeContext, predicate: str, contained: bool) -> int:
-    target = _target_set(ctx, predicate)
-    allowed = target if contained else set(range(ctx.p)) - target
+    target = _target_mask(ctx, predicate)
+    allowed = target if contained else target ^ ((1 << ctx.p) - 1)
     if not allowed:
         raise ValueError("empty target set admits no cube")
-    return sum(1 << a for a in allowed)
+    return allowed
 
 
 def max_avoiding_dimension(ctx: PrimeContext, predicate: str) -> CubeSearchResult:

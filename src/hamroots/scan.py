@@ -179,10 +179,12 @@ def _csv_int(cell: str) -> int:
 def _line_decoder(config: ScanConfig):
     """The function from a line (newline stripped) to its profile in the base
     view of the config's targets; it checks the cells, not the checksum. Only
-    the row of p = 2 may hold an empty cell: it has no w and no radii."""
+    the row of p = 2 may hold an empty cell, and it holds the cells the
+    writer gives it: no w, W = 1 and no radii."""
     columns = _columns(config)
     plain = [name for name in columns if name not in RADII]
     base = BASE_VIEWS[config.targets].name
+    two = ["1" if name == "W" else "" for name in columns[2:]]
 
     def decode(line: str) -> HammingProfile:
         cells = line.split(",")
@@ -191,6 +193,9 @@ def _line_decoder(config: ScanConfig):
         p, r = _csv_int(cells[0]), _csv_int(cells[1])
         if r != (p - 1).bit_length() - 1:
             raise ValueError(f"r={r}, but p={p} has r={(p - 1).bit_length() - 1}")
+        if p == 2 and cells[2:-1] != two:
+            raise ValueError(f"the row of p=2 must hold {','.join(two)!r} after p and r, "
+                             f"got {','.join(cells[2:-1])!r}")
         if p > 2 and "" in cells[2:-1]:
             raise ValueError(f"the row of p={p} has an empty cell, which only p = 2 may have")
         values = {name: _csv_int(cell) if cell else None

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hamroots.characters import build_characters
-from hamroots.charsums import (BoundReport, _characters_of_order, _exact_unit_orbit_sum,
+from hamroots.charsums import (BoundReport, _exact_unit_orbit_sum,
                                count_primroots_via_characters,
                                distinct_root_count, hoelder_bound_report,
                                interval_char_sum, is_power_of_rational,
@@ -13,6 +13,7 @@ from hamroots.charsums import (BoundReport, _characters_of_order, _exact_unit_or
                                poly_char_sum, primroot_indicator,
                                pv_burgess_bound_report, split_char_sum,
                                squarefree_multiplicities)
+from hamroots.errors import InvariantViolation
 from hamroots.hamming import high_bit_flip_set, low_bit_flip_set, recombined_set
 from hamroots.numtheory import (PrimeContext, divisors, euler_phi,
                                 is_primitive_root, sieve_primes)
@@ -190,15 +191,29 @@ def test_indicator_matches_order_test_both_methods():
             assert primroot_indicator(ctx, a, method="cyclotomic") == expected
 
 
+def test_orbit_sum_refuses_a_partial_or_non_uniform_class():
+    # mod 4 the gcd-classes are {1, 3}, {2} and {0}
+    for counts in ({1: 1}, {1: 1, 3: 2}):
+        with pytest.raises(InvariantViolation, match="gcd-class 1 mod 4$"):
+            _exact_unit_orbit_sum(counts, 4)
+    # mu(4) * 1 + mu(2) * 5 + mu(1) * 1
+    assert _exact_unit_orbit_sum({0: 1, 1: 1, 2: 5, 3: 1}, 4) == -4
+
+
 def test_character_cache_belongs_to_its_context():
     first = ctx_for(19)
     assert primroot_indicator(first, 2) == 1
+    for d in (1, 2, 3, 6, 9, 18):  # a second call returns the cached tuple
+        chars = build_characters(first, d)
+        assert type(chars) is tuple and build_characters(first, d) is chars
     fresh = ctx_for(19)  # same p, new context: must not reuse first's characters
     assert primroot_indicator(fresh, 2) == 1
     for d in (1, 2, 3, 6):  # the square-free divisors of 18
-        chars = _characters_of_order(fresh, d)
+        chars = build_characters(fresh, d)
         assert chars and all(chi.ctx is fresh for chi in chars)
-    assert all(chi.ctx is first for chi in _characters_of_order(first, 6))
+        assert chars is not build_characters(first, d)
+    assert all(chi.ctx is first for chi in build_characters(first, 6))
+    assert legendre_character(fresh) is build_characters(fresh, 2)[0]
 
 
 def test_count_primroots_examples():

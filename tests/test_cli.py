@@ -124,6 +124,57 @@ def test_charsum_weil(capsys):
     assert "ratio" in out
 
 
+# The whole stdout and exit code of each charsum kind and of the cube census,
+# so that a change to the character-sum or cube layers keeps their bytes; the
+# other tests of these commands check fragments.
+_PINNED_OUTPUTS = [
+    (['charsum', 'pv', '--p', '101'], 0,
+     'max interval-sum ratio mod 101 (nu=1): 1.123185 at chi_45, window (0, 50]\n'),
+    (['charsum', 'pv', '--p', '97', '--nu', '2'], 0,
+     'max interval-sum ratio mod 97 (nu=2): 0.672157 at chi_15, window (0, 48]\n'),
+    (['charsum', 'weil', '--p', '17', '--coeffs', '0,1,1'], 0,
+     '|sum| = 1.000000, bound = 23.363276, ratio = 0.042802, applicable = True\n'),
+    (['charsum', 'weil', '--p', '7', '--coeffs', '0,0,1'], 0,
+     '|sum| = 6.000000, bound = 5.148394, ratio = 1.165412, applicable = False '
+     '(bound inapplicable (F is an m-th power, m=2))\n'),
+    (['charsum', 'hoelder', '--p', '101', '--n', '50', '--k', '3', '--l', '1', '--m', '1'], 0,
+     '|S| = 1.000000, bound = 40.058467, ratio = 0.024964\n'),
+    (['charsum', 'double', '--p', '17', '--n', '17', '--k', '2', '--l', '1', '--m', '1'], 0,
+     'S = -2 (2 terms, |S| = 2.000000)\n'),
+    (['charsum', 'double', '--p', '101', '--n', '7', '--k', '3', '--l', '1', '--m', '2',
+      '--j', '5'], 0,
+     'S = (0.16697747245474093+1.503282246207319j) (18 terms, |S| = 1.512527)\n'),
+    (['charsum', 'indicator', '--p', '97'], 0,
+     'indicator identity mod 97: exact match 96/96 residues\n'),
+    (['cubes', '--range', '3', '70'], 0,
+     'p,f,F,f_bar,F_bar,f_witness,F_witness,f_bar_witness,F_bar_witness,chain,hs_bound\n'
+     '3,1,1,0,0,(0;1),(0;1),(2;),(2;),ok,ok\n'
+     '5,2,2,1,1,(0;1,4),(0;1,4),(2;1),(2;1),ok,ok\n'
+     '7,2,3,1,1,(1;1,6),(2;2,4,5),(3;2),(3;2),ok,ok\n'
+     '11,2,3,2,2,(0;1,3),(0;1,4,10),(2;5,6),(2;5,6),ok,ok\n'
+     '13,3,4,2,2,(0;1,3,9),(0;1,4,8,9),(2;3,6),(2;4,5),ok,ok\n'
+     '17,3,3,3,3,(1;1,15,16),(1;1,15,16),(3;8,9,11),(3;8,9,11),ok,ok\n'
+     '19,2,4,2,2,(0;1,4),(0;1,7,17,18),(2;1,10),(2;1,11),ok,ok\n'
+     '23,3,4,2,2,(1;1,2,22),(4;5,9,14,18),(5;2,10),(5;2,10),ok,ok\n'
+     '29,4,5,3,3,(0;1,5,24,28),(12;5,8,13,16,21),(2;1,8,16),(2;1,8,16),ok,ok\n'
+     '31,3,6,3,2,(1;1,7,30),(23;4,9,13,18,22,27),(3;8,12,19),(3;8,10),ok,ok\n'
+     '37,4,6,4,3,(0;1,10,27,36),(0;3,4,7,30,33,34),(2;4,16,17,33),(2;3,13,17),ok,ok\n'
+     '41,4,5,4,4,(0;1,9,32,40),(1;1,2,38,39,40),(3;9,12,23,32),(6;5,18,23,24),ok,ok\n'
+     '43,3,7,3,3,(0;1,9,14),(8;1,14,15,28,29,30,42),(2;1,5,25),(5;13,15,28),ok,ok\n'
+     '47,3,5,3,3,(0;1,2,6),(27;9,10,19,28,38),(5;5,10,25),(5;5,10,25),ok,ok\n'
+     '53,4,5,4,4,(0;1,6,9,37),(0;6,7,10,36,47),(2;1,24,29,48),(2;1,24,29,48),ok,ok\n'
+     '59,4,4,4,4,(1;11,14,45,48),(0;1,4,16,58),(2;22,28,31,37),(2;22,28,31,37),ok,ok\n'
+     '61,4,7,,,(1;3,15,45,57),(3;1,9,12,24,37,45,49),,,lower-bound,\n'
+     '67,3,6,,,(0;29,62,64),(54;16,21,32,35,46,51),,,lower-bound,\n'),
+]
+
+
+@pytest.mark.parametrize("argv, code, out", _PINNED_OUTPUTS,
+                         ids=[" ".join(argv) for argv, _, _ in _PINNED_OUTPUTS])
+def test_charsum_and_cubes_outputs_are_pinned(capsys, argv, code, out):
+    assert run(capsys, *argv) == (code, out)
+
+
 def test_usage_errors_exit_1(capsys):
     assert main(["scan", "--range", "9", "3"]) == 1
     with pytest.raises(SystemExit) as exc:
@@ -450,6 +501,21 @@ def test_an_empty_cell_in_an_odd_primes_row_is_refused(tmp_path, capsys):
         1, "", f"error: {message}\n")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_scan_output(path)
+
+
+def test_the_row_of_2_without_its_W_is_refused(tmp_path, capsys):
+    """The row of 2 holds W = 1. Blanked under a recomputed checksum, it would
+    make table report a miscount and frequencies print W=1: 67/168; both
+    refuse the file instead."""
+    path = _scan_file(tmp_path, capsys, "ww.csv", "--range", "2", "1000", "--compute", "w,W")
+    lines = Path(path).read_text().splitlines(keepends=True)
+    assert lines[2].startswith("2,0,,1,")
+    lines[2] = f"2,0,,,{zlib.crc32(b'2,0,,'):08x}\n"
+    Path(path).write_text("".join(lines))
+    message = f"{path}: line 3: the row of p=2 must hold ',1' after p and r, got ','"
+    for argv in (["table", "--limit", "1000", "--compute", "w,W"],
+                 ["frequencies", "--limit", "1000"]):
+        assert run_err(capsys, *argv, "--scan-file", path) == (1, "", f"error: {message}\n")
 
 
 def test_frequencies_scan_file_matches_the_scan(tmp_path, capsys):

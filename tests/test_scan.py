@@ -358,6 +358,29 @@ def test_malformed_row_rejected_with_path_and_line(tmp_path, edit):
         read_scan_output(path)
 
 
+@pytest.mark.parametrize("cells, got", [
+    ({3: ""}, ",,,,,"),           # W blanked
+    ({2: "1"}, "1,1,,,,"),        # w set
+    ({4: "0", 5: "1", 6: "1", 7: "1"}, ",1,0,1,1,1"),  # radii filled
+], ids=["empty-W", "w-set", "radii-filled"])
+def test_the_row_of_2_must_be_the_one_the_writer_writes(tmp_path, cells, got):
+    """p = 2 has no w and no radii, and W = 1; a row of 2 edited under a
+    recomputed checksum is refused like any malformed row."""
+    cfg = ScanConfig(lo=2, hi=100)
+    lines = format_scan_output(cfg, scan_range(cfg)).splitlines()
+    assert lines[2].startswith("2,0,,1,,,,,")
+    row = lines[2].split(",")[:-1]
+    for j, cell in cells.items():
+        row[j] = cell
+    text = ",".join(row)
+    lines[2] = f"{text},{zlib.crc32(text.encode()):08x}"
+    path = tmp_path / "scan.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    message = f"{path}: line 3: the row of p=2 must hold ',1,,,,' after p and r, got '{got}'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_scan_output(str(path))
+
+
 def _delta_scan_3000(targets):
     """The delta scan of [3, 3000] under these targets, and its file."""
     cfg = ScanConfig(lo=3, hi=3000, targets=targets, compute=("delta",))
@@ -533,8 +556,9 @@ def test_journal_of_another_scan_is_refused(tmp_path):
 _stat = st.integers(min_value=0, max_value=10**6)
 _radii = st.builds(
     Radii, *[st.integers(min_value=0, max_value=40)] * 3, st.integers(min_value=1, max_value=10**12))
-# Rows as the writer writes them: only the row of p = 2 has None cells.
-_rows = (st.tuples(st.just(2), st.just(0), *[st.none() | stat for stat in (_stat, _stat, _radii)])
+# Rows as the writer writes them: only the row of p = 2 has None cells, and
+# it has W = 1.
+_rows = (st.just((2, 0, None, 1, None))
          | st.builds(lambda p, w, big_w, radii: (p, (p - 1).bit_length() - 1, w, big_w, radii),
                      st.integers(min_value=3, max_value=10**12), _stat, _stat, _radii))
 _computes = st.sets(st.sampled_from(STATS), min_size=1).map(tuple)
