@@ -226,21 +226,50 @@ def dilate(bitmap: int, length: int) -> int:
     return out
 
 
+def _covers(ball: int, points: int, length: int) -> bool:
+    """Whether every point of `points` lies in `dilate(ball, length)`.
+
+    Clears the points in the ball, then those each single-bit flip of the
+    ball reaches, in `dilate`'s order, and answers True at the first flip
+    that leaves none. Clearing by `points ^= points & flip` keeps each step
+    the size of the points; no complement of a flip is built."""
+    points ^= points & ball
+    for s, low in _flip_shuffles(length):
+        if not points:
+            return True
+        points ^= points & (((ball & low) << s) | ((ball >> s) & low))
+    return not points
+
+
 # Maps each byte to 0 if it is zero and to 1 if not, for `bytes.translate`,
 # so that a find of 1 in the result finds the next nonzero byte.
 _NONZERO = b"\0" + b"\1" * 255
 
 
+def _certify_distance(ctx: PrimeContext, targets: str, n: int, distance: int) -> None:
+    """Raise InvariantViolation unless the point n has no target within
+    distance - 1 flips and some target at exactly distance flips, found by
+    `is_primitive_root` alone, without the bitmap or the dilation. Under
+    reduced targets any t < 2^bit_len whose residue is a primitive root
+    counts; under literal targets only t in [1, p-1] does, so the others are
+    filtered out first, since the test reduces t mod p."""
+    top = 1 << ctx.bit_len if targets == "reduced" else ctx.p  # the targets t lie in [1, top)
+    for s in range(distance + 1):
+        hit = next((t for t in _flips(n, ctx.bit_len, s)
+                    if 0 < t < top and is_primitive_root(t, ctx)), None)
+        if (hit is None) == (s < distance):
+            continue
+        found = f"no target {s}" if hit is None else f"the target {hit} {s}"
+        raise InvariantViolation(
+            f"p={ctx.p} targets={targets}: the dilation for delta (dilate) puts n={n} at "
+            f"distance {distance}, but is_primitive_root finds {found} flips away")
+
+
 def _certify_core(ctx: PrimeContext, targets: str, core: int, uncovered: int) -> None:
-    """Raise InvariantViolation unless up to nine points of the uncovered set
-    (the lowest, the highest, and the lowest at or above k*p/8 for k = 1..7)
-    each have no target within core - 1 flips and some target at exactly
-    core flips, found by `is_primitive_root` alone, without the bitmap or
-    the dilation. Under reduced targets any t < 2^bit_len whose residue is
-    a primitive root counts; under literal targets only t in [1, p-1] does,
-    so the others are filtered out first, since the test reduces t mod p."""
-    p, length = ctx.p, ctx.bit_len
-    top = 1 << length if targets == "reduced" else p  # the targets t lie in [1, top)
+    """`_certify_distance` at the core radius for up to nine points of the
+    uncovered set: the lowest, the highest, and the lowest at or above
+    k*p/8 for k = 1..7."""
+    p = ctx.p
     points = {uncovered.bit_length() - 1}  # the point 1 is never a target, so never empty
     # One little-endian copy of the set, at most p/8 bytes, serves every
     # start; a shift of the int per start would copy up to p bits each time.
@@ -256,26 +285,24 @@ def _certify_core(ctx: PrimeContext, targets: str, core: int, uncovered: int) ->
             byte = octets[i]
         points.add(8 * i + (byte & -byte).bit_length() - 1)
     for n in sorted(points):
-        for s in range(core + 1):
-            hit = next((t for t in _flips(n, length, s)
-                        if 0 < t < top and is_primitive_root(t, ctx)), None)
-            if (hit is None) == (s < core):
-                continue
-            found = f"no target {s}" if hit is None else f"the target {hit} {s}"
-            raise InvariantViolation(
-                f"p={p} targets={targets}: the dilation for delta (dilate) puts n={n} at "
-                f"distance {core}, but is_primitive_root finds {found} flips away")
+        _certify_distance(ctx, targets, n, core)
 
 
 def _dilation(ctx: PrimeContext, targets: str) -> tuple[Radii, int]:
     """Radii by iterated bitmap dilation, and the uncovered core set.
 
     Grows the target set by Hamming-ball radius one per round until [1, p-1]
-    and the points 0 and p are all covered. The core witnesses are the points
-    of [1, p-1] still uncovered going into the round that covers it, returned
-    as a bitmap; `_certify_core` checks some of them against `pow`.
+    and the points 0 and p are all covered. The first round is a full
+    `dilate`. Every later round first tests the outstanding points, those of
+    [0, p] still outside the ball, flip by flip (`_covers`): if the round
+    covers them all, the loop records this radius for each and returns,
+    carrying no ball on; if not, the round runs a full `dilate`. So `dilate`
+    alone makes the balls that later rounds grow. The core witnesses are
+    the points of [1, p-1] still uncovered going into the round that covers
+    it, returned as a bitmap; `_certify_core` checks some of them, and
+    `_certify_distance` the points 0 and p, against `pow`.
     """
-    p = ctx.p
+    p, length = ctx.p, ctx.bit_len
     if p == 2:
         raise CapabilityError("p = 2 is excluded from covering-radius scans")
     ball = previous = _target_bitmap(ctx, targets)
@@ -284,20 +311,25 @@ def _dilation(ctx: PrimeContext, targets: str) -> tuple[Radii, int]:
     core_radius = dist_0 = dist_p = None
     while True:
         if core_radius is None and ball & core == core:
-            core_radius, uncovered = radius, core & ~previous
+            core_radius, uncovered = radius, core ^ (previous & core)
         if dist_0 is None and ball & 1:
             dist_0 = radius
         if dist_p is None and ball >> p & 1:
             dist_p = radius
         if None not in (core_radius, dist_0, dist_p):
             _certify_core(ctx, targets, core_radius, uncovered)
+            _certify_distance(ctx, targets, 0, dist_0)
+            _certify_distance(ctx, targets, p, dist_p)
             return Radii(core_radius, dist_0, dist_p, uncovered.bit_count()), uncovered
-        if radius == ctx.bit_len:
+        if radius == length:
             raise InvariantViolation(
                 f"p={p} targets={targets}: the dilation for delta leaves the domain "
                 f"uncovered after {radius} rounds")
         previous = ball
-        ball = dilate(ball, ctx.bit_len)
+        if radius and _covers(ball, (2 << p) - 1, length):
+            ball = (2 << p) - 1  # the domain [0, p], all of it covered; no ball goes further
+        else:
+            ball = dilate(ball, length)
         radius += 1
 
 

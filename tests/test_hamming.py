@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hamroots import hamming
 from hamroots.errors import CapabilityError, InvariantViolation
 from hamroots.hamming import (CANONICAL, DOMAIN0, REDUCED, HammingProfile, Radii,
-                              _flip_shuffles, _weight_class,
+                              _covers, _flip_shuffles, _weight_class,
                               dilation_radii, sparsest,
                               covering_radius, covering_radius_bfs, dilate,
                               hamming_distance, hamming_weight, high_bit_flip_set,
@@ -16,6 +16,7 @@ from hamroots.hamming import (CANONICAL, DOMAIN0, REDUCED, HammingProfile, Radii
                               recombined_set, view)
 from hamroots.numtheory import (PrimeContext, bitmap_to_set, factorize_pm1, legendre_symbol,
                                 sieve_primes)
+from hamroots.reference import RADIUS3_CLASSES
 from hamroots.scan import ScanConfig, scan_range
 
 
@@ -173,6 +174,41 @@ def test_views_match_the_per_domain_dilation_below_20000():
         for variant in (CANONICAL, DOMAIN0, REDUCED):
             assert covering_radius(ctx, variant) == domain_dilation(ctx, variant), (p, variant)
         assert dilation_radii(ctx, "literal").dist_0 == min_primroot_weight(ctx)[0], p
+
+
+def test_views_match_the_per_domain_dilation_of_radius_3_and_delta_large_primes():
+    """The full-round oracle beyond 20000: the reference radius-3 primes to
+    10^6, where the core (8209, 65537, ...) or the point 0 (77351, 514711,
+    ...) is the last to be covered, and the four delta_large primes, where a
+    round after the first stops early."""
+    primes = [p for p in RADIUS3_CLASSES if p <= 10**6] + [1000003, 1000033, 1000037, 1000039]
+    for p in primes:
+        ctx = ctx_for(p)
+        for variant in (CANONICAL, DOMAIN0, REDUCED):
+            assert covering_radius(ctx, variant) == domain_dilation(ctx, variant), (p, variant)
+
+
+def test_rounds_after_the_first_run_a_full_dilate_only_when_the_test_fails(monkeypatch):
+    """The delta_large primes have core 2 and endpoints at distance 1 or 2,
+    so the second round covers every outstanding point and only the first
+    runs `dilate`. 17 (core 3) and 1753 (dist_0 = 3) leave points outside
+    the second round's ball, so they run `dilate` twice and stop early in
+    the third round. Reduced targets bring 17's core to 1 and its endpoints
+    to 2, so one full round suffices there."""
+    calls = []
+    full = hamming.dilate
+    monkeypatch.setattr(hamming, "dilate", lambda bitmap, length: calls.append(1) or
+                        full(bitmap, length))
+    counts = {}
+    for targets in ("literal", "reduced"):
+        for p in (17, 1753, 1000003, 1000033, 1000037, 1000039):
+            calls.clear()
+            dilation_radii(ctx_for(p), targets)
+            counts[p, targets] = len(calls)
+    assert counts == {(17, "literal"): 2, (1753, "literal"): 2, (17, "reduced"): 1,
+                      (1753, "reduced"): 2,
+                      **{(p, t): 1 for p in (1000003, 1000033, 1000037, 1000039)
+                         for t in ("literal", "reduced")}}
 
 
 def test_view_of_the_endpoints():
@@ -524,9 +560,13 @@ def _bfs_distances(targets, length):
     return dist
 
 
+# A bit length and a random target set of its cube.
+_random_targets = st.integers(min_value=1, max_value=10).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << (1 << n)) - 1)))
+
+
 @settings(deadline=None)
-@given(st.integers(min_value=1, max_value=10).flatmap(
-    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))))
+@given(_random_targets)
 def test_dilation_matches_bfs_on_random_targets(case):
     length, targets = case
     dist = _bfs_distances(targets, length)
@@ -534,3 +574,19 @@ def test_dilation_matches_bfs_on_random_targets(case):
     for k in range(length + 1):
         assert ball == sum(1 << x for x, d in enumerate(dist) if d is not None and d <= k)
         ball = dilate(ball, length)
+
+
+@settings(deadline=None)
+@given(_random_targets, st.data())
+def test_covers_is_membership_in_one_dilation(case, data):
+    """`_covers(ball, points, length)` holds iff every point lies in
+    `dilate(ball, length)`: for no points, the cube's first and last
+    vertices, random sets, and random parts of the dilation itself."""
+    length, ball = case
+    size = 1 << length
+    grown = dilate(ball, length)
+    some = data.draw(st.integers(min_value=0, max_value=(1 << size) - 1))
+    for points in (0, 1, 1 << (size - 1), 1 | 1 << (size - 1), some, some & grown,
+                   grown, (some & grown) | 1):
+        assert _covers(ball, points, length) == (points & ~grown == 0), (points, ball)
+

@@ -1028,6 +1028,39 @@ def test_delta_scan_refuses_a_dilation_that_skips_a_shuffle(monkeypatch, which, 
         scan_range(ScanConfig(lo=lo, hi=hi, targets=targets, compute=("delta",)))
 
 
+def _early_exit_mutant(p, which):
+    """A `_covers` whose outstanding points lose bit 0 or bit p, or one that
+    answers True untested, so a round after the first stops too soon."""
+    covers = hamming._covers
+    if which == "untested":
+        return lambda ball, points, length: True
+    drop = {"bit 0": 1, "bit p": 1 << p}[which]
+    return lambda ball, points, length: covers(ball, points & ~drop, length)
+
+
+@pytest.mark.parametrize("p,targets,which", [
+    # 1753 is covered but for the point 0 after two rounds (dist_0 = 3 > core = 2)
+    (1753, "literal", "bit 0"),
+    (1753, "reduced", "bit 0"),
+    (1753, "literal", "untested"),
+    (1753, "reduced", "untested"),
+    # no prime below 3000 has an endpoint p farther than the core and 0 and
+    # than 2; 597031 has, under literal targets: dist_p = 3, core = dist_0 = 2
+    (597031, "literal", "bit p"),
+])
+def test_delta_scan_refuses_an_early_exit_that_misses_an_endpoint(monkeypatch, p, targets,
+                                                                 which):
+    """Each mutant puts the last endpoint at distance 2, one flip short: the
+    core radius stays right, so only the endpoint certificate refuses it."""
+    monkeypatch.setattr(hamming, "_covers", _early_exit_mutant(p, which))
+    n = 0 if which != "bit p" else p
+    with pytest.raises(InvariantViolation) as exc:
+        scan_range(ScanConfig(lo=p, hi=p, targets=targets, compute=("delta",)))
+    assert str(exc.value) == (f"p={p} targets={targets}: the dilation for delta (dilate) puts "
+                              f"n={n} at distance 2, but is_primitive_root finds no target 2 "
+                              f"flips away")
+
+
 @pytest.mark.parametrize("targets", ["literal", "reduced"])
 @pytest.mark.parametrize("p", [17, 8209, 1000003])
 def test_core_certificate_names_the_point_and_what_pow_finds(monkeypatch, targets, p):
