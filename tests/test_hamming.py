@@ -589,4 +589,3 @@ def test_covers_is_membership_in_one_dilation(case, data):
     for points in (0, 1, 1 << (size - 1), 1 | 1 << (size - 1), some, some & grown,
                    grown, (some & grown) | 1):
         assert _covers(ball, points, length) == (points & ~grown == 0), (points, ball)
-

@@ -1053,7 +1053,7 @@ def test_delta_scan_refuses_an_early_exit_that_misses_an_endpoint(monkeypatch, p
     """Each mutant puts the last endpoint at distance 2, one flip short: the
     core radius stays right, so only the endpoint certificate refuses it."""
     monkeypatch.setattr(hamming, "_covers", _early_exit_mutant(p, which))
-    n = 0 if which != "bit p" else p
+    n = p if which == "bit p" else 0
     with pytest.raises(InvariantViolation) as exc:
         scan_range(ScanConfig(lo=p, hi=p, targets=targets, compute=("delta",)))
     assert str(exc.value) == (f"p={p} targets={targets}: the dilation for delta (dilate) puts "
