@@ -22,11 +22,14 @@ class Character:
 
     ctx: PrimeContext = field(repr=False)
     j: int
-    order: int
 
     @property
     def p(self) -> int:
         return self.ctx.p
+
+    @property
+    def order(self) -> int:
+        return (self.p - 1) // math.gcd(self.j, self.p - 1)
 
     @property
     def is_principal(self) -> bool:
@@ -60,7 +63,7 @@ def build_characters(ctx: PrimeContext, d: int) -> tuple[Character, ...]:
             raise ValueError(f"order {d} does not divide p-1={m}")
         ctx.index_table()  # raises CapabilityError above the cap
         step = m // d
-        cache[d] = tuple(Character(ctx, step * t % m, d)
+        cache[d] = tuple(Character(ctx, step * t % m)
                          for t in range(1, d + 1) if math.gcd(t, d) == 1)
     return cache[d]
 
@@ -69,4 +72,4 @@ def all_characters(ctx: PrimeContext) -> list[Character]:
     """The full dual group, ordered by exponent j."""
     m = ctx.p - 1
     ctx.index_table()
-    return [Character(ctx, j, m // math.gcd(j, m)) for j in range(m)]
+    return [Character(ctx, j) for j in range(m)]

@@ -9,7 +9,7 @@ the package's lazy names, so a census command loads only the scan engine.
 from __future__ import annotations
 
 import argparse
-import math
+import itertools
 import os
 import sys
 from typing import Iterator
@@ -18,7 +18,7 @@ import hamroots
 
 from . import reference
 from .errors import CapabilityError, InvariantViolation
-from .hamming import BASE_VIEWS, DOMAIN0, VARIANTS, HammingProfile, dilation_radii
+from .hamming import BASE_VIEWS, DOMAIN0, VARIANTS, HammingProfile
 from .numtheory import PrimeContext, divisors, is_primitive_root, sieve_primes
 from .scan import CountTable, ScanConfig, format_scan_output, scan_profiles, stream_scan_output
 
@@ -76,29 +76,29 @@ def build_parser() -> argparse.ArgumentParser:
     cubes.add_argument("--range", nargs=2, type=int, metavar=("LO", "HI"), required=True)
     cubes.set_defaults(func=cmd_cubes)
 
+    # Character-sum flags, declared once like the census flags.
+    prime, split, nu = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    prime.add_argument("--p", type=int, required=True)
+    for flag in ("--n", "--k", "--l", "--m"):
+        split.add_argument(flag, type=int, required=True)
+    nu.add_argument("--nu", type=int, default=1)
+
     charsum = subs.add_parser("charsum", help="character-sum checks and reports")
     kinds = charsum.add_subparsers(dest="kind", required=True)
-    ind = kinds.add_parser("indicator", help="indicator identity over all residues")
-    ind.add_argument("--p", type=int, required=True)
+    ind = kinds.add_parser("indicator", help="indicator identity over all residues",
+                           parents=[prime])
     ind.set_defaults(func=cmd_charsum_indicator)
-    pv = kinds.add_parser("pv", help="interval-sum report over all non-principal characters")
-    pv.add_argument("--p", type=int, required=True)
-    pv.add_argument("--nu", type=int, default=1)
+    pv = kinds.add_parser("pv", help="interval-sum report over all non-principal characters",
+                          parents=[prime, nu])
     pv.set_defaults(func=cmd_charsum_pv)
-    weil = kinds.add_parser("weil", help="polynomial character-sum report")
-    weil.add_argument("--p", type=int, required=True)
+    weil = kinds.add_parser("weil", help="polynomial character-sum report", parents=[prime])
     weil.add_argument("--coeffs", required=True, help="comma-joined, lowest degree first")
     weil.add_argument("--start", type=int, default=0)
     weil.add_argument("--length", type=int, default=None)
     weil.set_defaults(func=cmd_charsum_weil)
-    hoe = kinds.add_parser("hoelder", help="split-sum report")
-    for flag in ("--p", "--n", "--k", "--l", "--m"):
-        hoe.add_argument(flag, type=int, required=True)
-    hoe.add_argument("--nu", type=int, default=1)
+    hoe = kinds.add_parser("hoelder", help="split-sum report", parents=[prime, split, nu])
     hoe.set_defaults(func=cmd_charsum_hoelder)
-    dbl = kinds.add_parser("double", help="exact split character sum")
-    for flag in ("--p", "--n", "--k", "--l", "--m"):
-        dbl.add_argument(flag, type=int, required=True)
+    dbl = kinds.add_parser("double", help="exact split character sum", parents=[prime, split])
     dbl.add_argument("--j", type=int, default=None, help="character exponent (default: quadratic)")
     dbl.set_defaults(func=cmd_charsum_double)
 
@@ -137,12 +137,12 @@ def _census_profiles(args, lo: int, compute: tuple[str, ...],
     scan's radii, and the profiles stream. The flags and the file's header
     are checked before this returns, its rows as they are read."""
     variant = VARIANTS[variant_name]
-    targets = variant.targets  # those of the scan the profiles come from
     # One check of the flags, the same for either source.
     if args.limit < lo:
         raise ValueError(f"--limit {args.limit} is below {lo}, "
                          f"the least prime {args.command} reads")
-    config = ScanConfig(lo=lo, hi=args.limit, tasks=args.tasks, targets=targets, compute=compute)
+    config = ScanConfig(lo=lo, hi=args.limit, tasks=args.tasks, targets=variant.targets,
+                        compute=compute)
     if not args.scan_file:
         profiles = scan_profiles(config)
     elif args.tasks != 1:
@@ -158,13 +158,16 @@ def _census_profiles(args, lo: int, compute: tuple[str, ...],
         if "delta" in compute and scanned.targets != variant.targets:
             raise ValueError(f"scan file radii are for {scanned.targets} targets, "
                              f"--variant {variant_name} needs {variant.targets} targets")
-        targets = scanned.targets
-    # The profiles, made as they are read, are in the base view of those
-    # targets; any other view replaces each profile.
-    rebuild = variant is not BASE_VIEWS[targets]
+        # Read up to the first row past --limit, so every row used is checked
+        # and none after it is read, then drop the rows below lo.
+        profiles = itertools.dropwhile(
+            lambda pr: pr.p < lo, itertools.takewhile(lambda pr: pr.p <= args.limit, profiles))
+    # The profiles are in the base view of the variant's targets, and a view
+    # changes only delta and its witnesses: only a delta census re-views them.
+    if "delta" not in compute or variant is BASE_VIEWS[variant.targets]:
+        return profiles
     return (HammingProfile(pr.p, pr.r, pr.w, pr.W, variant=variant.name, radii=pr.radii)
-            if rebuild else pr
-            for pr in profiles if lo <= pr.p <= args.limit)
+            for pr in profiles)
 
 
 def cmd_table(args) -> int:
@@ -201,24 +204,24 @@ def cmd_table(args) -> int:
                       f"{'pi' if stat == 'W' else 'pi-1'}")
                 violation = True
     if args.paper_diff and "delta" in compute:
-        _itemize_variant_differences(profiles, args.variant)
+        _itemize_variant_differences(args, profiles)
     return 4 if violation else 0
 
 
-def _itemize_variant_differences(profiles, variant: str) -> None:
+def _itemize_variant_differences(args, profiles: list[HammingProfile]) -> None:
     """List primes whose radius under the scanned variant differs from the
     domain0 one (the convention the reference delta columns follow). The
     domain0 profile is a view of each row's radii; under reduced targets,
-    whose radii do not give it, of a literal-target dilation."""
-    print(f"# {variant} vs domain0 radius differences:")
-    literal = VARIANTS[variant].targets == "literal"
-    for prof in profiles:
-        if prof.delta is None or prof.p == 2:
+    whose radii do not give it, of the row of a literal-target scan."""
+    print(f"# {args.variant} vs domain0 radius differences:")
+    literal = profiles if VARIANTS[args.variant].targets == "literal" else scan_profiles(
+        ScanConfig(lo=2, hi=args.limit, tasks=args.tasks, compute=("delta",)))
+    for prof, lit in zip(profiles, literal, strict=True):
+        if prof.delta is None:
             continue
-        radii = prof.radii if literal else dilation_radii(PrimeContext.for_prime(prof.p), "literal")
-        alt = HammingProfile(prof.p, prof.r, prof.w, prof.W, variant=DOMAIN0.name, radii=radii)
+        alt = HammingProfile(prof.p, prof.r, prof.w, prof.W, variant=DOMAIN0.name, radii=lit.radii)
         if alt.delta != prof.delta:
-            print(f"  p={prof.p}: {variant}={prof.delta} (classes "
+            print(f"  p={prof.p}: {args.variant}={prof.delta} (classes "
                   f"{';'.join(map(str, prof.witnesses))}) domain0={alt.delta} "
                   f"(classes {';'.join(map(str, alt.witnesses))})")
 
@@ -279,9 +282,7 @@ def cmd_cubes(args) -> int:
     lo, hi = args.range
     rc = 0
     print("p,f,F,f_bar,F_bar,f_witness,F_witness,f_bar_witness,F_bar_witness,chain,hs_bound")
-    for p in sieve_primes(max(hi, 3), max(lo, 3)):
-        if p > hi:
-            continue
+    for p in sieve_primes(hi, max(lo, 3)) if hi >= 2 else ():
         ctx = PrimeContext.for_prime(p)
         if p > EXHAUSTIVE_P_CAP:  # heuristic lower bounds for f and F only
             f = hamroots.max_avoiding_dimension(ctx, hamroots.NONRESIDUE)
@@ -339,8 +340,7 @@ def cmd_charsum_weil(args) -> int:
     ctx = PrimeContext.for_prime(args.p)
     coeffs = [int(c) for c in args.coeffs.split(",")]
     chi = hamroots.legendre_character(ctx)
-    total, report = hamroots.poly_char_sum(ctx, chi, coeffs, args.start,
-                                           args.length if args.length is not None else args.p - 1)
+    total, report = hamroots.poly_char_sum(ctx, chi, coeffs, args.start, args.length)
     print(f"|sum| = {report.magnitude:.6f}, bound = {report.bound:.6f}, "
           f"ratio = {report.ratio:.6f}, applicable = {report.applicable}"
           + (f" ({report.note})" if report.note else ""))
@@ -358,11 +358,8 @@ def cmd_charsum_hoelder(args) -> int:
 
 def cmd_charsum_double(args) -> int:
     ctx = PrimeContext.for_prime(args.p)
-    if args.j is None:
-        chi = hamroots.legendre_character(ctx)
-    else:
-        m = args.p - 1
-        chi = hamroots.Character(ctx, args.j % m, m // math.gcd(args.j, m))
+    chi = (hamroots.legendre_character(ctx) if args.j is None
+           else hamroots.Character(ctx, args.j % (args.p - 1)))
     total = hamroots.split_char_sum(ctx, args.n, args.k, args.l, args.m, chi)
     rational = total.as_rational()
     shown = rational if rational is not None else total.value()

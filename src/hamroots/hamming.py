@@ -193,6 +193,9 @@ def recombined_set(n: int, ctx: PrimeContext, k: int, hi_flips: int, lo_flips: i
 
 
 def _target_bitmap(ctx: PrimeContext, targets: str) -> int:
+    """The targets' bitmap; every radius engine reads it, so it alone refuses p = 2."""
+    if ctx.p == 2:
+        raise CapabilityError("p = 2 is excluded from covering-radius scans")
     bm = ctx.pr_bitmap()
     if targets == "reduced":
         width_mask = (1 << (1 << ctx.bit_len)) - 1
@@ -261,7 +264,7 @@ def _certify_distance(ctx: PrimeContext, targets: str, n: int, distance: int) ->
             continue
         found = f"no target {s}" if hit is None else f"the target {hit} {s}"
         raise InvariantViolation(
-            f"p={ctx.p} targets={targets}: the dilation for delta (dilate) puts n={n} at "
+            f"p={ctx.p} targets={targets}: the dilation for delta puts n={n} at "
             f"distance {distance}, but is_primitive_root finds {found} flips away")
 
 
@@ -303,8 +306,6 @@ def _dilation(ctx: PrimeContext, targets: str) -> tuple[Radii, int]:
     `_certify_distance` the points 0 and p, against `pow`.
     """
     p, length = ctx.p, ctx.bit_len
-    if p == 2:
-        raise CapabilityError("p = 2 is excluded from covering-radius scans")
     ball = previous = _target_bitmap(ctx, targets)
     core = (1 << p) - 2  # n in [1, p-1]; made after the bitmap, so not live while it is built
     radius = 0
@@ -361,8 +362,6 @@ def covering_radius(ctx: PrimeContext, variant: RadiusVariant = CANONICAL
 def covering_radius_bfs(ctx: PrimeContext, variant: RadiusVariant = CANONICAL
                         ) -> tuple[int, tuple[int, ...]]:
     """Covering radius by multi-source BFS over the bit_len-cube."""
-    if ctx.p == 2:
-        raise CapabilityError("p = 2 is excluded from covering-radius scans")
     size = 1 << ctx.bit_len
     targets = _target_bitmap(ctx, variant.targets)
     dist = [-1] * size

@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from hamroots.characters import all_characters, build_characters
+from hamroots.characters import Character, all_characters, build_characters
 from hamroots.errors import CapabilityError
 from hamroots.numtheory import (PrimeContext, divisors, euler_phi,
                                 legendre_symbol, sieve_primes)
@@ -16,6 +18,15 @@ def test_character_counts_by_order():
             assert len(chars) == euler_phi(d)
             assert all(c.order == d for c in chars)
         assert len(all_characters(ctx)) == p - 1
+
+
+def test_order_is_read_off_the_exponent():
+    for p in sieve_primes(50):
+        ctx = PrimeContext.for_prime(p)
+        for j in range(p - 1):
+            assert Character(ctx, j).order == (p - 1) // math.gcd(j, p - 1), (p, j)
+        for d in divisors(p - 1):
+            assert {chi.order for chi in build_characters(ctx, d)} == {d}, (p, d)
 
 
 def test_principal_character():

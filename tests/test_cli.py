@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import re
 import zlib
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from hamroots import cli, hamming, scan
 from hamroots.cli import build_parser, main
 from hamroots.errors import InvariantViolation
+from hamroots.numtheory import sieve_primes
 from hamroots.scan import ScanConfig, format_scan_output, read_scan_output, scan_range
 
 
@@ -579,3 +581,60 @@ def test_table_paper_diff_names_the_scanned_variant(capsys, variant):
     assert code == 0
     items = out.split(f"# {variant} vs domain0 radius differences:\n")[1].splitlines()
     assert items and all(f": {variant}=" in line for line in items)
+
+
+def test_a_scan_file_is_read_up_to_the_first_row_past_the_limit(tmp_path, capsys, monkeypatch):
+    path = _scan_file(tmp_path, capsys, "wide.csv", "--range", "2", "3000")
+    decoded, line_decoder = [], scan._line_decoder
+
+    def counting_decoder(config):
+        decode = line_decoder(config)
+
+        def counted(line):
+            prof = decode(line)
+            decoded.append(prof.p)
+            return prof
+        return counted
+    monkeypatch.setattr(scan, "_line_decoder", counting_decoder)
+    code, out = run(capsys, "table", "--limit", "1000", "--scan-file", path)
+    assert decoded == sieve_primes(1009)  # 1009 is the first prime above 1000
+    assert (code, out) == (0, run(capsys, "table", "--limit", "1000")[1])
+    # A file that ends before the limit is still refused at its end.
+    lines = Path(path).read_text().splitlines(keepends=True)
+    Path(path).write_text("".join(lines[:2 + 100]))  # the rows of the first 100 primes
+    code, out, err = run_err(capsys, "table", "--limit", "1000", "--scan-file", path)
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: line 103: the file ends before the row of p=547\n"
+
+
+# table --limit 1000 --variant reduced --paper-diff, recorded while the
+# domain0 radii of its itemization came from a per-prime dilation: the table,
+# each itemized prime as (p, reduced delta, domain0 delta, domain0 classes),
+# and a digest of the whole stdout, whose reduced witness lists run to 13 kB.
+_REDUCED_TABLE = (
+    " j     pi     w=1     W=1 delta=1     w=2     W=2 delta=2     w=3     W=3 delta=3\n"
+    " 3    168      87      68      23      80     100     144       0       0       0\n"
+    "diff     +0      +0      +0     -11      +0      +0      +9      +0      +0      +3"
+    "   (reference minus computed)\n"
+    "# reduced vs domain0 radius differences:\n")
+_REDUCED_ITEMS = [
+    (17, 2, 3, "16"), (23, 1, 2, "0"), (47, 1, 2, "0"), (67, 2, 3, "65"), (167, 1, 2, "0"),
+    (257, 2, 3, "256"), (263, 1, 2, "0"), (293, 1, 2, "65"), (479, 1, 2, "0"),
+    (677, 1, 2, "340;452;609"), (719, 1, 2, "0"), (839, 1, 2, "0"), (863, 1, 2, "0"),
+    (887, 1, 2, "0"), (983, 1, 2, "0;866")]
+_REDUCED_SHA256 = "6599b16a1923469c4ea8ed2f2b92f7db4811b0ef6c9122e30828b93ccef3ff39"
+
+
+@pytest.mark.parametrize("source", ["memory", "scan-file"])
+def test_reduced_paper_diff_output_is_pinned(tmp_path, capsys, source):
+    flags = [] if source == "memory" else [
+        "--scan-file", _scan_file(tmp_path, capsys, "red.csv", "--range", "2", "1000",
+                                  "--targets", "reduced")]
+    code, out = run(capsys, "table", "--limit", "1000", "--variant", "reduced", "--paper-diff",
+                    *flags)
+    assert code == 0 and out.startswith(_REDUCED_TABLE)
+    items = re.findall(r"  p=(\d+): reduced=(\d) \(classes [\d;]+\) domain0=(\d) "
+                       r"\(classes ([\d;]+)\)\n", out)
+    assert [(int(p), int(a), int(b), c) for p, a, b, c in items] == _REDUCED_ITEMS
+    assert len(out.splitlines()) == 4 + len(_REDUCED_ITEMS)
+    assert hashlib.sha256(out.encode()).hexdigest() == _REDUCED_SHA256

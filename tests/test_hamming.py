@@ -281,6 +281,19 @@ def test_covering_radius_rejects_p2():
         covering_radius(ctx_for(2))
 
 
+@pytest.mark.parametrize("variant", [CANONICAL, DOMAIN0, REDUCED], ids=lambda v: v.name)
+def test_every_radius_engine_refuses_p2(variant):
+    # A capability limit, not a wrong result, for every n of the domain.
+    ctx = ctx_for(2)
+    domain = (0, 1) if variant.n_domain_zero else (1, 2)
+    engines = [lambda: covering_radius(ctx, variant), lambda: covering_radius_bfs(ctx, variant),
+               lambda: dilation_radii(ctx, variant.targets),
+               *(lambda n=n: min_flips_to_primroot(n, ctx, variant) for n in domain)]
+    for engine in engines:
+        with pytest.raises(CapabilityError, match="^p = 2 is excluded from covering-radius scans$"):
+            engine()
+
+
 def test_dilate_is_hamming_ball_step():
     length = 4
     for seed in (0b1, 0b1001, 0b100000000):

@@ -1010,7 +1010,7 @@ def _drop_shuffle(which):
     return dropped
 
 
-_CERTIFICATE = (r"the dilation for delta \(dilate\) puts n=\d+ at distance 2, "
+_CERTIFICATE = (r"the dilation for delta puts n=\d+ at distance 2, "
                 r"but is_primitive_root finds the target \d+ 1 flips away")
 
 
@@ -1056,7 +1056,7 @@ def test_delta_scan_refuses_an_early_exit_that_misses_an_endpoint(monkeypatch, p
     n = p if which == "bit p" else 0
     with pytest.raises(InvariantViolation) as exc:
         scan_range(ScanConfig(lo=p, hi=p, targets=targets, compute=("delta",)))
-    assert str(exc.value) == (f"p={p} targets={targets}: the dilation for delta (dilate) puts "
+    assert str(exc.value) == (f"p={p} targets={targets}: the dilation for delta puts "
                               f"n={n} at distance 2, but is_primitive_root finds no target 2 "
                               f"flips away")
 
@@ -1075,7 +1075,7 @@ def test_core_certificate_names_the_point_and_what_pow_finds(monkeypatch, target
     n = (uncovered & -uncovered).bit_length() - 1  # the lowest point is certified first
     assert core == radii.core and uncovered >> n & 1
     hamming._certify_core(ctx, targets, core, uncovered)
-    prefix = (f"p={p} targets={targets}: the dilation for delta (dilate) puts n={n} at "
+    prefix = (f"p={p} targets={targets}: the dilation for delta puts n={n} at "
               f"distance")
     with pytest.raises(InvariantViolation) as exc:
         hamming._certify_core(ctx, targets, core + 1, uncovered)
@@ -1103,7 +1103,7 @@ def test_core_certificate_checks_the_lowest_point_at_or_above_each_eighth(p, k):
     root = next(x for x in range(k * p // 8, p) if numtheory.is_primitive_root(x, ctx))
     with pytest.raises(InvariantViolation) as exc:
         hamming._certify_core(ctx, "literal", radii.core, uncovered | 1 << root)
-    assert str(exc.value) == (f"p={p} targets=literal: the dilation for delta (dilate) puts "
+    assert str(exc.value) == (f"p={p} targets=literal: the dilation for delta puts "
                               f"n={root} at distance {radii.core}, but is_primitive_root finds "
                               f"the target {root} 0 flips away")
 
@@ -1118,7 +1118,7 @@ def test_core_certificate_counts_only_literal_targets_in_1_to_p_minus_1():
     hamming._certify_core(ctx, "literal", 3, 1 << 16)
     with pytest.raises(InvariantViolation) as exc:
         hamming._certify_core(ctx, "reduced", 3, 1 << 16)
-    assert str(exc.value) == ("p=17 targets=reduced: the dilation for delta (dilate) puts "
+    assert str(exc.value) == ("p=17 targets=reduced: the dilation for delta puts "
                               "n=16 at distance 3, but is_primitive_root finds the target "
                               "20 1 flips away")
 
