@@ -280,6 +280,8 @@ def cmd_frequencies(args) -> int:
 def cmd_cubes(args) -> int:
     from .cubes import EXHAUSTIVE_P_CAP
     lo, hi = args.range
+    if hi < lo:
+        raise ValueError(f"bad cube range [{lo}, {hi}]")
     rc = 0
     print("p,f,F,f_bar,F_bar,f_witness,F_witness,f_bar_witness,F_bar_witness,chain,hs_bound")
     for p in sieve_primes(hi, max(lo, 3)) if hi >= 2 else ():

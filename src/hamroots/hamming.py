@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import CapabilityError, InvariantViolation
 from .numtheory import PrimeContext, _jacobi, bitmap_to_set, is_primitive_root
@@ -95,13 +95,10 @@ class HammingProfile:
     @property
     def witnesses(self) -> tuple[int, ...]:
         """The witness classes, ascending. A profile with radii derives them:
-        (0,) where the core is nearer than delta, and otherwise the list of
-        `covering_radius`, which must have this delta and witness_count."""
-        radii = self.radii
-        if radii is None:
+        the list of `covering_radius`, which must have this delta and
+        witness_count."""
+        if self.radii is None:
             return self._witnesses
-        if radii.core < self.delta:
-            return (0,)
         delta, wits = covering_radius(PrimeContext.for_prime(self.p), VARIANTS[self.variant])
         if (delta, len(wits)) != (self.delta, self.witness_count):
             raise InvariantViolation(
@@ -425,17 +422,18 @@ def _weight_class(bit_len: int, weight: int) -> tuple[int, ...]:
     return tuple(sorted(_flips(0, bit_len, weight)))
 
 
-def sparsest(p: int, odd_exponents: list[int], roots: bool
+def sparsest(p: int, factors: Iterable[int], roots: bool
              ) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
     """(weight, witness) of the sparsest quadratic non-residue of [1, p-1]
     and, if `roots`, of the sparsest primitive root (else None), in one sweep.
 
-    odd_exponents are the (p-1)/q for the odd primes q | p-1, in any order.
+    factors are the distinct primes q of p-1, in any order, as
+    `factorize_pm1` yields them and `PrimeContext.factors_pm1` holds them.
     The candidates are tried once each, in increasing weight and ascending
     within a weight, with one Legendre symbol each, computed by quadratic
     reciprocity (`numtheory._jacobi`). Every primitive root is a non-residue,
     since a square has order dividing (p-1)/2, so a root is a non-residue
-    that also passes v^e != 1 for each odd exponent e, and only non-residues
+    that also passes v^((p-1)/q) != 1 for each odd q, and only non-residues
     get those tests. The first non-residue is w's witness, and the first
     that passes them all is W's. Class 1 is {2}: the powers of two lie in
     <2>, so 2^a is a non-residue (or a root) only if 2 is. For p = 2 there
@@ -443,6 +441,7 @@ def sparsest(p: int, odd_exponents: list[int], roots: bool
     """
     if p == 2:
         return None, (1, 1) if roots else None
+    odd_exponents = [(p - 1) // q for q in factors if q != 2]
     bit_len = p.bit_length()
     nonresidue = None
     for weight in range(1, bit_len + 1):
@@ -468,9 +467,9 @@ def min_nonresidue_weight(ctx: PrimeContext) -> tuple[int, int]:
     """(weight, witness): sparsest quadratic non-residue in [1, p-1]."""
     if ctx.p == 2:
         raise CapabilityError("non-residues are undefined mod 2")
-    return sparsest(ctx.p, ctx.pr_test_exponents()[1:], roots=False)[0]
+    return sparsest(ctx.p, ctx.factors_pm1, roots=False)[0]
 
 
 def min_primroot_weight(ctx: PrimeContext) -> tuple[int, int]:
     """(weight, witness): sparsest primitive root in [1, p-1]; (1, 1) for p = 2."""
-    return sparsest(ctx.p, ctx.pr_test_exponents()[1:], roots=True)[1]
+    return sparsest(ctx.p, ctx.factors_pm1, roots=True)[1]

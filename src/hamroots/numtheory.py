@@ -220,22 +220,23 @@ class PrimeContext:
     the fixed-length binary expansions used throughout. For odd p this means
     p itself fits in bit_len bits. factors_pm1 holds the distinct prime
     factors of p - 1, ascending, whether the caller passes them with
-    multiplicity (`factorize`) or without (`factorize_pm1`).
+    multiplicity (`factorize`) or without (`factorize_pm1`), and
+    pr_test_exponents the (p - 1)/q for those q, in the same order.
     """
 
-    __slots__ = ("p", "r", "bit_len", "factors_pm1", "characters_by_order",
-                 "_pr_bitmap", "_index_table", "_least_g", "_pr_exponents")
+    __slots__ = ("p", "r", "bit_len", "factors_pm1", "pr_test_exponents",
+                 "characters_by_order", "_pr_bitmap", "_index_table", "_least_g")
 
     def __init__(self, p: int, factors_pm1: list[int]):
         self.p = p
         self.r = (p - 1).bit_length() - 1
         self.bit_len = self.r + 1
         self.factors_pm1 = tuple(sorted(set(factors_pm1)))
+        self.pr_test_exponents = tuple((p - 1) // q for q in self.factors_pm1)
         self.characters_by_order: dict = {}  # order d -> characters, cached by charsums
         self._pr_bitmap = None
         self._index_table = None
         self._least_g = None
-        self._pr_exponents = None
 
     @classmethod
     def for_prime(cls, p: int) -> "PrimeContext":
@@ -245,12 +246,6 @@ class PrimeContext:
 
     def __repr__(self):
         return f"PrimeContext(p={self.p})"
-
-    def pr_test_exponents(self) -> tuple[int, ...]:
-        if self._pr_exponents is None:
-            m = self.p - 1
-            self._pr_exponents = tuple(m // q for q in self.factors_pm1)
-        return self._pr_exponents
 
     def pr_bitmap(self) -> int:
         """Bitmap over [0, 2^bit_len) with bit a set iff a is a primitive root.
@@ -293,7 +288,7 @@ def is_primitive_root(a: int, ctx: PrimeContext) -> bool:
     a %= p
     if a == 0:
         return False
-    return all(pow(a, e, p) != 1 for e in ctx.pr_test_exponents())
+    return all(pow(a, e, p) != 1 for e in ctx.pr_test_exponents)
 
 
 def least_primitive_root(ctx: PrimeContext) -> int:

@@ -85,16 +85,15 @@ def _scan_block(args) -> list[tuple]:
     what is not computed or undefined (p = 2 has only W): one candidate sweep
     gives w and W, one dilation of the targets gives the radii, of which every
     domain convention is a view. Only the dilation needs a PrimeContext, for
-    the primitive-root bitmap cached on it; the sweep needs p and the odd
-    exponents (p-1)/q."""
+    the primitive-root bitmap cached on it; the sweep needs p and the primes
+    of p-1."""
     primes, targets, compute = args
     weights, roots, delta = "w" in compute or "W" in compute, "W" in compute, "delta" in compute
     rows = []
     for p, qs in zip(primes, factorize_pm1(primes)):
         w = W = radii = None
         if weights:
-            m = p - 1
-            nonresidue, root = sparsest(p, [m // q for q in qs[1:]], roots)
+            nonresidue, root = sparsest(p, qs, roots)
             if "w" in compute and nonresidue:
                 w = nonresidue[0]
             if root:

@@ -1,11 +1,15 @@
 import argparse
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
 import pytest
 
+import hamroots
 from hamroots import cli, hamming, scan
 from hamroots.cli import build_parser, main
 from hamroots.errors import InvariantViolation
@@ -84,10 +88,11 @@ def test_cubes_command_reports_chain(capsys):
 
 
 def test_cubes_range_without_odd_primes_prints_only_the_header(capsys):
-    code, out = run(capsys, "cubes", "--range", "1", "2")
-    assert code == 0
-    assert out.splitlines() == [
-        "p,f,F,f_bar,F_bar,f_witness,F_witness,f_bar_witness,F_bar_witness,chain,hs_bound"]
+    for lo in ("0", "1"):
+        code, out = run(capsys, "cubes", "--range", lo, "2")
+        assert code == 0
+        assert out.splitlines() == [
+            "p,f,F,f_bar,F_bar,f_witness,F_witness,f_bar_witness,F_bar_witness,chain,hs_bound"]
 
 
 def test_cubes_above_the_exhaustive_cap_prints_lower_bounds(capsys):
@@ -177,8 +182,44 @@ def test_charsum_and_cubes_outputs_are_pinned(capsys, argv, code, out):
     assert run(capsys, *argv) == (code, out)
 
 
+# Census outputs too long to keep, as (argv, exit code, stdout bytes, sha256
+# of stdout): the scan rows, the count tables with their itemized variant
+# differences, the radius-3 witness classes of both domains, among them those
+# of 1753 and 2089 under domain0, and the w=1 and W=1 frequencies.
+_PINNED_CENSUS = [
+    (["scan", "--range", "2", "10000"], 0, 36626,
+     "480156a9a4635c809bcf06a4fc9b37a772fc17798aa0f531028b8b457a765591"),
+    (["scan", "--range", "2", "30000", "--compute", "w"], 0, 63359,
+     "f502d7d3a771c37303a89b226d51981ba015e2444b623d83cba67191d884dd2b"),
+    (["table", "--limit", "10000", "--paper-diff"], 0, 591372,
+     "2dc2701132afb8b1e8ee84f8d6281ab9a808c63525b854743412da9dabb02dc4"),
+    (["table", "--limit", "10000", "--paper-diff", "--variant", "domain0"], 0, 513,
+     "eb1be9b0462ac828299e05ecd56050b83c0acebbe64ed5f70b458ed7e2deb068"),
+    (["delta3", "--limit", "20000", "--paper-diff"], 0, 312,
+     "cf18010b6594f79a1c59094b083a156dd1fee44bf7db8707ab70a407b4a78f09"),
+    (["delta3", "--limit", "20000", "--paper-diff", "--variant", "domain0"], 0, 309,
+     "ca31a91ede308c12b85574d77753cdac420bc6483da51323427dfd161c1542dc"),
+    (["frequencies", "--limit", "100000"], 0, 113,
+     "54ed424f78ada1b6f4c56756fda1c58f06c8646732fdf1c2ecb0c086502cbb8b"),
+]
+
+
+@pytest.mark.parametrize("argv, code, size, digest", _PINNED_CENSUS,
+                         ids=[" ".join(argv) for argv, *_ in _PINNED_CENSUS])
+def test_census_outputs_are_pinned(argv, code, size, digest):
+    """Each command runs in a process of its own, as `python -m hamroots`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hamroots.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "hamroots", *argv], env=env,
+                          capture_output=True, check=False, timeout=300)
+    out = done.stdout
+    assert (done.returncode, len(out), hashlib.sha256(out).hexdigest()) == (code, size, digest)
+
+
 def test_usage_errors_exit_1(capsys):
-    assert main(["scan", "--range", "9", "3"]) == 1
+    assert run_err(capsys, "scan", "--range", "9", "3") == (
+        1, "", "error: bad scan range [9, 3]\n")
+    assert run_err(capsys, "cubes", "--range", "70", "50") == (
+        1, "", "error: bad cube range [70, 50]\n")
     with pytest.raises(SystemExit) as exc:
         main(["scan"])  # missing required --range
     assert exc.value.code == 1
@@ -503,6 +544,25 @@ def test_an_empty_cell_in_an_odd_primes_row_is_refused(tmp_path, capsys):
         1, "", f"error: {message}\n")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_scan_output(path)
+
+
+def test_a_forged_endpoint_radius_is_refused_when_delta3_reads_its_witnesses(tmp_path, capsys):
+    """The row of 7 holds the radii (2, 2, 1, 1). With dist_0 forged to 3
+    under a recomputed checksum, the domain0 view puts 7 at radius 3 with
+    the class 0 as its one witness; delta3 derives that list again, by
+    `covering_radius`, which finds radius 2, and exits 4."""
+    path = _scan_file(tmp_path, capsys, "d.csv", "--range", "3", "100", "--compute", "delta")
+    lines = Path(path).read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith("7,"))
+    assert lines[i].startswith("7,2,2,2,1,1,")
+    lines[i] = f"7,2,2,3,1,1,{zlib.crc32(b'7,2,2,3,1,1'):08x}\n"
+    Path(path).write_text("".join(lines))
+    code, out, err = run_err(capsys, "delta3", "--limit", "100", "--variant", "domain0",
+                             "--scan-file", path)
+    assert (code, out) == (4, "# primes <= 100 with covering radius 3 (domain0 variant)\n")
+    assert err == ("invariant violation: p=7 variant=domain0: the row gives delta=3 with 1 "
+                   "witness classes, but the dilation for delta (covering_radius) lists 2 "
+                   "at delta=2\n")
 
 
 def test_the_row_of_2_without_its_W_is_refused(tmp_path, capsys):

@@ -237,11 +237,11 @@ def test_view_of_the_endpoints():
 
 def test_engine_failures_are_invariant_violations(monkeypatch):
     """An engine that cannot finish names the prime, the statistic and itself."""
-    # odd exponents that claim 7 | 6 add the root test v^(6 // 7) = v^0 != 1,
+    # primes that claim 7 | 6 add the root test v^(6 // 7) = v^0 != 1,
     # which every candidate fails
     with pytest.raises(InvariantViolation,
                        match="^p=7: the candidate sweep for W finds no primitive root$"):
-        sparsest(7, [6 // 3, 6 // 7], roots=True)
+        sparsest(7, [2, 3, 7], roots=True)
     monkeypatch.setattr(hamming, "_target_bitmap", lambda ctx, targets: 0)
     with pytest.raises(InvariantViolation, match="^p=7 targets=literal: the dilation for delta "
                                                  "leaves the domain uncovered after 3 rounds$"):
@@ -395,7 +395,7 @@ def _euler_sweep(ctx, roots):
     each weight class enumerated afresh below p: the oracle of `sparsest`."""
     p = ctx.p
     half = (p - 1) // 2
-    odd_exponents = ctx.pr_test_exponents()[1:]
+    odd_exponents = ctx.pr_test_exponents[1:]
     nonresidue = None
     for weight in range(1, ctx.bit_len + 1):
         for v in (2,) if weight == 1 else _gosper(weight, p):
@@ -412,29 +412,34 @@ def _euler_sweep(ctx, roots):
 
 def test_sparsest_matches_the_euler_test_sweep():
     """Same (weight, witness) pairs for w and W as the Euler-test sweep, over
-    every prime in [3, 2*10^5] and [2990000, 3000000]. The primes just above a
-    power of two (3, 5, 17, 257, 65537, 2097169) see a cached weight class
-    that runs past p, whose values >= p the sweep must skip."""
+    every prime in [3, 2*10^5] and [2990000, 3000000], whether the primes of
+    p - 1 come from the block sieve, in its order or reversed (so with 2
+    last), or from a `for_prime` context. The primes just above a power of
+    two (3, 5, 17, 257, 65537, 2097169) see a cached weight class that runs
+    past p, whose values >= p the sweep must skip."""
     primes = sieve_primes(200000, 3) + [2097169] + sieve_primes(3000000, 2990000)
     assert {3, 5, 17, 257, 65537, 2097169} <= set(primes)
     for p, qs in zip(primes, factorize_pm1(primes)):
-        both = _euler_sweep(PrimeContext(p, qs), roots=True)
-        odd_exponents = [(p - 1) // q for q in qs[1:]]
-        assert sparsest(p, odd_exponents, roots=True) == both, p
-        assert sparsest(p, odd_exponents, roots=False) == (both[0], None), p
+        ctx = PrimeContext.for_prime(p)
+        assert ctx.factors_pm1 == tuple(qs), p
+        both = _euler_sweep(ctx, roots=True)
+        for factors in (qs, qs[::-1], ctx.factors_pm1):
+            assert sparsest(p, factors, roots=True) == both, p
+            assert sparsest(p, factors, roots=False) == (both[0], None), p
 
 
 def test_sparsest_edge_inputs():
     """p = 2 has no non-residue and the root 1. For p = 3 and the Fermat
     primes 5, 17, 257 and 65537, p - 1 is a power of 2: the sieve gives [2],
-    there is no odd exponent, and so the first non-residue is W's witness."""
+    there is no odd prime q, and so the first non-residue is W's witness."""
+    assert list(factorize_pm1([2])) == [[]]
     assert sparsest(2, [], roots=True) == (None, (1, 1))
     assert sparsest(2, [], roots=False) == (None, None)
     fermat = [3, 5, 17, 257, 65537]
     assert list(factorize_pm1(fermat)) == [[2]] * 5
     expected = {3: (1, 2), 5: (1, 2), 17: (2, 3), 257: (2, 3), 65537: (2, 3)}
     for p in fermat:
-        assert sparsest(p, [], roots=True) == (expected[p], expected[p]), p
+        assert sparsest(p, [2], roots=True) == (expected[p], expected[p]), p
         assert min_nonresidue_weight(ctx_for(p)) == min_primroot_weight(ctx_for(p)) \
             == expected[p], p
 
@@ -447,7 +452,7 @@ def test_sweep_tries_each_candidate_below_p_once_in_order(monkeypatch):
         tried = []
         monkeypatch.setattr(hamming, "_jacobi", lambda v, n: tried.append(v) or 1)
         with pytest.raises(InvariantViolation, match=f"^p={p}: the candidate sweep for w "):
-            sparsest(p, ctx_for(p).pr_test_exponents()[1:], roots=True)
+            sparsest(p, ctx_for(p).factors_pm1, roots=True)
         assert tried == [2] + sorted((v for v in range(3, p) if v.bit_count() >= 2),
                                      key=lambda v: (v.bit_count(), v)), p
 
@@ -499,6 +504,20 @@ def test_profile_bundle():
         hash(prof)
     with pytest.raises(AttributeError):
         prof.extra = 1
+
+
+def test_an_endpoint_radius_off_is_refused_when_the_witnesses_are_read():
+    """The radii of 7 are (2, 2, 1, 1). With dist_0 forged to 3 the domain0
+    view has delta 3 beyond the core, whose one witness would be the class 0;
+    the list of `covering_radius` disagrees, so reading it names the prime,
+    the statistic and the engine."""
+    prof = HammingProfile(7, 2, variant=DOMAIN0.name, radii=Radii(2, 3, 1, 1))
+    assert (prof.delta, prof.witness_count) == (3, 1)
+    with pytest.raises(InvariantViolation) as exc:
+        prof.witnesses
+    assert str(exc.value) == (
+        "p=7 variant=domain0: the row gives delta=3 with 1 witness classes, but the "
+        "dilation for delta (covering_radius) lists 2 at delta=2")
 
 
 def test_profile_weights_do_not_depend_on_what_else_is_computed():

@@ -258,7 +258,7 @@ def test_context_geometry(monkeypatch):
     # The distinct primes of p - 1, ascending, however the caller passes them.
     unsorted = PrimeContext(13, [3, 2, 2])
     assert unsorted.factors_pm1 == (2, 3)
-    assert unsorted.pr_test_exponents() == (6, 4)
+    assert unsorted.pr_test_exponents == (6, 4)
     with pytest.raises(ValueError):
         PrimeContext.for_prime(15)
     # for_prime factors p - 1 without a sieve, so a p near 10^18 costs
