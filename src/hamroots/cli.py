@@ -179,12 +179,9 @@ def cmd_table(args) -> int:
     if args.paper_diff:  # read twice, by the table and by the itemization
         profiles = list(profiles)
     table = CountTable.from_profiles(profiles, [10**j for j in exponents])
-    header = f"{'j':>2} {'pi':>6}"
-    for i in (1, 2, 3):
-        for stat in ("w", "W", "delta"):
-            header += f" {stat + '=' + str(i):>7}"
-    print(header)
-    violation = False
+    header = f"{'j':>2} {'pi':>6}" + "".join(
+        f" {stat + '=' + str(i):>7}" for i in (1, 2, 3) for stat in ("w", "W", "delta"))
+    lines, violation = [header], False
     for j in exponents:
         row = table.rows[10**j]
         ref = reference.COUNT_TABLE[j]
@@ -196,24 +193,24 @@ def cmd_table(args) -> int:
                 line += f" {have if have is not None else '-':>7}"
                 d = "" if have is None else format(ref[stat][i - 1] - have, "+d")
                 diff += f" {d:>7}"
-        print(line)
-        print(diff + "   (reference minus computed)")
+        lines += [line, diff + "   (reference minus computed)"]
         for stat in ("w", "delta", "W"):
             if stat in compute and not table.sum_identity_ok(10**j, stat):
-                print(f"!! {stat} counts at 10^{j} do not sum to "
-                      f"{'pi' if stat == 'W' else 'pi-1'}")
+                lines.append(f"!! {stat} counts at 10^{j} do not sum to "
+                             f"{'pi' if stat == 'W' else 'pi-1'}")
                 violation = True
     if args.paper_diff and "delta" in compute:
-        _itemize_variant_differences(args, profiles)
+        lines += _itemize_variant_differences(args, profiles)
+    print(*lines, sep="\n")  # once whole, so a list refused as it is derived prints nothing
     return 4 if violation else 0
 
 
-def _itemize_variant_differences(args, profiles: list[HammingProfile]) -> None:
-    """List primes whose radius under the scanned variant differs from the
-    domain0 one (the convention the reference delta columns follow). The
-    domain0 profile is a view of each row's radii; under reduced targets,
-    whose radii do not give it, of the row of a literal-target scan."""
-    print(f"# {args.variant} vs domain0 radius differences:")
+def _itemize_variant_differences(args, profiles: list[HammingProfile]) -> Iterator[str]:
+    """The lines listing the primes whose radius under the scanned variant
+    differs from the domain0 one (the convention the reference delta columns
+    follow). The domain0 profile is a view of each row's radii; under reduced
+    targets, whose radii do not give it, of the row of a literal-target scan."""
+    yield f"# {args.variant} vs domain0 radius differences:"
     literal = profiles if VARIANTS[args.variant].targets == "literal" else scan_profiles(
         ScanConfig(lo=2, hi=args.limit, tasks=args.tasks, compute=("delta",)))
     for prof, lit in zip(profiles, literal, strict=True):
@@ -221,22 +218,21 @@ def _itemize_variant_differences(args, profiles: list[HammingProfile]) -> None:
             continue
         alt = HammingProfile(prof.p, prof.r, prof.w, prof.W, variant=DOMAIN0.name, radii=lit.radii)
         if alt.delta != prof.delta:
-            print(f"  p={prof.p}: {args.variant}={prof.delta} (classes "
-                  f"{';'.join(map(str, prof.witnesses))}) domain0={alt.delta} "
-                  f"(classes {';'.join(map(str, alt.witnesses))})")
+            yield (f"  p={prof.p}: {args.variant}={prof.delta} (classes "
+                   f"{';'.join(map(str, prof.witnesses))}) domain0={alt.delta} "
+                   f"(classes {';'.join(map(str, alt.witnesses))})")
 
 
 def cmd_delta3(args) -> int:
     if args.limit > reference.RADIUS3_SEARCH_LIMIT:
-        raise CapabilityError(
-            f"radius-3 census capped at {reference.RADIUS3_SEARCH_LIMIT}")
+        raise CapabilityError(f"radius-3 census capped at {reference.RADIUS3_SEARCH_LIMIT}")
     radius3, deep = {}, []
     for pr in _census_profiles(args, 3, ("delta",), args.variant):
         if pr.delta == 3:
             radius3[pr.p] = pr
         elif pr.delta > 3:
             deep.append(pr.p)
-    print(f"# primes <= {args.limit} with covering radius 3 ({args.variant} variant)")
+    lines = [f"# primes <= {args.limit} with covering radius 3 ({args.variant} variant)"]
     for p, pr in radius3.items():
         wits = pr.witnesses  # derived again on each read
         line = f"{p}: classes {';'.join(map(str, wits))}"
@@ -251,14 +247,15 @@ def cmd_delta3(args) -> int:
                 line += f"  reference: {';'.join(marks)}"
                 if extra:
                     line += f" extra: {';'.join(map(str, extra))}"
-        print(line)
+        lines.append(line)
     if args.paper_diff:
         missing = [p for p in reference.RADIUS3_CLASSES if p <= args.limit and p not in radius3]
         if missing:
-            print(f"# reference primes not at radius 3 under {args.variant}: "
-                  f"{', '.join(map(str, missing))}")
+            lines.append(f"# reference primes not at radius 3 under {args.variant}: "
+                         f"{', '.join(map(str, missing))}")
     if deep:
-        print(f"!! HEADLINE DISCREPANCY: radius >= 4 at {', '.join(map(str, deep))}")
+        lines.append(f"!! HEADLINE DISCREPANCY: radius >= 4 at {', '.join(map(str, deep))}")
+    print(*lines, sep="\n")  # once whole, as in table
     return 0
 
 

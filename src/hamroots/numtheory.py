@@ -213,15 +213,20 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(divs))
 
 
+def bit_exponent(p: int) -> int:
+    """The r of a prime p: the exponent with 2^r < p <= 2^(r+1)."""
+    return (p - 1).bit_length() - 1
+
+
 class PrimeContext:
     """A prime modulus with its bit geometry and lazily built caches.
 
-    r is the exponent with 2^r < p <= 2^(r+1); bit_len = r+1 is the width of
-    the fixed-length binary expansions used throughout. For odd p this means
-    p itself fits in bit_len bits. factors_pm1 holds the distinct prime
-    factors of p - 1, ascending, whether the caller passes them with
-    multiplicity (`factorize`) or without (`factorize_pm1`), and
-    pr_test_exponents the (p - 1)/q for those q, in the same order.
+    r is `bit_exponent(p)`, and bit_len = r+1 is the width of the fixed-length
+    binary expansions used throughout. For odd p this means p itself fits in
+    bit_len bits. factors_pm1 holds the distinct prime factors of p - 1,
+    ascending, whether the caller passes them with multiplicity (`factorize`)
+    or without (`factorize_pm1`), and pr_test_exponents the (p - 1)/q for
+    those q, in the same order.
     """
 
     __slots__ = ("p", "r", "bit_len", "factors_pm1", "pr_test_exponents",
@@ -229,7 +234,7 @@ class PrimeContext:
 
     def __init__(self, p: int, factors_pm1: list[int]):
         self.p = p
-        self.r = (p - 1).bit_length() - 1
+        self.r = bit_exponent(p)
         self.bit_len = self.r + 1
         self.factors_pm1 = tuple(sorted(set(factors_pm1)))
         self.pr_test_exponents = tuple((p - 1) // q for q in self.factors_pm1)
@@ -267,8 +272,7 @@ class PrimeContext:
         """
         if self._index_table is None:
             if self.p > INDEX_TABLE_CAP:
-                raise CapabilityError(
-                    f"index table for p={self.p} exceeds cap {INDEX_TABLE_CAP}")
+                raise CapabilityError(f"index table for p={self.p} exceeds cap {INDEX_TABLE_CAP}")
             g = least_primitive_root(self)
             table = [-1] * self.p
             x = 1

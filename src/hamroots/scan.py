@@ -5,20 +5,21 @@ statistics independently and the parent takes the blocks back in order, so
 the output bytes do not depend on the task count. A scan streams: it yields
 a block's profiles after their rows reach the journal, and keeps none.
 
-A scan has one row encoding, the `hamroots.scan.v5` CSV file: a line naming
+A scan has one row encoding, the `hamroots.scan.v6` CSV file: a line naming
 the schema, the range, the radius targets (when delta is computed) and the
 computed statistics, a line of column names, then one line per prime ending
 in the crc32 of the line's text. Every cell is an integer or empty. A row
-holds the radii of one dilation, of which each domain convention is a view,
-so the file does not depend on the convention; the core witnesses are
-counted, not listed, and a profile derives its list again when it is read
-(`HammingProfile.witnesses`). The two header lines are the scan's
-fingerprint. The checkpoint journal is that same file, appended one block at
-a time (each fsynced), so a finished journal equals the output byte for
-byte. Resume reads the journal a block at a time with the reader of output
-files: the header must be this scan's, every checksum must hold and the rows
-must be the scan's primes in order. Once all is read, a line torn by a crash
-and a partial last block are cut off, and the scan goes on from there.
+holds p, not r, which the reader derives from it, and the radii of one
+dilation, of which each domain convention is a view, so the file does not
+depend on the convention; the core witnesses are counted, not listed, and a
+profile derives its list again when it is read (`HammingProfile.witnesses`).
+The two header lines are the scan's fingerprint. The checkpoint journal is
+that same file, appended one block at a time (each fsynced), so a finished
+journal equals the output byte for byte. Resume reads the journal a block at
+a time with the reader of output files: the header must be this scan's,
+every checksum must hold and the rows must be the scan's primes in order.
+Once all is read, a line torn by a crash and a partial last block are cut
+off, and the scan goes on from there.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from typing import Generator, Iterable, Iterator, NamedTuple
 
 from .errors import InvariantViolation
 from .hamming import BASE_VIEWS, HammingProfile, Radii, dilation_radii, sparsest
-from .numtheory import PrimeContext, factorize_pm1, sieve_primes
+from .numtheory import PrimeContext, bit_exponent, factorize_pm1, sieve_primes
 
-SCHEMA_ID = "hamroots.scan.v5"
+SCHEMA_ID = "hamroots.scan.v6"
 BLOCK_SIZE = 4096
 STATS = ("w", "W", "delta")  # the statistics a scan can compute, in column order
 
@@ -81,7 +82,7 @@ class ScanConfig(_ScanConfig):
 
 
 def _scan_block(args) -> list[tuple]:
-    """The (p, r, w, W, radii) row of each prime of a block, with None for
+    """The (p, w, W, radii) row of each prime of a block, with None for
     what is not computed or undefined (p = 2 has only W): one candidate sweep
     gives w and W, one dilation of the targets gives the radii, of which every
     domain convention is a view. Only the dilation needs a PrimeContext, for
@@ -112,19 +113,19 @@ def _scan_block(args) -> list[tuple]:
             raise InvariantViolation(
                 f"p={p} targets={targets}: the sparsest-root search gives W={W}, "
                 f"the dilation puts 0 at distance {radii.dist_0}")
-        rows.append((p, (p - 1).bit_length() - 1, w, W, radii))
+        rows.append((p, w, W, radii))
     return rows
 
 
-# --- the v5 file: header, rows, reader ----------------------------------------
+# --- the v6 file: header, rows, reader ----------------------------------------
 
 RADII = ("core", "dist_0", "dist_p", "core_count")  # the columns of delta, in order
 
 
 def _columns(config: ScanConfig) -> list[str]:
-    """The cells of a scan's rows before the checksum, in order: p, r, the
+    """The cells of a scan's rows before the checksum, in order: p, the
     weight statistics computed and, when delta is computed, its radii."""
-    return ["p", "r", *(name for name in ("w", "W") if name in config.compute),
+    return ["p", *(name for name in ("w", "W") if name in config.compute),
             *(RADII if "delta" in config.compute else ())]
 
 
@@ -147,8 +148,8 @@ def _block_encoder(config: ScanConfig):
     rows that hold one."""
     columns = _columns(config)
     plain = [name for name in columns if name not in RADII]
-    cells_of = attrgetter(*plain)
     with_radii = len(plain) < len(columns)
+    cells_of = attrgetter(*plain, *("radii",) * with_radii)  # two names or more: a tuple
     row = ",".join(["%s"] * len(columns))
     no_radii = ("",) * len(RADII)
     crc32 = zlib.crc32
@@ -158,7 +159,7 @@ def _block_encoder(config: ScanConfig):
         for prof in profiles:
             cells = cells_of(prof)
             if with_radii:
-                cells += no_radii if prof.radii is None else prof.radii
+                cells = cells[:-1] + (cells[-1] or no_radii)
             if None in cells:
                 cells = tuple("" if v is None else v for v in cells)
             text = row % cells
@@ -177,31 +178,29 @@ def _csv_int(cell: str) -> int:
 
 def _line_decoder(config: ScanConfig):
     """The function from a line (newline stripped) to its profile in the base
-    view of the config's targets; it checks the cells, not the checksum. Only
-    the row of p = 2 may hold an empty cell, and it holds the cells the
-    writer gives it: no w, W = 1 and no radii."""
+    view of the config's targets, its r derived from p; it checks the cells,
+    not the checksum. Only the row of p = 2 may hold an empty cell, and it
+    holds the cells the writer gives it: no w, W = 1 and no radii."""
     columns = _columns(config)
     plain = [name for name in columns if name not in RADII]
     base = BASE_VIEWS[config.targets].name
-    two = ["1" if name == "W" else "" for name in columns[2:]]
+    two = ["1" if name == "W" else "" for name in columns[1:]]
 
     def decode(line: str) -> HammingProfile:
         cells = line.split(",")
         if len(cells) != len(columns) + 1:  # the checksum ends the row
             raise ValueError(f"expected {len(columns) + 1} columns, got {len(cells)}")
-        p, r = _csv_int(cells[0]), _csv_int(cells[1])
-        if r != (p - 1).bit_length() - 1:
-            raise ValueError(f"r={r}, but p={p} has r={(p - 1).bit_length() - 1}")
-        if p == 2 and cells[2:-1] != two:
-            raise ValueError(f"the row of p=2 must hold {','.join(two)!r} after p and r, "
-                             f"got {','.join(cells[2:-1])!r}")
-        if p > 2 and "" in cells[2:-1]:
+        p = _csv_int(cells[0])
+        if p == 2 and cells[1:-1] != two:
+            raise ValueError(f"the row of p=2 must hold {','.join(two)!r} after p, "
+                             f"got {','.join(cells[1:-1])!r}")
+        if p > 2 and "" in cells[1:-1]:
             raise ValueError(f"the row of p={p} has an empty cell, which only p = 2 may have")
         values = {name: _csv_int(cell) if cell else None
-                  for name, cell in zip(plain[2:], cells[2:])}  # w and W
+                  for name, cell in zip(plain[1:], cells[1:])}  # w and W
         radii = cells[len(plain):-1]  # none, or all empty for a prime without radii
         radii = Radii(*map(_csv_int, radii)) if any(radii) else None
-        return HammingProfile(p, r, values.get("w"), values.get("W"), variant=base, radii=radii)
+        return HammingProfile(p, bit_exponent(p), **values, variant=base, radii=radii)
     return decode
 
 
@@ -372,8 +371,8 @@ def scan_profiles(config: ScanConfig) -> Iterator[HammingProfile]:
             if journal and not done:
                 _append(journal, _header(config))
             for rows in (pool.imap if pool and len(todo) > 1 else map)(_scan_block, todo):
-                block = [HammingProfile(p, r, w, W, variant=base, radii=radii)
-                         for p, r, w, W, radii in rows]
+                block = [HammingProfile(p, bit_exponent(p), w, W, variant=base, radii=radii)
+                         for p, w, W, radii in rows]
                 if journal:
                     _append(journal, encode(block))
                 yield from block

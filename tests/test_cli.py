@@ -44,7 +44,7 @@ def test_scan_jsonl_and_output_file(tmp_path, capsys):
     code, _ = run(capsys, "scan", "--range", "3", "31", "--output", str(target))
     assert code == 0
     lines = target.read_text().splitlines()
-    assert lines[0] == "# hamroots.scan.v5 lo=3 hi=31 targets=literal compute=w,W,delta"
+    assert lines[0] == "# hamroots.scan.v6 lo=3 hi=31 targets=literal compute=w,W,delta"
     assert len(lines) == 2 + 10  # header, columns, pi(31) - 1 primes
 
 
@@ -183,10 +183,10 @@ def test_charsum_and_cubes_outputs_are_pinned(capsys, argv, code, out):
 # differences, the radius-3 witness classes of both domains, among them those
 # of 1753 and 2089 under domain0, and the w=1 and W=1 frequencies.
 _PINNED_CENSUS = [
-    (["scan", "--range", "2", "10000"], 0, 36626,
-     "480156a9a4635c809bcf06a4fc9b37a772fc17798aa0f531028b8b457a765591"),
-    (["scan", "--range", "2", "30000", "--compute", "w"], 0, 63359,
-     "f502d7d3a771c37303a89b226d51981ba015e2444b623d83cba67191d884dd2b"),
+    (["scan", "--range", "2", "10000"], 0, 33109,
+     "7c6d966978781574e2e6e990a7e4ef2fdce80e9bddc480e5ea0149002f3bfc59"),
+    (["scan", "--range", "2", "30000", "--compute", "w"], 0, 53794,
+     "0155df2015609d6c4eb19813d39b161e21b0be6d963692044f9c0d892eb5e523"),
     (["table", "--limit", "10000", "--paper-diff"], 0, 591372,
      "2dc2701132afb8b1e8ee84f8d6281ab9a808c63525b854743412da9dabb02dc4"),
     (["table", "--limit", "10000", "--paper-diff", "--variant", "domain0"], 0, 513,
@@ -530,7 +530,7 @@ def test_an_empty_cell_in_an_odd_primes_row_is_refused(tmp_path, capsys):
     path = _scan_file(tmp_path, capsys, "d.csv", "--range", "2", "100", "--compute", "delta")
     lines = Path(path).read_text().splitlines(keepends=True)
     i = next(i for i, line in enumerate(lines) if line.startswith("5,"))
-    lines[i] = f"5,2,,,,,{zlib.crc32(b'5,2,,,,'):08x}\n"
+    lines[i] = f"5,,,,,{zlib.crc32(b'5,,,,'):08x}\n"
     Path(path).write_text("".join(lines))
     message = f"{path}: line {i + 1}: the row of p=5 has an empty cell, which only p = 2 may have"
     assert run_err(capsys, "delta3", "--limit", "100", "--scan-file", path) == (
@@ -547,12 +547,31 @@ def test_a_forged_endpoint_radius_is_refused_when_delta3_reads_its_witnesses(tmp
     path = _scan_file(tmp_path, capsys, "d.csv", "--range", "3", "100", "--compute", "delta")
     lines = Path(path).read_text().splitlines(keepends=True)
     i = next(i for i, line in enumerate(lines) if line.startswith("7,"))
-    assert lines[i].startswith("7,2,2,2,1,1,")
-    lines[i] = f"7,2,2,3,1,1,{zlib.crc32(b'7,2,2,3,1,1'):08x}\n"
+    assert lines[i].startswith("7,2,2,1,1,")
+    lines[i] = f"7,2,3,1,1,{zlib.crc32(b'7,2,3,1,1'):08x}\n"
     Path(path).write_text("".join(lines))
     code, out, err = run_err(capsys, "delta3", "--limit", "100", "--variant", "domain0",
                              "--scan-file", path)
-    assert (code, out) == (4, "# primes <= 100 with covering radius 3 (domain0 variant)\n")
+    assert (code, out) == (4, "")  # the report is built whole before it is printed
+    assert err == ("invariant violation: p=7 variant=domain0: the row gives delta=3 with 1 "
+                   "witness classes, but the dilation for delta (covering_radius) lists 2 "
+                   "at delta=2\n")
+
+
+def test_a_forged_endpoint_radius_leaves_no_partial_table_report(tmp_path, capsys):
+    """The same forged row of 7 in a full scan of [2, 1000]: table counts it
+    at canonical radius 2, as the row says, and then --paper-diff itemizes 7,
+    the domain0 view differing, and derives its domain0 list, which
+    `covering_radius` refuses. Nothing of the report is printed."""
+    path = _scan_file(tmp_path, capsys, "full.csv", "--range", "2", "1000")
+    lines = Path(path).read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith("7,"))
+    assert lines[i].startswith("7,2,2,2,2,1,1,")
+    lines[i] = f"7,2,2,2,3,1,1,{zlib.crc32(b'7,2,2,2,3,1,1'):08x}\n"
+    Path(path).write_text("".join(lines))
+    code, out, err = run_err(capsys, "table", "--limit", "1000", "--paper-diff",
+                             "--scan-file", path)
+    assert (code, out) == (4, "")
     assert err == ("invariant violation: p=7 variant=domain0: the row gives delta=3 with 1 "
                    "witness classes, but the dilation for delta (covering_radius) lists 2 "
                    "at delta=2\n")
@@ -564,13 +583,34 @@ def test_the_row_of_2_without_its_W_is_refused(tmp_path, capsys):
     refuse the file instead."""
     path = _scan_file(tmp_path, capsys, "ww.csv", "--range", "2", "1000", "--compute", "w,W")
     lines = Path(path).read_text().splitlines(keepends=True)
-    assert lines[2].startswith("2,0,,1,")
-    lines[2] = f"2,0,,,{zlib.crc32(b'2,0,,'):08x}\n"
+    assert lines[2].startswith("2,,1,")
+    lines[2] = f"2,,,{zlib.crc32(b'2,,'):08x}\n"
     Path(path).write_text("".join(lines))
-    message = f"{path}: line 3: the row of p=2 must hold ',1' after p and r, got ','"
+    message = f"{path}: line 3: the row of p=2 must hold ',1' after p, got ','"
     for argv in (["table", "--limit", "1000", "--compute", "w,W"],
                  ["frequencies", "--limit", "1000"]):
         assert run_err(capsys, *argv, "--scan-file", path) == (1, "", f"error: {message}\n")
+
+
+# The scan of [2, 10] as the previous schema wrote it, with r in every row.
+_V5_FILE = ("# hamroots.scan.v5 lo=2 hi=10 compute=w,W\np,r,w,W,checksum\n2,0,,1,55d2e9b1\n"
+            "3,1,1,1,4f6ac07f\n5,2,1,1,6b1a8f95\n7,2,2,2,67ca715f\n")
+
+
+def test_a_v5_file_or_journal_is_refused_at_its_first_line(tmp_path, capsys):
+    out, part = tmp_path / "ww.csv", tmp_path / "ww.csv.part"
+    message = "line 1: unknown scan schema header '# hamroots.scan.v5 lo=2 hi=10 compute=w,W'"
+    out.write_text(_V5_FILE)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{out}: {message}')}$"):
+        read_scan_output(str(out))
+    assert run_err(capsys, "frequencies", "--limit", "10", "--scan-file", str(out)) == (
+        1, "", f"error: {out}: {message}\n")
+    out.replace(part)  # a v5 journal, resumed: its first line is not this scan's
+    argv = ["scan", "--range", "2", "10", "--compute", "w,W", "--output", str(out)]
+    assert run_err(capsys, *argv) == (
+        1, "", f"error: {part}: line 1: expected '# hamroots.scan.v6 lo=2 hi=10 compute=w,W', "
+               "got '# hamroots.scan.v5 lo=2 hi=10 compute=w,W'\n")
+    assert part.read_text() == _V5_FILE and not out.exists()
 
 
 def test_frequencies_scan_file_matches_the_scan(tmp_path, capsys):
@@ -600,11 +640,11 @@ def test_table_scan_file_malformed_row_is_refused_by_line(tmp_path, capsys):
     path = _scan_file(tmp_path, capsys, "full.csv", "--range", "2", "1000")
     lines = Path(path).read_text().splitlines(keepends=True)
     assert lines[5].startswith("7,2,2,2,2,")
-    lines[5] = lines[5].replace("7,2,2,2,2,", "7,2,2,2,", 1)  # p = 7 loses its core cell
+    lines[5] = lines[5].replace("7,2,2,2,2,", "7,2,2,2,", 1)  # the row of 7 loses a cell
     Path(path).write_text("".join(lines))
     code, out, err = run_err(capsys, "table", "--limit", "1000", "--scan-file", path)
     assert code == 1 and out == ""
-    assert f"{path}: line 6: expected 9 columns, got 8" in err
+    assert f"{path}: line 6: expected 8 columns, got 7" in err
 
 
 def test_scan_stray_journal_record_is_refused_by_line(tmp_path, capsys):
@@ -618,7 +658,7 @@ def test_scan_stray_journal_record_is_refused_by_line(tmp_path, capsys):
         fh.write('{"x":1}\n')
     code, out, err = run_err(capsys, *argv)
     assert code == 1 and out == ""
-    assert f"{part}: line {n_lines + 1}: expected 5 columns, got 1" in err
+    assert f"{part}: line {n_lines + 1}: expected 4 columns, got 1" in err
     assert not target.exists()
 
 

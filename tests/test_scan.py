@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import gc
@@ -12,14 +13,13 @@ import subprocess
 import sys
 import time
 import zlib
-from operator import attrgetter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import hamroots
-from hamroots import cubes, hamming, numtheory, scan
+from hamroots import cli, cubes, hamming, numtheory, scan
 from hamroots.cli import main
 from hamroots.errors import InvariantViolation
 from hamroots.hamming import BASE_VIEWS, CANONICAL, DOMAIN0, HammingProfile, Radii
@@ -117,8 +117,8 @@ def test_checkpoint_resume_and_fingerprint(tmp_path, monkeypatch):
     journal = ckpt.read_text()
     assert journal == first
     assert journal.splitlines()[:2] == [
-        "# hamroots.scan.v5 lo=2 hi=500 targets=literal compute=w,W,delta",
-        "p,r,w,W,core,dist_0,dist_p,core_count,checksum"]
+        "# hamroots.scan.v6 lo=2 hi=500 targets=literal compute=w,W,delta",
+        "p,w,W,core,dist_0,dist_p,core_count,checksum"]
     # resume: all blocks already done, output identical, nothing re-journaled
     assert format_scan_output(cfg, scan_range(cfg)) == first
     assert ckpt.read_text() == journal
@@ -217,10 +217,10 @@ def test_csv_round_trip(tmp_path, targets):
 
 
 @pytest.mark.parametrize("compute,columns", [
-    (("w", "W", "delta"), "p,r,w,W,core,dist_0,dist_p,core_count,checksum"),
-    (("W", "w"), "p,r,w,W,checksum"),
-    (("delta",), "p,r,core,dist_0,dist_p,core_count,checksum"),
-    (("W",), "p,r,W,checksum"),
+    (("w", "W", "delta"), "p,w,W,core,dist_0,dist_p,core_count,checksum"),
+    (("W", "w"), "p,w,W,checksum"),
+    (("delta",), "p,core,dist_0,dist_p,core_count,checksum"),
+    (("W",), "p,W,checksum"),
 ], ids=["all", "w-W", "delta", "W"])
 def test_columns_follow_the_computed_statistics(tmp_path, compute, columns):
     cfg = ScanConfig(lo=2, hi=30, compute=compute)
@@ -229,7 +229,7 @@ def test_columns_follow_the_computed_statistics(tmp_path, compute, columns):
     stats = ",".join(name for name in STATS if name in compute)
     targets = "targets=literal " if "delta" in compute else ""
     assert text.splitlines()[:2] == [
-        f"# hamroots.scan.v5 lo=2 hi=30 {targets}compute={stats}", columns]
+        f"# hamroots.scan.v6 lo=2 hi=30 {targets}compute={stats}", columns]
     n_cells = len(columns.split(","))
     assert all(len(line.split(",")) == n_cells for line in text.splitlines()[1:])
     path = tmp_path / "scan.csv"
@@ -280,7 +280,7 @@ def test_journal_with_an_edited_row_is_refused_on_resume(tmp_path, capsys, monke
         capsys.readouterr()
         out.replace(ckpt)  # the journal of a scan killed before its rename
         lines = ckpt.read_text().splitlines(keepends=True)
-        row = f"{p},{(p - 1).bit_length() - 1},"
+        row = f"{p},"
         i = next(i for i, line in enumerate(lines) if line.startswith(row + "1,"))
         lines[i] = row + "3," + lines[i][len(row + "1,"):]  # w of p, 1 -> 3
         ckpt.write_text("".join(lines))
@@ -296,19 +296,20 @@ def test_journal_with_an_edited_row_is_refused_on_resume(tmp_path, capsys, monke
         assert not out.exists()
 
 
-def test_row_whose_r_is_not_the_bit_length_of_p_is_refused(tmp_path, capsys):
-    """r is a function of p, so a row edited to another r under a recomputed
-    checksum is refused by the reader and by a resume of its journal."""
+def test_row_whose_p_is_not_the_next_prime_is_refused(tmp_path, capsys):
+    """A row holds p and not r, which the reader derives from p. The row of 5
+    edited to p = 7, whose r is that of 5, under a recomputed checksum is
+    refused by the reader and by a resume of its journal."""
     out, ckpt = tmp_path / "scan.csv", tmp_path / "scan.csv.part"
     argv = ["scan", "--range", "2", "100", "--compute", "w,W", "--output", str(out)]
     assert main(argv) == 0
     capsys.readouterr()
     lines = out.read_text().splitlines(keepends=True)
-    i = next(i for i, line in enumerate(lines) if line.startswith("5,2,"))
-    text = "5,7," + lines[i][len("5,2,"):].rpartition(",")[0]
+    i = next(i for i, line in enumerate(lines) if line.startswith("5,"))
+    text = "7," + lines[i][len("5,"):].rpartition(",")[0]
     lines[i] = f"{text},{zlib.crc32(text.encode()):08x}\n"
     out.write_text("".join(lines))
-    message = f"line {i + 1}: r=7, but p=5 has r=2"
+    message = f"line {i + 1}: p=7 is not the next prime of [2, 100]"
     with pytest.raises(ValueError, match=f"^{re.escape(f'{out}: {message}')}$"):
         read_scan_output(str(out))
     out.replace(ckpt)  # the journal of a scan killed before its rename
@@ -316,6 +317,23 @@ def test_row_whose_r_is_not_the_bit_length_of_p_is_refused(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {ckpt}: {message}\n")
     assert ckpt.read_text() == "".join(lines)  # a refused journal is left as it was
     assert not out.exists()
+
+
+def test_every_profile_has_the_r_of_its_prime(tmp_path, monkeypatch):
+    """No row holds r, so every profile gets the r of its prime's context:
+    scanned afresh, resumed from a journal and read with --scan-file."""
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 256)
+    ckpt = tmp_path / "scan.csv.part"
+    cfg = ScanConfig(lo=2, hi=10**4, checkpoint=str(ckpt))
+    fresh = scan_range(cfg)
+    lines = ckpt.read_text().splitlines(keepends=True)
+    ckpt.write_text("".join(lines[:2 + 3 * 256 + 10]))  # three whole blocks and ten rows
+    resumed = scan_range(cfg)
+    args = argparse.Namespace(command="table", limit=10**4, tasks=1, scan_file=str(ckpt))
+    read = list(cli._census_profiles(args, 2, STATS, CANONICAL.name))
+    assert len(fresh) == 1229 and fresh == resumed == read
+    for prof in fresh + resumed + read:
+        assert prof.r == numtheory.PrimeContext.for_prime(prof.p).r
 
 
 def _write_with_row_of_11_replaced(tmp_path, edit) -> tuple[str, int]:
@@ -339,18 +357,18 @@ def _blank(line: str, *cells: int) -> str:
     lambda line: ",".join(line.split(",")[:6]),
     lambda line: line + ",0",
     lambda line: "x" + line,
-    lambda line: line.replace("11,3,", "11,,", 1),
+    lambda line: _blank(line, 0),
     # int() reads these back as the cell they replace.
     lambda line: line.replace("11,", "+1_1,", 1),
-    lambda line: line.replace("11,3,", "11, 3,", 1),
+    lambda line: line.replace("11,1,", "11, 1,", 1),
     lambda line: "0" + line,
     lambda line: re.sub(r",(\d+),(\w+)$", r",0\1,\2", line),  # p = 11's core count 1
     # The writer leaves these empty in the row of p = 2 alone.
+    lambda line: _blank(line, 1),
     lambda line: _blank(line, 2),
-    lambda line: _blank(line, 3),
-    lambda line: _blank(line, 4, 5, 6, 7),
-], ids=["six-cells", "eight-cells", "non-integer-p", "empty-r",
-        "underscore-sign-p", "space-r", "zero-padded-p", "zero-padded-witness",
+    lambda line: _blank(line, 3, 4, 5, 6),
+], ids=["six-cells", "eight-cells", "non-integer-p", "empty-p",
+        "underscore-sign-p", "space-w", "zero-padded-p", "zero-padded-witness",
         "empty-w", "empty-W", "empty-radii"])
 def test_malformed_row_rejected_with_path_and_line(tmp_path, edit):
     path, lineno = _write_with_row_of_11_replaced(tmp_path, edit)
@@ -359,16 +377,16 @@ def test_malformed_row_rejected_with_path_and_line(tmp_path, edit):
 
 
 @pytest.mark.parametrize("cells, got", [
-    ({3: ""}, ",,,,,"),           # W blanked
-    ({2: "1"}, "1,1,,,,"),        # w set
-    ({4: "0", 5: "1", 6: "1", 7: "1"}, ",1,0,1,1,1"),  # radii filled
+    ({2: ""}, ",,,,,"),           # W blanked
+    ({1: "1"}, "1,1,,,,"),        # w set
+    ({3: "0", 4: "1", 5: "1", 6: "1"}, ",1,0,1,1,1"),  # radii filled
 ], ids=["empty-W", "w-set", "radii-filled"])
 def test_the_row_of_2_must_be_the_one_the_writer_writes(tmp_path, cells, got):
     """p = 2 has no w and no radii, and W = 1; a row of 2 edited under a
     recomputed checksum is refused like any malformed row."""
     cfg = ScanConfig(lo=2, hi=100)
     lines = format_scan_output(cfg, scan_range(cfg)).splitlines()
-    assert lines[2].startswith("2,0,,1,,,,,")
+    assert lines[2].startswith("2,,1,,,,,")
     row = lines[2].split(",")[:-1]
     for j, cell in cells.items():
         row[j] = cell
@@ -376,7 +394,7 @@ def test_the_row_of_2_must_be_the_one_the_writer_writes(tmp_path, cells, got):
     lines[2] = f"{text},{zlib.crc32(text.encode()):08x}"
     path = tmp_path / "scan.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    message = f"{path}: line 3: the row of p=2 must hold ',1,,,,' after p and r, got '{got}'"
+    message = f"{path}: line 3: the row of p=2 must hold ',1,,,,' after p, got '{got}'"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_scan_output(str(path))
 
@@ -390,7 +408,7 @@ def _delta_scan_3000(targets):
 
 @pytest.mark.parametrize("targets", sorted(BASE_VIEWS))
 def test_derived_witnesses_have_the_row_count_and_are_the_oracle_lists(tmp_path, targets):
-    """A v5 row holds the count of the core witnesses, not their list. Every
+    """A row holds the count of the core witnesses, not their list. Every
     profile derives its list when read: it has the row's count and is the
     list of `covering_radius` for the base view, and so for a profile read
     back from the file."""
@@ -523,8 +541,8 @@ def _rows_of(lo, hi) -> list[str]:
 
 @pytest.mark.parametrize("journal,lineno,message", [
     (lambda header, rows: rows, 1,
-     "expected '# hamroots.scan.v5 lo=2 hi=60 compute=w,W', "
-     "got '2,0,,1,55d2e9b1'"),
+     "expected '# hamroots.scan.v6 lo=2 hi=60 compute=w,W', "
+     "got '2,,1,22de3b26'"),
     (lambda header, rows: header + _rows_of(7, 60), 3,
      "p=7 is not the next prime of [2, 60]"),
     (lambda header, rows: header + rows + _rows_of(2, 61)[-1:], 20,
@@ -582,11 +600,11 @@ def test_row_codecs_round_trip(row, compute):
 def _line_oracle(config):
     """The encoder the block encoder replaced: one profile at a time, each
     cell through str() and the checksum through an f-string."""
-    cells_of = attrgetter("p", "r", *[name for name in ("w", "W") if name in config.compute])
+    names = ["p", *[name for name in ("w", "W") if name in config.compute]]
     with_radii = "delta" in config.compute
 
     def encode(prof):
-        cells = ["" if v is None else str(v) for v in cells_of(prof)]
+        cells = ["" if v is None else str(v) for v in (getattr(prof, n) for n in names)]
         if with_radii:
             radii = prof.radii
             cells += ["", "", "", ""] if radii is None else [*map(str, radii)]
@@ -1222,8 +1240,8 @@ def test_unknown_schema_rejected(tmp_path):
         read_scan_output(str(jpath))
 
 
-_W_COLUMNS = "p,r,w,checksum"
-_D_COLUMNS = "p,r,core,dist_0,dist_p,core_count,checksum"
+_W_COLUMNS = "p,w,checksum"
+_D_COLUMNS = "p,core,dist_0,dist_p,core_count,checksum"
 
 
 @pytest.mark.parametrize("text,lineno,message", [
@@ -1240,29 +1258,31 @@ _D_COLUMNS = "p,r,core,dist_0,dist_p,core_count,checksum"
     ("# hamroots.scan.v4 lo=2 hi=10 targets=literal compute=delta\n"
      "p,r,core,dist_0,dist_p,witnesses,checksum\n3,1,2,1,1,1,752b43d6\n", 1,
      "unknown scan schema header '# hamroots.scan.v4 "),
-    ("# hamroots.scan.v5 lo=2 hi=10 compute=w\np,r\n", 2,
-     f"expected '{_W_COLUMNS}', got 'p,r'"),
-    (f"# hamroots.scan.v5 lo=2 hi=10 compute=delta\n{_D_COLUMNS}\n", 1,
+    ("# hamroots.scan.v5 lo=2 hi=10 compute=w\np,r,w,checksum\n3,1,1,8701c1fe\n", 1,
+     "unknown scan schema header '# hamroots.scan.v5 "),
+    ("# hamroots.scan.v6 lo=2 hi=10 compute=w\np,r,w,checksum\n", 2,
+     f"expected '{_W_COLUMNS}', got 'p,r,w,checksum'"),
+    (f"# hamroots.scan.v6 lo=2 hi=10 compute=delta\n{_D_COLUMNS}\n", 1,
      "unknown radius targets None"),
-    (f"# hamroots.scan.v5 lo=2 hi=10 targets=odd compute=delta\n{_D_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v6 lo=2 hi=10 targets=odd compute=delta\n{_D_COLUMNS}\n", 1,
      "unknown radius targets 'odd'"),
-    (f"# hamroots.scan.v5 lo=2 hi=10 targets=literal compute=w\n{_W_COLUMNS}\n", 1,
-     "expected '# hamroots.scan.v5 lo=2 hi=10 compute=w', got "),
-    (f"# hamroots.scan.v5 lo=2 hi=10 variant=domain0 targets=literal compute=delta\n"
-     f"{_D_COLUMNS}\n", 1, "expected '# hamroots.scan.v5 lo=2 hi=10 targets=literal "
+    (f"# hamroots.scan.v6 lo=2 hi=10 targets=literal compute=w\n{_W_COLUMNS}\n", 1,
+     "expected '# hamroots.scan.v6 lo=2 hi=10 compute=w', got "),
+    (f"# hamroots.scan.v6 lo=2 hi=10 variant=domain0 targets=literal compute=delta\n"
+     f"{_D_COLUMNS}\n", 1, "expected '# hamroots.scan.v6 lo=2 hi=10 targets=literal "
      "compute=delta', got "),
-    (f"# hamroots.scan.v5 lo=2 hi=10\n{_W_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v6 lo=2 hi=10\n{_W_COLUMNS}\n", 1,
      "compute set must be a nonempty subset of w,W,delta, got None"),
-    (f"# hamroots.scan.v5 hi=10 compute=w\n{_W_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v6 hi=10 compute=w\n{_W_COLUMNS}\n", 1,
      "invalid literal for int"),
-    (f"# hamroots.scan.v5 lo=02 hi=10 compute=w\n{_W_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v6 lo=02 hi=10 compute=w\n{_W_COLUMNS}\n", 1,
      "'02' is not a canonical integer"),
-    (f"# hamroots.scan.v5 lo=10 hi=5 compute=w\n{_W_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v6 lo=10 hi=5 compute=w\n{_W_COLUMNS}\n", 1,
      r"bad scan range \[10, 5\]"),
-    ("# hamroots.scan.v5 lo=2 hi=10 compute=W,w\np,r,w,W,checksum\n", 1,
-     "expected '# hamroots.scan.v5 lo=2 hi=10 compute=w,W', got "),
+    ("# hamroots.scan.v6 lo=2 hi=10 compute=W,w\np,w,W,checksum\n", 1,
+     "expected '# hamroots.scan.v6 lo=2 hi=10 compute=w,W', got "),
 ], ids=["invalid-json", "unknown-schema", "unknown-csv-schema", "v1-header", "v2-header",
-        "v3-header", "v4-header",
+        "v3-header", "v4-header", "v5-header",
         "csv-columns", "csv-no-targets", "csv-unknown-targets", "targets-without-delta",
         "variant-in-header", "csv-no-compute", "no-lo", "zero-padded-lo", "empty-range",
         "compute-out-of-order"])
