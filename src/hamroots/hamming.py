@@ -4,8 +4,9 @@ Every integer attached to a prime context is viewed as a bit_len = r+1 bit
 string (2^r < p <= 2^(r+1)), leading zeros included. The headline statistic
 is the covering radius of the primitive-root set: the least s such that every
 n in the scan domain is within s bit flips of a valid target. covering_radius
-computes it by bitmap dilation; a multi-source BFS over the hypercube and a
-per-n ball search are kept as its oracles, and all three must agree.
+computes it by bitmap dilation; a multi-source BFS over the same bitmap and
+a per-n ball search on `is_primitive_root`, which reads none, are its oracles
+and must agree. The ball search also certifies each dilation at a few points.
 """
 
 from __future__ import annotations
@@ -189,15 +190,20 @@ def recombined_set(n: int, ctx: PrimeContext, k: int, hi_flips: int, lo_flips: i
 # --- covering radius engines ---------------------------------------------
 
 
-def _target_bitmap(ctx: PrimeContext, targets: str) -> int:
-    """The targets' bitmap; every radius engine reads it, so it alone refuses p = 2."""
+def _target_top(ctx: PrimeContext, targets: str) -> int:
+    """The targets are the t in [1, top) whose residue mod p is a primitive
+    root: top is p for literal targets and 2^bit_len for reduced ones. The
+    bitmap and the ball search both start here, so it alone refuses p = 2."""
     if ctx.p == 2:
         raise CapabilityError("p = 2 is excluded from covering-radius scans")
+    return 1 << ctx.bit_len if targets == "reduced" else ctx.p
+
+
+def _target_bitmap(ctx: PrimeContext, targets: str) -> int:
+    """The targets' bitmap: the dilation and the BFS read it, nothing else."""
+    top = _target_top(ctx, targets)
     bm = ctx.pr_bitmap()
-    if targets == "reduced":
-        width_mask = (1 << (1 << ctx.bit_len)) - 1
-        bm |= (bm << ctx.p) & width_mask
-    return bm
+    return bm | (bm << ctx.p) & ((1 << top) - 1) if targets == "reduced" else bm
 
 
 @lru_cache(maxsize=1)
@@ -241,25 +247,29 @@ def _covers(ball: int, points: int, length: int) -> bool:
     return not points
 
 
+def _nearest_target(ctx: PrimeContext, targets: str, n: int) -> tuple[int, int] | None:
+    """(s, t): the least s with a target t s flips from n and the first such
+    t in `_flips` order, or None. Each candidate in [1, top) is tested by
+    `is_primitive_root`, which reduces it mod p; no bitmap is read."""
+    top = _target_top(ctx, targets)
+    for s in range(ctx.bit_len + 1):
+        for t in _flips(n, ctx.bit_len, s):
+            if 0 < t < top and is_primitive_root(t, ctx):
+                return s, t
+    return None
+
+
 # Maps each byte to 0 if it is zero and to 1 if not, for `bytes.translate`,
 # so that a find of 1 in the result finds the next nonzero byte.
 _NONZERO = b"\0" + b"\1" * 255
 
 
 def _certify_distance(ctx: PrimeContext, targets: str, n: int, distance: int) -> None:
-    """Raise InvariantViolation unless the point n has no target within
-    distance - 1 flips and some target at exactly distance flips, found by
-    `is_primitive_root` alone, without the bitmap or the dilation. Under
-    reduced targets any t < 2^bit_len whose residue is a primitive root
-    counts; under literal targets only t in [1, p-1] does, so the others are
-    filtered out first, since the test reduces t mod p."""
-    top = 1 << ctx.bit_len if targets == "reduced" else ctx.p  # the targets t lie in [1, top)
-    for s in range(distance + 1):
-        hit = next((t for t in _flips(n, ctx.bit_len, s)
-                    if 0 < t < top and is_primitive_root(t, ctx)), None)
-        if (hit is None) == (s < distance):
-            continue
-        found = f"no target {s}" if hit is None else f"the target {hit} {s}"
+    """Raise InvariantViolation unless the ball search puts the point n at
+    exactly distance flips from the targets; none found counts as farther."""
+    s, t = _nearest_target(ctx, targets, n) or (distance + 1, None)
+    if s != distance:
+        found = f"the target {t} {s}" if s < distance else f"no target {distance}"
         raise InvariantViolation(
             f"p={ctx.p} targets={targets}: the dilation for delta puts n={n} at "
             f"distance {distance}, but is_primitive_root finds {found} flips away")
@@ -381,34 +391,27 @@ def covering_radius_bfs(ctx: PrimeContext, variant: RadiusVariant = CANONICAL
                     nxt.append(y)
         frontier = nxt
         d += 1
-    lo = 0 if variant.n_domain_zero else 1
-    hi = ctx.p - 1 if variant.n_domain_zero else ctx.p
-    radius = max(dist[n] for n in range(lo, hi + 1))
-    wits = tuple(sorted(n % ctx.p for n in range(lo, hi + 1) if dist[n] == radius))
-    return radius, wits
+    domain = range(0, ctx.p) if variant.n_domain_zero else range(1, ctx.p + 1)
+    radius = max(dist[n] for n in domain)
+    return radius, tuple(sorted(n % ctx.p for n in domain if dist[n] == radius))
 
 
 def min_flips_to_primroot(n: int, ctx: PrimeContext, variant: RadiusVariant = CANONICAL
                           ) -> tuple[int, int]:
     """Least s with a valid target s flips from n, plus the first such target.
 
-    Balls are searched radius by radius; within a radius, flipped-position
-    subsets are tried in lexicographic order (positions ascending), so the
-    witness is deterministic across runs and engines.
+    The ball search that certifies the dilation (`_nearest_target`), which
+    reads no bitmap: radius by radius, flipped-position subsets in
+    lexicographic order (positions ascending), so the witness is fixed.
     """
-    p, length = ctx.p, ctx.bit_len
-    if variant.n_domain_zero:
-        if not 0 <= n <= p - 1:
-            raise ValueError(f"n must be in [0, {p - 1}] for this variant")
-    elif not 1 <= n <= p:
-        raise ValueError(f"n must be in [1, {p}]")
-    targets = _target_bitmap(ctx, variant.targets)
-    for s in range(length + 1):
-        for t in _flips(n, length, s):
-            if targets >> t & 1:
-                return s, t
-    raise InvariantViolation(f"p={p} variant={variant.name}: the ball search for delta "
-                             f"reaches no target from n={n}")
+    domain = range(0, ctx.p) if variant.n_domain_zero else range(1, ctx.p + 1)
+    if n not in domain:
+        raise ValueError(f"n must be in [{domain[0]}, {domain[-1]}] for {variant.name}")
+    hit = _nearest_target(ctx, variant.targets, n)
+    if hit is None:
+        raise InvariantViolation(f"p={ctx.p} variant={variant.name}: the ball search for delta "
+                                 f"reaches no target from n={n}")
+    return hit
 
 
 # --- minimal-weight statistics --------------------------------------------

@@ -289,10 +289,7 @@ def is_primitive_root(a: int, ctx: PrimeContext) -> bool:
     Tests a^((p-1)/q) != 1 for every prime q | p-1; no full order computation.
     """
     p = ctx.p
-    a %= p
-    if a == 0:
-        return False
-    return all(pow(a, e, p) != 1 for e in ctx.pr_test_exponents)
+    return a % p != 0 and all(pow(a, e, p) != 1 for e in ctx.pr_test_exponents)
 
 
 def least_primitive_root(ctx: PrimeContext) -> int:

@@ -4,7 +4,7 @@ from itertools import compress
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hamroots import hamming
+from hamroots import hamming, numtheory
 from hamroots.errors import CapabilityError, InvariantViolation
 from hamroots.hamming import (CANONICAL, DOMAIN0, REDUCED, HammingProfile, Radii,
                               _covers, _flip_shuffles, _weight_class,
@@ -246,6 +246,8 @@ def test_engine_failures_are_invariant_violations(monkeypatch):
     with pytest.raises(InvariantViolation, match="^p=7 targets=literal: the dilation for delta "
                                                  "leaves the domain uncovered after 3 rounds$"):
         dilation_radii(ctx_for(7), "literal")
+    # the ball search reads no bitmap: only a root test that fails everywhere starves it
+    monkeypatch.setattr(hamming, "is_primitive_root", lambda a, ctx: False)
     with pytest.raises(InvariantViolation, match="^p=7 variant=canonical: the ball search for "
                                                  "delta reaches no target from n=3$"):
         min_flips_to_primroot(3, ctx_for(7))
@@ -259,6 +261,46 @@ def test_engines_agree_up_to_300():
         for variant in (CANONICAL, DOMAIN0, REDUCED):
             assert covering_radius(ctx, variant) == \
                 covering_radius_bfs(ctx, variant)
+
+
+def ball_sweep(ctx, variant):
+    """Covering radius and witness classes by `min_flips_to_primroot` at
+    every n of the variant's domain: the oracle that reads no bitmap."""
+    p, lo = ctx.p, 0 if variant.n_domain_zero else 1
+    dists = {n: min_flips_to_primroot(n, ctx, variant)[0] for n in range(lo, p + lo)}
+    radius = max(dists.values())
+    return radius, tuple(sorted(n % p for n, d in dists.items() if d == radius))
+
+
+def test_ball_search_agrees_with_dilation_and_bfs_below_2000():
+    """The per-n search against both bitmap engines for every odd prime
+    below 2000, under the two variants that ACCEPTANCE 2 leaves out."""
+    for p in sieve_primes(2000)[1:]:
+        ctx = ctx_for(p)
+        for variant in (DOMAIN0, REDUCED):
+            swept = ball_sweep(ctx, variant)
+            assert swept == covering_radius(ctx, variant) == covering_radius_bfs(ctx, variant), \
+                (p, variant.name)
+
+
+def test_ball_search_refuses_the_radii_of_a_swapped_bitmap(monkeypatch):
+    """The bitmap check tests 16 positions with `pow`, so a build that swaps
+    a root and a non-root elsewhere keeps every fact it checks. At 1031 the
+    root 1029 and the non-root 3 are neither checked positions nor the least
+    root. The dilation and the BFS read the swapped bitmap and agree on 6
+    witness classes at radius 2; the ball search tests each candidate with
+    `pow` and finds the true 7."""
+    p = 1031
+    truth = covering_radius(ctx_for(p))
+    build, swap = numtheory._build_pr_bitmap, 1 << 1029 | 1 << 3
+    monkeypatch.setattr(numtheory, "_build_pr_bitmap", lambda ctx: build(ctx) ^ swap)
+    ctx = ctx_for(p)
+    assert numtheory.is_primitive_root(1029, ctx) and not numtheory.is_primitive_root(3, ctx)
+    assert ctx.pr_bitmap() == build(ctx) ^ swap  # the check accepts it
+    wrong = covering_radius(ctx)
+    assert wrong == covering_radius_bfs(ctx)
+    assert ball_sweep(ctx, CANONICAL) == truth != wrong
+    assert (truth[0], len(truth[1])) == (2, 7) and (wrong[0], len(wrong[1])) == (2, 6)
 
 
 def test_variant_semantics():

@@ -875,8 +875,6 @@ _BITMAP_READERS = {
     "scan_range": _read_in_a_scan,
     "covering_radius": _read_prime_by_prime(hamming.covering_radius),
     "covering_radius_bfs": _read_prime_by_prime(hamming.covering_radius_bfs),
-    "min_flips_to_primroot": _read_prime_by_prime(
-        functools.partial(hamming.min_flips_to_primroot, 1)),
     "cube_census": _read_prime_by_prime(cubes.cube_census, cubes.EXHAUSTIVE_P_CAP),
     "witnesses": _read_witnesses_of_a_scan_file,
 }
