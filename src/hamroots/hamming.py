@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .errors import CapabilityError, InvariantViolation
-from .numtheory import PrimeContext, _jacobi, bitmap_to_set, is_primitive_root
+from .numtheory import PrimeContext, _jacobi, bitmap_to_set, is_primitive_root, unfactored_part
 
 
 class RadiusVariant(NamedTuple):
@@ -369,17 +369,10 @@ def covering_radius(ctx: PrimeContext, variant: RadiusVariant = CANONICAL
 def covering_radius_bfs(ctx: PrimeContext, variant: RadiusVariant = CANONICAL
                         ) -> tuple[int, tuple[int, ...]]:
     """Covering radius by multi-source BFS over the bit_len-cube."""
-    size = 1 << ctx.bit_len
-    targets = _target_bitmap(ctx, variant.targets)
-    dist = [-1] * size
-    frontier = []
-    t = targets
-    while t:
-        lowbit = t & -t
-        x = lowbit.bit_length() - 1
+    dist = [-1] * (1 << ctx.bit_len)
+    frontier = bitmap_to_set(_target_bitmap(ctx, variant.targets))
+    for x in frontier:
         dist[x] = 0
-        frontier.append(x)
-        t ^= lowbit
     d = 0
     while frontier:
         nxt = []
@@ -402,13 +395,15 @@ def min_flips_to_primroot(n: int, ctx: PrimeContext, variant: RadiusVariant = CA
 
     The ball search that certifies the dilation (`_nearest_target`), which
     reads no bitmap: radius by radius, flipped-position subsets in
-    lexicographic order (positions ascending), so the witness is fixed.
-    """
+    lexicographic order (positions ascending), so the witness is fixed. A
+    context that lacks a prime of p - 1 is refused, as the bitmap check does."""
     domain = range(0, ctx.p) if variant.n_domain_zero else range(1, ctx.p + 1)
     if n not in domain:
         raise ValueError(f"n must be in [{domain[0]}, {domain[-1]}] for {variant.name}")
-    hit = _nearest_target(ctx, variant.targets, n)
-    if hit is None:
+    if (rest := unfactored_part(ctx)) != 1:
+        raise InvariantViolation(f"p={ctx.p}: the context of is_primitive_root was built from "
+                                 f"the factors {ctx.factors_pm1} of p-1, leaving {rest}")
+    if (hit := _nearest_target(ctx, variant.targets, n)) is None:
         raise InvariantViolation(f"p={ctx.p} variant={variant.name}: the ball search for delta "
                                  f"reaches no target from n={n}")
     return hit

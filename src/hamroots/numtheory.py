@@ -43,11 +43,8 @@ def is_prime(n: int) -> bool:
     for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^r * d with d odd
+    d = (n - 1) >> r
     for a in _MR_WITNESSES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -292,6 +289,14 @@ def is_primitive_root(a: int, ctx: PrimeContext) -> bool:
     return a % p != 0 and all(pow(a, e, p) != 1 for e in ctx.pr_test_exponents)
 
 
+def unfactored_part(ctx: PrimeContext) -> int:
+    """p - 1 with the context's primes divided out: 1 unless it lacks one."""
+    rest, qs = ctx.p - 1, math.prod(ctx.factors_pm1)
+    while (d := math.gcd(rest, qs)) > 1:
+        rest //= d
+    return rest
+
+
 def least_primitive_root(ctx: PrimeContext) -> int:
     """Smallest g >= 1 generating the group mod p; 1 only for p = 2."""
     if ctx._least_g is None:
@@ -384,9 +389,7 @@ def _check_pr_bitmap(ctx: PrimeContext, bm: int) -> None:
     over when the context's primes are divided out of p - 1."""
     p = ctx.p
     phi, count, g = euler_phi(p - 1), bm.bit_count(), least_primitive_root(ctx)
-    rest, qs = p - 1, math.prod(ctx.factors_pm1)
-    while (d := math.gcd(rest, qs)) > 1:
-        rest //= d
+    rest = unfactored_part(ctx)
     fault = (f"has {count} bits set, not phi(p-1) = {phi}" if count != phi
              else f"was built from the factors {ctx.factors_pm1} of p-1, leaving {rest}"
              if rest != 1

@@ -1227,6 +1227,68 @@ def test_bitmap_check_does_not_take_phi_from_the_block_sieve(monkeypatch, tmp_pa
     assert str(exc.value) == f"p={p}: the primitive-root bitmap (_build_pr_bitmap) {fault}"
 
 
+def _mutated(mutate):
+    build = numtheory._build_pr_bitmap
+    return lambda ctx: mutate(build(ctx))
+
+
+# The mutant builds that every reader of the bitmap refuses in the tests
+# above, each over the range of primes it is refused at.
+_MUTANT_BUILDS = {
+    "drop-23": (_mutated(_drop_the_last_root), 23, 23),
+    "drop-1000003": (_mutated(_drop_the_last_root), 1000003, 1000003),
+    "shift-3": (_mutated(_shift_by_one), 3, 3),
+    "shift-23": (_mutated(_shift_by_one), 23, 23),
+    "bit0-23": (_mutated(_least_root_to_bit_0), 23, 23),
+    **_WALK_CASES,
+    **{f"skip-{p}": (_with_the_powers_of_the_largest_prime(numtheory._build_pr_bitmap), p, p)
+       for p in (1000003, 1000367)},
+    **{f"mirror-{p}": (_mirror_for_every_p, p, p) for p in (7, 1000003)},
+}
+
+
+@pytest.mark.parametrize("mutant,lo,hi", [pytest.param(*case, id=case_id)
+                                          for case_id, case in _MUTANT_BUILDS.items()])
+def test_ball_search_reads_no_bitmap(monkeypatch, mutant, lo, hi):
+    """`min_flips_to_primroot` answers under a mutant build as it does under
+    the true one, at the first and last three n in [1, p] where the two
+    bitmaps differ, for each prime of the range: it tests each candidate
+    with `is_primitive_root`, so no bitmap is built or checked."""
+    expected = {}
+    for p in numtheory.sieve_primes(hi, lo):
+        ctx = numtheory.PrimeContext.for_prime(p)
+        differ = numtheory.bitmap_to_set((mutant(ctx) ^ numtheory._build_pr_bitmap(ctx))
+                                         & (2 << p) - 2)  # the n in [1, p]
+        for n in differ[:3] + differ[-3:]:
+            expected[p, n] = hamming.min_flips_to_primroot(n, ctx)
+    assert expected
+    monkeypatch.setattr(numtheory, "_build_pr_bitmap", mutant)
+    contexts = {p: numtheory.PrimeContext.for_prime(p) for p, _ in expected}
+    assert {(p, n): hamming.min_flips_to_primroot(n, contexts[p])
+            for p, n in expected} == expected
+    assert all(ctx._pr_bitmap is None for ctx in contexts.values())
+
+
+@pytest.mark.parametrize("lose,p,rest", [
+    pytest.param(_the_block_sieve_loses_the_largest_prime, 31, 5, id="block-sieve-31"),
+    pytest.param(_the_block_sieve_loses_the_largest_prime, 1000003, 166667,
+                 id="block-sieve-1000003"),
+    pytest.param(_trial_division_loses_the_largest_prime, 31, 5, id="factorize-31"),
+    pytest.param(_trial_division_loses_the_largest_prime, 1000003, 166667,
+                 id="factorize-1000003"),
+])
+def test_ball_search_refuses_a_context_that_lost_a_prime(monkeypatch, lose, p, rest):
+    """`is_primitive_root` tests only the context's primes of p - 1, so the
+    search, which reads no bitmap and so meets no bitmap check, refuses a
+    context that lacks one, whichever engine lost it."""
+    lose(monkeypatch)
+    ctx = numtheory.PrimeContext.for_prime(p)
+    with pytest.raises(InvariantViolation) as exc:
+        hamming.min_flips_to_primroot(1, ctx)
+    assert str(exc.value) == (f"p={p}: the context of is_primitive_root was built from the "
+                              f"factors (2, 3) of p-1, leaving {rest}")
+
+
 def test_unknown_schema_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# hamroots.scan.v9 targets=literal\np,r\n", encoding="utf-8")
