@@ -9,9 +9,12 @@ the package's lazy names, so a census command loads only the scan engine.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import os
+import shutil
 import sys
+import tempfile
 from typing import Iterator
 
 import hamroots
@@ -20,7 +23,7 @@ from . import reference
 from .errors import CapabilityError, InvariantViolation
 from .hamming import BASE_VIEWS, DOMAIN0, VARIANTS, HammingProfile
 from .numtheory import PrimeContext, divisors, is_primitive_root, sieve_primes
-from .scan import CountTable, ScanConfig, format_scan_output, scan_profiles, stream_scan_output
+from .scan import CountTable, ScanConfig, scan_profiles, stream_scan_output
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,18 +116,23 @@ def _compute_tuple(flag_value: str) -> tuple[str, ...]:
 
 
 def cmd_scan(args) -> int:
-    # With --output the file is the checkpoint journal: rows are appended to
-    # PATH.part a block at a time, a rerun resumes it, and only a whole scan
-    # is renamed onto PATH, so a failure leaves any old output.
-    config = ScanConfig(lo=args.range[0], hi=args.range[1], tasks=args.tasks,
-                        targets=args.targets, compute=_compute_tuple(args.compute),
-                        checkpoint=f"{args.output}.part" if args.output else None)
-    if args.output:
+    # The rows go to the scan's checkpoint journal, appended a block at a
+    # time. With --output it is PATH.part, which a rerun resumes, and only a
+    # whole scan is renamed onto PATH, so a failure leaves any old output.
+    # Without, it sits in a temporary directory and a whole scan is copied to
+    # stdout, so a failure prints nothing.
+    with (contextlib.nullcontext() if args.output else tempfile.TemporaryDirectory()) as tmp:
+        config = ScanConfig(lo=args.range[0], hi=args.range[1], tasks=args.tasks,
+                            targets=args.targets, compute=_compute_tuple(args.compute),
+                            checkpoint=f"{args.output}.part" if args.output
+                            else os.path.join(tmp, "scan.part"))
         for _ in scan_profiles(config):
             pass
-        os.replace(config.checkpoint, args.output)
-    else:
-        sys.stdout.write(format_scan_output(config, scan_profiles(config)))
+        if args.output:
+            os.replace(config.checkpoint, args.output)
+        else:
+            with open(config.checkpoint, encoding="utf-8", newline="") as fh:
+                shutil.copyfileobj(fh, sys.stdout)
     return 0
 
 

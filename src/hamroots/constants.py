@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .numtheory import sieve_primes
+from .numtheory import prime_windows
 
 
 def entropy(gamma: float) -> float:
@@ -48,7 +48,8 @@ def artin_constant(prime_limit: int = 1_000_000) -> float:
     """
     if prime_limit < 2:
         raise ValueError("prime_limit must be >= 2")
-    logs = [math.log1p(-1.0 / (p * (p - 1))) for p in sieve_primes(prime_limit)]
+    logs = (math.log1p(-1.0 / (p * (p - 1)))
+            for window in prime_windows(2, prime_limit) for p in window)
     return math.exp(math.fsum(logs))
 
 

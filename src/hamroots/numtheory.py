@@ -36,6 +36,21 @@ def sieve_primes(limit: int, lo: int = 2) -> list[int]:
     return list(compress(range(lo, limit + 1), flags))
 
 
+_SIEVE_WINDOW = 1 << 16  # the numbers `prime_windows` sieves at a time
+
+
+def prime_windows(lo: int, hi: int) -> Iterator[list[int]]:
+    """The primes in [lo, hi], ascending, as one list per window of the
+    numbers [k * 2^16, (k + 1) * 2^16) that the range meets: each window is
+    sieved by `sieve_primes` only when the one before it has been taken, so
+    a reader holds one window of the range, not the range."""
+    lo = max(lo, 2)
+    while lo <= hi:
+        end = min(hi, (lo // _SIEVE_WINDOW + 1) * _SIEVE_WINDOW - 1)
+        yield sieve_primes(end, lo)
+        lo = end + 1
+
+
 def is_prime(n: int) -> bool:
     """Miller-Rabin with fixed witnesses, deterministic below 3.3e24."""
     if n < 2:

@@ -28,12 +28,13 @@ import contextlib
 import os
 import sys
 import zlib
+from itertools import chain, islice
 from operator import attrgetter
 from typing import Generator, Iterable, Iterator, NamedTuple
 
 from .errors import InvariantViolation
 from .hamming import BASE_VIEWS, HammingProfile, Radii, dilation_radii, sparsest
-from .numtheory import PrimeContext, bit_exponent, factorize_pm1, sieve_primes
+from .numtheory import PrimeContext, bit_exponent, factorize_pm1, prime_windows
 
 SCHEMA_ID = "hamroots.scan.v6"
 BLOCK_SIZE = 4096
@@ -216,14 +217,20 @@ def _config_of_header(line: str) -> ScanConfig:
                       targets=targets, compute=compute)
 
 
-def _read_rows(fh, path: str, config: ScanConfig, primes: list[int]):
+def _primes(lo: int, hi: int) -> Iterator[int]:
+    """The primes in [lo, hi], ascending, sieved a window at a time."""
+    return chain.from_iterable(prime_windows(lo, hi))
+
+
+def _read_rows(fh, path: str, config: ScanConfig, primes: Iterator[int]):
     """Yield (profile, end) for each complete row of the scan file open in
     binary mode in fh, end being the offset just past the row's line.
 
     Raises ValueError, naming the path and the line, unless the header lines
     are config's, each row has canonical integer cells and its checksum, and
-    the rows are the first of `primes` in order. A last line without a
-    newline, torn by a crash mid-write, is not read."""
+    each row's p is the next one that `primes` gives, so the rows are its
+    first primes in order. A last line without a newline, torn by a crash
+    mid-write, is not read."""
     header = _header(config).splitlines()
     decode = _line_decoder(config)
     end = 0
@@ -243,8 +250,7 @@ def _read_rows(fh, path: str, config: ScanConfig, primes: list[int]):
         text, _, checksum = line.rpartition(",")
         if checksum != _checksum(text):
             raise ValueError(f"{path}: checksum mismatch on line {lineno} (p={prof.p})")
-        i = lineno - len(header) - 1
-        if i >= len(primes) or prof.p != primes[i]:
+        if prof.p != next(primes, None):
             raise ValueError(f"{path}: line {lineno}: p={prof.p} is not the next prime "
                              f"of [{config.lo}, {config.hi}]")
         yield prof, end
@@ -253,8 +259,9 @@ def _read_rows(fh, path: str, config: ScanConfig, primes: list[int]):
 def stream_scan_output(path: str) -> tuple[ScanConfig, Iterator[HammingProfile]]:
     """The scan a file describes, read from its first line alone, and an
     iterator of its profiles in the base view of its targets, read as
-    `_read_rows` reads them; after the last row the iterator checks that the
-    rows cover every prime of the header's range."""
+    `_read_rows` reads them against the primes of the header's range, which
+    are sieved only as far as the rows are read; after the last row the
+    iterator checks that no prime of the range is left."""
     with open(path, "rb") as fh:
         try:
             config = _config_of_header(fh.readline().decode())
@@ -262,13 +269,14 @@ def stream_scan_output(path: str) -> tuple[ScanConfig, Iterator[HammingProfile]]
             raise ValueError(f"{path}: line 1: {exc}") from None
 
     def profiles():
-        primes, read = sieve_primes(config.hi, config.lo), 0
+        primes, read = _primes(config.lo, config.hi), 0
         with open(path, "rb") as fh:
             for read, (prof, _) in enumerate(_read_rows(fh, path, config, primes), 1):
                 yield prof
-        if read < len(primes):  # the missing row's line follows the two header lines
+        missing = next(primes, None)
+        if missing is not None:  # its line follows the two header lines and the rows read
             raise ValueError(f"{path}: line {read + 3}: the file ends before "
-                             f"the row of p={primes[read]}")
+                             f"the row of p={missing}")
     return config, profiles()
 
 
@@ -280,8 +288,12 @@ def read_scan_output(path: str) -> tuple[ScanConfig, list[HammingProfile]]:
 
 
 def format_scan_output(config: ScanConfig, profiles: Iterable[HammingProfile]) -> str:
-    """The scan's file: its header, then one line per profile."""
-    return _header(config) + _block_encoder(config)(profiles)
+    """The scan's file: its header, then one line per profile, encoded a
+    block of `BLOCK_SIZE` profiles at a time, so that only one block's lines
+    are held apart from the text."""
+    encode, profiles = _block_encoder(config), iter(profiles)
+    blocks = iter(lambda: encode(islice(profiles, BLOCK_SIZE)), "")  # until a block is empty
+    return _header(config) + "".join(blocks)
 
 
 # --- scanning -----------------------------------------------------------------
@@ -293,22 +305,42 @@ def _append(fh, text: str) -> None:
     os.fsync(fh.fileno())
 
 
-def _resume(config: ScanConfig, primes: list[int]) -> Generator[HammingProfile, None, int]:
+def _resume(config: ScanConfig) -> Generator[HammingProfile, None, int]:
     """Yield the profiles of the whole blocks in the scan's checkpoint journal,
-    one block at a time, and return their number. Once read to its end, the
-    journal is cut to those blocks: a torn last line and a partial last block
-    go, and so does the header of a journal without a whole block."""
-    path, kept, end, block = config.checkpoint, 0, 0, []
+    one block at a time, and return the number the scan goes on from: lo, or
+    one past the last prime kept. Once read to its end, the journal is cut to
+    those blocks: a torn last line and a partial last block go, and so does
+    the header of a journal without a whole block. A block is whole when it
+    holds `BLOCK_SIZE` rows or its last row is the range's last prime."""
+    path, start, end, block = config.checkpoint, config.lo, 0, []
     if os.path.exists(path):
+        primes = _primes(config.lo, config.hi)
         with open(path, "rb") as fh:
             for prof, row_end in _read_rows(fh, path, config, primes):
                 block.append(prof)
-                if len(block) == BLOCK_SIZE or kept + len(block) == len(primes):
+                if len(block) == BLOCK_SIZE:
                     yield from block
-                    kept, end, block = kept + len(block), row_end, []
+                    start, end, block = prof.p + 1, row_end, []
+        if block and next(primes, None) is None:
+            yield from block
+            start, end = block[-1].p + 1, row_end
     with open(path, "ab") as fh:
         fh.truncate(end)
-    return kept
+    return start
+
+
+def _blocks(lo: int, hi: int) -> Iterator[list[int]]:
+    """The primes in [lo, hi] in lists of `BLOCK_SIZE`, the last one maybe
+    shorter, cut by slices from the windows as they are sieved."""
+    pending = []
+    for window in prime_windows(lo, hi):
+        pending += window
+        cut = len(pending) - len(pending) % BLOCK_SIZE
+        for i in range(0, cut, BLOCK_SIZE):
+            yield pending[i:i + BLOCK_SIZE]
+        del pending[:cut]
+    if pending:
+        yield pending
 
 
 def worker_count(tasks: int, blocks: int, cpus: int | None) -> int:
@@ -355,22 +387,25 @@ def _pool(workers: int):
 def scan_profiles(config: ScanConfig) -> Iterator[HammingProfile]:
     """Yield the per-prime profiles for primes in [lo, hi], ascending, in the
     base view of the config's targets, as `read_scan_output` gives them too.
-    A block's profiles are yielded after its rows reach the journal."""
+    A block's profiles are yielded after its rows reach the journal. The
+    primes are sieved a window at a time as the blocks are cut, so the scan
+    holds about a window and a block of them, not the range's."""
     blocks = -(-(config.hi - config.lo + 1) // BLOCK_SIZE)  # at most this many
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count())  # those this process may run on, where the platform tells
     with _pool(worker_count(config.tasks, blocks, cpus)) as pool:
-        primes = sieve_primes(config.hi, config.lo)
-        done = (yield from _resume(config, primes)) if config.checkpoint else 0
+        start = (yield from _resume(config)) if config.checkpoint else config.lo
         encode = _block_encoder(config)
         base = BASE_VIEWS[config.targets].name
-        todo = [(primes[i:i + BLOCK_SIZE], config.targets, tuple(config.compute))
-                for i in range(done, len(primes), BLOCK_SIZE)]
+        todo = _blocks(start, config.hi)
+        head = list(islice(todo, 2))  # one block left is computed in process
+        tasks = ((primes, config.targets, tuple(config.compute))
+                 for primes in chain(head, todo))
         with (open(config.checkpoint, "a", encoding="utf-8", newline="\n")
               if config.checkpoint else contextlib.nullcontext()) as journal:
-            if journal and not done:
+            if journal and start == config.lo:
                 _append(journal, _header(config))
-            for rows in (pool.imap if pool and len(todo) > 1 else map)(_scan_block, todo):
+            for rows in (pool.imap if pool and len(head) > 1 else map)(_scan_block, tasks):
                 block = [HammingProfile(p, bit_exponent(p), w, W, variant=base, radii=radii)
                          for p, w, W, radii in rows]
                 if journal:

@@ -1,12 +1,13 @@
 import argparse
 import hashlib
 import re
+import tempfile
 import zlib
 from pathlib import Path
 
 import pytest
 
-from hamroots import cli, hamming, scan
+from hamroots import cli, hamming, numtheory, scan
 from hamroots.cli import build_parser, main
 from hamroots.errors import InvariantViolation
 from hamroots.numtheory import sieve_primes
@@ -278,6 +279,24 @@ def test_failed_scan_leaves_the_old_output(tmp_path, monkeypatch, capsys):
     assert main([*argv, "--output", str(target)]) == 0  # resumes after block 1
     assert target.read_text() == fresh
     assert list(tmp_path.iterdir()) == [target]  # no .part or temporary file left
+
+
+def test_a_failed_scan_to_stdout_prints_nothing_and_leaves_no_file(tmp_path, monkeypatch,
+                                                                   capsys):
+    """A scan to stdout writes its journal in a temporary directory and
+    copies it out once whole: a scan that fails in its second block prints
+    nothing, and neither it nor a scan that succeeds leaves a file."""
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 4)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    argv = ["scan", "--range", "3", "60", "--compute", "w,W"]
+    with monkeypatch.context() as patch:
+        _fail_in_block(patch, 2)
+        assert run_err(capsys, *argv) == (
+            4, "", "invariant violation: p=13 targets=literal: injected\n")
+    assert list(tmp_path.iterdir()) == []
+    cfg = ScanConfig(lo=3, hi=60, compute=("w", "W"))
+    assert run(capsys, *argv) == (0, format_scan_output(cfg, scan_range(cfg)))
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("other", [["--range", "3", "100"], ["--compute", "w"]],
@@ -698,6 +717,19 @@ def test_a_scan_file_is_read_up_to_the_first_row_past_the_limit(tmp_path, capsys
     code, out, err = run_err(capsys, "table", "--limit", "1000", "--scan-file", path)
     assert (code, out) == (1, "")
     assert err == f"error: {path}: line 103: the file ends before the row of p=547\n"
+
+
+def test_a_scan_file_read_sieves_only_the_windows_it_reads(tmp_path, capsys, monkeypatch):
+    """table --limit 1000 reads a w,W scan of [2, 200000], whose primes span
+    four windows of 2^16 numbers, up to its row of 1009, and so sieves the
+    first window alone (a delta scan of that range would take a minute)."""
+    path = _scan_file(tmp_path, capsys, "wide.csv", "--range", "2", "200000", "--compute", "w,W")
+    windows, sieve = [], numtheory.sieve_primes
+    monkeypatch.setattr(numtheory, "sieve_primes",
+                        lambda limit, lo=2: windows.append((lo, limit)) or sieve(limit, lo))
+    code, out = run(capsys, "table", "--limit", "1000", "--compute", "w,W", "--scan-file", path)
+    assert windows and all(limit < numtheory._SIEVE_WINDOW for _, limit in windows), windows
+    assert (code, out) == (0, run(capsys, "table", "--limit", "1000", "--compute", "w,W")[1])
 
 
 # table --limit 1000 --variant reduced --paper-diff, recorded while the

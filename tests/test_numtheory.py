@@ -1,7 +1,7 @@
 import math
 import random
 import tracemalloc
-from itertools import compress
+from itertools import chain, compress
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -62,6 +62,28 @@ def test_window_sieve_matches_full_sieve_and_miller_rabin(lo, hi):
     window = sieve_primes(hi, lo)
     assert window == [p for p in sieve_primes(hi) if p >= lo]
     assert window == [n for n in range(lo, hi + 1) if is_prime(n)]
+
+
+_WINDOW = numtheory._SIEVE_WINDOW
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (2, 100), (0, 100),                         # from 2, and from below it
+    (49, 1000), (66049, 70000),                 # from 7^2, and from 257^2 in the second window
+    (_WINDOW, _WINDOW + 1000),                  # from 256^2, the first number of a window
+    (97, 97), (49, 49), (_WINDOW, _WINDOW),     # lo = hi
+    (2, _WINDOW - 1), (2, _WINDOW), (2, _WINDOW + 1),  # to one below, at and one above a seam
+    (_WINDOW - 100, 2 * _WINDOW + 100),         # across three windows
+    (60, 50),                                   # lo above hi
+])
+def test_prime_windows_are_the_sieve_cut_at_each_window(lo, hi):
+    windows = list(numtheory.prime_windows(lo, hi))
+    assert list(chain.from_iterable(windows)) == sieve_primes(hi, lo)
+    # one list per window of 2^16 numbers that the range meets, in order
+    met = range(max(lo, 2) // _WINDOW, hi // _WINDOW + 1) if lo <= hi else range(0)
+    assert len(windows) == len(met)
+    assert all(lo <= p <= hi and p // _WINDOW == k for k, window in zip(met, windows)
+               for p in window)
 
 
 def test_is_prime_basics():

@@ -534,6 +534,28 @@ def test_stray_journal_record_rejected_with_path_and_line(tmp_path, monkeypatch,
         scan_range(cfg)
 
 
+@pytest.mark.parametrize("skipped,refused", [(65521, 65537), (65537, 65539)],
+                         ids=["last-of-a-window", "first-of-the-next"])
+@pytest.mark.parametrize("reader", ["scan-file", "journal"])
+def test_a_row_that_skips_a_prime_at_a_window_seam_is_refused(tmp_path, reader, skipped,
+                                                              refused):
+    """The reader checks each row against the prime stream as it crosses
+    from one sieved window to the next: 65521 is the last prime below the
+    seam at 2^16 and 65537 the first above it."""
+    assert numtheory._SIEVE_WINDOW == 65536
+    cfg = ScanConfig(lo=65500, hi=65600, compute=("w",))
+    lines = format_scan_output(cfg, scan_range(cfg)).splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"{skipped},"))
+    path = tmp_path / "scan.csv"
+    path.write_text("".join(lines[:i] + lines[i + 1:]))
+    message = f"{path}: line {i + 1}: p={refused} is not the next prime of [65500, 65600]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if reader == "scan-file":
+            read_scan_output(str(path))
+        else:
+            scan_range(cfg._replace(checkpoint=str(path)))
+
+
 def _rows_of(lo, hi) -> list[str]:
     cfg = ScanConfig(lo=lo, hi=hi, compute=("w", "W"))
     return format_scan_output(cfg, scan_range(cfg)).splitlines()[2:]
@@ -723,7 +745,9 @@ def test_pool_workers_die_with_a_killed_scan(tmp_path):
 
 def test_pool_starts_before_the_sieve_and_the_resume(tmp_path, monkeypatch):
     """The workers fork before the parent sieves the range or reads the
-    journal, so they inherit neither."""
+    journal, so they inherit neither. The prime stream is lazy: the resume
+    is called first, and each window is sieved as the resume or the blocks
+    reach it, every one with the pool alive."""
     _two_cpus(monkeypatch)
     monkeypatch.setattr(scan, "BLOCK_SIZE", 16)
     seen = []
@@ -731,12 +755,13 @@ def test_pool_starts_before_the_sieve_and_the_resume(tmp_path, monkeypatch):
     def watch(name, call):
         return lambda *args: seen.append((name, bool(multiprocessing.active_children()))) \
             or call(*args)
-    monkeypatch.setattr(scan, "sieve_primes", watch("sieve", scan.sieve_primes))
+    monkeypatch.setattr(numtheory, "sieve_primes", watch("sieve", numtheory.sieve_primes))
     monkeypatch.setattr(scan, "_resume", watch("resume", scan._resume))
     cfg = ScanConfig(lo=2, hi=500, tasks=2, compute=("w", "W"),
                      checkpoint=str(tmp_path / "scan.ckpt"))
     assert len(scan_range(cfg)) == 95
-    assert seen == [("sieve", True), ("resume", True)]
+    assert seen[0] == ("resume", True) and ("sieve", True) in seen
+    assert set(seen) == {("resume", True), ("sieve", True)}
 
 
 def test_two_task_resume_matches_a_fresh_serial_scan(tmp_path, monkeypatch):
@@ -1164,6 +1189,33 @@ print(tracemalloc.get_traced_memory()[1] / 2**20)
                          text=True, check=True, timeout=60).stdout
     p, length = 1000039, 20
     assert float(out) <= (p + length * (1 << length) // 8) / 2**20 + 0.5
+
+
+def test_a_ww_scan_holds_about_as_much_for_a_range_ten_times_wider():
+    """A W scan of [3, 10^6] peaks within 1 MB of the W scan of [3, 10^5].
+    The primes are sieved a window of 2^16 numbers at a time and cut into
+    blocks, so neither the range's flags (1 MB at 10^6) nor its 78,497
+    primes (about 2.8 MB as a list) are held; what may differ is bounded by
+    the range's bit length or by a window and a block, not by its primes:
+    the cached weight classes of each bit length, and a window's primes
+    held beside a partial block. Each peak is tracemalloc's, counted from a
+    start just before the scan, in a fresh process, as in the delta test
+    above."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hamroots.__file__).parents[1]))
+    script = """
+import sys, tracemalloc
+from hamroots.scan import ScanConfig, scan_profiles
+config = ScanConfig(3, int(sys.argv[1]), compute=("W",))
+tracemalloc.start()
+for _ in scan_profiles(config):
+    pass
+print(tracemalloc.get_traced_memory()[1] / 2**20)
+"""
+    peak = {hi: float(subprocess.run([sys.executable, "-c", script, str(hi)], env=env,
+                                     capture_output=True, text=True, check=True,
+                                     timeout=120).stdout)
+            for hi in (10**5, 10**6)}
+    assert peak[10**6] <= peak[10**5] + 1, peak
 
 
 def _the_block_sieve_loses_the_largest_prime(monkeypatch):
