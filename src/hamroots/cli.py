@@ -184,7 +184,8 @@ def cmd_table(args) -> int:
         raise ValueError("limit below the smallest tabulated threshold 10^3")
     compute = _compute_tuple(args.compute)
     profiles = _census_profiles(args, 2, compute, args.variant)
-    if args.paper_diff:  # read twice, by the table and by the itemization
+    itemize = args.paper_diff and "delta" in compute
+    if itemize:  # read twice, by the table and by the itemization
         profiles = list(profiles)
     table = CountTable.from_profiles(profiles, [10**j for j in exponents])
     header = f"{'j':>2} {'pi':>6}" + "".join(
@@ -207,7 +208,7 @@ def cmd_table(args) -> int:
                 lines.append(f"!! {stat} counts at 10^{j} do not sum to "
                              f"{'pi' if stat == 'W' else 'pi-1'}")
                 violation = True
-    if args.paper_diff and "delta" in compute:
+    if itemize:
         lines += _itemize_variant_differences(args, profiles)
     print(*lines, sep="\n")  # once whole, so a list refused as it is derived prints nothing
     return 4 if violation else 0

@@ -5,21 +5,23 @@ statistics independently and the parent takes the blocks back in order, so
 the output bytes do not depend on the task count. A scan streams: it yields
 a block's profiles after their rows reach the journal, and keeps none.
 
-A scan has one row encoding, the `hamroots.scan.v6` CSV file: a line naming
+A scan has one row encoding, the `hamroots.scan.v7` CSV file: a line naming
 the schema, the range, the radius targets (when delta is computed) and the
-computed statistics, a line of column names, then one line per prime ending
-in the crc32 of the line's text. Every cell is an integer or empty. A row
-holds p, not r, which the reader derives from it, and the radii of one
-dilation, of which each domain convention is a view, so the file does not
-depend on the convention; the core witnesses are counted, not listed, and a
-profile derives its list again when it is read (`HammingProfile.witnesses`).
-The two header lines are the scan's fingerprint. The checkpoint journal is
-that same file, appended one block at a time (each fsynced), so a finished
-journal equals the output byte for byte. Resume reads the journal a block at
-a time with the reader of output files: the header must be this scan's,
-every checksum must hold and the rows must be the scan's primes in order.
-Once all is read, a line torn by a crash and a partial last block are cut
-off, and the scan goes on from there.
+computed statistics, a line of column names, then one line per prime and,
+after each block of `BLOCK_SIZE` rows (the range's last may be shorter), a
+line `# crc32 xxxxxxxx` holding the crc32 of the block's row lines as
+written. Every cell is an integer or empty. A row holds p, not r, which the
+reader derives from it, and the radii of one dilation, of which each domain
+convention is a view, so the file does not depend on the convention; the
+core witnesses are counted, not listed, and a profile derives its list
+again when it is read (`HammingProfile.witnesses`). The two header lines
+are the scan's fingerprint. The checkpoint journal is that same file,
+appended one block at a time (each fsynced), so a finished journal equals
+the output byte for byte. Resume reads the journal with the reader of output
+files: the header must be this scan's, every checksum line must hold and the
+rows must be the scan's primes in order. Once all is read, the lines after
+the last checksum line, a line torn by a crash among them, are cut off, and
+the scan goes on from there.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import InvariantViolation
 from .hamming import BASE_VIEWS, HammingProfile, Radii, dilation_radii, sparsest
 from .numtheory import PrimeContext, bit_exponent, factorize_pm1, prime_windows
 
-SCHEMA_ID = "hamroots.scan.v6"
+SCHEMA_ID = "hamroots.scan.v7"
 BLOCK_SIZE = 4096
 STATS = ("w", "W", "delta")  # the statistics a scan can compute, in column order
 
@@ -118,14 +120,15 @@ def _scan_block(args) -> list[tuple]:
     return rows
 
 
-# --- the v6 file: header, rows, reader ----------------------------------------
+# --- the v7 file: header, rows, checksum lines, reader --------------------------
 
 RADII = ("core", "dist_0", "dist_p", "core_count")  # the columns of delta, in order
+CRC_LINE = "# crc32 %08x\n"  # ends a block: the crc32 of its row lines, newlines included
 
 
 def _columns(config: ScanConfig) -> list[str]:
-    """The cells of a scan's rows before the checksum, in order: p, the
-    weight statistics computed and, when delta is computed, its radii."""
+    """The cells of a scan's rows, in order: p, the weight statistics
+    computed and, when delta is computed, its radii."""
     return ["p", *(name for name in ("w", "W") if name in config.compute),
             *(RADII if "delta" in config.compute else ())]
 
@@ -136,22 +139,19 @@ def _header(config: ScanConfig) -> str:
     stats = [name for name in STATS if name in config.compute]
     targets = f"targets={config.targets} " if "delta" in config.compute else ""
     return (f"# {SCHEMA_ID} lo={config.lo} hi={config.hi} {targets}"
-            f"compute={','.join(stats)}\n{','.join([*_columns(config), 'checksum'])}\n")
-
-
-def _checksum(text: str) -> str:
-    return "%08x" % zlib.crc32(text.encode())
+            f"compute={','.join(stats)}\n{','.join(_columns(config))}\n")
 
 
 def _block_encoder(config: ScanConfig):
-    """The function from profiles to their lines, newlines included, in
-    one pass: each row's cells are %-formatted, with "" for a None in the
-    rows that hold one."""
+    """The function from a block of profiles to its text in one pass: a
+    line per profile, each row's cells %-formatted, with "" for a None in
+    the rows that hold one, then the block's checksum line; no profiles
+    give no text."""
     columns = _columns(config)
     plain = [name for name in columns if name not in RADII]
     with_radii = len(plain) < len(columns)
     cells_of = attrgetter(*plain, *("radii",) * with_radii)  # two names or more: a tuple
-    row = ",".join(["%s"] * len(columns))
+    row = ",".join(["%s"] * len(columns)) + "\n"
     no_radii = ("",) * len(RADII)
     crc32 = zlib.crc32
 
@@ -163,9 +163,9 @@ def _block_encoder(config: ScanConfig):
                 cells = cells[:-1] + (cells[-1] or no_radii)
             if None in cells:
                 cells = tuple("" if v is None else v for v in cells)
-            text = row % cells
-            lines.append("%s,%08x\n" % (text, crc32(text.encode())))
-        return "".join(lines)
+            lines.append(row % cells)
+        text = "".join(lines)
+        return text and text + CRC_LINE % crc32(text.encode())
     return encode
 
 
@@ -178,10 +178,10 @@ def _csv_int(cell: str) -> int:
 
 
 def _line_decoder(config: ScanConfig):
-    """The function from a line (newline stripped) to its profile in the base
-    view of the config's targets, its r derived from p; it checks the cells,
-    not the checksum. Only the row of p = 2 may hold an empty cell, and it
-    holds the cells the writer gives it: no w, W = 1 and no radii."""
+    """The function from a row's line (newline stripped) to its profile in
+    the base view of the config's targets, its r derived from p; it checks
+    the cells. Only the row of p = 2 may hold an empty cell, and it holds the
+    cells the writer gives it: no w, W = 1 and no radii."""
     columns = _columns(config)
     plain = [name for name in columns if name not in RADII]
     base = BASE_VIEWS[config.targets].name
@@ -189,17 +189,17 @@ def _line_decoder(config: ScanConfig):
 
     def decode(line: str) -> HammingProfile:
         cells = line.split(",")
-        if len(cells) != len(columns) + 1:  # the checksum ends the row
-            raise ValueError(f"expected {len(columns) + 1} columns, got {len(cells)}")
+        if len(cells) != len(columns):
+            raise ValueError(f"expected {len(columns)} columns, got {len(cells)}")
         p = _csv_int(cells[0])
-        if p == 2 and cells[1:-1] != two:
+        if p == 2 and cells[1:] != two:
             raise ValueError(f"the row of p=2 must hold {','.join(two)!r} after p, "
-                             f"got {','.join(cells[1:-1])!r}")
-        if p > 2 and "" in cells[1:-1]:
+                             f"got {','.join(cells[1:])!r}")
+        if p > 2 and "" in cells[1:]:
             raise ValueError(f"the row of p={p} has an empty cell, which only p = 2 may have")
         values = {name: _csv_int(cell) if cell else None
                   for name, cell in zip(plain[1:], cells[1:])}  # w and W
-        radii = cells[len(plain):-1]  # none, or all empty for a prime without radii
+        radii = cells[len(plain):]  # none, or all empty for a prime without radii
         radii = Radii(*map(_csv_int, radii)) if any(radii) else None
         return HammingProfile(p, bit_exponent(p), **values, variant=base, radii=radii)
     return decode
@@ -222,46 +222,83 @@ def _primes(lo: int, hi: int) -> Iterator[int]:
     return chain.from_iterable(prime_windows(lo, hi))
 
 
-def _read_rows(fh, path: str, config: ScanConfig, primes: Iterator[int]):
-    """Yield (profile, end) for each complete row of the scan file open in
-    binary mode in fh, end being the offset just past the row's line.
+def _read_rows(fh, path: str, config: ScanConfig, whole: bool):
+    """Yield (profile, end) for each row of the scan file open in binary
+    mode in fh, end being the offset just past the checksum line of the
+    row's block.
 
-    Raises ValueError, naming the path and the line, unless the header lines
-    are config's, each row has canonical integer cells and its checksum, and
-    each row's p is the next one that `primes` gives, so the rows are its
-    first primes in order. A last line without a newline, torn by a crash
-    mid-write, is not read."""
+    A block's lines are read up to its checksum line, which must hold their
+    crc32, before any of them is decoded; its rows are then decoded one at a
+    time, as they are asked for. Raises ValueError, naming the path and the
+    line, unless the header lines are config's, each checksum line matches
+    its block, each row has canonical integer cells, the rows are the primes
+    of the range in order, each block but the range's last holds
+    `BLOCK_SIZE` rows and nothing follows that last block. The lines after
+    the last checksum line, among them a last line torn by a crash, make an
+    incomplete block, which is not decoded: the caller cuts it, or, with
+    `whole`, the file must have none and must reach the range's last prime."""
     header = _header(config).splitlines()
     decode = _line_decoder(config)
-    end = 0
+    primes = _primes(config.lo, config.hi)
+    expected, block, crc, end, lineno = next(primes, None), [], 0, 0, 0
+    span = f"[{config.lo}, {config.hi}]"
+
+    def refused(n: int, message) -> ValueError:
+        return ValueError(f"{path}: line {n}: {message}")
+
     for lineno, raw in enumerate(fh, 1):
+        # Past the block of the range's last prime, even a torn line is refused.
+        if lineno > len(header) and not block and expected is None:
+            raise refused(lineno, f"the scan of {span} ends on line {lineno - 1}, "
+                                  f"but the file goes on")
         if not raw.endswith(b"\n"):
-            return
+            lineno -= 1
+            break
         end += len(raw)
-        try:
-            line = raw[:-1].decode()
-            if lineno <= len(header):
+        if lineno <= len(header):
+            try:
+                line = raw[:-1].decode()
                 if line != header[lineno - 1]:
                     raise ValueError(f"expected {header[lineno - 1]!r}, got {line!r}")
-                continue
-            prof = decode(line)
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        text, _, checksum = line.rpartition(",")
-        if checksum != _checksum(text):
-            raise ValueError(f"{path}: checksum mismatch on line {lineno} (p={prof.p})")
-        if prof.p != next(primes, None):
-            raise ValueError(f"{path}: line {lineno}: p={prof.p} is not the next prime "
-                             f"of [{config.lo}, {config.hi}]")
-        yield prof, end
+            except ValueError as exc:
+                raise refused(lineno, exc) from None
+            continue
+        if not raw.startswith(b"# crc32 "):
+            if len(block) == BLOCK_SIZE:
+                raise refused(lineno, f"more than {BLOCK_SIZE} rows before a checksum line")
+            block.append(raw)
+            crc = zlib.crc32(raw, crc)
+            continue
+        first = lineno - len(block)
+        if block and raw != (CRC_LINE % crc).encode():
+            raise refused(lineno, f"checksum mismatch on the rows of lines {first}-{lineno - 1}")
+        for n, row in enumerate(block, first):
+            try:
+                prof = decode(row[:-1].decode())
+            except ValueError as exc:
+                raise refused(n, exc) from None
+            if prof.p != expected:
+                raise refused(n, f"p={prof.p} is not the next prime of {span}")
+            expected = next(primes, None)
+            yield prof, end
+        if len(block) < BLOCK_SIZE and expected is not None:
+            raise refused(lineno, f"a checksum line after {len(block)} rows, fewer than "
+                                  f"{BLOCK_SIZE}, before the last prime of {span}")
+        block, crc = [], 0
+    if whole and expected is not None:
+        # The file ends within the block of `expected`: name the prime whose
+        # row would follow the lines it has, or else the missing checksum line.
+        missing = next(islice(chain([expected], primes), len(block), None), None)
+        raise refused(lineno + 1, "the file ends before " + (
+            "the checksum line of its last block" if missing is None
+            else f"the row of p={missing}"))
 
 
 def stream_scan_output(path: str) -> tuple[ScanConfig, Iterator[HammingProfile]]:
     """The scan a file describes, read from its first line alone, and an
     iterator of its profiles in the base view of its targets, read as
-    `_read_rows` reads them against the primes of the header's range, which
-    are sieved only as far as the rows are read; after the last row the
-    iterator checks that no prime of the range is left."""
+    `_read_rows` reads a whole file, against the primes of the header's
+    range, which are sieved only as far as the rows are read."""
     with open(path, "rb") as fh:
         try:
             config = _config_of_header(fh.readline().decode())
@@ -269,14 +306,9 @@ def stream_scan_output(path: str) -> tuple[ScanConfig, Iterator[HammingProfile]]
             raise ValueError(f"{path}: line 1: {exc}") from None
 
     def profiles():
-        primes, read = _primes(config.lo, config.hi), 0
         with open(path, "rb") as fh:
-            for read, (prof, _) in enumerate(_read_rows(fh, path, config, primes), 1):
+            for prof, _ in _read_rows(fh, path, config, whole=True):
                 yield prof
-        missing = next(primes, None)
-        if missing is not None:  # its line follows the two header lines and the rows read
-            raise ValueError(f"{path}: line {read + 3}: the file ends before "
-                             f"the row of p={missing}")
     return config, profiles()
 
 
@@ -288,9 +320,9 @@ def read_scan_output(path: str) -> tuple[ScanConfig, list[HammingProfile]]:
 
 
 def format_scan_output(config: ScanConfig, profiles: Iterable[HammingProfile]) -> str:
-    """The scan's file: its header, then one line per profile, encoded a
-    block of `BLOCK_SIZE` profiles at a time, so that only one block's lines
-    are held apart from the text."""
+    """The scan's file: its header, then its blocks of `BLOCK_SIZE` profiles,
+    each encoded with its checksum line, so that only one block's lines are
+    held apart from the text."""
     encode, profiles = _block_encoder(config), iter(profiles)
     blocks = iter(lambda: encode(islice(profiles, BLOCK_SIZE)), "")  # until a block is empty
     return _header(config) + "".join(blocks)
@@ -306,24 +338,17 @@ def _append(fh, text: str) -> None:
 
 
 def _resume(config: ScanConfig) -> Generator[HammingProfile, None, int]:
-    """Yield the profiles of the whole blocks in the scan's checkpoint journal,
-    one block at a time, and return the number the scan goes on from: lo, or
-    one past the last prime kept. Once read to its end, the journal is cut to
-    those blocks: a torn last line and a partial last block go, and so does
-    the header of a journal without a whole block. A block is whole when it
-    holds `BLOCK_SIZE` rows or its last row is the range's last prime."""
-    path, start, end, block = config.checkpoint, config.lo, 0, []
+    """Yield the profiles of the blocks in the scan's checkpoint journal whose
+    checksum lines verify, one at a time, and return the number the scan goes
+    on from: lo, or one past the last prime kept. Once read to its end, the
+    journal is cut to those blocks: the lines after the last checksum line
+    go, and so does the header of a journal without a block."""
+    path, start, end = config.checkpoint, config.lo, 0
     if os.path.exists(path):
-        primes = _primes(config.lo, config.hi)
         with open(path, "rb") as fh:
-            for prof, row_end in _read_rows(fh, path, config, primes):
-                block.append(prof)
-                if len(block) == BLOCK_SIZE:
-                    yield from block
-                    start, end, block = prof.p + 1, row_end, []
-        if block and next(primes, None) is None:
-            yield from block
-            start, end = block[-1].p + 1, row_end
+            for prof, end in _read_rows(fh, path, config, whole=False):
+                yield prof
+                start = prof.p + 1
     with open(path, "ab") as fh:
         fh.truncate(end)
     return start

@@ -2,7 +2,6 @@ import argparse
 import hashlib
 import re
 import tempfile
-import zlib
 from pathlib import Path
 
 import pytest
@@ -12,6 +11,7 @@ from hamroots.cli import build_parser, main
 from hamroots.errors import InvariantViolation
 from hamroots.numtheory import sieve_primes
 from hamroots.scan import ScanConfig, format_scan_output, read_scan_output, scan_range
+from test_scan import forged
 
 
 def run(capsys, *argv):
@@ -45,8 +45,8 @@ def test_scan_jsonl_and_output_file(tmp_path, capsys):
     code, _ = run(capsys, "scan", "--range", "3", "31", "--output", str(target))
     assert code == 0
     lines = target.read_text().splitlines()
-    assert lines[0] == "# hamroots.scan.v6 lo=3 hi=31 targets=literal compute=w,W,delta"
-    assert len(lines) == 2 + 10  # header, columns, pi(31) - 1 primes
+    assert lines[0] == "# hamroots.scan.v7 lo=3 hi=31 targets=literal compute=w,W,delta"
+    assert len(lines) == 2 + 10 + 1  # header, columns, pi(31) - 1 primes, their checksum line
 
 
 def test_table_command_w_columns_clean(capsys):
@@ -182,12 +182,14 @@ def test_charsum_and_cubes_outputs_are_pinned(capsys, argv, code, out):
 # Census outputs too long to keep, as (argv, exit code, stdout bytes, sha256
 # of stdout): the scan rows, the count tables with their itemized variant
 # differences, the radius-3 witness classes of both domains, among them those
-# of 1753 and 2089 under domain0, and the w=1 and W=1 frequencies.
+# of 1753 and 2089 under domain0, and the w=1 and W=1 frequencies. The scan
+# pins are the v6 files pinned before, turned into v7: each row's checksum
+# cell checked and dropped, one crc32 line added per block of 4096 rows.
 _PINNED_CENSUS = [
-    (["scan", "--range", "2", "10000"], 0, 33109,
-     "7c6d966978781574e2e6e990a7e4ef2fdce80e9bddc480e5ea0149002f3bfc59"),
-    (["scan", "--range", "2", "30000", "--compute", "w"], 0, 53794,
-     "0155df2015609d6c4eb19813d39b161e21b0be6d963692044f9c0d892eb5e523"),
+    (["scan", "--range", "2", "10000"], 0, 22056,
+     "fe885843a8b03eed562bb3081a7053e1df92a9b27c4b6292ed02d7333ad4f675"),
+    (["scan", "--range", "2", "30000", "--compute", "w"], 0, 24597,
+     "33a23b45e64ce1e4e3283fcb9b104e2cd9d358120b15994fcfde1f259609e438"),
     (["table", "--limit", "10000", "--paper-diff"], 0, 591372,
      "2dc2701132afb8b1e8ee84f8d6281ab9a808c63525b854743412da9dabb02dc4"),
     (["table", "--limit", "10000", "--paper-diff", "--variant", "domain0"], 0, 513,
@@ -275,7 +277,7 @@ def test_failed_scan_leaves_the_old_output(tmp_path, monkeypatch, capsys):
         _fail_in_block(patch, 2)
         assert main([*argv, "--output", str(target)]) == 4
     assert target.read_bytes() == b"old bytes\n"
-    assert part.read_text() == "".join(fresh.splitlines(keepends=True)[:2 + 4])
+    assert part.read_text() == "".join(fresh.splitlines(keepends=True)[:2 + 4 + 1])
     assert main([*argv, "--output", str(target)]) == 0  # resumes after block 1
     assert target.read_text() == fresh
     assert list(tmp_path.iterdir()) == [target]  # no .part or temporary file left
@@ -384,6 +386,13 @@ def test_readme_synopsis_matches_the_parser():
             assert opts == options(commands[name]), name
 
 
+def test_readme_scan_example_is_the_commands_stdout(capsys):
+    """The README's example file is what `hamroots scan --range 2 13` prints."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("(`hamroots scan --range 2 13`):\n\n```\n", 1)[1].split("```", 1)[0]
+    assert run(capsys, "scan", "--range", "2", "13") == (0, example)
+
+
 def test_scan_seed_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["scan", "--range", "3", "7", "--seed", "1"])
@@ -490,11 +499,12 @@ def test_table_scan_file_without_radii_serves_every_variant(tmp_path, capsys):
 def test_table_scan_file_bad_checksum_is_refused(tmp_path, capsys):
     path = _scan_file(tmp_path, capsys, "full.csv", "--range", "2", "1000")
     lines = Path(path).read_text().splitlines(keepends=True)
-    lines[2:] = [line.rsplit(",", 1)[0] + ",deadbeef\n" for line in lines[2:]]
+    assert len(lines) == 2 + 168 + 1
+    lines[-1] = "# crc32 deadbeef\n"
     Path(path).write_text("".join(lines))
     code, out, err = run_err(capsys, "table", "--limit", "1000", "--scan-file", path)
-    assert code == 1 and out == ""
-    assert "checksum mismatch on line 3" in err
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: line 171: checksum mismatch on the rows of lines 3-170\n"
 
 
 def test_table_scan_file_refuses_worker_flags(tmp_path, capsys):
@@ -544,13 +554,14 @@ def test_delta3_scan_file_refusals(tmp_path, capsys):
 
 def test_an_empty_cell_in_an_odd_primes_row_is_refused(tmp_path, capsys):
     """Only the row of p = 2 has empty cells. A file whose row of p = 5 has
-    its radii blanked under a recomputed checksum is refused by the reader
-    and by delta3, which would otherwise compare a delta of None with 3."""
+    its radii blanked under a recomputed block checksum is refused by the
+    reader and by delta3, which would otherwise compare a delta of None
+    with 3."""
     path = _scan_file(tmp_path, capsys, "d.csv", "--range", "2", "100", "--compute", "delta")
     lines = Path(path).read_text().splitlines(keepends=True)
     i = next(i for i, line in enumerate(lines) if line.startswith("5,"))
-    lines[i] = f"5,,,,,{zlib.crc32(b'5,,,,'):08x}\n"
-    Path(path).write_text("".join(lines))
+    lines[i] = "5,,,,\n"
+    Path(path).write_text(forged(lines))
     message = f"{path}: line {i + 1}: the row of p=5 has an empty cell, which only p = 2 may have"
     assert run_err(capsys, "delta3", "--limit", "100", "--scan-file", path) == (
         1, "", f"error: {message}\n")
@@ -560,15 +571,15 @@ def test_an_empty_cell_in_an_odd_primes_row_is_refused(tmp_path, capsys):
 
 def test_a_forged_endpoint_radius_is_refused_when_delta3_reads_its_witnesses(tmp_path, capsys):
     """The row of 7 holds the radii (2, 2, 1, 1). With dist_0 forged to 3
-    under a recomputed checksum, the domain0 view puts 7 at radius 3 with
+    under a recomputed block checksum, the domain0 view puts 7 at radius 3 with
     the class 0 as its one witness; delta3 derives that list again, by
     `covering_radius`, which finds radius 2, and exits 4."""
     path = _scan_file(tmp_path, capsys, "d.csv", "--range", "3", "100", "--compute", "delta")
     lines = Path(path).read_text().splitlines(keepends=True)
     i = next(i for i, line in enumerate(lines) if line.startswith("7,"))
-    assert lines[i].startswith("7,2,2,1,1,")
-    lines[i] = f"7,2,3,1,1,{zlib.crc32(b'7,2,3,1,1'):08x}\n"
-    Path(path).write_text("".join(lines))
+    assert lines[i] == "7,2,2,1,1\n"
+    lines[i] = "7,2,3,1,1\n"
+    Path(path).write_text(forged(lines))
     code, out, err = run_err(capsys, "delta3", "--limit", "100", "--variant", "domain0",
                              "--scan-file", path)
     assert (code, out) == (4, "")  # the report is built whole before it is printed
@@ -585,9 +596,9 @@ def test_a_forged_endpoint_radius_leaves_no_partial_table_report(tmp_path, capsy
     path = _scan_file(tmp_path, capsys, "full.csv", "--range", "2", "1000")
     lines = Path(path).read_text().splitlines(keepends=True)
     i = next(i for i, line in enumerate(lines) if line.startswith("7,"))
-    assert lines[i].startswith("7,2,2,2,2,1,1,")
-    lines[i] = f"7,2,2,2,3,1,1,{zlib.crc32(b'7,2,2,2,3,1,1'):08x}\n"
-    Path(path).write_text("".join(lines))
+    assert lines[i] == "7,2,2,2,2,1,1\n"
+    lines[i] = "7,2,2,2,3,1,1\n"
+    Path(path).write_text(forged(lines))
     code, out, err = run_err(capsys, "table", "--limit", "1000", "--paper-diff",
                              "--scan-file", path)
     assert (code, out) == (4, "")
@@ -597,39 +608,47 @@ def test_a_forged_endpoint_radius_leaves_no_partial_table_report(tmp_path, capsy
 
 
 def test_the_row_of_2_without_its_W_is_refused(tmp_path, capsys):
-    """The row of 2 holds W = 1. Blanked under a recomputed checksum, it would
-    make table report a miscount and frequencies print W=1: 67/168; both
-    refuse the file instead."""
+    """The row of 2 holds W = 1. Blanked under a recomputed block checksum, it
+    would make table report a miscount and frequencies print W=1: 67/168;
+    both refuse the file instead."""
     path = _scan_file(tmp_path, capsys, "ww.csv", "--range", "2", "1000", "--compute", "w,W")
     lines = Path(path).read_text().splitlines(keepends=True)
-    assert lines[2].startswith("2,,1,")
-    lines[2] = f"2,,,{zlib.crc32(b'2,,'):08x}\n"
-    Path(path).write_text("".join(lines))
+    assert lines[2] == "2,,1\n"
+    lines[2] = "2,,\n"
+    Path(path).write_text(forged(lines))
     message = f"{path}: line 3: the row of p=2 must hold ',1' after p, got ','"
     for argv in (["table", "--limit", "1000", "--compute", "w,W"],
                  ["frequencies", "--limit", "1000"]):
         assert run_err(capsys, *argv, "--scan-file", path) == (1, "", f"error: {message}\n")
 
 
-# The scan of [2, 10] as the previous schema wrote it, with r in every row.
-_V5_FILE = ("# hamroots.scan.v5 lo=2 hi=10 compute=w,W\np,r,w,W,checksum\n2,0,,1,55d2e9b1\n"
-            "3,1,1,1,4f6ac07f\n5,2,1,1,6b1a8f95\n7,2,2,2,67ca715f\n")
+# The scan of [2, 10] as the previous schemas wrote it: v5 with r in every
+# row, v6 with a checksum cell ending every row.
+_OLD_FILES = {
+    "v5": ("# hamroots.scan.v5 lo=2 hi=10 compute=w,W\np,r,w,W,checksum\n2,0,,1,55d2e9b1\n"
+           "3,1,1,1,4f6ac07f\n5,2,1,1,6b1a8f95\n7,2,2,2,67ca715f\n"),
+    "v6": ("# hamroots.scan.v6 lo=2 hi=10 compute=w,W\np,w,W,checksum\n2,,1,22de3b26\n"
+           "3,1,1,8701c1fe\n5,1,1,0841345e\n7,2,2,e9ce88dd\n"),
+}
 
 
-def test_a_v5_file_or_journal_is_refused_at_its_first_line(tmp_path, capsys):
+@pytest.mark.parametrize("schema", sorted(_OLD_FILES))
+def test_an_older_file_or_journal_is_refused_at_its_first_line(tmp_path, capsys, schema):
     out, part = tmp_path / "ww.csv", tmp_path / "ww.csv.part"
-    message = "line 1: unknown scan schema header '# hamroots.scan.v5 lo=2 hi=10 compute=w,W'"
-    out.write_text(_V5_FILE)
+    old = _OLD_FILES[schema]
+    message = (f"line 1: unknown scan schema header "
+               f"'# hamroots.scan.{schema} lo=2 hi=10 compute=w,W'")
+    out.write_text(old)
     with pytest.raises(ValueError, match=f"^{re.escape(f'{out}: {message}')}$"):
         read_scan_output(str(out))
     assert run_err(capsys, "frequencies", "--limit", "10", "--scan-file", str(out)) == (
         1, "", f"error: {out}: {message}\n")
-    out.replace(part)  # a v5 journal, resumed: its first line is not this scan's
+    out.replace(part)  # an older journal, resumed: its first line is not this scan's
     argv = ["scan", "--range", "2", "10", "--compute", "w,W", "--output", str(out)]
     assert run_err(capsys, *argv) == (
-        1, "", f"error: {part}: line 1: expected '# hamroots.scan.v6 lo=2 hi=10 compute=w,W', "
-               "got '# hamroots.scan.v5 lo=2 hi=10 compute=w,W'\n")
-    assert part.read_text() == _V5_FILE and not out.exists()
+        1, "", f"error: {part}: line 1: expected '# hamroots.scan.v7 lo=2 hi=10 compute=w,W', "
+               f"got '# hamroots.scan.{schema} lo=2 hi=10 compute=w,W'\n")
+    assert part.read_text() == old and not out.exists()
 
 
 def test_frequencies_scan_file_matches_the_scan(tmp_path, capsys):
@@ -660,10 +679,10 @@ def test_table_scan_file_malformed_row_is_refused_by_line(tmp_path, capsys):
     lines = Path(path).read_text().splitlines(keepends=True)
     assert lines[5].startswith("7,2,2,2,2,")
     lines[5] = lines[5].replace("7,2,2,2,2,", "7,2,2,2,", 1)  # the row of 7 loses a cell
-    Path(path).write_text("".join(lines))
+    Path(path).write_text(forged(lines))
     code, out, err = run_err(capsys, "table", "--limit", "1000", "--scan-file", path)
     assert code == 1 and out == ""
-    assert f"{path}: line 6: expected 8 columns, got 7" in err
+    assert f"{path}: line 6: expected 7 columns, got 6" in err
 
 
 def test_scan_stray_journal_record_is_refused_by_line(tmp_path, capsys):
@@ -677,7 +696,8 @@ def test_scan_stray_journal_record_is_refused_by_line(tmp_path, capsys):
         fh.write('{"x":1}\n')
     code, out, err = run_err(capsys, *argv)
     assert code == 1 and out == ""
-    assert f"{part}: line {n_lines + 1}: expected 4 columns, got 1" in err
+    assert err == (f"error: {part}: line {n_lines + 1}: the scan of [2, 1000] ends on line "
+                   f"{n_lines}, but the file goes on\n")
     assert not target.exists()
 
 

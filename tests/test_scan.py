@@ -117,8 +117,8 @@ def test_checkpoint_resume_and_fingerprint(tmp_path, monkeypatch):
     journal = ckpt.read_text()
     assert journal == first
     assert journal.splitlines()[:2] == [
-        "# hamroots.scan.v6 lo=2 hi=500 targets=literal compute=w,W,delta",
-        "p,w,W,core,dist_0,dist_p,core_count,checksum"]
+        "# hamroots.scan.v7 lo=2 hi=500 targets=literal compute=w,W,delta",
+        "p,w,W,core,dist_0,dist_p,core_count"]
     # resume: all blocks already done, output identical, nothing re-journaled
     assert format_scan_output(cfg, scan_range(cfg)) == first
     assert ckpt.read_text() == journal
@@ -142,7 +142,7 @@ def test_journal_resumes_under_another_domain_convention(tmp_path, monkeypatch, 
     ckpt = tmp_path / "scan.ckpt"
     scan_range(ScanConfig(lo=2, hi=300, compute=compute, checkpoint=str(ckpt)))
     journal = ckpt.read_text()
-    ckpt.write_text("".join(journal.splitlines(keepends=True)[:2 + 16 + 3]))
+    ckpt.write_text("".join(journal.splitlines(keepends=True)[:2 + 17 + 3]))
     computed = []
     block = scan._scan_block
     monkeypatch.setattr(scan, "_scan_block", lambda args: computed.append(args[0]) or block(args))
@@ -174,7 +174,8 @@ def test_torn_journal_tail_resumes_at_every_offset(tmp_path, monkeypatch):
     reference = format_scan_output(cfg, scan_range(cfg))
     journal = ckpt.read_bytes()
     assert journal == reference.encode()
-    assert journal.count(b"\n") == 2 + 17  # the header and the primes up to 59
+    # the header, the primes up to 59 and a checksum line after each of 5 blocks
+    assert journal.count(b"\n") == 2 + 17 + 5
     for cut in range(len(journal)):  # the header's bytes included
         ckpt.write_bytes(journal[:cut])
         assert format_scan_output(cfg, scan_range(cfg)) == reference, cut
@@ -187,13 +188,77 @@ def test_resume_recomputes_only_the_blocks_after_the_last_whole_one(tmp_path, mo
     cfg = ScanConfig(lo=2, hi=60, checkpoint=str(ckpt))
     scan_range(cfg)
     lines = ckpt.read_text().splitlines(keepends=True)
-    ckpt.write_text("".join(lines[:2 + 4 + 3]))  # one whole block and three rows
+    ckpt.write_text("".join(lines[:2 + 5 + 3]))  # one block with its checksum line and three rows
     computed = []
     block = scan._scan_block
     monkeypatch.setattr(scan, "_scan_block", lambda args: computed.append(args[0]) or block(args))
     scan_range(cfg)
     assert computed == [[11, 13, 17, 19], [23, 29, 31, 37], [41, 43, 47, 53], [59]]
     assert ckpt.read_text() == "".join(lines)
+
+
+# The file of [2, 60] in blocks of 4: rows on lines 3-6, 8-11, 13-16, 18-21
+# and 23 (the prime 59), each block's checksum line after its rows.
+_BLOCK_EDITS = {
+    "checksum-mismatch": (lambda lines: lines[:11] + ["# crc32 00000000\n"] + lines[12:], 12,
+                          "checksum mismatch on the rows of lines 8-11"),
+    "short-block-mid-range": (lambda lines: forged(lines[:10] + lines[11:]), 11,
+                              "a checksum line after 3 rows, fewer than 4, before the last "
+                              "prime of [2, 60]"),
+    "too-many-rows": (lambda lines: forged(lines[:11] + lines[12:]), 12,
+                      "more than 4 rows before a checksum line"),
+    "block-after-the-last": (lambda lines: forged(lines + lines[-2:]), 25,
+                             "the scan of [2, 60] ends on line 24, but the file goes on"),
+}
+
+
+@pytest.mark.parametrize("reader", ["scan-file", "journal"])
+@pytest.mark.parametrize("edit,lineno,message", _BLOCK_EDITS.values(), ids=_BLOCK_EDITS)
+def test_blocks_must_be_whole_and_checksummed(tmp_path, monkeypatch, reader, edit, lineno,
+                                              message):
+    """A block is its rows and a checksum line that holds their crc32: all
+    but the range's last hold `BLOCK_SIZE` rows, and the file ends after
+    that last block. The reader and a resume refuse any other, naming the
+    line, and a refused journal is left as it was."""
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 4)
+    cfg = ScanConfig(lo=2, hi=60, compute=("w", "W"))
+    lines = format_scan_output(cfg, scan_range(cfg)).splitlines(keepends=True)
+    assert len(lines) == 24 and lines[11].startswith("# crc32 ")
+    path = tmp_path / "scan.csv"
+    path.write_text("".join(edit(lines)))
+    text = path.read_text()
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line {lineno}: {message}')}$"):
+        if reader == "scan-file":
+            read_scan_output(str(path))
+        else:
+            scan_range(cfg._replace(checkpoint=str(path)))
+    assert path.read_text() == text
+
+
+@pytest.mark.parametrize("cut", ["mid-row", "before-the-checksum-line", "mid-checksum-line"])
+def test_a_part_cut_within_a_block_resumes_to_identical_bytes(tmp_path, monkeypatch, cut):
+    """A `.part` cut by a crash within its third block, in a row, just
+    before the block's checksum line or in that line, keeps the two blocks
+    before it, whose rows alone are decoded, and computes the rest again."""
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 4)
+    out, part = tmp_path / "scan.csv", tmp_path / "scan.csv.part"
+    argv = ["scan", "--range", "2", "60", "--compute", "w,W", "--output", str(out)]
+    assert main(argv) == 0
+    whole = out.read_bytes()
+    lines = whole.splitlines(keepends=True)
+    assert lines[13].startswith(b"29,") and lines[16].startswith(b"# crc32 ")
+    offset = {"mid-row": len(b"".join(lines[:13])) + 2,
+              "before-the-checksum-line": len(b"".join(lines[:16])),
+              "mid-checksum-line": len(b"".join(lines[:16])) + 10}[cut]
+    out.unlink()
+    part.write_bytes(whole[:offset])
+    decoded, computed = _counting_decoder(monkeypatch), []
+    block = scan._scan_block
+    monkeypatch.setattr(scan, "_scan_block", lambda args: computed.append(args[0]) or block(args))
+    assert main(argv) == 0
+    assert decoded == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert computed == [[23, 29, 31, 37], [41, 43, 47, 53], [59]]
+    assert out.read_bytes() == whole and not part.exists()
 
 
 def test_malformed_complete_journal_line_rejected(tmp_path, monkeypatch):
@@ -217,10 +282,10 @@ def test_csv_round_trip(tmp_path, targets):
 
 
 @pytest.mark.parametrize("compute,columns", [
-    (("w", "W", "delta"), "p,w,W,core,dist_0,dist_p,core_count,checksum"),
-    (("W", "w"), "p,w,W,checksum"),
-    (("delta",), "p,core,dist_0,dist_p,core_count,checksum"),
-    (("W",), "p,W,checksum"),
+    (("w", "W", "delta"), "p,w,W,core,dist_0,dist_p,core_count"),
+    (("W", "w"), "p,w,W"),
+    (("delta",), "p,core,dist_0,dist_p,core_count"),
+    (("W",), "p,W"),
 ], ids=["all", "w-W", "delta", "W"])
 def test_columns_follow_the_computed_statistics(tmp_path, compute, columns):
     cfg = ScanConfig(lo=2, hi=30, compute=compute)
@@ -229,9 +294,10 @@ def test_columns_follow_the_computed_statistics(tmp_path, compute, columns):
     stats = ",".join(name for name in STATS if name in compute)
     targets = "targets=literal " if "delta" in compute else ""
     assert text.splitlines()[:2] == [
-        f"# hamroots.scan.v6 lo=2 hi=30 {targets}compute={stats}", columns]
+        f"# hamroots.scan.v7 lo=2 hi=30 {targets}compute={stats}", columns]
     n_cells = len(columns.split(","))
-    assert all(len(line.split(",")) == n_cells for line in text.splitlines()[1:])
+    assert all(len(line.split(",")) == n_cells for line in text.splitlines()[1:-1])
+    assert re.fullmatch("# crc32 [0-9a-f]{8}", text.splitlines()[-1])
     path = tmp_path / "scan.csv"
     path.write_text(text, encoding="utf-8")
     scanned, parsed = read_scan_output(str(path))
@@ -241,31 +307,74 @@ def test_columns_follow_the_computed_statistics(tmp_path, compute, columns):
     assert _domain0(parsed) == _domain0(profiles)
 
 
-def _write_with_row_of_11_edited(tmp_path, field, value) -> tuple[str, int]:
-    """A scan file of [2, 100] with one field of p = 11's row changed; returns
-    the path and that row's line number."""
+def forged(lines: list[str]) -> str:
+    """The text of a scan file's lines, newlines kept, with each checksum
+    line recomputed from the rows before it: edited rows under checksums
+    that vouch for them, which the reader decodes and checks cell by cell."""
+    text, block = "".join(lines[:2]), ""
+    for line in lines[2:]:
+        if line.startswith("# crc32 ") and line.endswith("\n"):  # a torn one stays torn
+            line, block = f"# crc32 {zlib.crc32(block.encode()):08x}\n", ""
+        else:
+            block += line
+        text += line
+    return text
+
+
+def _scan_file_of_2_to_100(tmp_path, edit) -> str:
+    """The path of the scan file of [2, 100], one block of 25 rows on lines
+    3 to 27 and its checksum line on line 28, its lines edited by edit."""
     cfg = ScanConfig(lo=2, hi=100)
-    lines = format_scan_output(cfg, scan_range(cfg)).splitlines()
-    i = next(i for i, line in enumerate(lines) if line.startswith("11,"))
-    cells = lines[i].split(",")
-    cells[lines[1].split(",").index(field)] = value
-    lines[i] = ",".join(cells)
+    lines = format_scan_output(cfg, scan_range(cfg)).splitlines(keepends=True)
+    assert len(lines) == 28 and lines[27].startswith("# crc32 ")
     path = tmp_path / "scan.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return str(path), i + 1
+    path.write_text("".join(edit(lines)), encoding="utf-8")
+    return str(path)
+
+
+def _counting_decoder(monkeypatch) -> list[int]:
+    """The p of each row that the reader decodes, in order, from now on."""
+    decoded, line_decoder = [], scan._line_decoder
+
+    def counting(config):
+        decode = line_decoder(config)
+
+        def counted(line):
+            prof = decode(line)
+            decoded.append(prof.p)
+            return prof
+        return counted
+    monkeypatch.setattr(scan, "_line_decoder", counting)
+    return decoded
+
+
+def _with_row_of_11_edited(field, value):
+    """An edit of a scan file's lines that sets one field of p = 11's row."""
+    def edit(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith("11,"))
+        cells = lines[i][:-1].split(",")
+        cells[lines[1][:-1].split(",").index(field)] = value
+        return lines[:i] + [",".join(cells) + "\n"] + lines[i + 1:]
+    return edit
 
 
 def test_corrupted_checksum_rejected_with_line(tmp_path):
-    path, lineno = _write_with_row_of_11_edited(tmp_path, "checksum", "deadbeef")
-    with pytest.raises(ValueError, match=f"checksum mismatch on line {lineno} \\(p=11\\)"):
+    path = _scan_file_of_2_to_100(tmp_path, lambda lines: lines[:27] + ["# crc32 deadbeef\n"])
+    message = f"{path}: line 28: checksum mismatch on the rows of lines 3-27"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_scan_output(path)
 
 
-def test_corrupted_delta_under_original_checksum_rejected(tmp_path):
-    # p = 11 has core radius 2; its stored checksum is left as written
-    path, lineno = _write_with_row_of_11_edited(tmp_path, "core", "3")
-    with pytest.raises(ValueError, match=f"checksum mismatch on line {lineno} "):
+def test_corrupted_delta_under_original_checksum_rejected(tmp_path, monkeypatch):
+    """p = 11 has core radius 2; edited to 3 under the block's checksum as
+    written, the block is refused at its checksum line before any of its
+    rows is decoded."""
+    path = _scan_file_of_2_to_100(tmp_path, _with_row_of_11_edited("core", "3"))
+    decoded = _counting_decoder(monkeypatch)
+    message = f"{path}: line 28: checksum mismatch on the rows of lines 3-27"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_scan_output(path)
+    assert decoded == []
 
 
 def test_journal_with_an_edited_row_is_refused_on_resume(tmp_path, capsys, monkeypatch):
@@ -284,7 +393,10 @@ def test_journal_with_an_edited_row_is_refused_on_resume(tmp_path, capsys, monke
         i = next(i for i, line in enumerate(lines) if line.startswith(row + "1,"))
         lines[i] = row + "3," + lines[i][len(row + "1,"):]  # w of p, 1 -> 3
         ckpt.write_text("".join(lines))
-        message = f"{ckpt}: checksum mismatch on line {i + 1} (p={p})"
+        # the checksum line of p's block, and the line of the block's first row
+        end = next(j for j in range(i, len(lines)) if lines[j].startswith("# crc32 "))
+        first = max(j for j in range(i) if j < 2 or lines[j].startswith("# crc32 ")) + 2
+        message = f"{ckpt}: line {end + 1}: checksum mismatch on the rows of lines {first}-{end}"
         cfg = ScanConfig(lo=2, hi=100, compute=("w", "W"), checkpoint=str(ckpt))
         yielded = []
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -298,24 +410,23 @@ def test_journal_with_an_edited_row_is_refused_on_resume(tmp_path, capsys, monke
 
 def test_row_whose_p_is_not_the_next_prime_is_refused(tmp_path, capsys):
     """A row holds p and not r, which the reader derives from p. The row of 5
-    edited to p = 7, whose r is that of 5, under a recomputed checksum is
-    refused by the reader and by a resume of its journal."""
+    edited to p = 7, whose r is that of 5, under a recomputed block checksum
+    is refused by the reader and by a resume of its journal."""
     out, ckpt = tmp_path / "scan.csv", tmp_path / "scan.csv.part"
     argv = ["scan", "--range", "2", "100", "--compute", "w,W", "--output", str(out)]
     assert main(argv) == 0
     capsys.readouterr()
     lines = out.read_text().splitlines(keepends=True)
     i = next(i for i, line in enumerate(lines) if line.startswith("5,"))
-    text = "7," + lines[i][len("5,"):].rpartition(",")[0]
-    lines[i] = f"{text},{zlib.crc32(text.encode()):08x}\n"
-    out.write_text("".join(lines))
+    lines[i] = "7," + lines[i][len("5,"):]
+    out.write_text(forged(lines))
     message = f"line {i + 1}: p=7 is not the next prime of [2, 100]"
     with pytest.raises(ValueError, match=f"^{re.escape(f'{out}: {message}')}$"):
         read_scan_output(str(out))
     out.replace(ckpt)  # the journal of a scan killed before its rename
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {ckpt}: {message}\n")
-    assert ckpt.read_text() == "".join(lines)  # a refused journal is left as it was
+    assert ckpt.read_text() == forged(lines)  # a refused journal is left as it was
     assert not out.exists()
 
 
@@ -327,7 +438,7 @@ def test_every_profile_has_the_r_of_its_prime(tmp_path, monkeypatch):
     cfg = ScanConfig(lo=2, hi=10**4, checkpoint=str(ckpt))
     fresh = scan_range(cfg)
     lines = ckpt.read_text().splitlines(keepends=True)
-    ckpt.write_text("".join(lines[:2 + 3 * 256 + 10]))  # three whole blocks and ten rows
+    ckpt.write_text("".join(lines[:2 + 3 * 257 + 10]))  # three blocks and ten rows
     resumed = scan_range(cfg)
     args = argparse.Namespace(command="table", limit=10**4, tasks=1, scan_file=str(ckpt))
     read = list(cli._census_profiles(args, 2, STATS, CANONICAL.name))
@@ -337,15 +448,12 @@ def test_every_profile_has_the_r_of_its_prime(tmp_path, monkeypatch):
 
 
 def _write_with_row_of_11_replaced(tmp_path, edit) -> tuple[str, int]:
-    """A scan file of [2, 100] whose p = 11 line is replaced by edit(line);
-    returns the path and that line's number."""
-    cfg = ScanConfig(lo=2, hi=100)
-    lines = format_scan_output(cfg, scan_range(cfg)).splitlines()
-    i = next(i for i, line in enumerate(lines) if line.startswith("11,"))
-    lines[i] = edit(lines[i])
-    path = tmp_path / "scan.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return str(path), i + 1
+    """A scan file of [2, 100] whose p = 11 line, line 7, is replaced by
+    edit(line) under a recomputed block checksum; returns the path and 7."""
+    def replace(lines):
+        assert lines[6].startswith("11,")
+        return forged(lines[:6] + [edit(lines[6][:-1]) + "\n"] + lines[7:])
+    return _scan_file_of_2_to_100(tmp_path, replace), 7
 
 
 def _blank(line: str, *cells: int) -> str:
@@ -362,7 +470,7 @@ def _blank(line: str, *cells: int) -> str:
     lambda line: line.replace("11,", "+1_1,", 1),
     lambda line: line.replace("11,1,", "11, 1,", 1),
     lambda line: "0" + line,
-    lambda line: re.sub(r",(\d+),(\w+)$", r",0\1,\2", line),  # p = 11's core count 1
+    lambda line: re.sub(r",(\d+)$", r",0\1", line),  # p = 11's core count 1
     # The writer leaves these empty in the row of p = 2 alone.
     lambda line: _blank(line, 1),
     lambda line: _blank(line, 2),
@@ -383,17 +491,16 @@ def test_malformed_row_rejected_with_path_and_line(tmp_path, edit):
 ], ids=["empty-W", "w-set", "radii-filled"])
 def test_the_row_of_2_must_be_the_one_the_writer_writes(tmp_path, cells, got):
     """p = 2 has no w and no radii, and W = 1; a row of 2 edited under a
-    recomputed checksum is refused like any malformed row."""
+    recomputed block checksum is refused like any malformed row."""
     cfg = ScanConfig(lo=2, hi=100)
-    lines = format_scan_output(cfg, scan_range(cfg)).splitlines()
-    assert lines[2].startswith("2,,1,,,,,")
-    row = lines[2].split(",")[:-1]
+    lines = format_scan_output(cfg, scan_range(cfg)).splitlines(keepends=True)
+    assert lines[2] == "2,,1,,,,\n"
+    row = lines[2][:-1].split(",")
     for j, cell in cells.items():
         row[j] = cell
-    text = ",".join(row)
-    lines[2] = f"{text},{zlib.crc32(text.encode()):08x}"
+    lines[2] = ",".join(row) + "\n"
     path = tmp_path / "scan.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(forged(lines), encoding="utf-8")
     message = f"{path}: line 3: the row of p=2 must hold ',1,,,,' after p, got '{got}'"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_scan_output(str(path))
@@ -429,18 +536,17 @@ def test_derived_witnesses_have_the_row_count_and_are_the_oracle_lists(tmp_path,
 @pytest.mark.parametrize("offset", [-1, 1])
 def test_a_row_whose_core_count_is_off_is_refused_when_its_witnesses_are_read(
         tmp_path, targets, offset):
-    """A core_count one off, under a recomputed checksum, reads back; the
-    derived list then disagrees with the row, and reading it names the
+    """A core_count one off, under a recomputed block checksum, reads back;
+    the derived list then disagrees with the row, and reading it names the
     prime, the statistic and the engine."""
     cfg, _, text = _delta_scan_3000(targets)
-    lines = text.splitlines()
+    lines = text.splitlines(keepends=True)
     i = next(i for i, line in enumerate(lines) if line.startswith("29,"))
-    cells = lines[i].split(",")
-    cells[-2] = str(int(cells[-2]) + offset)
-    body = ",".join(cells[:-1])
-    lines[i] = f"{body},{zlib.crc32(body.encode()):08x}"  # a row the checksum vouches for
+    cells = lines[i][:-1].split(",")
+    cells[-1] = str(int(cells[-1]) + offset)
+    lines[i] = ",".join(cells) + "\n"
     path = tmp_path / "scan.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(forged(lines), encoding="utf-8")  # a row the checksum vouches for
     mutant = next(prof for prof in read_scan_output(str(path))[1] if prof.p == 29)
     delta, wits = hamming.covering_radius(numtheory.PrimeContext.for_prime(29),
                                           BASE_VIEWS[targets])
@@ -499,20 +605,32 @@ def test_a_profile_without_delta_has_no_witnesses(compute):
     assert (listed.witness_count, listed.witnesses) == (1, (6,))
 
 
+# Edits of the file of [2, 100]: the rows of 2 to 97 on lines 3 to 27, the
+# checksum line on line 28. A file cut before a row or within one ends in a
+# block without its checksum line, which is not decoded; forged() vouches for
+# the rows of the others.
 @pytest.mark.parametrize("edit,lineno,message", [
-    (lambda lines: lines[:-1], 27, "the file ends before the row of p=97"),
-    (lambda lines: lines[:-1] + [lines[-1][:-1]], 27, "the file ends before the row of p=97"),
+    (lambda lines: lines[:-2], 27, "the file ends before the row of p=97"),
+    (lambda lines: lines[:-2] + [lines[-2][:-1]], 27, "the file ends before the row of p=97"),
+    (lambda lines: lines[:-1], 28, "the file ends before the checksum line of its last block"),
+    (lambda lines: lines[:-1] + [lines[-1][:-1]], 28,
+     "the file ends before the checksum line of its last block"),
     (lambda lines: lines[:5] + lines[6:], 6, "p=11 is not the next prime of [2, 100]"),
-    (lambda lines: lines + lines[-1:], 28, "p=97 is not the next prime of [2, 100]"),
-], ids=["last-row-missing", "torn-last-row", "row-missing", "row-repeated"])
+    (lambda lines: lines[:-1] + lines[-2:], 28, "p=97 is not the next prime of [2, 100]"),
+    (lambda lines: lines[:-2] + lines[-1:], 27,
+     "a checksum line after 24 rows, fewer than 4096, before the last prime of [2, 100]"),
+    (lambda lines: lines + lines[-2:], 29, "the scan of [2, 100] ends on line 28, "
+                                           "but the file goes on"),
+    (lambda lines: lines + ["97,"], 29, "the scan of [2, 100] ends on line 28, "
+                                        "but the file goes on"),
+], ids=["last-row-missing", "torn-last-row", "checksum-line-missing", "torn-checksum-line",
+        "row-missing", "row-repeated", "short-block-mid-range", "block-after-the-last",
+        "torn-line-after-the-last"])
 def test_rows_must_be_the_primes_of_the_header_range(tmp_path, edit, lineno, message):
-    cfg = ScanConfig(lo=2, hi=100)
-    lines = format_scan_output(cfg, scan_range(cfg)).splitlines(keepends=True)
-    path = tmp_path / "scan.csv"
-    path.write_text("".join(edit(lines)), encoding="utf-8")
-    with pytest.raises(ValueError,
-                       match=f"^{re.escape(str(path))}: line {lineno}: {re.escape(message)}$"):
-        read_scan_output(str(path))
+    path = _scan_file_of_2_to_100(tmp_path, lambda lines: forged(edit(lines)))
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: line {lineno}: "
+                                         f"{re.escape(message)}$"):
+        read_scan_output(path)
 
 
 @pytest.mark.parametrize("record", [
@@ -547,7 +665,7 @@ def test_a_row_that_skips_a_prime_at_a_window_seam_is_refused(tmp_path, reader, 
     lines = format_scan_output(cfg, scan_range(cfg)).splitlines(keepends=True)
     i = next(i for i, line in enumerate(lines) if line.startswith(f"{skipped},"))
     path = tmp_path / "scan.csv"
-    path.write_text("".join(lines[:i] + lines[i + 1:]))
+    path.write_text(forged(lines[:i] + lines[i + 1:]))
     message = f"{path}: line {i + 1}: p={refused} is not the next prime of [65500, 65600]"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         if reader == "scan-file":
@@ -557,18 +675,18 @@ def test_a_row_that_skips_a_prime_at_a_window_seam_is_refused(tmp_path, reader, 
 
 
 def _rows_of(lo, hi) -> list[str]:
+    """The blocks of the w,W scan of [lo, hi]: its rows and checksum lines."""
     cfg = ScanConfig(lo=lo, hi=hi, compute=("w", "W"))
     return format_scan_output(cfg, scan_range(cfg)).splitlines()[2:]
 
 
 @pytest.mark.parametrize("journal,lineno,message", [
     (lambda header, rows: rows, 1,
-     "expected '# hamroots.scan.v6 lo=2 hi=60 compute=w,W', "
-     "got '2,,1,22de3b26'"),
+     "expected '# hamroots.scan.v7 lo=2 hi=60 compute=w,W', got '2,,1'"),
     (lambda header, rows: header + _rows_of(7, 60), 3,
      "p=7 is not the next prime of [2, 60]"),
-    (lambda header, rows: header + rows + _rows_of(2, 61)[-1:], 20,
-     "p=61 is not the next prime of [2, 60]"),
+    (lambda header, rows: header + rows + _rows_of(61, 61), 21,
+     "the scan of [2, 60] ends on line 20, but the file goes on"),
 ], ids=["no-meta", "foreign-primes", "block-out-of-range"])
 def test_journal_not_of_this_scan_rejected(tmp_path, journal, lineno, message):
     ckpt = tmp_path / "foreign.ckpt"
@@ -612,16 +730,14 @@ def test_row_codecs_round_trip(row, compute):
     p, r, w, big_w, radii = row
     prof = HammingProfile(p, r, w if "w" in compute else None, big_w if "W" in compute else None,
                           variant=CANONICAL.name, radii=radii if "delta" in compute else None)
-    line = _block_encoder(cfg)([prof])
-    assert line.endswith("\n") and "\n" not in line[:-1]
-    assert _line_decoder(cfg)(line[:-1]) == prof
-    text, _, checksum = line[:-1].rpartition(",")
-    assert checksum == "%08x" % zlib.crc32(text.encode())
+    line, checksum, end = _block_encoder(cfg)([prof]).split("\n")
+    assert _line_decoder(cfg)(line) == prof
+    assert (checksum, end) == ("# crc32 %08x" % zlib.crc32(f"{line}\n".encode()), "")
 
 
 def _line_oracle(config):
     """The encoder the block encoder replaced: one profile at a time, each
-    cell through str() and the checksum through an f-string."""
+    cell through str(), and the block's checksum line through an f-string."""
     names = ["p", *[name for name in ("w", "W") if name in config.compute]]
     with_radii = "delta" in config.compute
 
@@ -630,9 +746,12 @@ def _line_oracle(config):
         if with_radii:
             radii = prof.radii
             cells += ["", "", "", ""] if radii is None else [*map(str, radii)]
-        text = ",".join(cells)
-        return f"{text},{zlib.crc32(text.encode()):08x}\n"
-    return encode
+        return ",".join(cells) + "\n"
+
+    def encode_block(profiles):
+        text = "".join(map(encode, profiles))
+        return f"{text}# crc32 {zlib.crc32(text.encode()):08x}\n" if profiles else ""
+    return encode_block
 
 
 @given(st.sampled_from(sorted(BASE_VIEWS)), _computes, st.lists(_rows, max_size=12))
@@ -645,7 +764,7 @@ def test_block_encoder_matches_the_line_oracle(targets, compute, rows):
                                big_w if "W" in compute else None,
                                variant=base, radii=radii if "delta" in compute else None)
                 for p, r, w, big_w, radii in rows]
-    assert _block_encoder(cfg)(profiles) == "".join(map(_line_oracle(cfg), profiles))
+    assert _block_encoder(cfg)(profiles) == _line_oracle(cfg)(profiles)
 
 
 @pytest.mark.parametrize("targets", sorted(BASE_VIEWS))
@@ -659,7 +778,7 @@ def test_block_encoder_matches_the_line_oracle_on_a_scan(targets, compute):
     if "delta" in compute:
         assert min(prof.radii.count for prof in profiles[1:]) == 1
         assert max(prof.radii.count for prof in profiles[1:]) > 100
-    assert _block_encoder(cfg)(profiles) == "".join(map(_line_oracle(cfg), profiles))
+    assert _block_encoder(cfg)(profiles) == _line_oracle(cfg)(profiles)
 
 
 def test_worker_count_is_bounded():
@@ -792,22 +911,28 @@ def test_a_scan_closed_after_its_first_block_leaves_whole_blocks(tmp_path, monke
     assert multiprocessing.active_children() == []
     assert first == fresh[:16]
     # the header and the first block, which a rerun resumes
-    assert ckpt.read_text() == "".join(expected.splitlines(keepends=True)[:2 + 16])
+    assert ckpt.read_text() == "".join(expected.splitlines(keepends=True)[:2 + 16 + 1])
     resumed = ScanConfig(lo=2, hi=2000, checkpoint=str(ckpt))
     assert format_scan_output(resumed, scan_range(resumed)) == expected
     assert ckpt.read_text() == expected
 
 
-@pytest.mark.parametrize("run", ["fresh", "resumed", "scan-file"])
+@pytest.mark.parametrize("run", ["fresh", "resumed", "scan-file", "table-paper-diff"])
 def test_a_scan_holds_at_most_about_one_block_of_profiles(tmp_path, monkeypatch, capsys, run):
     """Sampled at each profile that a scan makes, or that a census makes as
     it reads the scan's file, the profiles alive beyond those held before
-    never exceed two blocks, in a range of 42 blocks."""
+    never exceed two blocks, in a range of 42 blocks; so too for a table
+    whose --paper-diff itemizes nothing without delta."""
     monkeypatch.setattr(scan, "BLOCK_SIZE", 16)
     out = tmp_path / "scan.csv"
     argv = ["scan", "--range", "2", "5000", "--compute", "w,W", "--output", str(out)]
     assert main(argv) == 0
-    if run == "scan-file":
+    if run == "table-paper-diff":
+        argv = ["table", "--limit", "5000", "--compute", "w,W", "--paper-diff"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+    elif run == "scan-file":
         argv = ["frequencies", "--limit", "5000", "--scan-file", str(out)]
         capsys.readouterr()
         assert main(argv[:3]) == 0  # in memory
@@ -828,7 +953,8 @@ def test_a_scan_holds_at_most_about_one_block_of_profiles(tmp_path, monkeypatch,
         return HammingProfile(*args, **kwargs)
     monkeypatch.setattr(scan, "HammingProfile", sampled)
     assert main(argv) == 0
-    assert (capsys.readouterr().out if run == "scan-file" else out.read_bytes()) == expected
+    assert (out.read_bytes() if run in ("fresh", "resumed")
+            else capsys.readouterr().out) == expected
     assert len(seen) > 10 and max(seen) - before <= 2 * 16
 
 
@@ -1352,8 +1478,8 @@ def test_unknown_schema_rejected(tmp_path):
         read_scan_output(str(jpath))
 
 
-_W_COLUMNS = "p,w,checksum"
-_D_COLUMNS = "p,core,dist_0,dist_p,core_count,checksum"
+_W_COLUMNS = "p,w"
+_D_COLUMNS = "p,core,dist_0,dist_p,core_count"
 
 
 @pytest.mark.parametrize("text,lineno,message", [
@@ -1372,29 +1498,31 @@ _D_COLUMNS = "p,core,dist_0,dist_p,core_count,checksum"
      "unknown scan schema header '# hamroots.scan.v4 "),
     ("# hamroots.scan.v5 lo=2 hi=10 compute=w\np,r,w,checksum\n3,1,1,8701c1fe\n", 1,
      "unknown scan schema header '# hamroots.scan.v5 "),
-    ("# hamroots.scan.v6 lo=2 hi=10 compute=w\np,r,w,checksum\n", 2,
-     f"expected '{_W_COLUMNS}', got 'p,r,w,checksum'"),
-    (f"# hamroots.scan.v6 lo=2 hi=10 compute=delta\n{_D_COLUMNS}\n", 1,
+    ("# hamroots.scan.v6 lo=2 hi=10 compute=w\np,w,checksum\n3,1,8701c1fe\n", 1,
+     "unknown scan schema header '# hamroots.scan.v6 "),
+    ("# hamroots.scan.v7 lo=2 hi=10 compute=w\np,w,checksum\n", 2,
+     f"expected '{_W_COLUMNS}', got 'p,w,checksum'"),
+    (f"# hamroots.scan.v7 lo=2 hi=10 compute=delta\n{_D_COLUMNS}\n", 1,
      "unknown radius targets None"),
-    (f"# hamroots.scan.v6 lo=2 hi=10 targets=odd compute=delta\n{_D_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v7 lo=2 hi=10 targets=odd compute=delta\n{_D_COLUMNS}\n", 1,
      "unknown radius targets 'odd'"),
-    (f"# hamroots.scan.v6 lo=2 hi=10 targets=literal compute=w\n{_W_COLUMNS}\n", 1,
-     "expected '# hamroots.scan.v6 lo=2 hi=10 compute=w', got "),
-    (f"# hamroots.scan.v6 lo=2 hi=10 variant=domain0 targets=literal compute=delta\n"
-     f"{_D_COLUMNS}\n", 1, "expected '# hamroots.scan.v6 lo=2 hi=10 targets=literal "
+    (f"# hamroots.scan.v7 lo=2 hi=10 targets=literal compute=w\n{_W_COLUMNS}\n", 1,
+     "expected '# hamroots.scan.v7 lo=2 hi=10 compute=w', got "),
+    (f"# hamroots.scan.v7 lo=2 hi=10 variant=domain0 targets=literal compute=delta\n"
+     f"{_D_COLUMNS}\n", 1, "expected '# hamroots.scan.v7 lo=2 hi=10 targets=literal "
      "compute=delta', got "),
-    (f"# hamroots.scan.v6 lo=2 hi=10\n{_W_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v7 lo=2 hi=10\n{_W_COLUMNS}\n", 1,
      "compute set must be a nonempty subset of w,W,delta, got None"),
-    (f"# hamroots.scan.v6 hi=10 compute=w\n{_W_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v7 hi=10 compute=w\n{_W_COLUMNS}\n", 1,
      "invalid literal for int"),
-    (f"# hamroots.scan.v6 lo=02 hi=10 compute=w\n{_W_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v7 lo=02 hi=10 compute=w\n{_W_COLUMNS}\n", 1,
      "'02' is not a canonical integer"),
-    (f"# hamroots.scan.v6 lo=10 hi=5 compute=w\n{_W_COLUMNS}\n", 1,
+    (f"# hamroots.scan.v7 lo=10 hi=5 compute=w\n{_W_COLUMNS}\n", 1,
      r"bad scan range \[10, 5\]"),
-    ("# hamroots.scan.v6 lo=2 hi=10 compute=W,w\np,w,W,checksum\n", 1,
-     "expected '# hamroots.scan.v6 lo=2 hi=10 compute=w,W', got "),
+    ("# hamroots.scan.v7 lo=2 hi=10 compute=W,w\np,w,W\n", 1,
+     "expected '# hamroots.scan.v7 lo=2 hi=10 compute=w,W', got "),
 ], ids=["invalid-json", "unknown-schema", "unknown-csv-schema", "v1-header", "v2-header",
-        "v3-header", "v4-header", "v5-header",
+        "v3-header", "v4-header", "v5-header", "v6-header",
         "csv-columns", "csv-no-targets", "csv-unknown-targets", "targets-without-delta",
         "variant-in-header", "csv-no-compute", "no-lo", "zero-padded-lo", "empty-range",
         "compute-out-of-order"])
