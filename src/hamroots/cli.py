@@ -21,7 +21,7 @@ import hamroots
 
 from . import reference
 from .errors import CapabilityError, InvariantViolation
-from .hamming import BASE_VIEWS, DOMAIN0, VARIANTS, HammingProfile
+from .hamming import BASE_VIEWS, DOMAIN0, VARIANTS, HammingProfile, witness_lists
 from .numtheory import PrimeContext, divisors, is_primitive_root, sieve_primes
 from .scan import CountTable, ScanConfig, scan_profiles, stream_scan_output
 
@@ -178,6 +178,17 @@ def _census_profiles(args, lo: int, compute: tuple[str, ...],
             for pr in profiles)
 
 
+@contextlib.contextmanager
+def _spooled_report():
+    """A text file for a report, copied to stdout once the block ends
+    without an exception, so that a report refused midway prints nothing.
+    The report is held on disk, not in memory."""
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+        yield spool
+        spool.seek(0)
+        shutil.copyfileobj(spool, sys.stdout)
+
+
 def cmd_table(args) -> int:
     exponents = [j for j in sorted(reference.COUNT_TABLE) if 10**j <= args.limit]
     if not exponents:
@@ -185,8 +196,9 @@ def cmd_table(args) -> int:
     compute = _compute_tuple(args.compute)
     profiles = _census_profiles(args, 2, compute, args.variant)
     itemize = args.paper_diff and "delta" in compute
-    if itemize:  # read twice, by the table and by the itemization
-        profiles = list(profiles)
+    differing = []
+    if itemize:  # one pass counts the profiles and picks out those to itemize
+        profiles = _picking_variant_differences(args, profiles, differing)
     table = CountTable.from_profiles(profiles, [10**j for j in exponents])
     header = f"{'j':>2} {'pi':>6}" + "".join(
         f" {stat + '=' + str(i):>7}" for i in (1, 2, 3) for stat in ("w", "W", "delta"))
@@ -208,28 +220,49 @@ def cmd_table(args) -> int:
                 lines.append(f"!! {stat} counts at 10^{j} do not sum to "
                              f"{'pi' if stat == 'W' else 'pi-1'}")
                 violation = True
-    if itemize:
-        lines += _itemize_variant_differences(args, profiles)
-    print(*lines, sep="\n")  # once whole, so a list refused as it is derived prints nothing
+    with _spooled_report() as out:  # a list refused as it is derived prints nothing
+        print(*lines, sep="\n", file=out)
+        if itemize:
+            print(f"# {args.variant} vs domain0 radius differences:", file=out)
+            for prof, alt in differing:
+                wits, alt_wits = witness_lists(prof, alt)
+                out.write(f"  p={prof.p}: {args.variant}={prof.delta} (classes ")
+                _write_joined(out, wits)
+                out.write(f") domain0={alt.delta} (classes ")
+                _write_joined(out, alt_wits)
+                out.write(")\n")
     return 4 if violation else 0
 
 
-def _itemize_variant_differences(args, profiles: list[HammingProfile]) -> Iterator[str]:
-    """The lines listing the primes whose radius under the scanned variant
+def _write_joined(out, numbers: Iterator[int]) -> None:
+    """Write the numbers joined by ';', 4096 at a time, so that a list of
+    tens of thousands of witness classes is never held."""
+    sep = ""
+    for chunk in iter(lambda: ";".join(map(str, itertools.islice(numbers, 4096))), ""):
+        out.write(sep + chunk)
+        sep = ";"
+
+
+def _picking_variant_differences(args, profiles: Iterator[HammingProfile],
+                                 differing: list) -> Iterator[HammingProfile]:
+    """Yield the profiles, and append to differing the pair (profile, its
+    domain0 profile) of each prime whose radius under the scanned variant
     differs from the domain0 one (the convention the reference delta columns
     follow). The domain0 profile is a view of each row's radii; under reduced
-    targets, whose radii do not give it, of the row of a literal-target scan."""
-    yield f"# {args.variant} vs domain0 radius differences:"
-    literal = profiles if VARIANTS[args.variant].targets == "literal" else scan_profiles(
-        ScanConfig(lo=2, hi=args.limit, tasks=args.tasks, compute=("delta",)))
-    for prof, lit in zip(profiles, literal, strict=True):
-        if prof.delta is None:
-            continue
-        alt = HammingProfile(prof.p, prof.r, prof.w, prof.W, variant=DOMAIN0.name, radii=lit.radii)
-        if alt.delta != prof.delta:
-            yield (f"  p={prof.p}: {args.variant}={prof.delta} (classes "
-                   f"{';'.join(map(str, prof.witnesses))}) domain0={alt.delta} "
-                   f"(classes {';'.join(map(str, alt.witnesses))})")
+    targets, whose radii do not give it, of the row of a literal-target scan
+    read in step."""
+    if VARIANTS[args.variant].targets == "literal":
+        pairs = ((prof, prof) for prof in profiles)
+    else:
+        pairs = zip(profiles, scan_profiles(
+            ScanConfig(lo=2, hi=args.limit, tasks=args.tasks, compute=("delta",))), strict=True)
+    for prof, lit in pairs:
+        if prof.radii is not None:
+            alt = HammingProfile(prof.p, prof.r, prof.w, prof.W, variant=DOMAIN0.name,
+                                 radii=lit.radii)
+            if alt.delta != prof.delta:
+                differing.append((prof, alt))
+        yield prof
 
 
 def cmd_delta3(args) -> int:
@@ -237,34 +270,38 @@ def cmd_delta3(args) -> int:
         raise CapabilityError(f"radius-3 census capped at {reference.RADIUS3_SEARCH_LIMIT}")
     radius3, deep = {}, []
     for pr in _census_profiles(args, 3, ("delta",), args.variant):
-        if pr.delta == 3:
+        delta = pr.delta
+        if delta == 3:
             radius3[pr.p] = pr
-        elif pr.delta > 3:
+        elif delta > 3:
             deep.append(pr.p)
-    lines = [f"# primes <= {args.limit} with covering radius 3 ({args.variant} variant)"]
-    for p, pr in radius3.items():
-        wits = pr.witnesses  # derived again on each read
-        line = f"{p}: classes {';'.join(map(str, wits))}"
+    with _spooled_report() as out:  # as in table
+        print(f"# primes <= {args.limit} with covering radius 3 ({args.variant} variant)",
+              file=out)
+        for p, pr in radius3.items():
+            wits = pr.witnesses  # derived again on each read
+            line = f"{p}: classes {';'.join(map(str, wits))}"
+            if args.paper_diff:
+                ref = reference.RADIUS3_CLASSES.get(p)
+                if ref is None:
+                    line += "  [not in reference list]"
+                else:
+                    ours = set(wits)
+                    marks = [f"{c}{'+' if c in ours else '-'}" for c in ref]
+                    extra = sorted(ours - set(ref))
+                    line += f"  reference: {';'.join(marks)}"
+                    if extra:
+                        line += f" extra: {';'.join(map(str, extra))}"
+            print(line, file=out)
         if args.paper_diff:
-            ref = reference.RADIUS3_CLASSES.get(p)
-            if ref is None:
-                line += "  [not in reference list]"
-            else:
-                ours = set(wits)
-                marks = [f"{c}{'+' if c in ours else '-'}" for c in ref]
-                extra = sorted(ours - set(ref))
-                line += f"  reference: {';'.join(marks)}"
-                if extra:
-                    line += f" extra: {';'.join(map(str, extra))}"
-        lines.append(line)
-    if args.paper_diff:
-        missing = [p for p in reference.RADIUS3_CLASSES if p <= args.limit and p not in radius3]
-        if missing:
-            lines.append(f"# reference primes not at radius 3 under {args.variant}: "
-                         f"{', '.join(map(str, missing))}")
-    if deep:
-        lines.append(f"!! HEADLINE DISCREPANCY: radius >= 4 at {', '.join(map(str, deep))}")
-    print(*lines, sep="\n")  # once whole, as in table
+            missing = [p for p in reference.RADIUS3_CLASSES
+                       if p <= args.limit and p not in radius3]
+            if missing:
+                print(f"# reference primes not at radius 3 under {args.variant}: "
+                      f"{', '.join(map(str, missing))}", file=out)
+        if deep:
+            print(f"!! HEADLINE DISCREPANCY: radius >= 4 at {', '.join(map(str, deep))}",
+                  file=out)
     return 0
 
 

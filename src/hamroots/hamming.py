@@ -12,11 +12,12 @@ and must agree. The ball search also certifies each dilation at a few points.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable, NamedTuple
+from itertools import chain, combinations, repeat
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CapabilityError, InvariantViolation
-from .numtheory import PrimeContext, _jacobi, bitmap_to_set, is_primitive_root, unfactored_part
+from .numtheory import (PrimeContext, _jacobi, bit_exponent, bitmap_to_set, is_primitive_root,
+                        set_bits, unfactored_part)
 
 
 class RadiusVariant(NamedTuple):
@@ -64,34 +65,52 @@ class Radii(NamedTuple):
 class HammingProfile:
     """Per-prime record of the three statistics (None = not computed / undefined).
 
-    A profile built with radii is their `variant` view: delta and
-    witness_count are taken from `view` once, and `witnesses` is derived when
-    read (see there). radii is None where delta is (p = 2, or not computed)
-    and in profiles built from their statistics, which keep the witnesses
-    they are given and count them. Profiles compare by value, and neither
-    that nor `repr` derives a list. They are not frozen: a frozen `__init__`
-    sets each slot by `object.__setattr__`, which made building one three to
-    five times slower on CPython 3.11; nothing assigns to them or hashes them.
+    A profile stores p, w, W, its variant and radii, and derives the rest
+    when read: r is `bit_exponent(p)`, and a profile built with radii is
+    their `variant` view, so delta and witness_count come from `view` and
+    `witnesses` from `covering_radius` (see there). radii is None where delta
+    is (p = 2, or not computed) and in profiles built from their statistics,
+    which keep the delta and witnesses they are given, in one slot that is
+    None for every other profile, and count them. Profiles compare by value,
+    and neither that nor `repr` derives a list. They are not frozen: a frozen
+    `__init__` sets each slot by `object.__setattr__`, which made building one
+    three to five times slower on CPython 3.11; nothing assigns to them or
+    hashes them, and the derived statistics are read-only.
     """
 
-    __slots__ = ("p", "r", "w", "W", "delta", "witness_count", "variant", "radii", "_witnesses")
+    __slots__ = ("p", "w", "W", "variant", "radii", "_given")
+    # What repr shows, derived statistics included, in the constructor's order.
+    _SHOWN = ("p", "r", "w", "W", "delta", "witness_count", "variant", "radii")
 
     def __init__(self, p: int, r: int, w: int | None = None, W: int | None = None,
                  delta: int | None = None, witnesses: tuple[int, ...] = (),
                  variant: str = CANONICAL.name, radii: Radii | None = None):
+        if r != bit_exponent(p):
+            raise ValueError(f"r={r} is not the bit exponent of p={p}, which is {bit_exponent(p)}")
+        if radii is not None and (delta is not None or witnesses):
+            raise ValueError("a profile with radii takes delta and its witnesses from their view")
         self.p = p
-        self.r = r
         self.w = w
         self.W = W
         self.variant = variant
         self.radii = radii
-        if radii is None:
-            self.delta, self.witness_count, self._witnesses = delta, len(witnesses), witnesses
-        elif delta is not None or witnesses:
-            raise ValueError("a profile with radii takes delta and its witnesses from their view")
-        else:
-            self.delta, self.witness_count = view(radii, VARIANTS[variant])
-            self._witnesses = None
+        self._given = (delta, witnesses) if delta is not None or witnesses else None
+
+    @property
+    def r(self) -> int:
+        return bit_exponent(self.p)
+
+    @property
+    def delta(self) -> int | None:
+        if self.radii is not None:
+            return view(self.radii, VARIANTS[self.variant])[0]
+        return None if self._given is None else self._given[0]
+
+    @property
+    def witness_count(self) -> int:
+        if self.radii is not None:
+            return view(self.radii, VARIANTS[self.variant])[1]
+        return 0 if self._given is None else len(self._given[1])
 
     @property
     def witnesses(self) -> tuple[int, ...]:
@@ -99,14 +118,19 @@ class HammingProfile:
         the list of `covering_radius`, which must have this delta and
         witness_count."""
         if self.radii is None:
-            return self._witnesses
+            return () if self._given is None else self._given[1]
         delta, wits = covering_radius(PrimeContext.for_prime(self.p), VARIANTS[self.variant])
-        if (delta, len(wits)) != (self.delta, self.witness_count):
+        self._check(delta, len(wits))
+        return wits
+
+    def _check(self, delta: int, count: int) -> None:
+        """Raise InvariantViolation unless a list of count witnesses at delta,
+        listed for this profile's prime and variant, has its view."""
+        if (delta, count) != view(self.radii, VARIANTS[self.variant]):
             raise InvariantViolation(
                 f"p={self.p} variant={self.variant}: the row gives delta={self.delta} with "
                 f"{self.witness_count} witness classes, but the dilation for delta "
-                f"(covering_radius) lists {len(wits)} at delta={delta}")
-        return wits
+                f"(covering_radius) lists {count} at delta={delta}")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -119,12 +143,28 @@ class HammingProfile:
     __hash__ = None
 
     def __repr__(self):
-        # Every slot but _witnesses; the witnesses a profile was built with
-        # are shown, derived ones are not.
-        shown = [f"{name}={getattr(self, name)!r}" for name in self.__slots__[:-1]]
+        # The witnesses a profile was built with are shown, derived ones are not.
+        shown = [f"{name}={getattr(self, name)!r}" for name in self._SHOWN]
         if self.radii is None:
-            shown.append(f"witnesses={self._witnesses!r}")
+            shown.append(f"witnesses={self.witnesses!r}")
         return "HammingProfile(%s)" % ", ".join(shown)
+
+
+def witness_lists(*profiles: HammingProfile) -> list[Iterator[int]]:
+    """The `witnesses` of each profile, for profiles with radii of one
+    prime, from one dilation per target set. Each list is checked as there
+    before any is returned, and returned as an iterator, which makes each
+    class as it is read."""
+    ctx = PrimeContext.for_prime(profiles[0].p)
+    dilations, lists = {}, []
+    for prof in profiles:
+        variant = VARIANTS[prof.variant]
+        if variant.targets not in dilations:
+            dilations[variant.targets] = _dilation(ctx, variant.targets)
+        delta, count, wits = _listed(*dilations[variant.targets], variant)
+        prof._check(delta, count)
+        lists.append(wits)
+    return lists
 
 
 def hamming_weight(n: int) -> int:
@@ -360,10 +400,18 @@ def covering_radius(ctx: PrimeContext, variant: RadiusVariant = CANONICAL
     """Covering radius and its witness classes (n mod p, ascending) over the
     variant's domain, by bitmap dilation. This is the one place a witness
     list is made: a scan keeps only its count."""
-    radii, uncovered = _dilation(ctx, variant.targets)
+    delta, _, wits = _listed(*_dilation(ctx, variant.targets), variant)
+    return delta, tuple(wits)
+
+
+def _listed(radii: Radii, uncovered: int, variant: RadiusVariant
+            ) -> tuple[int, int, Iterator[int]]:
+    """(delta, witness count, the witness classes as an iterator) of a
+    variant's view of one dilation's radii and uncovered core set."""
     delta, count = view(radii, variant)
-    core = tuple(bitmap_to_set(uncovered)) if radii.core == delta else ()
-    return delta, (0,) * (count - len(core)) + core  # the class 0 where the endpoint reaches delta
+    core = uncovered if radii.core == delta else 0
+    # The class 0 comes first where the endpoint reaches delta.
+    return delta, count, chain(repeat(0, count - core.bit_count()), set_bits(core))
 
 
 def covering_radius_bfs(ctx: PrimeContext, variant: RadiusVariant = CANONICAL

@@ -426,13 +426,19 @@ def _check_pr_bitmap(ctx: PrimeContext, bm: int) -> None:
 _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def bitmap_to_set(bitmap: int) -> list[int]:
-    """Indices of set bits of a non-negative int, ascending.
+def set_bits(bitmap: int) -> Iterator[int]:
+    """Indices of set bits of a non-negative int, ascending, as an iterator
+    that makes each index as it is read.
 
     One pass: the binary digits of the int, least significant first, as 0/1
     bytes select their own indices."""
     digits = format(bitmap, "b")[::-1].encode().translate(_DIGIT_BITS)
-    return list(compress(range(len(digits)), digits))
+    return compress(range(len(digits)), digits)
+
+
+def bitmap_to_set(bitmap: int) -> list[int]:
+    """The list of `set_bits`."""
+    return list(set_bits(bitmap))
 
 
 def poly_divmod(a: list[int], b: list[int], p: int | None = None

@@ -459,14 +459,16 @@ class CountTable:
                       thresholds: list[int]) -> "CountTable":
         table = cls(thresholds)
         for prof in profiles:
+            # Each statistic is read once, delta being a view of the radii.
+            cells = [(key, min(val, 4) - 1) for key, val in
+                     (("w", prof.w), ("W", prof.W), ("delta", prof.delta)) if val is not None]
             for t in table.thresholds:
                 if prof.p > t:
                     continue
                 row = table.rows[t]
                 row["pi"] += 1
-                for key, val in (("w", prof.w), ("W", prof.W), ("delta", prof.delta)):
-                    if val is not None:
-                        row[key][min(val, 4) - 1] += 1
+                for key, i in cells:
+                    row[key][i] += 1
         return table
 
     def sum_identity_ok(self, threshold: int, stat: str) -> bool:

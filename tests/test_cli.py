@@ -1,11 +1,15 @@
 import argparse
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+import hamroots
 from hamroots import cli, hamming, numtheory, scan
 from hamroots.cli import build_parser, main
 from hamroots.errors import InvariantViolation
@@ -605,6 +609,34 @@ def test_a_forged_endpoint_radius_leaves_no_partial_table_report(tmp_path, capsy
     assert err == ("invariant violation: p=7 variant=domain0: the row gives delta=3 with 1 "
                    "witness classes, but the dilation for delta (covering_radius) lists 2 "
                    "at delta=2\n")
+
+
+def test_table_paper_diff_holds_about_as_much_as_the_table_alone(tmp_path, capsys):
+    """`table --paper-diff` counts the profiles and picks out the primes to
+    itemize in one pass, spools its report to a file and writes each
+    witness list a chunk at a time. So at --limit 10000, whose report is
+    591,372 bytes, it peaks within 0.25 MB of the table alone, read from the
+    same scan file; holding the profiles and the report's lines took it 1.1
+    MB past. Each peak is tracemalloc's, counted from a start just before
+    the command, in a fresh process whose stdout is discarded."""
+    path = _scan_file(tmp_path, capsys, "full.csv", "--range", "2", "10000")
+    env = dict(os.environ, PYTHONPATH=str(Path(hamroots.__file__).parents[1]))
+    script = """
+import sys, tracemalloc
+from hamroots.cli import main
+tracemalloc.start()
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(code, tracemalloc.get_traced_memory()[1] / 2**20, file=sys.stderr)
+"""
+    peak = {}
+    for flags in ((), ("--paper-diff",)):
+        err = subprocess.run([sys.executable, "-c", script, "table", "--limit", "10000",
+                              "--scan-file", path, *flags], env=env, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.PIPE, text=True, check=True, timeout=120).stderr
+        code, peak[flags] = err.split()
+        assert code == "0", err
+    assert float(peak[("--paper-diff",)]) <= float(peak[()]) + 0.25, peak
 
 
 def test_the_row_of_2_without_its_W_is_refused(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 from itertools import compress
 
 import pytest
@@ -546,6 +547,17 @@ def test_profile_bundle():
         hash(prof)
     with pytest.raises(AttributeError):
         prof.extra = 1
+    # A held profile stores its row, not its views: r, delta and
+    # witness_count are derived and read-only, and an r that is not the bit
+    # exponent of p is refused rather than stored.
+    assert len(HammingProfile.__slots__) <= 6
+    assert sys.getsizeof(prof) <= 80 and sys.getsizeof(partial) <= 80
+    with pytest.raises(ValueError, match="^r=3 is not the bit exponent of p=7, which is 2$"):
+        HammingProfile(7, 3)
+    for name in ("r", "delta", "witness_count"):
+        with pytest.raises(AttributeError):
+            setattr(prof, name, 1)
+    assert (prof.r, prof.delta, prof.witness_count) == (2, 2, 1)
 
 
 def test_an_endpoint_radius_off_is_refused_when_the_witnesses_are_read():

@@ -1322,18 +1322,20 @@ def test_a_ww_scan_holds_about_as_much_for_a_range_ten_times_wider():
     The primes are sieved a window of 2^16 numbers at a time and cut into
     blocks, so neither the range's flags (1 MB at 10^6) nor its 78,497
     primes (about 2.8 MB as a list) are held; what may differ is bounded by
-    the range's bit length or by a window and a block, not by its primes:
-    the cached weight classes of each bit length, and a window's primes
-    held beside a partial block. Each peak is tracemalloc's, counted from a
-    start just before the scan, in a fresh process, as in the delta test
-    above."""
+    a window and a block, not by the range's primes: a window's primes held
+    beside a partial block. Each peak is tracemalloc's, counted from a start
+    just before the scan, in a fresh process, as in the delta test above.
+    What is measured is the prime stream and the blocks, so `_scan_block`
+    is stubbed with a row maker that gives each prime W = 1: tracing the
+    sweep of each prime made this test take about 15 s."""
     env = dict(os.environ, PYTHONPATH=str(Path(hamroots.__file__).parents[1]))
     script = """
 import sys, tracemalloc
-from hamroots.scan import ScanConfig, scan_profiles
-config = ScanConfig(3, int(sys.argv[1]), compute=("W",))
+from hamroots import scan
+scan._scan_block = lambda args: [(p, None, 1, None) for p in args[0]]
+config = scan.ScanConfig(3, int(sys.argv[1]), compute=("W",))
 tracemalloc.start()
-for _ in scan_profiles(config):
+for _ in scan.scan_profiles(config):
     pass
 print(tracemalloc.get_traced_memory()[1] / 2**20)
 """
