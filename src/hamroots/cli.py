@@ -275,33 +275,31 @@ def cmd_delta3(args) -> int:
             radius3[pr.p] = pr
         elif delta > 3:
             deep.append(pr.p)
-    with _spooled_report() as out:  # as in table
-        print(f"# primes <= {args.limit} with covering radius 3 ({args.variant} variant)",
-              file=out)
-        for p, pr in radius3.items():
-            wits = pr.witnesses  # derived again on each read
-            line = f"{p}: classes {';'.join(map(str, wits))}"
-            if args.paper_diff:
-                ref = reference.RADIUS3_CLASSES.get(p)
-                if ref is None:
-                    line += "  [not in reference list]"
-                else:
-                    ours = set(wits)
-                    marks = [f"{c}{'+' if c in ours else '-'}" for c in ref]
-                    extra = sorted(ours - set(ref))
-                    line += f"  reference: {';'.join(marks)}"
-                    if extra:
-                        line += f" extra: {';'.join(map(str, extra))}"
-            print(line, file=out)
+    lines = [f"# primes <= {args.limit} with covering radius 3 ({args.variant} variant)"]
+    for p, pr in radius3.items():
+        wits = pr.witnesses  # derived again on each read
+        line = f"{p}: classes {';'.join(map(str, wits))}"
         if args.paper_diff:
-            missing = [p for p in reference.RADIUS3_CLASSES
-                       if p <= args.limit and p not in radius3]
-            if missing:
-                print(f"# reference primes not at radius 3 under {args.variant}: "
-                      f"{', '.join(map(str, missing))}", file=out)
-        if deep:
-            print(f"!! HEADLINE DISCREPANCY: radius >= 4 at {', '.join(map(str, deep))}",
-                  file=out)
+            ref = reference.RADIUS3_CLASSES.get(p)
+            if ref is None:
+                line += "  [not in reference list]"
+            else:
+                ours = set(wits)
+                marks = [f"{c}{'+' if c in ours else '-'}" for c in ref]
+                extra = sorted(ours - set(ref))
+                line += f"  reference: {';'.join(marks)}"
+                if extra:
+                    line += f" extra: {';'.join(map(str, extra))}"
+        lines.append(line)
+    if args.paper_diff:
+        missing = [p for p in reference.RADIUS3_CLASSES if p <= args.limit and p not in radius3]
+        if missing:
+            lines.append(f"# reference primes not at radius 3 under {args.variant}: "
+                         f"{', '.join(map(str, missing))}")
+    if deep:
+        lines.append(f"!! HEADLINE DISCREPANCY: radius >= 4 at {', '.join(map(str, deep))}")
+    with _spooled_report() as out:  # as in table
+        print(*lines, sep="\n", file=out)
     return 0
 
 

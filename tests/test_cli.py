@@ -616,9 +616,8 @@ def test_table_paper_diff_holds_about_as_much_as_the_table_alone(tmp_path, capsy
     itemize in one pass, spools its report to a file and writes each
     witness list a chunk at a time. So at --limit 10000, whose report is
     591,372 bytes, it peaks within 0.25 MB of the table alone, read from the
-    same scan file; holding the profiles and the report's lines took it 1.1
-    MB past. Each peak is tracemalloc's, counted from a start just before
-    the command, in a fresh process whose stdout is discarded."""
+    same scan file. Each peak is tracemalloc's, counted from a start just
+    before the command, in a fresh process whose stdout is discarded."""
     path = _scan_file(tmp_path, capsys, "full.csv", "--range", "2", "10000")
     env = dict(os.environ, PYTHONPATH=str(Path(hamroots.__file__).parents[1]))
     script = """

@@ -1326,8 +1326,8 @@ def test_a_ww_scan_holds_about_as_much_for_a_range_ten_times_wider():
     beside a partial block. Each peak is tracemalloc's, counted from a start
     just before the scan, in a fresh process, as in the delta test above.
     What is measured is the prime stream and the blocks, so `_scan_block`
-    is stubbed with a row maker that gives each prime W = 1: tracing the
-    sweep of each prime made this test take about 15 s."""
+    is stubbed with a row maker that gives each prime W = 1, and the sweep,
+    which tracemalloc slows about 25 times, is not traced."""
     env = dict(os.environ, PYTHONPATH=str(Path(hamroots.__file__).parents[1]))
     script = """
 import sys, tracemalloc
