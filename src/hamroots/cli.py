@@ -21,7 +21,7 @@ import hamroots
 
 from . import reference
 from .errors import CapabilityError, InvariantViolation
-from .hamming import BASE_VIEWS, DOMAIN0, VARIANTS, HammingProfile, witness_lists
+from .hamming import BASE_VIEWS, DOMAIN0, VARIANTS, HammingProfile, view, witness_lists
 from .numtheory import PrimeContext, divisors, is_primitive_root, sieve_primes
 from .scan import CountTable, ScanConfig, scan_profiles, stream_scan_output
 
@@ -115,24 +115,31 @@ def _compute_tuple(flag_value: str) -> tuple[str, ...]:
     return tuple(part for part in flag_value.split(",") if part)
 
 
+@contextlib.contextmanager
+def _whole_output(output: str | None) -> Iterator[str]:
+    """The path a command writes its output to, which reaches its destination
+    only if the block ends without an exception: with output, output.part,
+    renamed onto output; without, a file in a temporary directory, copied to
+    stdout. So a failure midway prints nothing and leaves any old output."""
+    if output:
+        yield f"{output}.part"
+        os.replace(f"{output}.part", output)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "output")
+        yield path
+        with open(path, encoding="utf-8", newline="") as fh:
+            shutil.copyfileobj(fh, sys.stdout)
+
+
 def cmd_scan(args) -> int:
-    # The rows go to the scan's checkpoint journal, appended a block at a
-    # time. With --output it is PATH.part, which a rerun resumes, and only a
-    # whole scan is renamed onto PATH, so a failure leaves any old output.
-    # Without, it sits in a temporary directory and a whole scan is copied to
-    # stdout, so a failure prints nothing.
-    with (contextlib.nullcontext() if args.output else tempfile.TemporaryDirectory()) as tmp:
+    # The journal, appended a block at a time, is the output; with --output a rerun resumes it.
+    with _whole_output(args.output) as path:
         config = ScanConfig(lo=args.range[0], hi=args.range[1], tasks=args.tasks,
                             targets=args.targets, compute=_compute_tuple(args.compute),
-                            checkpoint=f"{args.output}.part" if args.output
-                            else os.path.join(tmp, "scan.part"))
+                            checkpoint=path)
         for _ in scan_profiles(config):
             pass
-        if args.output:
-            os.replace(config.checkpoint, args.output)
-        else:
-            with open(config.checkpoint, encoding="utf-8", newline="") as fh:
-                shutil.copyfileobj(fh, sys.stdout)
     return 0
 
 
@@ -178,17 +185,6 @@ def _census_profiles(args, lo: int, compute: tuple[str, ...],
             for pr in profiles)
 
 
-@contextlib.contextmanager
-def _spooled_report():
-    """A text file for a report, copied to stdout once the block ends
-    without an exception, so that a report refused midway prints nothing.
-    The report is held on disk, not in memory."""
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
-        yield spool
-        spool.seek(0)
-        shutil.copyfileobj(spool, sys.stdout)
-
-
 def cmd_table(args) -> int:
     exponents = [j for j in sorted(reference.COUNT_TABLE) if 10**j <= args.limit]
     if not exponents:
@@ -220,7 +216,8 @@ def cmd_table(args) -> int:
                 lines.append(f"!! {stat} counts at 10^{j} do not sum to "
                              f"{'pi' if stat == 'W' else 'pi-1'}")
                 violation = True
-    with _spooled_report() as out:  # a list refused as it is derived prints nothing
+    # Held on disk until whole, so a list refused as it is derived prints nothing.
+    with _whole_output(None) as path, open(path, "w", encoding="utf-8", newline="") as out:
         print(*lines, sep="\n", file=out)
         if itemize:
             print(f"# {args.variant} vs domain0 radius differences:", file=out)
@@ -248,20 +245,18 @@ def _picking_variant_differences(args, profiles: Iterator[HammingProfile],
     """Yield the profiles, and append to differing the pair (profile, its
     domain0 profile) of each prime whose radius under the scanned variant
     differs from the domain0 one (the convention the reference delta columns
-    follow). The domain0 profile is a view of each row's radii; under reduced
+    follow). The domain0 radius is a view of each row's radii; under reduced
     targets, whose radii do not give it, of the row of a literal-target scan
-    read in step."""
+    read in step. Only a prime that differs gets a domain0 profile."""
     if VARIANTS[args.variant].targets == "literal":
         pairs = ((prof, prof) for prof in profiles)
     else:
         pairs = zip(profiles, scan_profiles(
             ScanConfig(lo=2, hi=args.limit, tasks=args.tasks, compute=("delta",))), strict=True)
     for prof, lit in pairs:
-        if prof.radii is not None:
-            alt = HammingProfile(prof.p, prof.r, prof.w, prof.W, variant=DOMAIN0.name,
-                                 radii=lit.radii)
-            if alt.delta != prof.delta:
-                differing.append((prof, alt))
+        if prof.radii is not None and view(lit.radii, DOMAIN0)[0] != prof.delta:
+            differing.append((prof, HammingProfile(prof.p, prof.r, prof.w, prof.W,
+                                                   variant=DOMAIN0.name, radii=lit.radii)))
         yield prof
 
 
@@ -298,8 +293,7 @@ def cmd_delta3(args) -> int:
                          f"{', '.join(map(str, missing))}")
     if deep:
         lines.append(f"!! HEADLINE DISCREPANCY: radius >= 4 at {', '.join(map(str, deep))}")
-    with _spooled_report() as out:  # as in table
-        print(*lines, sep="\n", file=out)
+    print(*lines, sep="\n")  # once whole, so a list refused as it is derived prints nothing
     return 0
 
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import CapabilityError
-from .numtheory import PrimeContext, bitmap_to_set, legendre_symbol
+from .numtheory import PrimeContext, legendre_symbol, set_bits
 
 ELEMENT_ENUM_CAP = 30         # 2^d subset sums; keep enumeration honest
 EXHAUSTIVE_P_CAP = 60         # ceiling for exact searches
@@ -131,7 +131,7 @@ def _max_cube_exhaustive(p: int, allowed_mask: int) -> CubeSearchResult:
     if p > EXHAUSTIVE_P_CAP:
         raise CapabilityError(f"exhaustive cube search capped at p <= {EXHAUSTIVE_P_CAP}")
     best_dim = 0
-    best = HilbertCube(bitmap_to_set(allowed_mask)[0], ())
+    best = HilbertCube(next(set_bits(allowed_mask)), ())
 
     def grow(base: int, gens: tuple[int, ...], elems: int):
         nonlocal best_dim, best
@@ -146,7 +146,7 @@ def _max_cube_exhaustive(p: int, allowed_mask: int) -> CubeSearchResult:
                 best = HilbertCube(base, cand)
             grow(base, cand, new)
 
-    for base in bitmap_to_set(allowed_mask):
+    for base in set_bits(allowed_mask):
         grow(base, (), 1 << base)
     return CubeSearchResult(best_dim, best, exact=True)
 
@@ -154,7 +154,7 @@ def _max_cube_exhaustive(p: int, allowed_mask: int) -> CubeSearchResult:
 def _max_cube_heuristic(p: int, allowed_mask: int) -> CubeSearchResult:
     """Greedy growth with random restarts; yields a valid lower bound."""
     rng = random.Random(DEFAULT_SEED)
-    bases = bitmap_to_set(allowed_mask)
+    bases = list(set_bits(allowed_mask))
     best_dim = 0
     best = HilbertCube(bases[0], ())
     for _ in range(HEURISTIC_RESTARTS):

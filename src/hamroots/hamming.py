@@ -16,8 +16,8 @@ from itertools import chain, combinations, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CapabilityError, InvariantViolation
-from .numtheory import (PrimeContext, _jacobi, bit_exponent, bitmap_to_set, is_primitive_root,
-                        set_bits, unfactored_part)
+from .numtheory import (PrimeContext, _jacobi, bit_exponent, is_primitive_root, set_bits,
+                        unfactored_part)
 
 
 class RadiusVariant(NamedTuple):
@@ -398,8 +398,8 @@ def view(radii: Radii, variant: RadiusVariant) -> tuple[int, int]:
 def covering_radius(ctx: PrimeContext, variant: RadiusVariant = CANONICAL
                     ) -> tuple[int, tuple[int, ...]]:
     """Covering radius and its witness classes (n mod p, ascending) over the
-    variant's domain, by bitmap dilation. This is the one place a witness
-    list is made: a scan keeps only its count."""
+    variant's domain, by bitmap dilation. It and `witness_lists` make every
+    witness list, both through `_listed`: a scan keeps only its count."""
     delta, _, wits = _listed(*_dilation(ctx, variant.targets), variant)
     return delta, tuple(wits)
 
@@ -418,7 +418,7 @@ def covering_radius_bfs(ctx: PrimeContext, variant: RadiusVariant = CANONICAL
                         ) -> tuple[int, tuple[int, ...]]:
     """Covering radius by multi-source BFS over the bit_len-cube."""
     dist = [-1] * (1 << ctx.bit_len)
-    frontier = bitmap_to_set(_target_bitmap(ctx, variant.targets))
+    frontier = list(set_bits(_target_bitmap(ctx, variant.targets)))
     for x in frontier:
         dist[x] = 0
     d = 0

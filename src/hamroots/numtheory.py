@@ -436,11 +436,6 @@ def set_bits(bitmap: int) -> Iterator[int]:
     return compress(range(len(digits)), digits)
 
 
-def bitmap_to_set(bitmap: int) -> list[int]:
-    """The list of `set_bits`."""
-    return list(set_bits(bitmap))
-
-
 def poly_divmod(a: list[int], b: list[int], p: int | None = None
                 ) -> tuple[list[int], list[int]]:
     """Quotient and remainder of a by b, coefficients lowest degree first.

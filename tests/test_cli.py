@@ -592,23 +592,58 @@ def test_a_forged_endpoint_radius_is_refused_when_delta3_reads_its_witnesses(tmp
                    "at delta=2\n")
 
 
-def test_a_forged_endpoint_radius_leaves_no_partial_table_report(tmp_path, capsys):
+def test_a_forged_endpoint_radius_leaves_no_partial_table_report(tmp_path, monkeypatch,
+                                                                 capsys):
     """The same forged row of 7 in a full scan of [2, 1000]: table counts it
     at canonical radius 2, as the row says, and then --paper-diff itemizes 7,
     the domain0 view differing, and derives its domain0 list, which
-    `covering_radius` refuses. Nothing of the report is printed."""
+    `covering_radius` refuses. Nothing of the report is printed, and the
+    temporary directory it was written to is gone, as after a table that
+    succeeds."""
     path = _scan_file(tmp_path, capsys, "full.csv", "--range", "2", "1000")
     lines = Path(path).read_text().splitlines(keepends=True)
     i = next(i for i, line in enumerate(lines) if line.startswith("7,"))
     assert lines[i] == "7,2,2,2,2,1,1\n"
     lines[i] = "7,2,2,2,3,1,1\n"
     Path(path).write_text(forged(lines))
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
     code, out, err = run_err(capsys, "table", "--limit", "1000", "--paper-diff",
                              "--scan-file", path)
     assert (code, out) == (4, "")
     assert err == ("invariant violation: p=7 variant=domain0: the row gives delta=3 with 1 "
                    "witness classes, but the dilation for delta (covering_radius) lists 2 "
                    "at delta=2\n")
+    assert list(temp.iterdir()) == []
+    code, out = run(capsys, "table", "--limit", "1000", "--paper-diff", "--scan-file", path,
+                    "--compute", "w,W")
+    assert code == 0 and out.startswith(" j     pi     w=1")
+    assert list(temp.iterdir()) == []
+
+
+def test_table_paper_diff_builds_a_domain0_profile_only_for_each_itemized_prime(
+        tmp_path, capsys, monkeypatch):
+    """table --paper-diff compares each row's domain0 radius with the
+    scanned variant's and builds a domain0 profile only for the 56 primes to
+    10^4 it itemizes. Under --variant domain0, where each profile read is
+    re-viewed, it builds one per prime read and none to itemize."""
+    path = _scan_file(tmp_path, capsys, "full.csv", "--range", "2", "10000")
+    built = []
+
+    class Counted(hamming.HammingProfile):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(cli, "HammingProfile", Counted)
+    code, out = run(capsys, "table", "--limit", "10000", "--paper-diff", "--scan-file", path)
+    assert code == 0
+    assert len(built) == out.count("\n  p=") == 56
+    built.clear()
+    code, out = run(capsys, "table", "--limit", "10000", "--variant", "domain0", "--paper-diff",
+                    "--scan-file", path)
+    assert code == 0 and "\n  p=" not in out
+    assert len(built) <= len(sieve_primes(10000))
 
 
 def test_table_paper_diff_holds_about_as_much_as_the_table_alone(tmp_path, capsys):

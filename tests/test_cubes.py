@@ -10,7 +10,7 @@ from hamroots.cubes import (EXHAUSTIVE_P_CAP, HilbertCube, NONRESIDUE, PRIMROOT,
                             max_avoiding_dimension, max_contained_dimension,
                             small_elements_cube)
 from hamroots.errors import CapabilityError
-from hamroots.numtheory import PrimeContext, bitmap_to_set, legendre_symbol, sieve_primes
+from hamroots.numtheory import PrimeContext, legendre_symbol, set_bits, sieve_primes
 
 
 def ctx_for(p):
@@ -34,7 +34,7 @@ def brute_max_cube(p, allowed, max_dim=6):
 def allowed_sets(p):
     ctx = ctx_for(p)
     nonres = {a for a in range(1, p) if legendre_symbol(a, p) == -1}
-    roots = set(bitmap_to_set(ctx.pr_bitmap()))
+    roots = set(set_bits(ctx.pr_bitmap()))
     return {
         "f": set(range(p)) - nonres,
         "F": set(range(p)) - roots,

@@ -15,7 +15,7 @@ from hamroots.hamming import (CANONICAL, DOMAIN0, REDUCED, HammingProfile, Radii
                               low_bit_flip_set, min_flips_to_primroot,
                               min_nonresidue_weight, min_primroot_weight,
                               recombined_set, view)
-from hamroots.numtheory import (PrimeContext, bitmap_to_set, factorize_pm1, legendre_symbol,
+from hamroots.numtheory import (PrimeContext, factorize_pm1, legendre_symbol, set_bits,
                                 sieve_primes)
 from hamroots.reference import RADIUS3_CLASSES
 from hamroots.scan import ScanConfig, scan_range
@@ -125,7 +125,7 @@ def test_min_flips_matches_direct_min_over_roots():
         if p == 2:
             continue
         ctx = ctx_for(p)
-        roots = bitmap_to_set(ctx.pr_bitmap())
+        roots = list(set_bits(ctx.pr_bitmap()))
         for n in range(1, p + 1):
             direct = min(bin(n ^ g).count("1") for g in roots)
             assert min_flips_to_primroot(n, ctx)[0] == direct
@@ -163,7 +163,7 @@ def domain_dilation(ctx, variant):
         previous = ball
         ball = dilate(ball, ctx.bit_len)
         radius += 1
-    return radius, tuple(sorted(n % p for n in bitmap_to_set(domain & ~previous)))
+    return radius, tuple(sorted(n % p for n in set_bits(domain & ~previous)))
 
 
 def test_views_match_the_per_domain_dilation_below_20000():

@@ -155,6 +155,27 @@ def _unread_fields(modules: dict[str, str], references: list[str]) -> list[str]:
     return out
 
 
+def _list_wrappers(modules: dict[str, str]) -> list[str]:
+    """Functions of `modules` whose body, after any docstring, is only
+    `return list(g(...))` for a function g that `modules` define: a second
+    name for what a caller can spell `list(g(...))`."""
+    functions = [(name, node) for name, source in modules.items()
+                 for node in ast.walk(ast.parse(source))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    defined = {node.name for _, node in functions}
+    out = []
+    for name, node in functions:
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+        if (isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "list"
+                and len(call.args) == 1 and not call.keywords
+                and isinstance(inner := call.args[0], ast.Call)
+                and getattr(inner.func, "id", getattr(inner.func, "attr", None)) in defined):
+            out.append(f"{name}:{node.lineno}: {node.name}")
+    return out
+
+
 def test_unused_imports_detector():
     source = "from __future__ import annotations\nimport os, re\nimport a.b as c\nre.sub\n"
     assert _unused_imports(source) == ["line 3: c", "line 2: os"]
@@ -313,6 +334,41 @@ def test_defaults_set_only_by_tests_are_the_named_exemptions():
     assert modules and references
     found = {entry.split(": ", 1)[1] for entry in _unpassed_defaults(modules, references)}
     assert found == TEST_ONLY_DEFAULTS
+
+
+def test_list_wrappers_detector():
+    module = ("import itertools\n"
+              "def g(n): return range(n)\n"
+              "def wrapped(n):\n"
+              "    \"\"\"The list of g.\"\"\"\n"
+              "    return list(g(n))\n"
+              "class C:\n"
+              "    def gen(self): yield 1\n"
+              "    def listed(self): return list(self.gen())\n"
+              "def outside(xs): return list(itertools.chain(xs))\n"
+              "def more(n):\n"
+              "    x = g(n)\n"
+              "    return list(x)\n"
+              "def not_a_call(n): return list(n)\n"
+              "def only_a_docstring():\n"
+              "    \"\"\"Nothing else.\"\"\"\n")
+    assert _list_wrappers({"m.py": module}) == ["m.py:3: wrapped", "m.py:8: listed"]
+
+
+# Pass-through list wrappers, each kept on purpose.
+LIST_WRAPPERS = {
+    # perfbench measures scan_range, the list of scan_profiles, until the
+    # scan's checkpoint and profile surface is cut down
+    "scan_range",
+}
+
+
+def test_no_list_wrappers_in_src():
+    modules = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "hamroots").rglob("*.py"))}
+    assert modules
+    found = {entry.split(": ", 1)[1] for entry in _list_wrappers(modules)}
+    assert found == LIST_WRAPPERS
 
 
 def test_no_assert_statements_in_src():

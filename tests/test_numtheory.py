@@ -8,11 +8,11 @@ from hypothesis import example, given, strategies as st
 
 from hamroots import numtheory
 from hamroots.errors import CapabilityError
-from hamroots.numtheory import (PrimeContext, _jacobi, bitmap_to_set, divisors,
+from hamroots.numtheory import (PrimeContext, _jacobi, divisors,
                                 euler_phi, factorize, factorize_pm1, is_prime,
                                 is_primitive_root, least_primitive_root,
                                 legendre_symbol, mobius,
-                                multiplicative_order, sieve_primes)
+                                multiplicative_order, set_bits, sieve_primes)
 
 
 def trial_division_oracle(n):
@@ -238,11 +238,11 @@ def test_order_divides_and_primroot_agrees_up_to_500():
 
 
 def test_primitive_roots_examples():
-    assert bitmap_to_set(PrimeContext.for_prime(7).pr_bitmap()) == [3, 5]
-    assert bitmap_to_set(PrimeContext.for_prime(17).pr_bitmap()) == \
+    assert list(set_bits(PrimeContext.for_prime(7).pr_bitmap())) == [3, 5]
+    assert list(set_bits(PrimeContext.for_prime(17).pr_bitmap())) == \
         [3, 5, 6, 7, 10, 11, 12, 14]
-    assert bitmap_to_set(PrimeContext.for_prime(3).pr_bitmap()) == [2]
-    assert bitmap_to_set(PrimeContext.for_prime(2).pr_bitmap()) == [1]
+    assert list(set_bits(PrimeContext.for_prime(3).pr_bitmap())) == [2]
+    assert list(set_bits(PrimeContext.for_prime(2).pr_bitmap())) == [1]
 
 
 def test_primitive_root_count_and_least_root_sweep():
@@ -315,8 +315,8 @@ def test_phi_mobius_divisors():
 @example(0xFF << 4)  # set bits across a byte boundary
 @example(1 | 1 << 20000)  # a sparse set: two bits far apart
 @example((1 << 8 * 4100 + 3) - 1)  # all ones, over 4096 bytes
-def test_bitmap_to_set_matches_per_index_check(x):
-    assert bitmap_to_set(x) == [i for i in range(x.bit_length()) if x >> i & 1]
+def test_set_bits_matches_per_index_check(x):
+    assert list(set_bits(x)) == [i for i in range(x.bit_length()) if x >> i & 1]
 
 
 def test_pr_bitmap_matches_brute_force_below_3000():
@@ -346,7 +346,7 @@ def test_pr_bitmap_large_primes(p):
 def test_pr_bitmap_matches_per_residue_check_across_long_coprime_gaps(p):
     ctx = PrimeContext.for_prime(p)
     roots = [a for a in range(p) if is_primitive_root(a, ctx)]
-    assert bitmap_to_set(ctx.pr_bitmap()) == roots
+    assert list(set_bits(ctx.pr_bitmap())) == roots
 
 
 def exponent_walk_bitmap(ctx):

@@ -1437,8 +1437,8 @@ def test_ball_search_reads_no_bitmap(monkeypatch, mutant, lo, hi):
     expected = {}
     for p in numtheory.sieve_primes(hi, lo):
         ctx = numtheory.PrimeContext.for_prime(p)
-        differ = numtheory.bitmap_to_set((mutant(ctx) ^ numtheory._build_pr_bitmap(ctx))
-                                         & (2 << p) - 2)  # the n in [1, p]
+        differ = list(numtheory.set_bits((mutant(ctx) ^ numtheory._build_pr_bitmap(ctx))
+                                         & (2 << p) - 2))  # the n in [1, p]
         for n in differ[:3] + differ[-3:]:
             expected[p, n] = hamming.min_flips_to_primroot(n, ctx)
     assert expected
